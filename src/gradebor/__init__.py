@@ -14,7 +14,7 @@ from .typecheck import CheckError, Checker, check_program
 from .machine import Heap, Machine, Trace
 from .metatheory import (
     check_borrow_safety, check_equational, check_preservation, check_progress,
-    check_uniqueness, heap_compat, run_property_suites,
+    check_trace, check_uniqueness, heap_compat, run_property_suites,
 )
 from .generator import generate_program, generate_programs
 
@@ -25,6 +25,6 @@ __all__ = [
     "parse_term", "parse_type", "print_term", "print_type", "CheckError",
     "Checker", "check_program", "Heap", "Machine", "Trace",
     "check_borrow_safety", "check_equational", "check_preservation",
-    "check_progress", "check_uniqueness", "heap_compat",
+    "check_progress", "check_trace", "check_uniqueness", "heap_compat",
     "run_property_suites", "generate_program", "generate_programs",
 ]

@@ -15,10 +15,7 @@ from pathlib import Path
 
 from .grades import SEMIRINGS
 from .machine import EvalError, FuelExhausted, Heap, Machine
-from .metatheory import (
-    check_borrow_safety, check_preservation, check_progress, check_uniqueness,
-    run_property_suites, uniqueness_applicable,
-)
+from .metatheory import check_trace, run_property_suites
 from .parser import SyntaxError_, parse_program, print_term, print_type
 from .typecheck import CheckError, check_program
 
@@ -94,21 +91,30 @@ def _check_and_run(path, semiring, fuel):
     return cp, value, trace
 
 
+# How `_check_and_run` can fail: the exit code and stderr message of each
+# error, first match wins (FuelExhausted is an EvalError).
+_RUN_FAILURES = (
+    (SystemExit2, EXIT_IO, "{e}"),
+    (SyntaxError_, EXIT_TYPE, "{e}"),
+    (CheckError, EXIT_TYPE, "{e}"),
+    (FuelExhausted, EXIT_FUEL, "{path}: {e}"),
+    (EvalError, EXIT_META, "{path}: evaluation failed: {e}"),
+)
+_RUN_ERRORS = tuple(kind for kind, _, _ in _RUN_FAILURES)
+
+
+def _run_failed(path: str, e: Exception) -> int:
+    for kind, code, message in _RUN_FAILURES:
+        if isinstance(e, kind):
+            print(message.format(path=path, e=e), file=sys.stderr)
+            return code
+
+
 def cmd_run(args) -> int:
     try:
         cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel)
-    except SystemExit2 as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_IO
-    except (SyntaxError_, CheckError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_TYPE
-    except FuelExhausted as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return EXIT_FUEL
-    except EvalError as e:
-        print(f"{args.file}: evaluation failed: {e}", file=sys.stderr)
-        return EXIT_META
+    except _RUN_ERRORS as e:
+        return _run_failed(args.file, e)
     heap = trace.final_heap
     if args.format == "json":
         print(json.dumps({
@@ -129,23 +135,10 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     try:
         cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel)
-    except SystemExit2 as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_IO
-    except (SyntaxError_, CheckError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_TYPE
-    except FuelExhausted as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return EXIT_FUEL
-    except EvalError as e:
-        print(f"{args.file}: evaluation failed: {e}", file=sys.stderr)
-        return EXIT_META
+    except _RUN_ERRORS as e:
+        return _run_failed(args.file, e)
     print(trace.to_jsonl())
-    violations = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
-    violations += check_borrow_safety(trace)
-    violations += check_progress(trace)
-    violations += check_uniqueness(trace, cp.main_type)
+    violations = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
     for v in violations:
         print(str(v), file=sys.stderr)
     return EXIT_META if violations else EXIT_OK
@@ -199,8 +192,7 @@ def cmd_corpus(args) -> int:
             try:
                 machine = Machine(cp.ring)
                 value, trace = machine.eval(Heap(), cp.main_term, cp.ring.one, args.fuel)
-                found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
-                found += check_borrow_safety(trace) + check_progress(trace) + check_uniqueness(trace, cp.main_type)
+                found = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
                 if found:
                     matched = False
                     detail = f"metatheory: {found[0]}"

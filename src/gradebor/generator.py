@@ -278,6 +278,6 @@ def constructors_used(t: Term) -> set[str]:
     out = {type(t).__name__}
     if isinstance(t, Prim):
         out.add(f"Prim:{t.name}")
-    for c in S._children(t):
+    for c in S.children(t):
         out |= constructors_used(c)
     return out

@@ -134,14 +134,6 @@ class Heap:
         return out
 
 
-def heap_zero_perms(heap: Heap) -> Heap:
-    """A copy of the heap with every reference annotation set to zero."""
-    out = heap.snapshot()
-    for cell in out.refs.values():
-        cell.perm = Fraction(0)
-    return out
-
-
 def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
     """Deep-copy a reference-closed heap fragment with fresh names.
 
@@ -173,16 +165,12 @@ def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
                 raise MissingResource(f"copied value mentions uncopied references: {sorted(missing)}")
             fragment.resources[ident_map[ident]] = RefRes(
                 rename_refs(theta, res.value),
-                type_rename_idents(res.ty, ident_map) if res.ty is not None else None,
+                S.type_subst_names(res.ty, ident_map) if res.ty is not None else None,
             )
     for ref, cell in sub.refs.items():
         fragment.refs[theta[ref]] = RefCell(Fraction(1), ident_map[cell.ident])
     fragment.counter = counter
     return fragment, theta, new_ids
-
-
-def type_rename_idents(ty: Type, env: dict[str, str]) -> Type:
-    return S.type_subst_names(ty, env)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +645,7 @@ def _ref_order(t: Term) -> list[str]:
             return [r]
         case _:
             out: list[str] = []
-            for c in S._children(t):
+            for c in S.children(t):
                 for r in _ref_order(c):
                     if r not in out:
                         out.append(r)

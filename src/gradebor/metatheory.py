@@ -17,7 +17,7 @@ from . import syntax as S
 from .syntax import Amp, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
 from .machine import Heap, Machine, EvalError, Trace
 from .typecheck import (
-    Checker, CheckError, Ctx, GradedEntry, RefEntry, Usage, runtime_ctx,
+    Checker, CheckError, Ctx, GradedEntry, Usage, runtime_ctx,
 )
 
 
@@ -35,7 +35,6 @@ class Violation:
 @dataclass
 class CompatJudgment:
     accepted: bool
-    sketch: list[str] = field(default_factory=list)
     failure: Optional[str] = None
 
 
@@ -52,7 +51,6 @@ def heap_compat(heap: Heap, ctx: Ctx, ring: Semiring) -> CompatJudgment:
     Variables the context never mentions are discharged without a typing
     premise, and leftover references are collectable only at permission 0.
     """
-    sketch: list[str] = []
     checker = Checker(ring)
     rt = runtime_ctx(heap, ring)
     demands: dict[str, Grade] = {}
@@ -67,45 +65,37 @@ def heap_compat(heap: Heap, ctx: Ctx, ring: Semiring) -> CompatJudgment:
         cell = heap.vars[x]
         s_x = demands.pop(x, ring.zero)
         if grade_residual(cell.grade, s_x) is None:
-            return CompatJudgment(False, sketch, f"variable {x!r}: demand {s_x} exceeds heap grade {cell.grade}")
+            return CompatJudgment(False, f"variable {x!r}: demand {s_x} exceeds heap grade {cell.grade}")
         if s_x == ring.zero:
-            sketch.append(f"extGr0 {x}")
             continue
         entry = ctx.vars.get(x)
         want_ty = entry.ty if entry is not None else (cell.ty if cell.ty is not None else None)
         try:
             ty, usage, _ = checker.infer(rt, cell.value)
         except CheckError as e:
-            return CompatJudgment(False, sketch, f"stored value of {x!r} fails to type: {e.msg}")
+            return CompatJudgment(False, f"stored value of {x!r} fails to type: {e.msg}")
         if want_ty is not None and ty != want_ty:
-            return CompatJudgment(False, sketch, f"stored value of {x!r} has type {ty!r}, context expects {want_ty!r}")
+            return CompatJudgment(False, f"stored value of {x!r} has type {ty!r}, context expects {want_ty!r}")
         for y, g in usage.graded.items():
             _acc(demands, y, grade_mul(s_x, g), ring)
         for y in usage.linear:
             _acc(demands, y, s_x, ring)
         ref_demands |= usage.refs
-        sketch.append(f"extGr {x}")
 
     if demands:
         missing = ", ".join(sorted(demands))
-        return CompatJudgment(False, sketch, f"context demands variables missing from the heap: {missing}")
+        return CompatJudgment(False, f"context demands variables missing from the heap: {missing}")
 
     for ref in sorted(ref_demands):
         cell = heap.refs.get(ref)
         if cell is None:
-            return CompatJudgment(False, sketch, f"context demands reference {ref} missing from the heap")
+            return CompatJudgment(False, f"context demands reference {ref} missing from the heap")
         if cell.ident not in heap.resources:
-            return CompatJudgment(False, sketch, f"reference {ref} points to a deleted resource {cell.ident}")
-        sketch.append(f"extRes {ref}")
+            return CompatJudgment(False, f"reference {ref} points to a deleted resource {cell.ident}")
     for ref, cell in heap.refs.items():
         if ref not in ref_demands and cell.perm != 0:
-            return CompatJudgment(False, sketch, f"reference {ref} holds permission {cell.perm} but nothing demands it")
-        if ref not in ref_demands:
-            sketch.append(f"gcRef {ref}")
-    for ident in heap.resources:
-        sketch.append(f"gcArr {ident}")
-    sketch.append("base")
-    return CompatJudgment(True, sketch)
+            return CompatJudgment(False, f"reference {ref} holds permission {cell.perm} but nothing demands it")
+    return CompatJudgment(True)
 
 
 def _acc(demands: dict[str, Grade], y: str, g: Grade, ring: Semiring) -> None:
@@ -158,20 +148,6 @@ def check_progress(trace: Trace) -> list[Violation]:
     """On a completed trace, progress amounts to ending in a value."""
     if not S.is_value(trace.final_term):
         return [Violation("progress", len(trace.steps), f"run ended on a non-value: {trace.final_term!r}")]
-    return []
-
-
-def progress_step(ctx: Ctx, t: Term, heap: Heap, s: Grade, ring: Semiring) -> list[Violation]:
-    """A well-typed term is a value or can take a step."""
-    if S.is_value(t):
-        return []
-    m = Machine(ring)
-    try:
-        out = m.step(heap.snapshot(), t, s)
-    except EvalError as e:
-        return [Violation("progress", None, f"stuck: {e}")]
-    if out is None:
-        return [Violation("progress", None, "non-value refused to step")]
     return []
 
 
@@ -307,6 +283,21 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# All trace checkers together
+
+
+def check_trace(trace: Trace, main_type: Type, ring: Semiring, s: Grade) -> list[Violation]:
+    """Every per-trace checker, reported in the order preservation,
+    borrow safety, progress, uniqueness."""
+    return (
+        check_preservation(trace, main_type, ring, s)
+        + check_borrow_safety(trace)
+        + check_progress(trace)
+        + check_uniqueness(trace, main_type)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Equational soundness
 
 
@@ -321,12 +312,7 @@ def close_value(heap: Heap, t: Term, depth: int = 0) -> Term:
                 return t
             return close_value(heap, cell.value, depth + 1)
         case _:
-            changes = {}
-            for f in S.fields(t):
-                v = getattr(t, f.name)
-                if isinstance(v, Term):
-                    changes[f.name] = close_value(heap, v, depth + 1)
-            return S._rebuild(t, **changes) if changes else t
+            return S.map_children(t, lambda c: close_value(heap, c, depth + 1))
 
 
 def readback(heap: Heap, t: Term, depth: int = 0):
@@ -464,14 +450,10 @@ def run_generated_suites(seed: int, cases: int, size: int = 6, mutate_split: boo
                 suites["progress"].cases += 1
                 suites["progress"].failures.append(f"case {i} at grade {s}: {e}")
                 continue
-            for name, found in (
-                ("progress", check_progress(trace)),
-                ("preservation", check_preservation(trace, cp.main_type, cp.ring, s)),
-                ("borrow-safety", check_borrow_safety(trace)),
-                ("uniqueness", check_uniqueness(trace, cp.main_type)),
-            ):
+            for name in ("progress", "preservation", "borrow-safety", "uniqueness"):
                 suites[name].cases += 1
-                suites[name].failures.extend(f"case {i} at grade {s}: {v}" for v in found)
+            for v in check_trace(trace, cp.main_type, cp.ring, s):
+                suites[v.prop].failures.append(f"case {i} at grade {s}: {v}")
     return list(suites.values())
 
 

@@ -4,13 +4,19 @@ Bound identifiers are compared up to alpha-equivalence: the `==` on terms and
 types renames binders on the fly, so alpha-equivalent trees compare equal.
 Runtime-only forms (wrapped uniques, unborrow, resource references) live in
 the same tree but are never produced by the parser.
+
+Traversals go through one table, built at import, of each term class's child
+term fields and type annotation fields: `children` lists a node's subterms and
+`map_children` rebuilds a node from mapped subterms. Each walker writes out
+only its special cases (binders, references, metadata) and falls through to
+`map_children` for every other node.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union, get_type_hints
 
 from .grades import Grade, Permission, STAR
 
@@ -493,17 +499,53 @@ class RefVal(Term):
 
 RUNTIME_ONLY = (Uniq, Unborrow, RefVal)
 
-_BINDERS = {
-    Abs: ("param",),
-    LetPair: ("left", "right"),
-    LetBox: ("binder",),
-    Unpack: ("binder",),
-    Clone: ("binder",),
-}
+
+class _Shape(NamedTuple):
+    fields: tuple[str, ...]  # every constructor field, in order
+    terms: tuple[str, ...]  # fields holding child terms
+    types: tuple[str, ...]  # fields holding optional Type annotations
 
 
-def _children(t: Term) -> list[Term]:
-    return [v for f in fields(t) for v in [getattr(t, f.name)] if isinstance(v, Term)]
+def _shape(cls: type) -> _Shape:
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    return _Shape(
+        names,
+        tuple(n for n in names if hints[n] is Term),
+        tuple(n for n in names if hints[n] == Optional[Type]),
+    )
+
+
+_SHAPES: dict[type, _Shape] = {cls: _shape(cls) for cls in Term.__subclasses__()}
+
+
+def children(t: Term) -> list[Term]:
+    """The immediate subterms of t, in field order."""
+    return [getattr(t, n) for n in _SHAPES[type(t)].terms]
+
+
+def map_children(
+    t: Term, f: Callable[[Term], Term], on_type: Optional[Callable[[Type], Type]] = None
+) -> Term:
+    """Apply f to each child term (and on_type to each present annotation).
+
+    Returns t itself when every result is the object it replaces.
+    """
+    shape = _SHAPES[type(t)]
+    changes = {}
+    for n in shape.terms:
+        old = getattr(t, n)
+        new = f(old)
+        if new is not old:
+            changes[n] = new
+    if on_type is not None:
+        for n in shape.types:
+            old = getattr(t, n)
+            if old is not None:
+                new = on_type(old)
+                if new is not old:
+                    changes[n] = new
+    return _rebuild(t, **changes) if changes else t
 
 
 def alpha_eq(a: Term, b: Term, env_a=None, env_b=None) -> bool:
@@ -622,7 +664,7 @@ def free_vars(t: Term) -> set[str]:
             return free_vars(rhs) | (free_vars(body) - {x, *ids})
         case _:
             out: set[str] = set()
-            for c in _children(t):
+            for c in children(t):
                 out |= free_vars(c)
             return out
 
@@ -634,7 +676,7 @@ def refs_of(t: Term) -> set[str]:
             return {r}
         case _:
             out: set[str] = set()
-            for c in _children(t):
+            for c in children(t):
                 out |= refs_of(c)
             return out
 
@@ -651,7 +693,7 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 def _rebuild(t: Term, **changes) -> Term:
-    vals = {f.name: getattr(t, f.name) for f in fields(t)}
+    vals = {n: getattr(t, n) for n in _SHAPES[type(t)].fields}
     vals.update(changes)
     return type(t)(**vals)
 
@@ -687,12 +729,7 @@ def subst(t: Term, x: str, s: Term) -> Term:
                 b2, env3 = _avoid(b, env2, fv_s)
                 return _rebuild(t, binder=b2, idents=tuple(ids2), rhs=go(rhs, env), body=go(body, env3))
             case _:
-                changes = {}
-                for f in fields(t):
-                    v = getattr(t, f.name)
-                    if isinstance(v, Term):
-                        changes[f.name] = go(v, env)
-                return _rebuild(t, **changes) if changes else t
+                return map_children(t, lambda c: go(c, env))
 
     def _avoid(binder: str, env: dict[str, Term], avoid: set[str]):
         env = {k: v for k, v in env.items() if k != binder}
@@ -731,25 +768,8 @@ def subst_names(t: Term, env: dict[str, str]) -> Term:
                     bann=type_subst_names(bann, inner) if bann else None,
                     old_idents=tuple(env.get(i, i) for i in old_idents) if old_idents else None,
                 )
-            case Abs(p, body, ann):
-                return _rebuild(t, body=go(body, env), ann=type_subst_names(ann, env) if ann else None)
-            case LetPair(l, r, rhs, body, lann, rann):
-                return _rebuild(
-                    t,
-                    rhs=go(rhs, env),
-                    body=go(body, env),
-                    lann=type_subst_names(lann, env) if lann else None,
-                    rann=type_subst_names(rann, env) if rann else None,
-                )
-            case LetBox(b, rhs, body, ann):
-                return _rebuild(t, rhs=go(rhs, env), body=go(body, env), ann=type_subst_names(ann, env) if ann else None)
             case _:
-                changes = {}
-                for f in fields(t):
-                    v = getattr(t, f.name)
-                    if isinstance(v, Term):
-                        changes[f.name] = go(v, env)
-                return _rebuild(t, **changes) if changes else t
+                return map_children(t, lambda c: go(c, env), lambda ty: type_subst_names(ty, env))
 
     return go(t, env)
 
@@ -760,14 +780,9 @@ def rename_refs(theta: dict[str, str], t: Term) -> Term:
         return t
     match t:
         case RefVal(r):
-            return _rebuild(t, ref=theta.get(r, r)) if r in theta else t
+            return _rebuild(t, ref=theta[r]) if r in theta else t
         case _:
-            changes = {}
-            for f in fields(t):
-                v = getattr(t, f.name)
-                if isinstance(v, Term):
-                    changes[f.name] = rename_refs(theta, v)
-            return _rebuild(t, **changes) if changes else t
+            return map_children(t, lambda c: rename_refs(theta, c))
 
 
 def prim_spine(t: Term) -> Optional[tuple[str, list[Term]]]:
@@ -810,18 +825,11 @@ def user_writable(t: Term) -> bool:
     """True when the term contains no runtime-only constructors."""
     if isinstance(t, RUNTIME_ONLY):
         return False
-    return all(user_writable(c) for c in _children(t))
+    return all(user_writable(c) for c in children(t))
 
 
 def strip_meta(t: Term) -> Term:
     """Drop elaboration metadata (annotations and box grades) for comparisons."""
-    changes = {}
-    for f in fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
-            changes[f.name] = strip_meta(v)
-        elif f.name in ("ann", "lann", "rann", "bann", "old_idents") and v is not None:
-            changes[f.name] = None
-        elif f.name == "grade" and v is not None:
-            changes[f.name] = None
-    return _rebuild(t, **changes) if changes else t
+    t = map_children(t, strip_meta, lambda _: None)
+    meta = {n: None for n in ("grade", "old_idents") if getattr(t, n, None) is not None}
+    return _rebuild(t, **meta) if meta else t

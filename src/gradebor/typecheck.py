@@ -177,7 +177,7 @@ def resource_allocator(t: Term) -> bool:
         case Prim(name):
             return name in ("newArray", "newRef")
         case _:
-            return any(resource_allocator(c) for c in S._children(t))
+            return any(resource_allocator(c) for c in S.children(t))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +261,7 @@ def apply_solution_term(t: Term, binders: tuple[tuple[str, str], ...], sol: dict
 
 
 def _subst_perms_term(t: Term, env: dict) -> Term:
-    changes = {}
-    for f in S.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, Term):
-            changes[f.name] = _subst_perms_term(v, env)
-        elif isinstance(v, Type):
-            changes[f.name] = type_subst_perms(v, env)
-    return S._rebuild(t, **changes) if changes else t
+    return S.map_children(t, lambda c: _subst_perms_term(c, env), lambda ty: type_subst_perms(ty, env))
 
 
 # ---------------------------------------------------------------------------
@@ -1001,16 +994,6 @@ def check_program(prog) -> CheckedProgram:
         raise CheckError(MISMATCH, "program has no main definition", None, rule="main")
     main_type, main_term = main_entry
     return CheckedProgram(ring, main_type, main_term, def_types)
-
-
-def check_program_errors(prog) -> tuple[Optional[CheckedProgram], list[CheckError]]:
-    """Collect per-definition errors instead of stopping at the first."""
-    errors: list[CheckError] = []
-    try:
-        return check_program(prog), errors
-    except CheckError as e:
-        errors.append(e)
-        return None, errors
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from gradebor.grades import NAT_LEQ, STAR, frac_perm
 from gradebor.machine import (
     ArrRes, EvalError, FuelExhausted, GradeUnderflow, Heap, Machine,
     MissingResource, RefCell, RefRes, StuckTerm, arr_read, arr_write,
-    heap_copy, heap_zero_perms,
+    heap_copy,
 )
 from gradebor.parser import parse_program, parse_term
 from gradebor.syntax import (
@@ -176,15 +176,6 @@ def test_configuration_invariant_refs_in_heap():
 
 
 # -- heap operations ----------------------------------------------------------------
-
-
-def test_heap_zero_perms():
-    heap = seeded_heap()
-    out = heap_zero_perms(heap)
-    assert out.refs["ref1"].perm == 0
-    assert heap.refs["ref1"].perm == 1  # the original is untouched
-    assert out.resources.keys() == heap.resources.keys()
-    assert heap_zero_perms(Heap()).refs == {}
 
 
 def test_heap_copy_is_deep():

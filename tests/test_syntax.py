@@ -1,15 +1,21 @@
+import dataclasses
 import random
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradebor import syntax
+from gradebor.generator import generate_programs
 from gradebor.grades import STAR, frac_perm
-from gradebor.parser import parse_term
+from gradebor.machine import EvalError, Heap, Machine
+from gradebor.parser import parse_program, parse_term
 from gradebor.syntax import (
     Abs, App, FloatLit, NatLit, Pack, Pair, Prim, Promote, RefVal, Term, Uniq,
-    UnitVal, Unpack, Var, WithBorrow, alpha_eq, free_vars, is_value,
-    refs_of, rename_refs, subst, user_writable,
+    UnitVal, Unpack, Var, WithBorrow, alpha_eq, children, free_vars, is_value,
+    map_children, refs_of, rename_refs, subst, user_writable,
 )
+from gradebor.typecheck import CheckError, check_program
 
 
 def test_free_vars_examples():
@@ -137,3 +143,71 @@ def test_rename_refs_hits_every_ref(seed):
     withrefs = Pair(t, Pair(RefVal("ref1"), RefVal("ref2")))
     theta = {"ref1": "ref8", "ref2": "ref9"}
     assert refs_of(rename_refs(theta, withrefs)) == {theta.get(r, r) for r in refs_of(withrefs)}
+
+
+# -- the child-field table ------------------------------------------------------
+
+
+def _reflected_children(t: Term) -> list[Term]:
+    """The reference answer: every dataclass field that holds a term."""
+    return [v for f in dataclasses.fields(t) if isinstance(v := getattr(t, f.name), Term)]
+
+
+def _nodes(t: Term):
+    yield t
+    for c in _reflected_children(t):
+        yield from _nodes(c)
+
+
+def _sample_terms() -> list[Term]:
+    """Source, elaborated and runtime terms of the corpus and 300 generated programs."""
+    corpus = Path(__file__).resolve().parent.parent / "src" / "gradebor" / "corpus"
+    programs = [parse_program(p.read_text(), str(p)) for p in sorted(corpus.glob("*.grb"))]
+    programs += generate_programs(7, count=300)
+    terms: list[Term] = []
+    for prog in programs:
+        terms.extend(d.body for d in prog.definitions)
+        try:
+            cp = check_program(prog)
+            _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        except (CheckError, EvalError):
+            continue
+        terms.extend(term for term, _ in trace.configurations())
+    return terms
+
+
+SAMPLE_TERMS = _sample_terms()
+
+
+def test_every_term_class_has_a_table_entry():
+    classes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, Term) and c is not Term]
+    assert len(classes) == 24
+    for c in classes:
+        assert c in syntax._SHAPES, c.__name__
+
+
+def test_sample_terms_reach_every_term_class():
+    seen = {type(n) for t in SAMPLE_TERMS for n in _nodes(t)}
+    assert seen == set(syntax._SHAPES)
+
+
+def test_children_matches_reflection():
+    for t in SAMPLE_TERMS:
+        for node in _nodes(t):
+            assert children(node) == _reflected_children(node), type(node).__name__
+
+
+def test_map_children_identity_returns_the_same_node():
+    for t in SAMPLE_TERMS:
+        for node in _nodes(t):
+            assert map_children(node, lambda c: c) is node
+            assert map_children(node, lambda c: c, lambda ty: ty) is node
+
+
+def test_map_children_rebuilds_changed_nodes():
+    t = Pair(Var("x"), UnitVal())
+    out = map_children(t, lambda c: Var("y") if c == Var("x") else c)
+    assert out == Pair(Var("y"), UnitVal())
+    assert out.right is t.right
+    annotated = Abs("x", Var("x"), syntax.UnitT())
+    assert map_children(annotated, lambda c: c, lambda ty: None) == Abs("x", Var("x"))
