@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Write the CLI's observable output for a fixed set of runs, one file each.
+
+    python scripts/golden.py OUTDIR
+
+For every run it writes OUTDIR/<name>.out, .err and .code (stdout, stderr,
+exit status). The runs are `trace`, `run` and `check` on every corpus file,
+`trace` on a 100-write `writeArray` chain and a 20-rung split/join ladder
+generated here, `corpus --format json`, and `props --seed 42 --cases 500`
+with and without `--mutate-split`. Each run is a fresh interpreter, because
+gradebor's fresh-name counter is process-wide and shows in the output.
+
+Run it in two checkouts and compare with `diff -r` to check that a change
+leaves every output byte-identical.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = Path("src") / "gradebor" / "corpus"
+
+
+def chain_source(writes: int) -> str:
+    rng = random.Random(7)
+    body = "a"
+    for _ in range(writes):
+        body = f"writeArray ({body}) {rng.randrange(4)} {round(rng.uniform(0.0, 9.0), 2)!r}"
+    return (
+        "#semiring nat-leq\n\n"
+        "main : exists i . * (Array i Float);\n"
+        f"main = unpack <i, a> = newArray 4 in pack <i, {body}>;\n"
+    )
+
+
+def ladder_source(rungs: int) -> str:
+    rng = random.Random(7)
+    body = "let (x0, y0) = split b in\n"
+    for k in range(1, rungs + 1):
+        x, y = f"x{k - 1}", f"y{k - 1}"
+        if rng.random() < 0.5:
+            x = f"observe {x}"
+        else:
+            y = f"observe {y}"
+        pair = f"({y}, {x})" if rng.random() < 0.5 else f"({x}, {y})"
+        body += f"  let (x{k}, y{k}) = split (join {pair}) in\n"
+    body += f"  join (x{rungs}, y{rungs})"
+    return (
+        "#semiring nat-leq\n\n"
+        "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
+        "observe = \\w -> w;\n\n"
+        "ladder : forall {i : Name} . * (Ref i Float) -o * (Ref i Float);\n"
+        f"ladder = \\c -> withBorrow (\\b -> {body}) c;\n\n"
+        "main : exists i . * (Ref i Float);\n"
+        "main = unpack <i, c> = newRef 1.5 in pack <i, ladder c>;\n"
+    )
+
+
+def record(outdir: Path, name: str, args: list[str], cwd: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("GRADEBOR_FUEL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradebor.cli", *args], cwd=cwd, env=env, capture_output=True
+    )
+    (outdir / f"{name}.out").write_bytes(proc.stdout)
+    (outdir / f"{name}.err").write_bytes(proc.stderr)
+    (outdir / f"{name}.code").write_text(f"{proc.returncode}\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: golden.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for grb in sorted((ROOT / CORPUS).glob("*.grb")):
+        for command in ("trace", "run", "check"):
+            record(outdir, f"{command}-{grb.stem}", [command, str(CORPUS / grb.name)], ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        generated = Path(tmp)
+        for name, source in (("write_chain", chain_source(100)), ("split_ladder", ladder_source(20))):
+            (generated / f"{name}.grb").write_text(source, encoding="utf-8")
+            record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)
+    record(outdir, "corpus-json", ["corpus", "--format", "json"], ROOT)
+    record(outdir, "props", ["props", "--seed", "42", "--cases", "500"], ROOT)
+    record(outdir, "props-mutate-split", ["props", "--seed", "42", "--cases", "500", "--mutate-split"], ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

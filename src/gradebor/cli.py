@@ -1,7 +1,8 @@
 """Command-line interface: check, run, trace, props, and corpus.
 
 Exit codes are a stable contract: 0 ok, 1 type error, 2 I/O error, 3 fuel
-exhausted, 4 metatheory violation.
+exhausted, 4 metatheory violation. A reader that closes standard output early
+(`gradebor trace FILE | head`) is an I/O error: exit 2, with no traceback.
 """
 
 from __future__ import annotations
@@ -82,23 +83,23 @@ def cmd_check(args) -> int:
     return worst
 
 
-def _check_and_run(path, semiring, fuel):
+def _check_and_run(path, semiring, fuel, record):
     prog = _load(path, semiring)
     cp = check_program(prog)
     machine = Machine(cp.ring)
     heap = Heap()
-    value, trace = machine.eval(heap, cp.main_term, cp.ring.one, fuel)
+    value, trace = machine.eval(heap, cp.main_term, cp.ring.one, fuel, record)
     return cp, value, trace
 
 
 # How `_check_and_run` can fail: the exit code and stderr message of each
 # error, first match wins (FuelExhausted is an EvalError).
 _RUN_FAILURES = (
-    (SystemExit2, EXIT_IO, "{e}"),
-    (SyntaxError_, EXIT_TYPE, "{e}"),
-    (CheckError, EXIT_TYPE, "{e}"),
-    (FuelExhausted, EXIT_FUEL, "{path}: {e}"),
-    (EvalError, EXIT_META, "{path}: evaluation failed: {e}"),
+    (SystemExit2, EXIT_IO, lambda path, e: str(e)),
+    (SyntaxError_, EXIT_TYPE, lambda path, e: str(e)),
+    (CheckError, EXIT_TYPE, lambda path, e: e.render(path)),
+    (FuelExhausted, EXIT_FUEL, lambda path, e: f"{path}: {e}"),
+    (EvalError, EXIT_META, lambda path, e: f"{path}: evaluation failed: {e}"),
 )
 _RUN_ERRORS = tuple(kind for kind, _, _ in _RUN_FAILURES)
 
@@ -106,13 +107,13 @@ _RUN_ERRORS = tuple(kind for kind, _, _ in _RUN_FAILURES)
 def _run_failed(path: str, e: Exception) -> int:
     for kind, code, message in _RUN_FAILURES:
         if isinstance(e, kind):
-            print(message.format(path=path, e=e), file=sys.stderr)
+            print(message(path, e), file=sys.stderr)
             return code
 
 
 def cmd_run(args) -> int:
     try:
-        cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel)
+        cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel, record=False)
     except _RUN_ERRORS as e:
         return _run_failed(args.file, e)
     heap = trace.final_heap
@@ -121,12 +122,12 @@ def cmd_run(args) -> int:
             "file": args.file,
             "type": print_type(cp.main_type),
             "value": print_term(value),
-            "steps": len(trace.steps),
+            "steps": trace.step_count,
             "heap": heap.to_json(),
         }, indent=2))
     else:
         print(f"{args.file}: main : {print_type(cp.main_type)}")
-        print(f"value: {print_term(value)}  ({len(trace.steps)} steps)")
+        print(f"value: {print_term(value)}  ({trace.step_count} steps)")
         live_refs = {r: f"{c.perm}@{c.ident}" for r, c in heap.refs.items()}
         print(f"heap: {len(heap.vars)} vars, refs {live_refs}, {len(heap.resources)} resources")
     return EXIT_OK
@@ -134,7 +135,7 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     try:
-        cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel)
+        cp, value, trace = _check_and_run(args.file, args.semiring, args.fuel, record=True)
     except _RUN_ERRORS as e:
         return _run_failed(args.file, e)
     print(trace.to_jsonl())
@@ -260,7 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush of
+        # whatever is still buffered, at exit, cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

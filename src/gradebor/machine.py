@@ -4,7 +4,17 @@ Configurations pair a three-sorted heap (variables, permission-annotated
 references, resources) with a term under reduction. `step` applies exactly
 one rule; the recorded rule name is the chain of congruences down to the
 leaf, joined with '/'. Evaluation captures a full snapshot trace for the
-metatheory checkers.
+metatheory checkers, or only the step count when it does not record.
+
+Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
+BRICS RS-04-26) instead of searching for each redex from the root: the
+machine keeps the evaluation context as a stack of frames, contracts the
+redex in its hole, and searches on from the contractum, leaving frames
+whose node has become a value and entering the next position that holds a
+non-value. A step then costs the distance between consecutive redexes, not
+the depth of the term. Only a recording run plugs the contractum back
+through the frames to build the whole term, and builds the rule path from
+the frames.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .grades import Grade, Permission, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
 from . import grades as G
@@ -204,10 +214,14 @@ class StepRecord:
 
 @dataclass
 class Trace:
+    """A run's steps (empty when evaluation did not record), its final
+    configuration and how many steps it took."""
+
     grade: Grade
     steps: list[StepRecord]
     final_term: Term
     final_heap: Heap
+    step_count: int
 
     def configurations(self) -> list[tuple[Term, Heap]]:
         if not self.steps:
@@ -244,6 +258,63 @@ class Trace:
         return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# Evaluation contexts
+
+# The evaluation positions of each congruence rule, in the order the machine
+# tries them: (child field, congruence name in rule paths, plug), where
+# plug(node, t) rebuilds node with t in that position.
+_CONGRUENCES: dict[type, tuple[tuple[str, str, Callable[[Term, Term], Term]], ...]] = {
+    App: (
+        ("fn", "appR", lambda p, t: App(t, p.arg, p.loc)),
+        ("arg", "appL", lambda p, t: App(p.fn, t, p.loc)),
+    ),
+    Pair: (
+        ("left", "congPairL", lambda p, t: Pair(t, p.right, p.loc)),
+        ("right", "congPairR", lambda p, t: Pair(p.left, t, p.loc)),
+    ),
+    LetPair: (("rhs", "congPairElim", lambda p, t: LetPair(p.left, p.right, t, p.body, p.lann, p.rann, p.loc)),),
+    LetUnit: (("rhs", "congUnitElim", lambda p, t: LetUnit(t, p.body, p.loc)),),
+    Promote: (("body", "congPromotion", lambda p, t: Promote(t, p.grade, p.loc)),),
+    LetBox: (("rhs", "congBoxElim", lambda p, t: LetBox(p.binder, t, p.body, p.ann, p.loc)),),
+    Pack: (("body", "congPack", lambda p, t: Pack(p.ident, t, p.loc)),),
+    Unpack: (("rhs", "congUnpack", lambda p, t: Unpack(p.ident, p.binder, t, p.body, p.bann, p.loc)),),
+    WithBorrow: (
+        ("fn", "congWithBorrowL", lambda p, t: WithBorrow(t, p.arg, p.loc)),
+        ("arg", "congWithBorrowR", lambda p, t: WithBorrow(p.fn, t, p.loc)),
+    ),
+    Unborrow: (("body", "congUnborrow", lambda p, t: Unborrow(t, p.loc)),),
+    Share: (("body", "congShare", lambda p, t: Share(t, p.grade, p.loc)),),
+    Clone: (
+        ("rhs", "congClone",
+         lambda p, t: Clone(p.binder, p.idents, t, p.body, p.bann, p.old_idents, p.loc)),
+    ),
+    Split: (("body", "congSplit", lambda p, t: Split(t, p.loc)),),
+    Join: (("body", "congJoin", lambda p, t: Join(t, p.loc)),),
+    Push: (("body", "congPush", lambda p, t: Push(t, p.loc)),),
+    Pull: (("body", "congPull", lambda p, t: Pull(t, p.loc)),),
+}
+
+# Terms that are values once every evaluation position holds a value.
+_VALUE_FORMERS = (Pair, Promote, Pack, Abs, UnitVal, NatLit, FloatLit, Prim, RefVal)
+
+# One evaluation-context frame: the node whose evaluation position is the
+# hole, the position's index in _CONGRUENCES, and the grade at the node.
+Frame = tuple[Term, int, Grade]
+
+
+def _plug(frames: list[Frame], t: Term) -> Term:
+    """The whole term: t plugged into the hole of the context `frames`."""
+    for parent, i, _ in reversed(frames):
+        t = _CONGRUENCES[type(parent)][i][2](parent, t)
+    return t
+
+
+def _rule(frames: list[Frame], leaf: str) -> str:
+    """The rule path: the congruences down to the hole, then the leaf rule."""
+    return "/".join([_CONGRUENCES[type(parent)][i][1] for parent, i, _ in frames] + [leaf])
+
+
 class Machine:
     """Small-step reducer over configurations.
 
@@ -260,32 +331,80 @@ class Machine:
 
     def step(self, heap: Heap, t: Term, s: Grade) -> Optional[tuple[Term, str]]:
         """Apply one reduction rule in place; None when t is a value."""
-        if is_value(t):
+        frames: list[Frame] = []
+        redex, g, found = self._refocus(t, s, frames)
+        if not found:
             return None
-        return self._step(heap, t, s)
+        c, leaf = self._contract(heap, redex, g)
+        return _plug(frames, c), _rule(frames, leaf)
 
     def eval(self, heap: Heap, t: Term, s: Grade, fuel: int = 10000, record: bool = True) -> tuple[Term, Trace]:
+        frames: list[Frame] = []
         steps: list[StepRecord] = []
         pre_heap = heap.snapshot() if record else None
+        redex, g, found = self._refocus(t, s, frames)
         k = 0
-        while not is_value(t):
+        while found:
             if fuel <= 0:
                 raise FuelExhausted(f"no fuel left after {k} steps")
             fuel -= 1
-            out = self._step(heap, t, s)
-            t2, rule = out
+            c, leaf = self._contract(heap, redex, g)
             if record:
+                t2 = _plug(frames, c)
                 post_heap = heap.snapshot()
-                steps.append(StepRecord(k, rule, str(s), t, pre_heap, t2, post_heap))
-                pre_heap = post_heap
-            t = t2
+                steps.append(StepRecord(k, _rule(frames, leaf), str(s), t, pre_heap, t2, post_heap))
+                t, pre_heap = t2, post_heap
+            redex, g, found = self._refocus(c, g, frames)
             k += 1
-        final_heap = heap.snapshot() if record else heap
-        return t, Trace(s, steps, t, final_heap)
+        if not record:
+            return redex, Trace(s, steps, redex, heap, k)
+        return t, Trace(s, steps, t, heap.snapshot(), k)
 
-    # -- single-step dispatch ---------------------------------------------------
+    # -- finding the redex ------------------------------------------------------
 
-    def _step(self, heap: Heap, t: Term, s: Grade) -> tuple[Term, str]:
+    def _refocus(self, t: Term, s: Grade, frames: list[Frame]) -> tuple[Term, Grade, bool]:
+        """Find the next redex, starting at t, at grade s, in the hole of `frames`.
+
+        The search enters the first evaluation position of t that holds a
+        non-value, pushing a frame. When every position holds a value, t is
+        either the redex or a value; a value is plugged into the innermost
+        frame, which is popped, and the search goes on at that frame's node
+        from the position after its hole. Returns (redex, grade at the redex,
+        True), or, once no frame is left and the whole term is a value,
+        (value, grade, False).
+        """
+        start = 0
+        while True:
+            cls = type(t)
+            spine = prim_spine(t) if cls is App else None
+            if spine is not None:
+                name, args = spine
+                if len(args) == S.PRIMITIVES[name] and all(is_value(a) for a in args):
+                    return t, s, True
+            positions = _CONGRUENCES.get(cls, ())
+            for i in range(start, len(positions)):
+                child = getattr(t, positions[i][0])
+                if not is_value(child):
+                    frames.append((t, i, s))
+                    if cls is Promote:
+                        s = grade_mul(s, t.grade if t.grade is not None else self.ring.one)
+                    t, start = child, 0
+                    break
+            else:
+                # every evaluation position holds a value: a partial primitive
+                # application is a value, and so is a value former
+                if not (spine is not None or isinstance(t, _VALUE_FORMERS) or (cls is Uniq and is_value(t.body))):
+                    return t, s, True
+                if not frames:
+                    return t, s, False
+                parent, i, s = frames.pop()
+                t, start = _CONGRUENCES[type(parent)][i][2](parent, t), i + 1
+
+    # -- contraction ------------------------------------------------------------
+
+    def _contract(self, heap: Heap, t: Term, s: Grade) -> tuple[Term, str]:
+        """Apply the rule for the redex t at grade s; returns the contractum
+        and the rule's name."""
         match t:
             case Var(x):
                 cell = heap.vars.get(x)
@@ -298,34 +417,17 @@ class Machine:
                 return cell.value, "var"
 
             case App():
+                # a redex with a primitive head is a saturated application
                 spine = prim_spine(t)
                 if spine is not None:
-                    name, args = spine
-                    if len(args) == S.PRIMITIVES[name] and all(is_value(a) for a in args):
-                        return self._prim_step(heap, name, args)
-                if not is_value(t.fn):
-                    t2, rule = self._step(heap, t.fn, s)
-                    return S._rebuild(t, fn=t2), f"appR/{rule}"
-                if not is_value(t.arg):
-                    t2, rule = self._step(heap, t.arg, s)
-                    return S._rebuild(t, arg=t2), f"appL/{rule}"
+                    return self._prim_step(heap, *spine)
                 if isinstance(t.fn, Abs):
                     fresh = heap.fresh_var(t.fn.param)
                     heap.vars[fresh] = VarCell(s, t.arg, t.fn.ann)
                     return subst(t.fn.body, t.fn.param, Var(fresh)), "beta"
                 raise StuckTerm(f"cannot apply {t.fn!r}")
 
-            case Pair(l, r):
-                if not is_value(l):
-                    t2, rule = self._step(heap, l, s)
-                    return S._rebuild(t, left=t2), f"congPairL/{rule}"
-                t2, rule = self._step(heap, r, s)
-                return S._rebuild(t, right=t2), f"congPairR/{rule}"
-
             case LetPair(x, y, rhs, body):
-                if not is_value(rhs):
-                    t2, rule = self._step(heap, rhs, s)
-                    return S._rebuild(t, rhs=t2), f"congPairElim/{rule}"
                 if not isinstance(rhs, Pair):
                     raise StuckTerm(f"let (x, y) scrutinee is not a pair: {rhs!r}")
                 fx, fy = heap.fresh_var(x), heap.fresh_var(y)
@@ -334,22 +436,11 @@ class Machine:
                 return subst(subst(body, x, Var(fx)), y, Var(fy)), "pairBeta"
 
             case LetUnit(rhs, body):
-                if not is_value(rhs):
-                    t2, rule = self._step(heap, rhs, s)
-                    return S._rebuild(t, rhs=t2), f"congUnitElim/{rule}"
                 if not isinstance(rhs, UnitVal):
                     raise StuckTerm(f"let () scrutinee is not unit: {rhs!r}")
                 return body, "unitBeta"
 
-            case Promote(body, grade):
-                r = grade if grade is not None else self.ring.one
-                t2, rule = self._step(heap, body, grade_mul(s, r))
-                return S._rebuild(t, body=t2), f"congPromotion/{rule}"
-
             case LetBox(x, rhs, body, ann):
-                if not is_value(rhs):
-                    t2, rule = self._step(heap, rhs, s)
-                    return S._rebuild(t, rhs=t2), f"congBoxElim/{rule}"
                 if not isinstance(rhs, Promote):
                     raise StuckTerm(f"let [x] scrutinee is not a box: {rhs!r}")
                 r = rhs.grade
@@ -361,14 +452,7 @@ class Machine:
                 heap.vars[fx] = VarCell(grade_mul(s, r), rhs.body, ann.body if ann is not None else None)
                 return subst(body, x, Var(fx)), "betaBox"
 
-            case Pack(i, body):
-                t2, rule = self._step(heap, body, s)
-                return S._rebuild(t, body=t2), f"congPack/{rule}"
-
             case Unpack(i, x, rhs, body):
-                if not is_value(rhs):
-                    t2, rule = self._step(heap, rhs, s)
-                    return S._rebuild(t, rhs=t2), f"congUnpack/{rule}"
                 if not isinstance(rhs, Pack):
                     raise StuckTerm(f"unpack scrutinee is not packed: {rhs!r}")
                 fx = heap.fresh_var(x)
@@ -378,12 +462,6 @@ class Machine:
                 return subst(body2, x, Var(fx)), "existentialBeta"
 
             case WithBorrow(fn, arg):
-                if not is_value(fn):
-                    t2, rule = self._step(heap, fn, s)
-                    return S._rebuild(t, fn=t2), f"congWithBorrowL/{rule}"
-                if not is_value(arg):
-                    t2, rule = self._step(heap, arg, s)
-                    return S._rebuild(t, arg=t2), f"congWithBorrowR/{rule}"
                 if not isinstance(fn, Abs):
                     raise StuckTerm(f"withBorrow function is not an abstraction: {fn!r}")
                 if not isinstance(arg, Uniq):
@@ -392,17 +470,11 @@ class Machine:
                 return Unborrow(subst(fn.body, fn.param, borrowed)), "withBorrowBeta"
 
             case Unborrow(body):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congUnborrow/{rule}"
                 if not isinstance(body, Uniq):
                     raise StuckTerm(f"unborrow applied to a non-borrow: {body!r}")
                 return Uniq(body.body, STAR), "unborrowBorrow"
 
             case Share(body, grade):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congShare/{rule}"
                 if not isinstance(body, Uniq):
                     raise StuckTerm(f"share applied to a non-unique value: {body!r}")
                 for ref in refs_of(body.body):
@@ -413,17 +485,11 @@ class Machine:
                 return Promote(body.body, grade if grade is not None else self.ring.one), "share"
 
             case Clone(x, idents, rhs, body):
-                if not is_value(rhs):
-                    t2, rule = self._step(heap, rhs, s)
-                    return S._rebuild(t, rhs=t2), f"congClone/{rule}"
                 if not isinstance(rhs, Promote):
                     raise StuckTerm(f"clone applied to a non-box: {rhs!r}")
                 return self._copy_beta(heap, t, rhs.body, s), "copyBeta"
 
             case Split(body):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congSplit/{rule}"
                 if not isinstance(body, Uniq):
                     raise StuckTerm(f"split applied to a non-borrow: {body!r}")
                 if body.perm.is_star:
@@ -434,9 +500,6 @@ class Machine:
                 return Pair(Uniq(left, half), Uniq(right, half)), rule
 
             case Join(body):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congJoin/{rule}"
                 if not (isinstance(body, Pair) and isinstance(body.left, Uniq) and isinstance(body.right, Uniq)):
                     raise StuckTerm(f"join applied to a non-pair of borrows: {body!r}")
                 try:
@@ -448,18 +511,12 @@ class Machine:
                 return Uniq(joined, p), rule
 
             case Push(body):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congPush/{rule}"
                 if not (isinstance(body, Uniq) and isinstance(body.body, Pair)):
                     raise StuckTerm(f"push applied to a non-product: {body!r}")
                 rule = "pushUnique" if body.perm.is_star else "pushBorrow"
                 return Pair(Uniq(body.body.left, body.perm), Uniq(body.body.right, body.perm)), rule
 
             case Pull(body):
-                if not is_value(body):
-                    t2, rule = self._step(heap, body, s)
-                    return S._rebuild(t, body=t2), f"congPull/{rule}"
                 if not (isinstance(body, Pair) and isinstance(body.left, Uniq) and isinstance(body.right, Uniq)):
                     raise StuckTerm(f"pull applied to a non-pair of borrows: {body!r}")
                 if body.left.perm != body.right.perm:

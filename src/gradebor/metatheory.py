@@ -155,16 +155,19 @@ def check_progress(trace: Trace) -> list[Violation]:
 # Borrow safety
 
 
-def reachable_refs(term: Term, heap: Heap) -> set[str]:
+def reachable_refs(
+    term: Term, heap: Heap, free_memo: Optional[S.Memo] = None, refs_memo: Optional[S.Memo] = None
+) -> set[str]:
     """References the term can reach, following variables bound in the heap.
 
     The machine binds intermediate values in the heap rather than leaving
     them in the term, so the permission totals of the borrow-safety lemma
-    must chase heap variables.
+    must chase heap variables. The memos are passed on to `free_vars` and
+    `refs_of`.
     """
-    out = set(refs_of(term))
+    out = set(refs_of(term, refs_memo))
     seen: set[str] = set()
-    todo = list(S.free_vars(term))
+    todo = list(S.free_vars(term, free_memo))
     while todo:
         x = todo.pop()
         if x in seen:
@@ -173,14 +176,14 @@ def reachable_refs(term: Term, heap: Heap) -> set[str]:
         cell = heap.vars.get(x)
         if cell is None:
             continue
-        out |= refs_of(cell.value)
-        todo.extend(S.free_vars(cell.value))
+        out |= refs_of(cell.value, refs_memo)
+        todo.extend(S.free_vars(cell.value, free_memo))
     return out
 
 
-def _perm_sums(term: Term, heap: Heap) -> dict[str, Fraction]:
+def _perm_sums(reachable: set[str], heap: Heap) -> dict[str, Fraction]:
     sums: dict[str, Fraction] = {}
-    for ref in reachable_refs(term, heap):
+    for ref in reachable:
         cell = heap.refs.get(ref)
         if cell is None:
             continue
@@ -192,9 +195,17 @@ def check_borrow_safety_step(
     pre_term: Term, pre_heap: Heap, post_term: Term, post_heap: Heap, step: Optional[int] = None
 ) -> list[Violation]:
     """Exact per-step conservation of term-reachable permission totals."""
+    return _conservation(
+        reachable_refs(pre_term, pre_heap), pre_heap, reachable_refs(post_term, post_heap), post_heap, step
+    )
+
+
+def _conservation(
+    pre_reach: set[str], pre_heap: Heap, post_reach: set[str], post_heap: Heap, step: Optional[int]
+) -> list[Violation]:
     out: list[Violation] = []
-    pre = _perm_sums(pre_term, pre_heap)
-    post = _perm_sums(post_term, post_heap)
+    pre = _perm_sums(pre_reach, pre_heap)
+    post = _perm_sums(post_reach, post_heap)
     for ident in pre_heap.resources:
         if pre.get(ident, Fraction(0)) == 1:
             after = post.get(ident, Fraction(0))
@@ -209,7 +220,7 @@ def check_borrow_safety_step(
     for ident in post_heap.resources:
         if ident in pre_heap.resources:
             continue
-        touching = [r for r in reachable_refs(post_term, post_heap) if post_heap.refs.get(r) and post_heap.refs[r].ident == ident]
+        touching = [r for r in post_reach if post_heap.refs.get(r) and post_heap.refs[r].ident == ident]
         if touching:
             total = sum((post_heap.refs[r].perm for r in touching), Fraction(0))
             if total != 1:
@@ -224,9 +235,32 @@ def check_borrow_safety_step(
 
 
 def check_borrow_safety(trace: Trace) -> list[Violation]:
+    """`check_borrow_safety_step` on every step of a recorded trace.
+
+    Steps share configurations (a step's post-configuration is the next
+    one's pre-configuration) and unchanged subterms, so reachability is
+    computed once per configuration, and free variables and references once
+    per distinct node. Everything is still computed from the recorded terms
+    and heaps.
+    """
+    free_memo: S.Memo = {}
+    refs_memo: S.Memo = {}
+    configs: dict[tuple[int, int], tuple[Term, Heap, set[str]]] = {}
+
+    def reach(term: Term, heap: Heap) -> set[str]:
+        key = (id(term), id(heap))
+        if key not in configs:
+            configs[key] = (term, heap, reachable_refs(term, heap, free_memo, refs_memo))
+        return configs[key][2]
+
     out: list[Violation] = []
     for rec in trace.steps:
-        out.extend(check_borrow_safety_step(rec.pre_term, rec.pre_heap, rec.post_term, rec.post_heap, rec.index))
+        out.extend(
+            _conservation(
+                reach(rec.pre_term, rec.pre_heap), rec.pre_heap,
+                reach(rec.post_term, rec.post_heap), rec.post_heap, rec.index,
+            )
+        )
     return out
 
 
@@ -256,7 +290,7 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
     t0, h0 = configs[0]
     v, hf = trace.final_term, trace.final_heap
 
-    pre_sums = _perm_sums(t0, h0)
+    pre_sums = _perm_sums(reachable_refs(t0, h0), h0)
     for ident, total in pre_sums.items():
         if total == 1 and ident in hf.resources:
             whole = [r for r, c in hf.refs.items() if c.ident == ident and c.perm == 1]
@@ -386,8 +420,8 @@ def check_equational(t1: Term, t2: Term, heap: Heap, ring: Semiring, fuel: int =
     m = Machine(ring)
     h1, h2 = heap.snapshot(), heap.snapshot()
     try:
-        v1, _ = m.eval(h1, t1, ring.one, fuel)
-        v2, _ = m.eval(h2, t2, ring.one, fuel)
+        v1, _ = m.eval(h1, t1, ring.one, fuel, record=False)
+        v2, _ = m.eval(h2, t2, ring.one, fuel, record=False)
     except EvalError as e:
         return EquationalReport(False, None, None, [Violation("equational", None, f"evaluation failed: {e}")])
     r1 = readback(h1, v1)

@@ -645,40 +645,60 @@ def _ann_eq(a, b) -> bool:
     return a == b
 
 
-def free_vars(t: Term) -> set[str]:
-    """Free term variables and free name identifiers of a term."""
+# A memo for free_vars or refs_of: id(node) -> (node, its set). Holding the
+# node keeps it alive, so no other node can take its id while the memo lives.
+Memo = dict[int, tuple["Term", set[str]]]
+
+
+def free_vars(t: Term, memo: Optional[Memo] = None) -> set[str]:
+    """Free term variables and free name identifiers of a term.
+
+    Calls sharing `memo` walk each distinct node once; the sets they return
+    are then shared between nodes and must not be mutated.
+    """
+    if memo is not None and (hit := memo.get(id(t))) is not None:
+        return hit[1]
     match t:
         case Var(n):
-            return {n}
+            out = {n}
         case Abs(p, b, _):
-            return free_vars(b) - {p}
+            out = free_vars(b, memo) - {p}
         case LetPair(x, y, rhs, body):
-            return free_vars(rhs) | (free_vars(body) - {x, y})
+            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x, y})
         case LetBox(x, rhs, body):
-            return free_vars(rhs) | (free_vars(body) - {x})
+            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x})
         case Pack(i, b):
-            return {i} | free_vars(b)
+            out = {i} | free_vars(b, memo)
         case Unpack(i, x, rhs, body):
-            return free_vars(rhs) | (free_vars(body) - {i, x})
+            out = free_vars(rhs, memo) | (free_vars(body, memo) - {i, x})
         case Clone(x, ids, rhs, body):
-            return free_vars(rhs) | (free_vars(body) - {x, *ids})
+            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x, *ids})
         case _:
-            out: set[str] = set()
+            out = set()
             for c in children(t):
-                out |= free_vars(c)
-            return out
+                out |= free_vars(c, memo)
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
-def refs_of(t: Term) -> set[str]:
-    """Every resource reference occurring anywhere in the term."""
+def refs_of(t: Term, memo: Optional[Memo] = None) -> set[str]:
+    """Every resource reference occurring anywhere in the term.
+
+    `memo` is used as in `free_vars`.
+    """
+    if memo is not None and (hit := memo.get(id(t))) is not None:
+        return hit[1]
     match t:
         case RefVal(r):
-            return {r}
+            out = {r}
         case _:
-            out: set[str] = set()
+            out = set()
             for c in children(t):
-                out |= refs_of(c)
-            return out
+                out |= refs_of(c, memo)
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
 _fresh_counter = itertools.count(1)

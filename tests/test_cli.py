@@ -116,3 +116,34 @@ def test_trace_value_only_main_is_a_single_record(tmp_path, capsys):
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec["value"] == "()" and rec["step"] == 0
+
+
+def test_run_and_trace_type_errors_name_the_file(capsys):
+    path = str(CORPUS / "alloc_promo_bad.grb")
+    for command in ("run", "trace"):
+        assert main([command, path]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:6:57: [PromotionOfAllocator]")
+
+
+def test_trace_into_a_closed_pipe_is_an_io_error(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    body = "a"
+    for k in range(100):
+        body = f"writeArray ({body}) {k % 4} 1.5"
+    f = tmp_path / "chain.grb"
+    f.write_text(f"main : exists i . * (Array i Float);\nmain = unpack <i, a> = newArray 4 in pack <i, {body}>;\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradebor.cli", "trace", str(f)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    # the trace is far larger than a pipe's buffer, so the writer is still
+    # writing when the reader goes away after one line
+    assert proc.stdout.readline().startswith(b'{"step": 0')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err

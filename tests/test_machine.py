@@ -380,3 +380,73 @@ def test_split_join_heap_duality():
     ((ref, cell),) = trace.final_heap.refs.items()
     assert cell.perm == Fraction(3, 4) and cell.ident == "id1"
     assert ref != "ref1"
+
+
+# -- refocusing: recorded and unrecorded runs agree ----------------------------------
+
+
+def _runs_agree(cp, monkeypatch):
+    """Run main recorded and unrecorded from the same fresh-name state."""
+    import itertools
+    import json
+
+    from gradebor import syntax
+    from gradebor.parser import print_term
+
+    outcomes = []
+    for record in (True, False):
+        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
+        v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one, record=record)
+        assert len(trace.steps) == (trace.step_count if record else 0)
+        outcomes.append((print_term(v), json.dumps(trace.final_heap.to_json()), trace.step_count))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_recorded_and_unrecorded_runs_agree_on_the_corpus(monkeypatch):
+    import glob
+
+    from gradebor.typecheck import CheckError
+
+    for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
+        try:
+            cp = check_program(parse_program(open(path).read(), path))
+        except CheckError:
+            continue
+        _runs_agree(cp, monkeypatch)
+
+
+def test_recorded_and_unrecorded_runs_agree_on_generated_programs(monkeypatch):
+    from gradebor.generator import generate_programs
+
+    for prog in generate_programs(11, count=300):
+        _runs_agree(check_program(prog), monkeypatch)
+
+
+def test_write_chain_rule_paths():
+    cp = check_program(parse_program(
+        "main : exists i . * (Array i Float);\n"
+        "main = unpack <i, a> = newArray 4 in\n"
+        "       pack <i, writeArray (writeArray (writeArray a 0 1.5) 1 2.5) 0 3.5>;"
+    ))
+    _, trace = machine().eval(Heap(), cp.main_term, one())
+    assert [s.rule for s in trace.steps] == [
+        "congUnpack/newArray",
+        "existentialBeta",
+        "congPack/appR/appR/appL/appR/appR/appL/appR/appR/appL/var",
+        "congPack/appR/appR/appL/appR/appR/appL/writeArray",
+        "congPack/appR/appR/appL/writeArray",
+        "congPack/writeArray",
+    ]
+    assert trace.final_heap.resources["id1"].items == {0: 3.5, 1: 2.5}
+
+
+def test_deep_write_chain_runs_without_recursion():
+    # the redex sits 2000 contexts deep, twice the default recursion limit
+    t = Uniq(RefVal("ref1"), STAR)
+    for k in range(2000):
+        t = App(App(App(Prim("writeArray"), t), NatLit(k % 4)), FloatLit(float(k)))
+    heap = seeded_heap()
+    v, trace = machine().eval(heap, t, one(), record=False)
+    assert v == Uniq(RefVal("ref1"), STAR)
+    assert trace.step_count == 2000
+    assert heap.resources["id1"].items == {0: 1996.0, 1: 1997.0, 2: 1998.0, 3: 1999.0}

@@ -250,6 +250,70 @@ def test_mutated_split_is_detected():
     assert check_borrow_safety(trace) != []
 
 
+def naive_reachable_refs(term, heap):
+    """The reference answer: walk the whole term and every reachable heap value."""
+    from gradebor.syntax import free_vars, refs_of
+
+    out = set(refs_of(term))
+    seen = set()
+    todo = list(free_vars(term))
+    while todo:
+        x = todo.pop()
+        if x in seen or x not in heap.vars:
+            continue
+        seen.add(x)
+        out |= refs_of(heap.vars[x].value)
+        todo.extend(free_vars(heap.vars[x].value))
+    return out
+
+
+def naive_borrow_safety(trace):
+    """The reference answer: both configurations of every step from scratch."""
+    from gradebor.metatheory import Violation
+
+    def sums(term, heap):
+        out = {}
+        for ref in naive_reachable_refs(term, heap):
+            if ref in heap.refs:
+                cell = heap.refs[ref]
+                out[cell.ident] = out.get(cell.ident, Fraction(0)) + cell.perm
+        return out
+
+    found = []
+    for rec in trace.steps:
+        pre, post = sums(rec.pre_term, rec.pre_heap), sums(rec.post_term, rec.post_heap)
+        for ident in rec.pre_heap.resources:
+            after = post.get(ident, Fraction(0))
+            if pre.get(ident) == 1 and after not in (0, 1):
+                found.append(Violation("borrow-safety", rec.index, f"resource {ident}: permission total went from 1 to {after}"))
+        reach = naive_reachable_refs(rec.post_term, rec.post_heap)
+        for ident in rec.post_heap.resources:
+            touching = [r for r in reach if r in rec.post_heap.refs and rec.post_heap.refs[r].ident == ident]
+            total = sum(rec.post_heap.refs[r].perm for r in touching)
+            if ident not in rec.pre_heap.resources and touching and total != 1:
+                found.append(Violation(
+                    "borrow-safety", rec.index,
+                    f"fresh resource {ident}: referenced at total permission {total}, expected 1",
+                ))
+    return found
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_borrow_safety_agrees_with_naive_oracle(mutate):
+    from gradebor.generator import generate_programs
+    from gradebor.typecheck import check_program
+
+    programs = [load(name) for name in ACCEPTED]
+    programs += [check_program(prog) for prog in generate_programs(13, count=150)]
+    flagged = 0
+    for cp in programs:
+        _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, cp.ring.one)
+        found = check_borrow_safety(trace)
+        assert found == naive_borrow_safety(trace)
+        flagged += bool(found)
+    assert (flagged > 0) == mutate
+
+
 def test_reachable_refs_follows_heap_variables():
     heap = Heap()
     heap.resources["id1"] = ArrRes()
