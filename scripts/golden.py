@@ -7,7 +7,9 @@ For every run it writes OUTDIR/<name>.out, .err and .code (stdout, stderr,
 exit status). The runs are `trace`, `run` and `check` on every corpus file,
 `trace` on a 100-write `writeArray` chain and a 20-rung split/join ladder
 generated here, `corpus --format json`, and `props --seed 42 --cases 500`
-with and without `--mutate-split`. Each run is a fresh interpreter, because
+with and without `--mutate-split`. `run` and `trace` also meet each way a run
+can fail: a missing file (exit 2), a syntax error (1), a type error (1) and
+`--fuel 2` (3). Each run is a fresh interpreter, because
 gradebor's fresh-name counter is process-wide and shows in the output.
 
 Run it in two checkouts and compare with `diff -r` to check that a change
@@ -87,6 +89,16 @@ def main(argv: list[str]) -> int:
         for name, source in (("write_chain", chain_source(100)), ("split_ladder", ladder_source(20))):
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)
+        (generated / "syntax_error.grb").write_text("main : Unit;\nmain = let () = in ();\n", encoding="utf-8")
+        (generated / "type_error.grb").write_text("main : Unit;\nmain = 1;\n", encoding="utf-8")
+        for command in ("run", "trace"):
+            for name, args in (
+                ("missing", ["missing.grb"]),
+                ("syntax_error", ["syntax_error.grb"]),
+                ("type_error", ["type_error.grb"]),
+                ("fuel2", ["write_chain.grb", "--fuel", "2"]),
+            ):
+                record(outdir, f"{command}-{name}", [command, *args], generated)
     record(outdir, "corpus-json", ["corpus", "--format", "json"], ROOT)
     record(outdir, "props", ["props", "--seed", "42", "--cases", "500"], ROOT)
     record(outdir, "props-mutate-split", ["props", "--seed", "42", "--cases", "500", "--mutate-split"], ROOT)

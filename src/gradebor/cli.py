@@ -96,7 +96,7 @@ def _check_and_run(path, semiring, fuel, record):
 # error, first match wins (FuelExhausted is an EvalError).
 _RUN_FAILURES = (
     (SystemExit2, EXIT_IO, lambda path, e: str(e)),
-    (SyntaxError_, EXIT_TYPE, lambda path, e: str(e)),
+    (SyntaxError_, EXIT_TYPE, lambda path, e: e.render(path)),
     (CheckError, EXIT_TYPE, lambda path, e: e.render(path)),
     (FuelExhausted, EXIT_FUEL, lambda path, e: f"{path}: {e}"),
     (EvalError, EXIT_META, lambda path, e: f"{path}: evaluation failed: {e}"),

@@ -17,7 +17,7 @@ from . import syntax as S
 from .syntax import Amp, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
 from .machine import Heap, Machine, EvalError, Trace
 from .typecheck import (
-    Checker, CheckError, Ctx, GradedEntry, Usage, runtime_ctx,
+    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, runtime_ctx,
 )
 
 
@@ -42,7 +42,9 @@ class CompatJudgment:
 # Heap compatibility
 
 
-def heap_compat(heap: Heap, ctx: Ctx, ring: Semiring) -> CompatJudgment:
+def heap_compat(
+    heap: Heap, ctx: Ctx, ring: Semiring, rt: Optional[Ctx] = None, checker: Optional[Checker] = None
+) -> CompatJudgment:
     """Decide whether the heap can account for the context's demands.
 
     The derivation peels variable bindings from the right, accumulating the
@@ -50,9 +52,14 @@ def heap_compat(heap: Heap, ctx: Ctx, ring: Semiring) -> CompatJudgment:
     discharges reference entries and garbage-collects leftover resources.
     Variables the context never mentions are discharged without a typing
     premise, and leftover references are collectable only at permission 0.
+
+    Stored values are typed by `checker` (through its memo, if it has one)
+    in `rt`, the heap's runtime context; both are built here when not given.
     """
-    checker = Checker(ring)
-    rt = runtime_ctx(heap, ring)
+    if checker is None:
+        checker = Checker(ring)
+    if rt is None:
+        rt = runtime_ctx(heap, ring)
     demands: dict[str, Grade] = {}
     for x, entry in ctx.vars.items():
         if isinstance(entry, GradedEntry):
@@ -61,17 +68,18 @@ def heap_compat(heap: Heap, ctx: Ctx, ring: Semiring) -> CompatJudgment:
             demands[x] = ring.one
     ref_demands = set(ctx.refs)
 
+    zero = ring.zero
     for x in reversed(list(heap.vars)):
         cell = heap.vars[x]
-        s_x = demands.pop(x, ring.zero)
+        s_x = demands.pop(x, zero)
         if grade_residual(cell.grade, s_x) is None:
             return CompatJudgment(False, f"variable {x!r}: demand {s_x} exceeds heap grade {cell.grade}")
-        if s_x == ring.zero:
+        if s_x == zero:
             continue
         entry = ctx.vars.get(x)
         want_ty = entry.ty if entry is not None else (cell.ty if cell.ty is not None else None)
         try:
-            ty, usage, _ = checker.infer(rt, cell.value)
+            ty, usage, _ = checker.infer_shared(rt, cell.value)
         except CheckError as e:
             return CompatJudgment(False, f"stored value of {x!r} fails to type: {e.msg}")
         if want_ty is not None and ty != want_ty:
@@ -104,9 +112,9 @@ def _acc(demands: dict[str, Grade], y: str, g: Grade, ring: Semiring) -> None:
     demands[y] = grade_add(demands[y], g) if y in demands else g
 
 
-def _demand_ctx(heap: Heap, usage: Usage, s: Grade, ring: Semiring) -> Ctx:
-    """The context `s . Gamma'` built from a synthesized usage."""
-    rt = runtime_ctx(heap, ring)
+def _demand_ctx(rt: Ctx, usage: Usage, s: Grade) -> Ctx:
+    """The context `s . Gamma'` built from a synthesized usage, with the
+    types of the runtime context `rt`."""
     vars_ = {}
     for x, g in usage.graded.items():
         base = rt.vars.get(x)
@@ -115,8 +123,7 @@ def _demand_ctx(heap: Heap, usage: Usage, s: Grade, ring: Semiring) -> Ctx:
         base = rt.vars.get(x)
         vars_[x] = GradedEntry(base.ty if base else None, s)
     refs = {r: rt.refs[r] for r in usage.refs if r in rt.refs}
-    ctx = Ctx(ring, vars_, frozenset(), refs, lenient_names=True)
-    return ctx
+    return Ctx(rt.ring, vars_, frozenset(), refs, lenient_names=True)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +131,19 @@ def _demand_ctx(heap: Heap, usage: Usage, s: Grade, ring: Semiring) -> Ctx:
 
 
 def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) -> list[Violation]:
-    """Re-infer the type after every step and check heap compatibility.
+    """Re-check every configuration against the main type and check heap
+    compatibility.
 
     The ambient context is empty, so compatibility is checked against the
-    synthesized usage scaled by the reduction grade.
+    synthesized usage scaled by the reduction grade. Consecutive
+    configurations share most of their term and every stored value, so one
+    `TypingMemo` serves the whole trace: a judgment on a let, unpack, clone
+    or withBorrow node, or on a stored value, that an earlier configuration
+    made under the same relevant context is looked up, not recomputed. Each
+    configuration is still judged in full, from its own term and heap.
     """
     out: list[Violation] = []
-    checker = Checker(ring)
+    checker = Checker(ring, memo=TypingMemo())
     for k, (term, heap) in enumerate(trace.configurations()):
         rt = runtime_ctx(heap, ring)
         try:
@@ -138,7 +151,7 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
         except CheckError as e:
             out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
             continue
-        judgment = heap_compat(heap, _demand_ctx(heap, usage, s, ring), ring)
+        judgment = heap_compat(heap, _demand_ctx(rt, usage, s), ring, rt, checker)
         if not judgment.accepted:
             out.append(Violation("preservation", k, f"heap compatibility failed: {judgment.failure}"))
     return out

@@ -30,6 +30,11 @@ class SyntaxError_(Exception):
         where = f"{loc}: " if loc else ""
         super().__init__(f"{where}{msg}")
 
+    def render(self, path: str) -> str:
+        """The diagnostic as `gradebor check` prints it for the file `path`."""
+        where = f"{path}:{self.loc}: " if self.loc else f"{path}: "
+        return f"{where}[SyntaxError] {self.msg}"
+
 
 @dataclass
 class Definition:

@@ -701,6 +701,32 @@ def refs_of(t: Term, memo: Optional[Memo] = None) -> set[str]:
     return out
 
 
+def bound_names(t: Term, memo: Optional[Memo] = None) -> set[str]:
+    """Every variable and name identifier that some binder inside t binds.
+
+    `memo` is used as in `free_vars`.
+    """
+    if memo is not None and (hit := memo.get(id(t))) is not None:
+        return hit[1]
+    out: set[str] = set()
+    for c in children(t):
+        out |= bound_names(c, memo)
+    match t:
+        case Abs(p):
+            out.add(p)
+        case LetPair(x, y):
+            out |= {x, y}
+        case LetBox(x):
+            out.add(x)
+        case Unpack(i, x):
+            out |= {i, x}
+        case Clone(x, ids):
+            out |= {x, *ids}
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
+
+
 _fresh_counter = itertools.count(1)
 
 
@@ -713,6 +739,9 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 def _rebuild(t: Term, **changes) -> Term:
+    """t with some fields replaced; t itself when every new value is the old one."""
+    if all(getattr(t, n) is v for n, v in changes.items()):
+        return t
     vals = {n: getattr(t, n) for n in _SHAPES[type(t)].fields}
     vals.update(changes)
     return type(t)(**vals)
@@ -747,7 +776,8 @@ def subst(t: Term, x: str, s: Term) -> Term:
                     i2, env2 = _avoid(i, env2, fv_s)
                     ids2.append(i2)
                 b2, env3 = _avoid(b, env2, fv_s)
-                return _rebuild(t, binder=b2, idents=tuple(ids2), rhs=go(rhs, env), body=go(body, env3))
+                ids2 = ids if list(ids) == ids2 else tuple(ids2)
+                return _rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3))
             case _:
                 return map_children(t, lambda c: go(c, env))
 

@@ -10,7 +10,7 @@ values and are inlined into use sites during elaboration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import grades as G
@@ -100,10 +100,16 @@ class Ctx:
     def bind(self, name: str, entry) -> "Ctx":
         if name in self.vars:
             raise CheckError(MISMATCH, f"variable {name!r} bound twice", rule="context")
-        return replace(self, vars={**self.vars, name: entry})
+        return Ctx(
+            self.ring, {**self.vars, name: entry}, self.names, self.refs,
+            self.perm_vars, self.name_vars, self.lenient_names,
+        )
 
     def bind_name(self, ident: str) -> "Ctx":
-        return replace(self, names=self.names | {ident})
+        return Ctx(
+            self.ring, self.vars, self.names | {ident}, self.refs,
+            self.perm_vars, self.name_vars, self.lenient_names,
+        )
 
     def has_name(self, ident: str) -> bool:
         return self.lenient_names or ident in self.names or ident in self.name_vars
@@ -265,6 +271,47 @@ def _subst_perms_term(t: Term, env: dict) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Typing memo
+
+
+class TypingMemo:
+    """Typing judgments of subterms that recur unchanged, such as the parts of
+    a term that consecutive configurations of a trace share.
+
+    A judgment is keyed on its node (by identity), its expected type (None
+    when inferring) and the part of the context it can read: the entries of
+    the node's free variables and names, the entries of its references, the
+    permission and name variables, and the names in scope unless identifiers
+    are lenient. Types and entries compare up to alpha-equivalence, as
+    everywhere in the checker. A node with a binder that clashes with the
+    context has no key, because checking it renames that binder. Entries hold
+    their nodes, so no other node can take a node's id while the memo lives.
+    Every hit returns the same stored result, so callers must not mutate it.
+    """
+
+    def __init__(self) -> None:
+        self.free: S.Memo = {}
+        self.refs: S.Memo = {}
+        self.bound: S.Memo = {}
+        self.judgments: dict[tuple, tuple[Term, tuple]] = {}
+
+    def key(self, ctx: Ctx, t: Term, expected: Optional[Type]) -> Optional[tuple]:
+        bound = S.bound_names(t, self.bound)
+        if not (bound.isdisjoint(ctx.vars) and bound.isdisjoint(ctx.names) and bound.isdisjoint(ctx.name_vars)):
+            return None
+        vars_, refs = ctx.vars, ctx.refs
+        return (
+            id(t),
+            expected,
+            tuple([vars_.get(x) for x in free_vars(t, self.free)]),
+            tuple([refs.get(r) for r in S.refs_of(t, self.refs)]),
+            ctx.perm_vars,
+            ctx.name_vars,
+            True if ctx.lenient_names else ctx.names,
+        )
+
+
+# ---------------------------------------------------------------------------
 # The checker
 
 
@@ -275,9 +322,22 @@ class GlobalDef:
 
 
 class Checker:
-    def __init__(self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None):
+    """Bidirectional checking with usage synthesis.
+
+    With a `TypingMemo`, judgments on let, unpack, clone and withBorrow nodes,
+    and on terms passed to `infer_shared`, are looked up before they are
+    computed. Failures are never stored, nor is a judgment whose computation
+    renamed a binder, so a lookup draws exactly the fresh names the
+    computation would have drawn: none.
+    """
+
+    def __init__(
+        self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None, memo: Optional[TypingMemo] = None
+    ):
         self.ring = ring
         self.globals = globals_ or {}
+        self.memo = memo
+        self.renames = 0  # binders renamed so far, each drawing fresh names
 
     # Binders that shadow an in-scope variable (or identifier) are renamed on
     # the fly, so contexts never bind a name twice; the elaborated term keeps
@@ -286,6 +346,7 @@ class Checker:
     def _freshen_var(self, x: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if x not in ctx.vars:
             return x, bodies
+        self.renames += 1
         avoid = set(ctx.vars)
         for b in bodies:
             avoid |= free_vars(b)
@@ -295,10 +356,37 @@ class Checker:
     def _freshen_name(self, i: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if i not in ctx.names and i not in ctx.name_vars:
             return i, bodies
+        self.renames += 1
         i2 = S.fresh_name(i, set(ctx.names) | set(ctx.name_vars))
         return i2, tuple(S.subst_names(b, {i: i2}) for b in bodies)
 
+    def _recalled(self, ctx: Ctx, t: Term, expected: Optional[Type], rule) -> tuple[Type, Usage, Term]:
+        """`rule(ctx, t, expected)`, looked up in the memo when there is one."""
+        memo = self.memo
+        if memo is None:
+            return rule(ctx, t, expected)
+        key = memo.key(ctx, t, expected)
+        if key is not None and (hit := memo.judgments.get(key)) is not None:
+            return hit[1]
+        renames = self.renames
+        out = rule(ctx, t, expected)
+        if key is not None and self.renames == renames:
+            memo.judgments[key] = (t, out)
+        return out
+
+    def _synth(self, ctx: Ctx, t: Term, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        """`check` against `expected` when it is given, else `infer`."""
+        if expected is None:
+            return self.infer(ctx, t)
+        u, e = self.check(ctx, t, expected)
+        return expected, u, e
+
     # -- entry points --------------------------------------------------------
+
+    def infer_shared(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
+        """`infer`, looked up in the memo first: for a term that recurs
+        unchanged, such as a value stored in the heap."""
+        return self._recalled(ctx, t, None, lambda ctx, t, _: self.infer(ctx, t))
 
     def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
         match t:
@@ -333,24 +421,10 @@ class Checker:
                 return Fun(ann, tb), ub, S._rebuild(t, param=p, body=eb)
             case App():
                 return self._infer_app(ctx, t)
-            case LetPair(x, y, rhs, body):
-                tr, ur, er = self.infer(ctx, rhs)
-                if not isinstance(tr, Prod):
-                    raise CheckError(MISMATCH, f"let (x, y) scrutinee has type {tr!r}, not a product", t.loc, rule="pair-elim")
-                x, (body,) = self._freshen_var(x, ctx, body)
-                ctx2 = ctx.bind(x, LinearEntry(tr.left))
-                y, (body,) = self._freshen_var(y, ctx2, body)
-                ctx2 = ctx2.bind(y, LinearEntry(tr.right))
-                tb, ub, eb = self.infer(ctx2, body)
-                ub = self._pop_linear(ub, x, tr.left, t.loc)
-                ub = self._pop_linear(ub, y, tr.right, t.loc)
-                return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, left=x, right=y, rhs=er, body=eb, lann=tr.left, rann=tr.right)
-            case LetUnit(rhs, body):
-                tr, ur, er = self.infer(ctx, rhs)
-                if not isinstance(tr, UnitT):
-                    raise CheckError(MISMATCH, f"let () scrutinee has type {tr!r}, not Unit", t.loc, rule="unit-elim")
-                tb, ub, eb = self.infer(ctx, body)
-                return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, rhs=er, body=eb)
+            case LetPair():
+                return self._recalled(ctx, t, None, self._let_pair)
+            case LetUnit():
+                return self._recalled(ctx, t, None, self._let_unit)
             case Promote(body, grade):
                 if grade is None:
                     raise CheckError(MISMATCH, "cannot infer the grade of a promotion; annotate the binding", t.loc, rule="promotion")
@@ -360,22 +434,8 @@ class Checker:
                 tb, ub, eb = self.infer(ctx, body)
                 ub = ctx_scale(grade, ub, t.loc)
                 return Box(grade, tb), ub, S._rebuild(t, body=eb)
-            case LetBox(x, rhs, body, ann):
-                if ann is not None:
-                    self._check_wf(ann, ctx, t.loc)
-                    if not isinstance(ann, Box):
-                        raise CheckError(MISMATCH, f"let [x] annotation {ann!r} is not a box type", t.loc, rule="box-elim")
-                    ur, er = self.check(ctx, rhs, ann)
-                    tr = ann
-                else:
-                    tr, ur, er = self.infer(ctx, rhs)
-                    if not isinstance(tr, Box):
-                        raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
-                x, (body,) = self._freshen_var(x, ctx, body)
-                ctx2 = ctx.bind(x, GradedEntry(tr.body, tr.grade))
-                tb, ub, eb = self.infer(ctx2, body)
-                ub = self._pop_graded(ub, x, tr.grade, t.loc)
-                return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, binder=x, rhs=er, body=eb, ann=tr)
+            case LetBox():
+                return self._recalled(ctx, t, None, self._let_box)
             case Pack(i, body):
                 if not ctx.has_name(i):
                     raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
@@ -383,9 +443,9 @@ class Checker:
                 ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
                 return ExistsT(i, tb), ub, S._rebuild(t, body=eb)
             case Unpack():
-                return self._unpack(ctx, t, expected=None)
+                return self._recalled(ctx, t, None, self._unpack)
             case WithBorrow():
-                return self._with_borrow(ctx, t, expected=None)
+                return self._recalled(ctx, t, None, self._with_borrow)
             case Split(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not isinstance(tb, Amp):
@@ -441,7 +501,7 @@ class Checker:
             case Share():
                 raise CheckError(MISMATCH, "cannot infer the grade of share; annotate the use site", t.loc, rule="share")
             case Clone():
-                return self._clone(ctx, t, expected=None)
+                return self._recalled(ctx, t, None, self._clone)
             case Prim(name):
                 if name == "newArray":
                     return self._prim_result_type("newArray", [], t.loc), Usage(), t
@@ -503,46 +563,23 @@ class Checker:
                 ub, eb = self.check(ctx, body, inner)
                 ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
                 return ub, S._rebuild(t, body=eb)
-            case LetPair(x, y, rhs, body):
-                tr, ur, er = self.infer(ctx, rhs)
-                if not isinstance(tr, Prod):
-                    raise CheckError(MISMATCH, f"let (x, y) scrutinee has type {tr!r}, not a product", t.loc, rule="pair-elim")
-                x, (body,) = self._freshen_var(x, ctx, body)
-                ctx2 = ctx.bind(x, LinearEntry(tr.left))
-                y, (body,) = self._freshen_var(y, ctx2, body)
-                ctx2 = ctx2.bind(y, LinearEntry(tr.right))
-                ub, eb = self.check(ctx2, body, expected)
-                ub = self._pop_linear(ub, x, tr.left, t.loc)
-                ub = self._pop_linear(ub, y, tr.right, t.loc)
-                return ctx_add(ur, ub, t.loc), S._rebuild(t, left=x, right=y, rhs=er, body=eb, lann=tr.left, rann=tr.right)
-            case LetUnit(rhs, body):
-                ur, er = self.check(ctx, rhs, UnitT())
-                ub, eb = self.check(ctx, body, expected)
-                return ctx_add(ur, ub, t.loc), S._rebuild(t, rhs=er, body=eb)
-            case LetBox(x, rhs, body, ann):
-                if ann is not None:
-                    self._check_wf(ann, ctx, t.loc)
-                    if not isinstance(ann, Box):
-                        raise CheckError(MISMATCH, f"let [x] annotation {ann!r} is not a box type", t.loc, rule="box-elim")
-                    ur, er = self.check(ctx, rhs, ann)
-                    tr = ann
-                else:
-                    tr, ur, er = self.infer(ctx, rhs)
-                    if not isinstance(tr, Box):
-                        raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
-                x, (body,) = self._freshen_var(x, ctx, body)
-                ctx2 = ctx.bind(x, GradedEntry(tr.body, tr.grade))
-                ub, eb = self.check(ctx2, body, expected)
-                ub = self._pop_graded(ub, x, tr.grade, t.loc)
-                return ctx_add(ur, ub, t.loc), S._rebuild(t, binder=x, rhs=er, body=eb, ann=tr)
+            case LetPair():
+                _, u, e = self._recalled(ctx, t, expected, self._let_pair)
+                return u, e
+            case LetUnit():
+                _, u, e = self._recalled(ctx, t, expected, self._let_unit)
+                return u, e
+            case LetBox():
+                _, u, e = self._recalled(ctx, t, expected, self._let_box)
+                return u, e
             case Unpack():
-                _, u, e = self._unpack(ctx, t, expected)
+                _, u, e = self._recalled(ctx, t, expected, self._unpack)
                 return u, e
             case WithBorrow():
-                _, u, e = self._with_borrow(ctx, t, expected)
+                _, u, e = self._recalled(ctx, t, expected, self._with_borrow)
                 return u, e
             case Clone():
-                _, u, e = self._clone(ctx, t, expected)
+                _, u, e = self._recalled(ctx, t, expected, self._clone)
                 return u, e
             case App():
                 ty, u, e = self._infer_app(ctx, t, expected)
@@ -582,11 +619,7 @@ class Checker:
                 ta, ua, ea = self.infer(ctx, arg)
             param, (fbody,) = self._freshen_var(fn.param, ctx, fn.body)
             ctx2 = ctx.bind(param, LinearEntry(ta))
-            if expected is not None:
-                ub, eb = self.check(ctx2, fbody, expected)
-                tb = expected
-            else:
-                tb, ub, eb = self.infer(ctx2, fbody)
+            tb, ub, eb = self._synth(ctx2, fbody, expected)
             ub = self._pop_linear(ub, param, ta, t.loc)
             efn = S._rebuild(fn, param=param, body=eb, ann=ta)
             return tb, ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
@@ -752,6 +785,47 @@ class Checker:
             return res.payload
         raise CheckError(MISMATCH, f"unknown primitive {name}", loc, rule="prim")
 
+    def _let_pair(self, ctx: Ctx, t: LetPair, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        tr, ur, er = self.infer(ctx, t.rhs)
+        if not isinstance(tr, Prod):
+            raise CheckError(MISMATCH, f"let (x, y) scrutinee has type {tr!r}, not a product", t.loc, rule="pair-elim")
+        x, (body,) = self._freshen_var(t.left, ctx, t.body)
+        ctx2 = ctx.bind(x, LinearEntry(tr.left))
+        y, (body,) = self._freshen_var(t.right, ctx2, body)
+        ctx2 = ctx2.bind(y, LinearEntry(tr.right))
+        tb, ub, eb = self._synth(ctx2, body, expected)
+        ub = self._pop_linear(ub, x, tr.left, t.loc)
+        ub = self._pop_linear(ub, y, tr.right, t.loc)
+        return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, left=x, right=y, rhs=er, body=eb, lann=tr.left, rann=tr.right)
+
+    def _let_unit(self, ctx: Ctx, t: LetUnit, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        if expected is None:
+            tr, ur, er = self.infer(ctx, t.rhs)
+            if not isinstance(tr, UnitT):
+                raise CheckError(MISMATCH, f"let () scrutinee has type {tr!r}, not Unit", t.loc, rule="unit-elim")
+        else:
+            ur, er = self.check(ctx, t.rhs, UnitT())
+        tb, ub, eb = self._synth(ctx, t.body, expected)
+        return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, rhs=er, body=eb)
+
+    def _let_box(self, ctx: Ctx, t: LetBox, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        ann = t.ann
+        if ann is not None:
+            self._check_wf(ann, ctx, t.loc)
+            if not isinstance(ann, Box):
+                raise CheckError(MISMATCH, f"let [x] annotation {ann!r} is not a box type", t.loc, rule="box-elim")
+            ur, er = self.check(ctx, t.rhs, ann)
+            tr = ann
+        else:
+            tr, ur, er = self.infer(ctx, t.rhs)
+            if not isinstance(tr, Box):
+                raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
+        x, (body,) = self._freshen_var(t.binder, ctx, t.body)
+        ctx2 = ctx.bind(x, GradedEntry(tr.body, tr.grade))
+        tb, ub, eb = self._synth(ctx2, body, expected)
+        ub = self._pop_graded(ub, x, tr.grade, t.loc)
+        return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, binder=x, rhs=er, body=eb, ann=tr)
+
     def _unpack(self, ctx: Ctx, t: Unpack, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         tr, ur, er = self.infer(ctx, t.rhs)
         if not isinstance(tr, ExistsT):
@@ -760,11 +834,7 @@ class Checker:
         binder, (body,) = self._freshen_var(t.binder, ctx, body)
         payload = type_subst_names(tr.body, {tr.binder: ident})
         ctx2 = ctx.bind_name(ident).bind(binder, LinearEntry(payload))
-        if expected is not None:
-            ub, eb = self.check(ctx2, body, expected)
-            tb = expected
-        else:
-            tb, ub, eb = self.infer(ctx2, body)
+        tb, ub, eb = self._synth(ctx2, body, expected)
         if ident in type_free_names(tb):
             raise CheckError(ID_ESCAPES, f"identifier {ident!r} escapes in the result type {tb!r}", t.loc, rule="unpack")
         ub = self._pop_linear(ub, binder, payload, t.loc)
@@ -846,11 +916,7 @@ class Checker:
         renaming = dict(zip(old_ids, idents))
         fresh_ty = Amp(STAR, type_subst_names(tr.body, renaming))
         ctx2 = ctx2.bind(binder, LinearEntry(fresh_ty))
-        if expected is not None:
-            ub, eb = self.check(ctx2, body, expected)
-            tb = expected
-        else:
-            tb, ub, eb = self.infer(ctx2, body)
+        tb, ub, eb = self._synth(ctx2, body, expected)
         escaped = set(idents) & type_free_names(tb)
         if escaped:
             raise CheckError(ID_ESCAPES, f"cloned identifiers escape in the result type: {', '.join(sorted(escaped))}", t.loc, rule="clone")

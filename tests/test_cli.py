@@ -147,3 +147,14 @@ def test_trace_into_a_closed_pipe_is_an_io_error(tmp_path):
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err
+
+
+def test_run_and_trace_syntax_errors_name_the_file(tmp_path, capsys):
+    f = tmp_path / "syn.grb"
+    f.write_text("main : Unit;\nmain = let () = in ();\n")
+    assert main(["check", str(f)]) == 1
+    expected = f"{f}:2:17: [SyntaxError] expected a term, found 'in'\n"
+    assert capsys.readouterr().out == expected
+    for command in ("run", "trace"):
+        assert main([command, str(f)]) == 1
+        assert capsys.readouterr().err == expected

@@ -16,10 +16,10 @@ from gradebor.metatheory import (
 )
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
-    Abs, App, Join, LetPair, NatLit, Pair, Prim, Prod, RefVal, Split, Uniq,
-    UnitT, UnitVal, Var, FloatLit, WithBorrow,
+    Abs, App, Box, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pair,
+    Prim, Prod, RefVal, Split, Uniq, UnitT, UnitVal, Var, FloatLit, WithBorrow,
 )
-from gradebor.typecheck import Checker, Ctx, GradedEntry, runtime_ctx
+from gradebor.typecheck import CheckError, Checker, Ctx, GradedEntry, RefEntry, TypingMemo, runtime_ctx
 
 RING = NAT_LEQ
 
@@ -442,3 +442,163 @@ def test_discrete_semiring_accepts_the_exact_usage_corpus():
     for name in ("persimmon.grb", "amethyst.grb", "example_s3.grb", "readref_demo.grb"):
         text = (CORPUS / name).read_text()
         check_program(parse_program(text, name, NAT))
+
+
+# -- the preservation typing memo ------------------------------------------------------
+
+
+def oracle_preservation(trace, main_type, ring, s):
+    """The reference answer: a fresh Checker, and no memo, for every configuration."""
+    from gradebor.metatheory import Violation, _demand_ctx
+    from gradebor.typecheck import CheckError
+
+    found = []
+    for k, (term, heap) in enumerate(trace.configurations()):
+        rt = runtime_ctx(heap, ring)
+        try:
+            usage, _ = Checker(ring).check(rt, term, main_type)
+        except CheckError as e:
+            found.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
+            continue
+        judgment = heap_compat(heap, _demand_ctx(rt, usage, s), ring)
+        if not judgment.accepted:
+            found.append(Violation("preservation", k, f"heap compatibility failed: {judgment.failure}"))
+    return found
+
+
+def preservation_against_oracle(trace, main_type, ring, s, monkeypatch):
+    """Both checkers from the same fresh-name state: (violations, names drawn) each."""
+    import itertools
+
+    from gradebor import syntax
+
+    outcomes = []
+    for check in (check_preservation, oracle_preservation):
+        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
+        found = check(trace, main_type, ring, s)
+        outcomes.append((found, next(syntax._fresh_counter) - 1))
+    return outcomes
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
+    from gradebor.generator import generate_programs
+    from gradebor.metatheory import _uses_resources
+    from gradebor.grades import INTERVAL
+    from gradebor.typecheck import check_program
+
+    cases = [(load(name), None) for name in ACCEPTED]
+    for prog in generate_programs(17, count=300):
+        cp = check_program(prog)
+        cases.append((cp, None))
+        if not mutate and cp.ring is not INTERVAL and not _uses_resources(cp.main_term):
+            cases.append((cp, cp.ring.literal(2)))
+    for cp, s in cases:
+        s = s or cp.ring.one
+        _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, s)
+        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, s, monkeypatch)
+        assert memoized == oracle
+
+
+def test_memo_draws_the_fresh_names_the_oracle_draws(monkeypatch):
+    # the inner let binds y, which the heap also binds, so every
+    # configuration before the let reduces renames it and draws a name
+    heap = Heap()
+    heap.vars["y"] = VarCell(RING.one, UnitVal(), UnitT())
+    inner = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
+    _, trace = Machine(RING).eval(heap, LetUnit(Var("y"), inner), RING.one)
+    memoized, oracle = preservation_against_oracle(trace, UnitT(), RING, RING.one, monkeypatch)
+    assert memoized == oracle == ([], 3)
+
+
+def test_memo_renames_a_binder_that_clashes_with_a_later_context():
+    # stored under a context without y, then looked up under one that binds y
+    t = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
+    checker = Checker(RING, memo=TypingMemo())
+    _, elab = checker.check(Ctx(RING, lenient_names=True), t, UnitT())
+    assert elab.right == "y"
+    clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
+    _, elab = checker.check(clash, t, UnitT())
+    assert elab.right != "y" and checker.renames == 1
+
+
+def test_memo_tells_contexts_apart_by_free_variable_entries():
+    # the same node, with x's box grade 2 and then 1: z is used twice
+    t = LetBox("z", Var("x"), Pair(Var("z"), Var("z")))
+    checker = Checker(RING, memo=TypingMemo())
+    for grade, ok in ((2, True), (1, False), (2, True)):
+        ctx = Ctx(RING, {"x": GradedEntry(Box(RING.literal(grade), UnitT()), RING.one)}, lenient_names=True)
+        if ok:
+            checker.infer(ctx, t)
+        else:
+            with pytest.raises(CheckError, match="GradeExceeded|declared grade"):
+                checker.infer(ctx, t)
+
+
+def test_memo_tells_contexts_apart_by_reference_entries():
+    # the same node, with ref1 an array and then a ref cell
+    t = LetUnit(UnitVal(), App(Prim("deleteArray"), Uniq(RefVal("ref1"), STAR)))
+    checker = Checker(RING, memo=TypingMemo())
+    for kind, ok in (("Array", True), ("Ref", False)):
+        ctx = Ctx(RING, refs={"ref1": RefEntry(kind, "id1", FloatT())}, lenient_names=True)
+        if ok:
+            checker.check(ctx, t, UnitT())
+        else:
+            with pytest.raises(CheckError, match="expects an array reference"):
+                checker.check(ctx, t, UnitT())
+
+
+def test_preservation_tells_heaps_apart_by_a_variable_grade():
+    # two configurations share one term; the second heap holds x at grade 0
+    from gradebor.machine import StepRecord, Trace
+
+    t = LetUnit(Var("x"), UnitVal())
+    heaps = []
+    for grade in (1, 0):
+        heap = Heap()
+        heap.vars["x"] = VarCell(RING.literal(grade), UnitVal(), UnitT())
+        heaps.append(heap)
+    trace = Trace(RING.one, [StepRecord(0, "none", "1", t, heaps[0], t, heaps[1])], t, heaps[1], 1)
+    found = check_preservation(trace, UnitT(), RING, RING.one)
+    assert [(v.step, v.message) for v in found] == [
+        (1, "heap compatibility failed: variable 'x': demand 1 exceeds heap grade 0")
+    ]
+
+
+def _corrupt_stored_grade(cell):
+    cell.grade = RING.zero
+
+
+def _corrupt_stored_value(cell):
+    cell.value = NatLit(3)
+
+
+def _corrupt_stored_type(cell):
+    cell.ty = NatT()
+
+
+@pytest.mark.parametrize(
+    "corrupt, failure",
+    [
+        (_corrupt_stored_grade, "heap compatibility failed: variable '{x}': demand 1 exceeds heap grade 0"),
+        (_corrupt_stored_value, "heap compatibility failed: stored value of '{x}' has type NatT(), context expects FloatT()"),
+        (_corrupt_stored_type, "re-inference failed: [Mismatch] "),
+    ],
+)
+def test_preservation_reports_exactly_the_corrupted_step(corrupt, failure):
+    # In readref_demo the let [x] node that uses the float v1 is the same
+    # object in configurations 8 and 9, so a stale memo hit would skip
+    # re-typing it. Corrupt v1 in configuration 9 only.
+    from gradebor.syntax import free_vars
+
+    cp, _, trace = run("readref_demo.grb")
+    assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    k = 9
+    (prev, _), (term, heap) = trace.configurations()[k - 1 : k + 1]
+    assert isinstance(term.body, LetBox) and term.body is prev.body
+    x = min(free_vars(term) & set(heap.vars))
+    assert isinstance(heap.vars[x].ty, FloatT)
+    corrupt(heap.vars[x])
+    found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
+    assert [v.step for v in found] == [k]
+    assert found[0].message.startswith(failure.format(x=x))

@@ -211,3 +211,20 @@ def test_map_children_rebuilds_changed_nodes():
     assert out.right is t.right
     annotated = Abs("x", Var("x"), syntax.UnitT())
     assert map_children(annotated, lambda c: c, lambda ty: None) == Abs("x", Var("x"))
+
+
+def test_subst_keeps_the_subtrees_it_does_not_change():
+    # x occurs only in the rhs of the outer let: the body, and the whole
+    # abstraction that does not mention x, come back as the same objects
+    t = parse_term(r"let (a, b) = (x, ()) in let () = b in (\w -> w) a")
+    out = subst(t, "x", Var("z"))
+    assert out == parse_term(r"let (a, b) = (z, ()) in let () = b in (\w -> w) a")
+    assert out.body is t.body
+    assert out.rhs.right is t.rhs.right
+    assert subst(t, "q", Var("z")) is t
+
+
+def test_bound_names_lists_every_binder():
+    t = parse_term(r"let (a, b) = x in unpack <i, c> = b in let *d = clone y as <j> in \w -> ((a, c), (d, w))")
+    assert syntax.bound_names(t) == {"a", "b", "i", "c", "j", "d", "w"}
+    assert syntax.bound_names(parse_term("(x, ())")) == set()
