@@ -9,8 +9,11 @@ exit status). The runs are `trace`, `run` and `check` on every corpus file,
 generated here, `corpus --format json`, and `props --seed 42 --cases 500`
 with and without `--mutate-split`. `run` and `trace` also meet each way a run
 can fail: a missing file (exit 2), a syntax error (1), a type error (1) and
-`--fuel 2` (3). Each run is a fresh interpreter, because
-gradebor's fresh-name counter is process-wide and shows in the output.
+`--fuel 2` (3). `check` also meets the type error and three lexical edge
+cases: a non-decimal digit (`²`), 1000 nested parentheses, and a syntax
+error at the end of a file that ends in a comment. Each run is a fresh
+interpreter, because gradebor's fresh-name counter is process-wide and shows
+in the output.
 
 Run it in two checkouts and compare with `diff -r` to check that a change
 leaves every output byte-identical.
@@ -99,6 +102,11 @@ def main(argv: list[str]) -> int:
                 ("fuel2", ["write_chain.grb", "--fuel", "2"]),
             ):
                 record(outdir, f"{command}-{name}", [command, *args], generated)
+        (generated / "digit.grb").write_text("main : Nat;\nmain = \u00b2;\n", encoding="utf-8")
+        (generated / "deep.grb").write_text(f"main : Nat;\nmain = {'(' * 1000}1{')' * 1000};\n", encoding="utf-8")
+        (generated / "comment_eof.grb").write_text("main : Unit;\nmain = (() -- never closed", encoding="utf-8")
+        for name in ("digit", "deep", "comment_eof", "type_error"):
+            record(outdir, f"check-{name}", ["check", f"{name}.grb"], generated)
     record(outdir, "corpus-json", ["corpus", "--format", "json"], ROOT)
     record(outdir, "props", ["props", "--seed", "42", "--cases", "500"], ROOT)
     record(outdir, "props-mutate-split", ["props", "--seed", "42", "--cases", "500", "--mutate-split"], ROOT)

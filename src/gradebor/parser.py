@@ -7,11 +7,13 @@ separated by `;`, each definition being a signature `name : Type` and a body
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .grades import SEMIRINGS, NAT_LEQ, Permission, Semiring, STAR
+from .grades import SEMIRINGS, NAT_LEQ, GradeError, Permission, Semiring, STAR
 from . import syntax as S
 from .syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
@@ -70,108 +72,107 @@ KEYWORDS = {
 SYMBOLS = ["-o", "->", "..", "(", ")", "[", "]", "{", "}", "<", ">", ",", ";", ":", "=", "\\", "*", "&", "/", "."]
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, nat, float, prim, keyword, symbol, eof
     text: str
-    loc: Loc
+    line: int
+    col: int
+
+    @property
+    def loc(self) -> Loc:
+        return Loc(self.line, self.col)
+
+
+# One pattern per token: whitespace and comments to skip, then exactly one of
+# float, nat, word, symbol (in `SYMBOLS` order), a stray character, or the end
+# of the input. The skip is possessive; the alternatives after it always match.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*+"
+    r"(?:(\d+\.\d+)|(\d+)|([^\W\d][\w']*)|(" + "|".join(map(re.escape, SYMBOLS)) + r")|(.)|\Z)"
+)
+_FLOAT, _NAT, _WORD, _SYMBOL, _STRAY = 1, 2, 3, 4, 5
+_WORD_KINDS = {**{k: "keyword" for k in KEYWORDS}, **{p: "prim" for p in S.PRIMITIVES}}
+_tuple_new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
 
 def lex(source: str) -> list[Token]:
+    """Tokens of `source`, ending in eof, each with its 1-based line and column.
+
+    Numbers are decimal digits (`str.isdecimal`); a word starts with a letter
+    or `_` and continues with letters, digits, `_` and `'`.
+    """
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-
-    def loc():
-        return Loc(line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start = loc()
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                k = j + 1
-                while k < n and source[k].isdigit():
-                    k += 1
-                toks.append(Token("float", source[i:k], start))
-                col += k - i
-                i = k
-            else:
-                toks.append(Token("nat", source[i:j], start))
-                col += j - i
-                i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            if text in S.PRIMITIVES:
-                kind = "prim"
-            elif text in KEYWORDS:
-                kind = "keyword"
-            else:
-                kind = "ident"
-            toks.append(Token(kind, text, start))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token("symbol", sym, start))
-                col += len(sym)
-                i += len(sym)
-                break
+    append = toks.append
+    line, line_start, done = 1, 0, 0
+    for m in _TOKEN.finditer(source):
+        group = m.lastindex
+        start = m.start(group) if group else m.end()
+        if start != done:
+            newlines = source.count("\n", done, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", done, start) + 1
+        done = m.end()
+        col = start - line_start + 1
+        if group == _SYMBOL:
+            append(_tuple_new(Token, ("symbol", m[group], line, col)))
+        elif group == _WORD:
+            text = m[group]
+            if not (text[0].isalpha() or text[0] == "_"):  # a non-decimal digit such as '²'
+                raise SyntaxError_(f"unexpected character {text[0]!r}", Loc(line, col))
+            append(_tuple_new(Token, (_WORD_KINDS.get(text, "ident"), text, line, col)))
+        elif group == _NAT:
+            append(_tuple_new(Token, ("nat", m[group], line, col)))
+        elif group == _FLOAT:
+            append(_tuple_new(Token, ("float", m[group], line, col)))
+        elif group == _STRAY:
+            raise SyntaxError_(f"unexpected character {m[group]!r}", Loc(line, col))
         else:
-            raise SyntaxError_(f"unexpected character {c!r}", start)
-    toks.append(Token("eof", "", Loc(line, col)))
+            append(_tuple_new(Token, ("eof", "", line, col)))
+            break
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_UNARY_OPERATORS = {"split": Split, "join": Join, "push": Push, "pull": Pull, "share": Share}
+_OPERATORS = {"withBorrow", "pack", *_UNARY_OPERATORS}
+_ATOM_KINDS = {"ident", "nat", "float", "prim"}
+_ATOM_TEXTS = {"(", "[", *_OPERATORS}
+_BASE_TYPES = {"Unit": UnitT, "Nat": NatT, "Float": FloatT}
+
+
 class Parser:
+    """Recursive descent over the tokens of `lex`.
+
+    The token list gets a second eof, so the parser may step past the first
+    (only `expect("eof")` does) and still read a token. Symbol and keyword
+    texts never occur as the text of another kind of token, so the parser
+    tests them by text alone.
+    """
+
     def __init__(self, tokens: list[Token], ring: Semiring):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:]
         self.pos = 0
         self.ring = ring
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return t
 
-    def at(self, kind: str, text: Optional[str] = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == kind and (text is None or t.text == text)
+    def at(self, kind: str, text: Optional[str] = None) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == kind if text is None else t.text == text
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, text):
-            want = text or kind
-            raise SyntaxError_(f"expected {want!r}, found {t.text!r}", t.loc)
+        t = self.toks[self.pos]
+        if (t.kind != kind) if text is None else (t.text != text):
+            raise SyntaxError_(f"expected {text or kind!r}, found {t.text!r}", t.loc)
         return self.next()
 
     def sym(self, s: str) -> Token:
@@ -179,6 +180,14 @@ class Parser:
 
     def ident(self) -> Token:
         return self.expect("ident")
+
+    @contextmanager
+    def depth_guard(self):
+        """Report a parse that overflows the interpreter's stack as a syntax error."""
+        try:
+            yield
+        except RecursionError:
+            raise SyntaxError_("expression nested too deeply", self.peek().loc) from None
 
     # -- types --------------------------------------------------------------
 
@@ -196,10 +205,9 @@ class Parser:
             v = self.ident().text
             self.sym(":")
             kt = self.peek()
-            if self.at("keyword", "Permission") or self.at("keyword", "Name"):
-                kind = self.next().text
-            else:
+            if kt.text not in ("Permission", "Name"):
                 raise SyntaxError_("expected kind Permission or Name", kt.loc)
+            kind = self.next().text
             binders.append((v, kind))
             if self.at("symbol", ","):
                 self.next()
@@ -227,24 +235,24 @@ class Parser:
         return left
 
     def _parse_prefix(self) -> Type:
-        t = self.peek()
-        if self.at("symbol", "&"):
+        text = self.peek().text
+        if text == "&":
             self.next()
             p = self.parse_perm()
             return Amp(p, self._parse_prefix())
-        if self.at("symbol", "*"):
+        if text == "*":
             self.next()
             return Amp(STAR, self._parse_prefix())
-        if self.at("keyword", "exists"):
+        if text == "exists":
             self.next()
             binder = self.ident().text
             self.sym(".")
             return ExistsT(binder, self.parse_type())
-        if self.at("keyword", "Array") or self.at("keyword", "Ref"):
-            kind = self.next().text
+        if text == "Array" or text == "Ref":
+            self.next()
             ident = self.ident().text
             payload = self._parse_postfix()
-            return ResT(kind, ident, payload)
+            return ResT(text, ident, payload)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Type:
@@ -258,16 +266,11 @@ class Parser:
 
     def _parse_atom_type(self) -> Type:
         t = self.peek()
-        if self.at("keyword", "Unit"):
+        base = _BASE_TYPES.get(t.text)
+        if base is not None:
             self.next()
-            return UnitT()
-        if self.at("keyword", "Nat"):
-            self.next()
-            return NatT()
-        if self.at("keyword", "Float"):
-            self.next()
-            return FloatT()
-        if self.at("symbol", "("):
+            return base()
+        if t.text == "(":
             self.next()
             ty = self.parse_type()
             self.sym(")")
@@ -283,12 +286,14 @@ class Parser:
             self.next()
             return STAR
         if t.kind == "nat":
-            self.next()
-            num = int(t.text)
+            num = self.nat()
             if self.at("symbol", "/"):
                 self.next()
-                den = int(self.expect("nat").text)
-                return Permission(Fraction(num, den))
+                den = self.nat()
+                try:
+                    return Permission(Fraction(num, den))
+                except (ZeroDivisionError, GradeError):
+                    raise SyntaxError_(f"permission {num}/{den} is not a fraction in (0, 1]", t.loc) from None
             if num != 1:
                 raise SyntaxError_(f"whole permission must be 1, found {num}", t.loc)
             return Permission(Fraction(1))
@@ -298,19 +303,29 @@ class Parser:
         raise SyntaxError_(f"expected a permission, found {t.text!r}", t.loc)
 
     def parse_grade(self):
-        t = self.expect("nat")
-        lo = int(t.text)
+        t = self.peek()
+        lo, hi = self.nat(), None
         if self.at("symbol", ".."):
             self.next()
-            hi = int(self.expect("nat").text)
+            hi = self.nat()
+        try:
             return self.ring.literal(lo, hi)
-        return self.ring.literal(lo)
+        except GradeError as e:
+            raise SyntaxError_(str(e), t.loc) from None
+
+    def nat(self) -> int:
+        """Consume a nat token and return its value."""
+        t = self.expect("nat")
+        try:
+            return int(t.text)
+        except ValueError:  # more digits than int() converts from a string
+            raise SyntaxError_(f"numeral too long ({len(t.text)} digits)", t.loc) from None
 
     # -- terms --------------------------------------------------------------
 
     def parse_term(self) -> Term:
         t = self.peek()
-        if self.at("symbol", "\\"):
+        if t.text == "\\":
             loc = self.next().loc
             param = self.ident().text
             ann = None
@@ -319,9 +334,9 @@ class Parser:
                 ann = self.parse_type()
             self.sym("->")
             return Abs(param, self.parse_term(), ann, loc=loc)
-        if self.at("keyword", "let"):
+        if t.text == "let":
             return self._parse_let()
-        if self.at("keyword", "unpack"):
+        if t.text == "unpack":
             loc = self.next().loc
             self.sym("<")
             ident = self.ident().text
@@ -337,7 +352,8 @@ class Parser:
 
     def _parse_let(self) -> Term:
         loc = self.expect("keyword", "let").loc
-        if self.at("symbol", "("):
+        t = self.peek()
+        if t.text == "(":
             self.next()
             if self.at("symbol", ")"):
                 self.next()
@@ -353,7 +369,7 @@ class Parser:
             rhs = self.parse_term()
             self.expect("keyword", "in")
             return LetPair(left, right, rhs, self.parse_term(), loc=loc)
-        if self.at("symbol", "["):
+        if t.text == "[":
             self.next()
             binder = self.ident().text
             self.sym("]")
@@ -365,7 +381,7 @@ class Parser:
             rhs = self.parse_term()
             self.expect("keyword", "in")
             return LetBox(binder, rhs, self.parse_term(), ann, loc=loc)
-        if self.at("symbol", "*"):
+        if t.text == "*":
             self.next()
             binder = self.ident().text
             self.sym("=")
@@ -380,7 +396,7 @@ class Parser:
             self.sym(">")
             self.expect("keyword", "in")
             return Clone(binder, tuple(idents), rhs, self.parse_term(), loc=loc)
-        raise SyntaxError_("malformed let binding", self.peek().loc)
+        raise SyntaxError_("malformed let binding", t.loc)
 
     def _parse_app(self) -> Term:
         head = self._parse_operator_or_atom()
@@ -391,35 +407,28 @@ class Parser:
 
     def _at_atom_start(self) -> bool:
         t = self.peek()
-        if t.kind in ("ident", "nat", "float", "prim"):
-            return True
-        if t.kind == "keyword" and t.text in ("withBorrow", "split", "join", "push", "pull", "share", "pack"):
-            return True
-        if t.kind == "symbol" and t.text in ("(", "["):
-            return True
-        return False
+        return t.kind in _ATOM_KINDS or t.text in _ATOM_TEXTS
 
     def _parse_operator_or_atom(self) -> Term:
         t = self.peek()
-        if t.kind == "keyword":
-            if t.text == "withBorrow":
-                loc = self.next().loc
-                fn = self._parse_atom()
-                arg = self._parse_atom()
-                return WithBorrow(fn, arg, loc=loc)
-            if t.text in ("split", "join", "push", "pull", "share"):
-                loc = self.next().loc
-                body = self._parse_atom()
-                ctor = {"split": Split, "join": Join, "push": Push, "pull": Pull, "share": Share}[t.text]
-                return ctor(body, loc=loc)
-            if t.text == "pack":
-                loc = self.next().loc
-                self.sym("<")
-                ident = self.ident().text
-                self.sym(",")
-                body = self.parse_term()
-                self.sym(">")
-                return Pack(ident, body, loc=loc)
+        ctor = _UNARY_OPERATORS.get(t.text)
+        if ctor is not None:
+            loc = self.next().loc
+            body = self._parse_atom()
+            return ctor(body, loc=loc)
+        if t.text == "withBorrow":
+            loc = self.next().loc
+            fn = self._parse_atom()
+            arg = self._parse_atom()
+            return WithBorrow(fn, arg, loc=loc)
+        if t.text == "pack":
+            loc = self.next().loc
+            self.sym("<")
+            ident = self.ident().text
+            self.sym(",")
+            body = self.parse_term()
+            self.sym(">")
+            return Pack(ident, body, loc=loc)
         return self._parse_atom()
 
     def _parse_atom(self) -> Term:
@@ -431,12 +440,11 @@ class Parser:
             self.next()
             return Prim(t.text, loc=t.loc)
         if t.kind == "nat":
-            self.next()
-            return NatLit(int(t.text), loc=t.loc)
+            return NatLit(self.nat(), loc=t.loc)
         if t.kind == "float":
             self.next()
             return FloatLit(float(t.text), loc=t.loc)
-        if self.at("symbol", "("):
+        if t.text == "(":
             loc = self.next().loc
             if self.at("symbol", ")"):
                 self.next()
@@ -449,12 +457,12 @@ class Parser:
                 return Pair(first, second, loc=loc)
             self.sym(")")
             return first
-        if self.at("symbol", "["):
+        if t.text == "[":
             loc = self.next().loc
             body = self.parse_term()
             self.sym("]")
             return Promote(body, loc=loc)
-        if t.kind == "keyword" and t.text in ("withBorrow", "split", "join", "push", "pull", "share", "pack"):
+        if t.text in _OPERATORS:
             return self._parse_operator_or_atom()
         raise SyntaxError_(f"expected a term, found {t.text!r}", t.loc)
 
@@ -484,29 +492,30 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
     order: list[str] = []
     bodies: dict[str, Term] = {}
     locs: dict[str, Loc] = {}
-    while not p.at("eof"):
-        name_tok = p.ident()
-        name = name_tok.text
-        if p.at("symbol", ":"):
-            p.next()
-            if name in sigs:
-                raise SyntaxError_(f"duplicate signature for {name!r}", name_tok.loc)
-            sigs[name] = p.parse_type()
-            locs.setdefault(name, name_tok.loc)
-            order.append(name)
-        elif p.at("symbol", "="):
-            p.next()
-            if name not in sigs:
-                raise SyntaxError_(f"body for {name!r} precedes its signature", name_tok.loc)
-            if name in bodies:
-                raise SyntaxError_(f"duplicate body for {name!r}", name_tok.loc)
-            bodies[name] = p.parse_term()
-        else:
-            raise SyntaxError_(f"expected ':' or '=' after {name!r}", p.peek().loc)
-        if p.at("symbol", ";"):
-            p.next()
-        elif not p.at("eof"):
-            raise SyntaxError_(f"expected ';', found {p.peek().text!r}", p.peek().loc)
+    with p.depth_guard():
+        while not p.at("eof"):
+            name_tok = p.ident()
+            name = name_tok.text
+            if p.at("symbol", ":"):
+                p.next()
+                if name in sigs:
+                    raise SyntaxError_(f"duplicate signature for {name!r}", name_tok.loc)
+                sigs[name] = p.parse_type()
+                locs.setdefault(name, name_tok.loc)
+                order.append(name)
+            elif p.at("symbol", "="):
+                p.next()
+                if name not in sigs:
+                    raise SyntaxError_(f"body for {name!r} precedes its signature", name_tok.loc)
+                if name in bodies:
+                    raise SyntaxError_(f"duplicate body for {name!r}", name_tok.loc)
+                bodies[name] = p.parse_term()
+            else:
+                raise SyntaxError_(f"expected ':' or '=' after {name!r}", p.peek().loc)
+            if p.at("symbol", ";"):
+                p.next()
+            elif not p.at("eof"):
+                raise SyntaxError_(f"expected ';', found {p.peek().text!r}", p.peek().loc)
     defs = []
     for name in order:
         if name not in bodies:
@@ -519,14 +528,16 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
 
 def parse_term(text: str, ring: Optional[Semiring] = None) -> Term:
     p = Parser(lex(text), ring or NAT_LEQ)
-    t = p.parse_term()
+    with p.depth_guard():
+        t = p.parse_term()
     p.expect("eof")
     return t
 
 
 def parse_type(text: str, ring: Optional[Semiring] = None) -> Type:
     p = Parser(lex(text), ring or NAT_LEQ)
-    t = p.parse_type()
+    with p.depth_guard():
+        t = p.parse_type()
     p.expect("eof")
     return t
 

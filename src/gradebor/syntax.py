@@ -46,6 +46,11 @@ class PermVar:
 
 PermExpr = Union[Permission, PermVar]
 
+# Every Type and Term node class: equality and hashing come from the base
+# class (alpha-equivalence), and so does repr (the surface syntax), which a
+# generated dataclass repr would otherwise shadow.
+_node = dataclass(frozen=True, eq=False, repr=False)
+
 
 class Type:
     def __eq__(self, other):
@@ -63,66 +68,66 @@ class Type:
         return print_type(self)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Fun(Type):
     dom: Type
     cod: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Prod(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class UnitT(Type):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class NatT(Type):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class FloatT(Type):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Box(Type):
     grade: Grade
     body: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Amp(Type):
     perm: PermExpr
     body: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ExistsT(Type):
     binder: str
     body: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ResT(Type):
     kind: str  # "Array" or "Ref"
     ident: str
     payload: Type
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class NameT(Type):
     """A bare Name-kinded identifier used in type position."""
 
     ident: str
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Forall(Type):
     """Prenex quantification over permission and name variables."""
 
@@ -315,13 +320,13 @@ def _loc_field():
     return field(default=None, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Var(Term):
     name: str
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Abs(Term):
     param: str
     body: Term
@@ -329,21 +334,21 @@ class Abs(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class App(Term):
     fn: Term
     arg: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Pair(Term):
     left: Term
     right: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class LetPair(Term):
     left: str
     right: str
@@ -354,26 +359,26 @@ class LetPair(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class UnitVal(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class LetUnit(Term):
     rhs: Term
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Promote(Term):
     body: Term
     grade: Optional[Grade] = None  # filled in by elaboration
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class LetBox(Term):
     binder: str
     rhs: Term
@@ -382,14 +387,14 @@ class LetBox(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Pack(Term):
     ident: str
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Unpack(Term):
     ident: str
     binder: str
@@ -399,45 +404,45 @@ class Unpack(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class WithBorrow(Term):
     fn: Term
     arg: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Split(Term):
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Join(Term):
     body: Term  # a pair of borrows
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Push(Term):
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Pull(Term):
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Share(Term):
     body: Term
     grade: Optional[Grade] = None  # result box grade, filled in by elaboration
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Clone(Term):
     binder: str
     idents: tuple[str, ...]
@@ -450,19 +455,19 @@ class Clone(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class NatLit(Term):
     value: int
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class FloatLit(Term):
     value: float
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Prim(Term):
     name: str
     loc: Optional[Loc] = _loc_field()
@@ -471,7 +476,7 @@ class Prim(Term):
 # Runtime-only forms.
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Uniq(Term):
     """The runtime wrapper *t covering both owned and borrowed values.
 
@@ -485,13 +490,13 @@ class Uniq(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Unborrow(Term):
     body: Term
     loc: Optional[Loc] = _loc_field()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class RefVal(Term):
     ref: str
     loc: Optional[Loc] = _loc_field()

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 
@@ -158,3 +159,33 @@ def test_run_and_trace_syntax_errors_name_the_file(tmp_path, capsys):
     for command in ("run", "trace"):
         assert main([command, str(f)]) == 1
         assert capsys.readouterr().err == expected
+
+
+def test_hostile_sources_are_one_line_syntax_errors(tmp_path, capsys):
+    for name, body, message in (
+        ("digit", "²", r"2:8: \[SyntaxError\] unexpected character '²'"),
+        ("deep", "(" * 1000 + "1" + ")" * 1000, r"2:\d+: \[SyntaxError\] expression nested too deeply"),
+    ):
+        f = tmp_path / f"{name}.grb"
+        f.write_text(f"main : Nat;\nmain = {body};\n", encoding="utf-8")
+        expected = re.escape(str(f)) + ":" + message + "\n"
+        assert main(["check", str(f)]) == 1
+        assert re.fullmatch(expected, capsys.readouterr().out)
+        for command in ("run", "trace"):
+            assert main([command, str(f)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and re.fullmatch(expected, captured.err)
+
+
+def test_run_reads_decimal_digits_of_any_script(tmp_path, capsys):
+    f = tmp_path / "arabic_indic.grb"
+    f.write_text("main : Nat;\nmain = ٣;\n", encoding="utf-8")
+    assert main(["run", str(f)]) == 0
+    assert "value: 3  (0 steps)" in capsys.readouterr().out
+
+
+def test_type_errors_print_types_in_surface_syntax(tmp_path, capsys):
+    f = tmp_path / "type_error.grb"
+    f.write_text("main : Unit;\nmain = 1;\n")
+    assert main(["run", str(f)]) == 1
+    assert capsys.readouterr().err == f"{f}:2:8: [Mismatch] expected Unit but found Nat\n"

@@ -581,7 +581,7 @@ def _corrupt_stored_type(cell):
     "corrupt, failure",
     [
         (_corrupt_stored_grade, "heap compatibility failed: variable '{x}': demand 1 exceeds heap grade 0"),
-        (_corrupt_stored_value, "heap compatibility failed: stored value of '{x}' has type NatT(), context expects FloatT()"),
+        (_corrupt_stored_value, "heap compatibility failed: stored value of '{x}' has type Nat, context expects Float"),
         (_corrupt_stored_type, "re-inference failed: [Mismatch] "),
     ],
 )

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from gradebor.grades import INTERVAL, NAT, NAT_LEQ, STAR, frac_perm
 from gradebor.parser import (
-    SyntaxError_, parse_program, parse_term, parse_type, print_program,
-    print_term, print_type,
+    KEYWORDS, SYMBOLS, SyntaxError_, lex, parse_program, parse_term,
+    parse_type, print_program, print_term, print_type,
 )
 from gradebor.syntax import (
     Abs, Amp, App, Box, ExistsT, FloatT, Forall, Fun, Join, LetPair, NatT,
-    Pair, PermVar, Prod, Promote, ResT, Split, Uniq, UnitT, UnitVal, Var,
-    WithBorrow, RefVal, Unborrow,
+    Loc, Pair, PermVar, PRIMITIVES, Prod, Promote, ResT, Split, Uniq, UnitT,
+    UnitVal, Var, WithBorrow, RefVal, Unborrow,
 )
 
 from test_syntax import random_user_term
@@ -120,3 +120,165 @@ main = let () = () in ();
     for a, b in zip(again.definitions, prog.definitions):
         assert a.signature == b.signature
         assert a.body == b.body
+
+
+def test_eof_after_a_trailing_comment_is_past_it():
+    assert lex("x -- note")[-1] == ("eof", "", 1, 10)
+    with pytest.raises(SyntaxError_) as exc:
+        parse_term("(x -- note")
+    assert str(exc.value) == "1:11: expected ')', found ''"
+
+
+def test_numerals_are_decimal_digits_of_any_script():
+    assert parse_term("٣٤") == parse_term("34")
+    with pytest.raises(SyntaxError_) as exc:
+        parse_term("f 1²")
+    assert str(exc.value) == "1:4: unexpected character '²'"
+
+
+def test_out_of_range_literals_are_syntax_errors():
+    for source, ring, message in (
+        ("& 1/0 Nat", NAT_LEQ, "1:3: permission 1/0 is not a fraction in (0, 1]"),
+        ("& 3/2 Nat", NAT_LEQ, "1:3: permission 3/2 is not a fraction in (0, 1]"),
+        ("Unit [2..1]", INTERVAL, "1:7: malformed interval 2..1"),
+        ("Unit [0..1]", NAT_LEQ, "1:7: interval literal 0..1 not valid in semiring nat-leq"),
+        ("Unit [" + "9" * 5000 + "]", NAT_LEQ, "1:7: numeral too long (5000 digits)"),
+    ):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_type(source, ring)
+        assert str(exc.value) == message
+
+
+def test_nesting_depth_is_a_syntax_error():
+    deep = "(" * 1000 + "()" + ")" * 1000
+    for parse in (parse_term, lambda text: parse_type(text.replace("()", "Unit"))):
+        with pytest.raises(SyntaxError_) as exc:
+            parse(deep)
+        assert exc.value.msg == "expression nested too deeply"
+        assert exc.value.loc.line == 1 and 1 < exc.value.loc.col < 1000
+    with pytest.raises(SyntaxError_, match="nested too deeply"):
+        parse_program(f"main : Unit;\nmain = {deep};\n")
+
+
+def test_a_200_write_chain_parses():
+    body = "a"
+    for k in range(200):
+        body = f"writeArray ({body}) {k % 4} 1.5"
+    prog = parse_program(
+        f"main : exists i . * (Array i Float);\nmain = unpack <i, a> = newArray 4 in pack <i, {body}>;\n"
+    )
+    t, writes = prog.main.body.body.body, 0
+    while isinstance(t, App):
+        t, writes = t.fn.fn.arg, writes + 1
+    assert writes == 200 and t == Var("a")
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the character-at-a-time lexer it replaced
+
+
+def oracle_lex(source):
+    """The former lexer, returning (kind, text, line, col) tuples and the
+    error it raised, if any, after the tokens it had read."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if source.startswith("--", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start = (line, col)
+        if c.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+                k = j + 1
+                while k < n and source[k].isdigit():
+                    k += 1
+                toks.append(("float", source[i:k], *start))
+                col += k - i
+                i = k
+            else:
+                toks.append(("nat", source[i:j], *start))
+                col += j - i
+                i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "_'"):
+                j += 1
+            text = source[i:j]
+            if text in PRIMITIVES:
+                kind = "prim"
+            elif text in KEYWORDS:
+                kind = "keyword"
+            else:
+                kind = "ident"
+            toks.append((kind, text, *start))
+            col += j - i
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if source.startswith(sym, i):
+                toks.append(("symbol", sym, *start))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            return toks, SyntaxError_(f"unexpected character {c!r}", Loc(*start))
+    toks.append(("eof", "", line, col))
+    return toks, None
+
+
+def expected_lex(source):
+    """The oracle's tokens, or its error message, with the two intended changes:
+    a numeral is decimal digits only, so the first other digit in one (which
+    the former lexer took in) is an unexpected character; and eof sits past a
+    comment that ends the input rather than at its start."""
+    toks, error = oracle_lex(source)
+    for kind, text, line, col in toks:
+        if kind in ("nat", "float"):
+            for k, c in enumerate(text):
+                if c != "." and not c.isdecimal():
+                    return str(SyntaxError_(f"unexpected character {c!r}", Loc(line, col + k)))
+    if error is not None:
+        return str(error)
+    last_line = source[source.rfind("\n") + 1:]
+    eof = ("eof", "", source.count("\n") + 1, len(last_line) + 1)
+    if "--" not in last_line:
+        assert toks[-1] == eof
+    return toks[:-1] + [eof]
+
+
+FRAGMENTS = (
+    ["let", "in", "pack", "Unit", "Permission", "newArray", "writeArray", "x", "y'", "_z", "a1", "x_y"]
+    + ["0", "7", "12", "3.5", "1.", ".5", "1..2", "-", "#", "$", "--", "-- c", "--x\n"]
+    + SYMBOLS
+    + [" ", "\t", "\r", "\n"]
+    + ["é", "ǅ", "٣", "²", "½", "Ⅻ", "\xa0"]
+)
+
+
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+def test_lexer_matches_the_former_lexer(source):
+    expected = expected_lex(source)
+    try:
+        toks = lex(source)
+    except SyntaxError_ as e:
+        assert str(e) == expected
+        return
+    assert [tuple(t) for t in toks] == expected
+    assert all(t.loc == Loc(t.line, t.col) for t in toks)

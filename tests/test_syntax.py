@@ -186,6 +186,15 @@ def test_every_term_class_has_a_table_entry():
         assert c in syntax._SHAPES, c.__name__
 
 
+def test_every_node_class_reprs_as_surface_syntax():
+    for base in (syntax.Term, syntax.Type):
+        classes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, base) and c is not base]
+        for c in classes:
+            assert c.__repr__ is base.__repr__, c.__name__
+    assert repr(App(Var("f"), Pair(NatLit(1), UnitVal()))) == "f (1, ())"
+    assert repr(syntax.Fun(syntax.UnitT(), syntax.Amp(STAR, syntax.NatT()))) == "Unit -o * Nat"
+
+
 def test_sample_terms_reach_every_term_class():
     seen = {type(n) for t in SAMPLE_TERMS for n in _nodes(t)}
     assert seen == set(syntax._SHAPES)
