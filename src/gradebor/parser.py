@@ -85,14 +85,15 @@ class Token(NamedTuple):
 
 # One pattern per token: whitespace and comments to skip, then exactly one of
 # float, nat, word, symbol (in `SYMBOLS` order), a stray character, or the end
-# of the input. The skip is possessive; the alternatives after it always match.
+# of the input. The skip never backtracks: each of its alternatives consumes
+# a character, and after the longest skip one of the alternatives that
+# follow always matches (`.` takes anything but the newlines it skipped).
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*+"
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
     r"(?:(\d+\.\d+)|(\d+)|([^\W\d][\w']*)|(" + "|".join(map(re.escape, SYMBOLS)) + r")|(.)|\Z)"
 )
 _FLOAT, _NAT, _WORD, _SYMBOL, _STRAY = 1, 2, 3, 4, 5
 _WORD_KINDS = {**{k: "keyword" for k in KEYWORDS}, **{p: "prim" for p in S.PRIMITIVES}}
-_tuple_new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
 
 def lex(source: str) -> list[Token]:
@@ -115,20 +116,20 @@ def lex(source: str) -> list[Token]:
         done = m.end()
         col = start - line_start + 1
         if group == _SYMBOL:
-            append(_tuple_new(Token, ("symbol", m[group], line, col)))
+            append(Token("symbol", m[group], line, col))
         elif group == _WORD:
             text = m[group]
             if not (text[0].isalpha() or text[0] == "_"):  # a non-decimal digit such as '²'
                 raise SyntaxError_(f"unexpected character {text[0]!r}", Loc(line, col))
-            append(_tuple_new(Token, (_WORD_KINDS.get(text, "ident"), text, line, col)))
+            append(Token(_WORD_KINDS.get(text, "ident"), text, line, col))
         elif group == _NAT:
-            append(_tuple_new(Token, ("nat", m[group], line, col)))
+            append(Token("nat", m[group], line, col))
         elif group == _FLOAT:
-            append(_tuple_new(Token, ("float", m[group], line, col)))
+            append(Token("float", m[group], line, col))
         elif group == _STRAY:
             raise SyntaxError_(f"unexpected character {m[group]!r}", Loc(line, col))
         else:
-            append(_tuple_new(Token, ("eof", "", line, col)))
+            append(Token("eof", "", line, col))
             break
     return toks
 
@@ -147,9 +148,10 @@ class Parser:
     """Recursive descent over the tokens of `lex`.
 
     The token list gets a second eof, so the parser may step past the first
-    (only `expect("eof")` does) and still read a token. Symbol and keyword
-    texts never occur as the text of another kind of token, so the parser
-    tests them by text alone.
+    (only `expect_kind("eof")` does) and still read a token. Symbol and
+    keyword texts never occur as the text of another kind of token, so `at`
+    and `expect` test them by text alone; `at_kind` and `expect_kind` test
+    the other kinds.
     """
 
     def __init__(self, tokens: list[Token], ring: Semiring):
@@ -165,21 +167,30 @@ class Parser:
         self.pos += 1
         return t
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind if text is None else t.text == text
+    def at(self, text: str) -> bool:
+        """Whether the current token is the symbol or keyword `text`."""
+        return self.toks[self.pos].text == text
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def at_kind(self, kind: str) -> bool:
+        """Whether the current token is of kind `kind`."""
+        return self.toks[self.pos].kind == kind
+
+    def expect(self, text: str) -> Token:
+        """Consume the symbol or keyword `text`."""
         t = self.toks[self.pos]
-        if (t.kind != kind) if text is None else (t.text != text):
-            raise SyntaxError_(f"expected {text or kind!r}, found {t.text!r}", t.loc)
+        if t.text != text:
+            raise SyntaxError_(f"expected {text!r}, found {t.text!r}", t.loc)
         return self.next()
 
-    def sym(self, s: str) -> Token:
-        return self.expect("symbol", s)
+    def expect_kind(self, kind: str) -> Token:
+        """Consume a token of kind `kind`."""
+        t = self.toks[self.pos]
+        if t.kind != kind:
+            raise SyntaxError_(f"expected {kind!r}, found {t.text!r}", t.loc)
+        return self.next()
 
     def ident(self) -> Token:
-        return self.expect("ident")
+        return self.expect_kind("ident")
 
     @contextmanager
     def depth_guard(self):
@@ -192,29 +203,29 @@ class Parser:
     # -- types --------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        if self.at("keyword", "forall"):
+        if self.at("forall"):
             self.next()
             return self._parse_forall()
         return self._parse_arrow()
 
     def _parse_forall(self) -> Type:
         # 'forall' has been consumed
-        self.sym("{")
+        self.expect("{")
         binders: list[tuple[str, str]] = []
         while True:
             v = self.ident().text
-            self.sym(":")
+            self.expect(":")
             kt = self.peek()
             if kt.text not in ("Permission", "Name"):
                 raise SyntaxError_("expected kind Permission or Name", kt.loc)
             kind = self.next().text
             binders.append((v, kind))
-            if self.at("symbol", ","):
+            if self.at(","):
                 self.next()
                 continue
             break
-        self.sym("}")
-        self.sym(".")
+        self.expect("}")
+        self.expect(".")
         body = self.parse_type()
         if isinstance(body, Forall):
             return Forall(tuple(binders) + body.binders, body.body)
@@ -222,14 +233,14 @@ class Parser:
 
     def _parse_arrow(self) -> Type:
         left = self._parse_prod()
-        if self.at("symbol", "-o"):
+        if self.at("-o"):
             self.next()
             return Fun(left, self._parse_arrow())
         return left
 
     def _parse_prod(self) -> Type:
         left = self._parse_prefix()
-        if self.at("symbol", "*"):
+        if self.at("*"):
             self.next()
             return Prod(left, self._parse_prod())
         return left
@@ -246,7 +257,7 @@ class Parser:
         if text == "exists":
             self.next()
             binder = self.ident().text
-            self.sym(".")
+            self.expect(".")
             return ExistsT(binder, self.parse_type())
         if text == "Array" or text == "Ref":
             self.next()
@@ -257,10 +268,10 @@ class Parser:
 
     def _parse_postfix(self) -> Type:
         ty = self._parse_atom_type()
-        while self.at("symbol", "["):
+        while self.at("["):
             self.next()
             g = self.parse_grade()
-            self.sym("]")
+            self.expect("]")
             ty = Box(g, ty)
         return ty
 
@@ -273,7 +284,7 @@ class Parser:
         if t.text == "(":
             self.next()
             ty = self.parse_type()
-            self.sym(")")
+            self.expect(")")
             return ty
         if t.kind == "ident":
             self.next()
@@ -282,12 +293,12 @@ class Parser:
 
     def parse_perm(self) -> S.PermExpr:
         t = self.peek()
-        if self.at("symbol", "*"):
+        if self.at("*"):
             self.next()
             return STAR
         if t.kind == "nat":
             num = self.nat()
-            if self.at("symbol", "/"):
+            if self.at("/"):
                 self.next()
                 den = self.nat()
                 try:
@@ -305,7 +316,7 @@ class Parser:
     def parse_grade(self):
         t = self.peek()
         lo, hi = self.nat(), None
-        if self.at("symbol", ".."):
+        if self.at(".."):
             self.next()
             hi = self.nat()
         try:
@@ -315,7 +326,7 @@ class Parser:
 
     def nat(self) -> int:
         """Consume a nat token and return its value."""
-        t = self.expect("nat")
+        t = self.expect_kind("nat")
         try:
             return int(t.text)
         except ValueError:  # more digits than int() converts from a string
@@ -329,72 +340,72 @@ class Parser:
             loc = self.next().loc
             param = self.ident().text
             ann = None
-            if self.at("symbol", ":"):
+            if self.at(":"):
                 self.next()
                 ann = self.parse_type()
-            self.sym("->")
+            self.expect("->")
             return Abs(param, self.parse_term(), ann, loc=loc)
         if t.text == "let":
             return self._parse_let()
         if t.text == "unpack":
             loc = self.next().loc
-            self.sym("<")
+            self.expect("<")
             ident = self.ident().text
-            self.sym(",")
+            self.expect(",")
             binder = self.ident().text
-            self.sym(">")
-            self.sym("=")
+            self.expect(">")
+            self.expect("=")
             rhs = self.parse_term()
-            self.expect("keyword", "in")
+            self.expect("in")
             body = self.parse_term()
             return Unpack(ident, binder, rhs, body, loc=loc)
         return self._parse_app()
 
     def _parse_let(self) -> Term:
-        loc = self.expect("keyword", "let").loc
+        loc = self.expect("let").loc
         t = self.peek()
         if t.text == "(":
             self.next()
-            if self.at("symbol", ")"):
+            if self.at(")"):
                 self.next()
-                self.sym("=")
+                self.expect("=")
                 rhs = self.parse_term()
-                self.expect("keyword", "in")
+                self.expect("in")
                 return LetUnit(rhs, self.parse_term(), loc=loc)
             left = self.ident().text
-            self.sym(",")
+            self.expect(",")
             right = self.ident().text
-            self.sym(")")
-            self.sym("=")
+            self.expect(")")
+            self.expect("=")
             rhs = self.parse_term()
-            self.expect("keyword", "in")
+            self.expect("in")
             return LetPair(left, right, rhs, self.parse_term(), loc=loc)
         if t.text == "[":
             self.next()
             binder = self.ident().text
-            self.sym("]")
+            self.expect("]")
             ann = None
-            if self.at("symbol", ":"):
+            if self.at(":"):
                 self.next()
                 ann = self.parse_type()
-            self.sym("=")
+            self.expect("=")
             rhs = self.parse_term()
-            self.expect("keyword", "in")
+            self.expect("in")
             return LetBox(binder, rhs, self.parse_term(), ann, loc=loc)
         if t.text == "*":
             self.next()
             binder = self.ident().text
-            self.sym("=")
-            self.expect("keyword", "clone")
+            self.expect("=")
+            self.expect("clone")
             rhs = self._parse_atom()
-            self.expect("keyword", "as")
-            self.sym("<")
+            self.expect("as")
+            self.expect("<")
             idents = [self.ident().text]
-            while self.at("symbol", ","):
+            while self.at(","):
                 self.next()
                 idents.append(self.ident().text)
-            self.sym(">")
-            self.expect("keyword", "in")
+            self.expect(">")
+            self.expect("in")
             return Clone(binder, tuple(idents), rhs, self.parse_term(), loc=loc)
         raise SyntaxError_("malformed let binding", t.loc)
 
@@ -423,11 +434,11 @@ class Parser:
             return WithBorrow(fn, arg, loc=loc)
         if t.text == "pack":
             loc = self.next().loc
-            self.sym("<")
+            self.expect("<")
             ident = self.ident().text
-            self.sym(",")
+            self.expect(",")
             body = self.parse_term()
-            self.sym(">")
+            self.expect(">")
             return Pack(ident, body, loc=loc)
         return self._parse_atom()
 
@@ -446,21 +457,21 @@ class Parser:
             return FloatLit(float(t.text), loc=t.loc)
         if t.text == "(":
             loc = self.next().loc
-            if self.at("symbol", ")"):
+            if self.at(")"):
                 self.next()
                 return UnitVal(loc=loc)
             first = self.parse_term()
-            if self.at("symbol", ","):
+            if self.at(","):
                 self.next()
                 second = self.parse_term()
-                self.sym(")")
+                self.expect(")")
                 return Pair(first, second, loc=loc)
-            self.sym(")")
+            self.expect(")")
             return first
         if t.text == "[":
             loc = self.next().loc
             body = self.parse_term()
-            self.sym("]")
+            self.expect("]")
             return Promote(body, loc=loc)
         if t.text in _OPERATORS:
             return self._parse_operator_or_atom()
@@ -493,17 +504,17 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
     bodies: dict[str, Term] = {}
     locs: dict[str, Loc] = {}
     with p.depth_guard():
-        while not p.at("eof"):
+        while not p.at_kind("eof"):
             name_tok = p.ident()
             name = name_tok.text
-            if p.at("symbol", ":"):
+            if p.at(":"):
                 p.next()
                 if name in sigs:
                     raise SyntaxError_(f"duplicate signature for {name!r}", name_tok.loc)
                 sigs[name] = p.parse_type()
                 locs.setdefault(name, name_tok.loc)
                 order.append(name)
-            elif p.at("symbol", "="):
+            elif p.at("="):
                 p.next()
                 if name not in sigs:
                     raise SyntaxError_(f"body for {name!r} precedes its signature", name_tok.loc)
@@ -512,9 +523,9 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
                 bodies[name] = p.parse_term()
             else:
                 raise SyntaxError_(f"expected ':' or '=' after {name!r}", p.peek().loc)
-            if p.at("symbol", ";"):
+            if p.at(";"):
                 p.next()
-            elif not p.at("eof"):
+            elif not p.at_kind("eof"):
                 raise SyntaxError_(f"expected ';', found {p.peek().text!r}", p.peek().loc)
     defs = []
     for name in order:
@@ -530,7 +541,7 @@ def parse_term(text: str, ring: Optional[Semiring] = None) -> Term:
     p = Parser(lex(text), ring or NAT_LEQ)
     with p.depth_guard():
         t = p.parse_term()
-    p.expect("eof")
+    p.expect_kind("eof")
     return t
 
 
@@ -538,7 +549,7 @@ def parse_type(text: str, ring: Optional[Semiring] = None) -> Type:
     p = Parser(lex(text), ring or NAT_LEQ)
     with p.depth_guard():
         t = p.parse_type()
-    p.expect("eof")
+    p.expect_kind("eof")
     return t
 
 

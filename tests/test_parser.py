@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -142,11 +143,23 @@ def test_out_of_range_literals_are_syntax_errors():
         ("& 3/2 Nat", NAT_LEQ, "1:3: permission 3/2 is not a fraction in (0, 1]"),
         ("Unit [2..1]", INTERVAL, "1:7: malformed interval 2..1"),
         ("Unit [0..1]", NAT_LEQ, "1:7: interval literal 0..1 not valid in semiring nat-leq"),
-        ("Unit [" + "9" * 5000 + "]", NAT_LEQ, "1:7: numeral too long (5000 digits)"),
     ):
         with pytest.raises(SyntaxError_) as exc:
             parse_type(source, ring)
         assert str(exc.value) == message
+
+
+_INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(
+    not _INT_MAX_STR_DIGITS, reason="this interpreter converts numerals of any length"
+)
+def test_numeral_over_the_int_digit_limit_is_a_syntax_error():
+    digits = _INT_MAX_STR_DIGITS + 1
+    with pytest.raises(SyntaxError_) as exc:
+        parse_type("Unit [" + "9" * digits + "]", NAT_LEQ)
+    assert str(exc.value) == f"1:7: numeral too long ({digits} digits)"
 
 
 def test_nesting_depth_is_a_syntax_error():
