@@ -4,9 +4,10 @@
     python scripts/golden.py OUTDIR
 
 For every run it writes OUTDIR/<name>.out, .err and .code (stdout, stderr,
-exit status). The runs are `trace`, `run` and `check` on every corpus file,
-`trace` on a 100-write `writeArray` chain and a 20-rung split/join ladder
-generated here, `corpus --format json`, and `props --seed 42 --cases 500`
+exit status). The runs are `trace`, `run`, `check`, `run --format json` and
+`check --format json` on every corpus file, `trace` and `run --format json`
+on a 100-write `writeArray` chain and a 20-rung split/join ladder generated
+here, `corpus --format json`, and `props --seed 42 --cases 500`
 with and without `--mutate-split`. `run` and `trace` also meet each way a run
 can fail: a missing file (exit 2), a syntax error (1), a type error (1) and
 `--fuel 2` (3). `check` also meets the type error and three lexical edge
@@ -85,13 +86,17 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     for grb in sorted((ROOT / CORPUS).glob("*.grb")):
+        path = str(CORPUS / grb.name)
         for command in ("trace", "run", "check"):
-            record(outdir, f"{command}-{grb.stem}", [command, str(CORPUS / grb.name)], ROOT)
+            record(outdir, f"{command}-{grb.stem}", [command, path], ROOT)
+        for command in ("run", "check"):
+            record(outdir, f"{command}-json-{grb.stem}", [command, path, "--format", "json"], ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         generated = Path(tmp)
         for name, source in (("write_chain", chain_source(100)), ("split_ladder", ladder_source(20))):
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)
+            record(outdir, f"run-json-{name}", ["run", f"{name}.grb", "--format", "json"], generated)
         (generated / "syntax_error.grb").write_text("main : Unit;\nmain = let () = in ();\n", encoding="utf-8")
         (generated / "type_error.grb").write_text("main : Unit;\nmain = 1;\n", encoding="utf-8")
         for command in ("run", "trace"):

@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from itertools import chain
+from typing import Callable, Iterator, Optional
 
 from .grades import Grade, Permission, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
 from . import grades as G
 from . import syntax as S
+from .parser import print_term, print_type
 from .syntax import (
     Abs, App, Clone, FloatLit, Join, LetBox, LetPair, LetUnit, NatLit, Pack,
     Pair, Prim, Promote, Pull, Push, RefVal, Share, Split, Term, Type, Unborrow,
@@ -85,8 +87,6 @@ class RefRes:
     is_array: bool = False
 
     def show(self) -> str:
-        from .parser import print_term, print_type
-
         ty = f" : {print_type(self.ty)}" if self.ty is not None else ""
         return f"|- {print_term(self.value)}{ty}"
 
@@ -123,25 +123,39 @@ class Heap:
     def names(self) -> set[str]:
         return set(self.vars) | set(self.refs) | set(self.resources)
 
-    def to_json(self) -> list[dict]:
-        from .parser import print_term, print_type
+    def cells(self) -> Iterator[tuple[str, object]]:
+        """Every (name, cell) pair in output order: variables, references, resources."""
+        return chain(self.vars.items(), self.refs.items(), self.resources.items())
 
-        out: list[dict] = []
-        for x, c in self.vars.items():
-            out.append(
-                {
-                    "sort": "var",
-                    "name": x,
-                    "grade": str(c.grade),
-                    "value": print_term(c.value),
-                    "type": print_type(c.ty) if c.ty is not None else None,
-                }
-            )
-        for r, c in self.refs.items():
-            out.append({"sort": "ref", "name": r, "perm": str(c.perm), "id": c.ident})
-        for i, c in self.resources.items():
-            out.append({"sort": "res", "name": i, "value": c.show()})
-        return out
+    def to_json(self) -> list[dict]:
+        return [_entry_json(name, cell) for name, cell in self.cells()]
+
+
+def _entry_json(name: str, cell) -> dict:
+    """The JSON record of one heap entry; the class of its cell gives its sort."""
+    if type(cell) is VarCell:
+        return {
+            "sort": "var",
+            "name": name,
+            "grade": str(cell.grade),
+            "value": print_term(cell.value),
+            "type": print_type(cell.ty) if cell.ty is not None else None,
+        }
+    if type(cell) is RefCell:
+        return {"sort": "ref", "name": name, "perm": str(cell.perm), "id": cell.ident}
+    return {"sort": "res", "name": name, "value": cell.show()}
+
+
+def _entry_key(name: str, cell) -> tuple:
+    """Everything `_entry_json` reads of an entry, with terms and types by
+    identity: while those objects live, equal keys give equal records."""
+    if type(cell) is VarCell:
+        return ("var", name, cell.grade, id(cell.value), id(cell.ty))
+    if type(cell) is RefCell:
+        return ("ref", name, cell.perm, cell.ident)
+    if cell.is_array:
+        return ("res", name, cell.show())
+    return ("res", name, id(cell.value), id(cell.ty))
 
 
 def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
@@ -231,30 +245,36 @@ class Trace:
         return out
 
     def to_jsonl(self) -> str:
-        from .parser import print_term
+        """One JSON object per step, then one for the final configuration.
 
-        lines = []
-        for s in self.steps:
-            lines.append(
-                json.dumps(
-                    {
-                        "step": s.index,
-                        "rule": s.rule,
-                        "grade": s.grade,
-                        "term": print_term(s.post_term),
-                        "heap": s.post_heap.to_json(),
-                    }
-                )
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "step": len(self.steps),
-                    "value": print_term(self.final_term),
-                    "heap": self.final_heap.to_json(),
-                }
-            )
-        )
+        A step line is `{"step", "rule", "grade", "term", "heap"}` for the
+        configuration after the step; the last line is `{"step", "value",
+        "heap"}`; "heap" is `Heap.to_json()`. Snapshots share the stored
+        value and type objects of entries a step left alone, so one memo for
+        the whole trace, keyed by `_entry_key`, encodes each distinct entry
+        once. It holds each entry's cell, so no object whose `id` is in a key
+        is freed, and no `id` reused, while the memo lives. A line is the
+        `json.dumps` of its other fields with the encoded entries spliced in
+        as `"heap": [e1, e2, ...]`, the separators `json.dumps` itself
+        writes, so every line is byte-identical to dumping the whole dict.
+        """
+        memo: dict[tuple, tuple[str, object]] = {}
+
+        def line(fields: dict, heap: Heap) -> str:
+            entries = []
+            for name, cell in heap.cells():
+                key = _entry_key(name, cell)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = (json.dumps(_entry_json(name, cell)), cell)
+                entries.append(hit[0])
+            return f'{json.dumps(fields)[:-1]}, "heap": [{", ".join(entries)}]}}'
+
+        lines = [
+            line({"step": s.index, "rule": s.rule, "grade": s.grade, "term": print_term(s.post_term)}, s.post_heap)
+            for s in self.steps
+        ]
+        lines.append(line({"step": len(self.steps), "value": print_term(self.final_term)}, self.final_heap))
         return "\n".join(lines)
 
 

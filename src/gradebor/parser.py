@@ -564,100 +564,121 @@ def print_perm(p: S.PermExpr) -> str:
 
 
 def print_type(ty: Type, prec: int = 0) -> str:
-    # precedence levels: 0 arrow, 1 product, 2 prefix, 3 atom
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if prec > level else s
+    """Print a type in surface syntax, parenthesized for context `prec`.
 
-    match ty:
-        case Forall(bs, body):
-            binders = ", ".join(f"{v} : {k}" for v, k in bs)
-            return wrap(f"forall {{{binders}}} . {print_type(body, 0)}", 0)
-        case Fun(d, c):
-            return wrap(f"{print_type(d, 1)} -o {print_type(c, 0)}", 0)
-        case Prod(l, r):
-            return wrap(f"{print_type(l, 2)} * {print_type(r, 1)}", 1)
-        case Amp(p, b):
-            if isinstance(p, Permission) and p.is_star:
-                return wrap(f"* {print_type(b, 2)}", 2)
-            return wrap(f"& {print_perm(p)} {print_type(b, 2)}", 2)
-        case ExistsT(i, b):
-            return wrap(f"exists {i} . {print_type(b, 0)}", 2)
-        case ResT(k, i, pay):
-            return wrap(f"{k} {i} {print_type(pay, 3)}", 2)
-        case Box(g, b):
-            return f"{print_type(b, 3)} [{g}]" if prec <= 2 else f"({print_type(b, 3)} [{g}])"
-        case UnitT():
-            return "Unit"
-        case NatT():
-            return "Nat"
-        case FloatT():
-            return "Float"
-        case NameT(i):
-            return i
-        case _:
-            raise ValueError(f"unprintable type {ty!r}")
+    Precedence levels: 0 arrow, 1 product, 2 prefix, 3 atom. A node whose
+    level is below `prec` is wrapped in parentheses. Dispatch tests the exact
+    class, most frequent first (the heap types of traces lead), and each tree
+    level costs one Python frame, so depth is bounded by the recursion limit
+    alone. The order of the tests changes only speed: the classes are
+    disjoint, so each node prints the text of its own branch.
+    """
+    cls = type(ty)
+    if cls is Amp:
+        p = ty.perm
+        if type(p) is Permission and p.is_star:
+            s = f"* {print_type(ty.body, 2)}"
+        else:
+            s = f"& {print_perm(p)} {print_type(ty.body, 2)}"
+        return f"({s})" if prec > 2 else s
+    if cls is ResT:
+        s = f"{ty.kind} {ty.ident} {print_type(ty.payload, 3)}"
+        return f"({s})" if prec > 2 else s
+    if cls is FloatT:
+        return "Float"
+    if cls is Fun:
+        s = f"{print_type(ty.dom, 1)} -o {print_type(ty.cod, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is Box:
+        s = f"{print_type(ty.body, 3)} [{ty.grade}]"
+        return f"({s})" if prec > 2 else s
+    if cls is NatT:
+        return "Nat"
+    if cls is UnitT:
+        return "Unit"
+    if cls is Prod:
+        s = f"{print_type(ty.left, 2)} * {print_type(ty.right, 1)}"
+        return f"({s})" if prec > 1 else s
+    if cls is NameT:
+        return ty.ident
+    if cls is ExistsT:
+        s = f"exists {ty.binder} . {print_type(ty.body, 0)}"
+        return f"({s})" if prec > 2 else s
+    if cls is Forall:
+        binders = ", ".join(f"{v} : {k}" for v, k in ty.binders)
+        s = f"forall {{{binders}}} . {print_type(ty.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    raise ValueError(f"unprintable type {type(ty).__name__}")
+
+
+# Terms printed as a keyword or `*` before an atom, at application level.
+_PREFIXES: dict[type, str] = {
+    Uniq: "*", Split: "split ", Join: "join ", Unborrow: "unborrow ",
+    Push: "push ", Pull: "pull ", Share: "share ",
+}
 
 
 def print_term(t: Term, prec: int = 0) -> str:
-    # precedence levels: 0 open (lets, lambdas), 1 application, 2 atom
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if prec > level else s
+    """Print a term in surface syntax, parenthesized for context `prec`.
 
-    match t:
-        case Var(n):
-            return n
-        case Prim(n):
-            return n
-        case NatLit(v):
-            return str(v)
-        case FloatLit(v):
-            s = repr(v)
-            return s if "." in s or "e" in s else s + ".0"
-        case UnitVal():
-            return "()"
-        case Abs(p, b, ann):
-            ann_s = f" : {print_type(ann, 2)}" if ann is not None else ""
-            return wrap(f"\\{p}{ann_s} -> {print_term(b, 0)}", 0)
-        case App(f, a):
-            return wrap(f"{print_term(f, 1)} {print_term(a, 2)}", 1)
-        case Pair(l, r):
-            return f"({print_term(l, 0)}, {print_term(r, 0)})"
-        case LetPair(x, y, rhs, body):
-            return wrap(f"let ({x}, {y}) = {print_term(rhs, 1)} in {print_term(body, 0)}", 0)
-        case LetUnit(rhs, body):
-            return wrap(f"let () = {print_term(rhs, 1)} in {print_term(body, 0)}", 0)
-        case Promote(b, _):
-            return f"[{print_term(b, 0)}]"
-        case LetBox(x, rhs, body, ann):
-            ann_s = f" : {print_type(ann, 3)}" if ann is not None else ""
-            return wrap(f"let [{x}]{ann_s} = {print_term(rhs, 1)} in {print_term(body, 0)}", 0)
-        case Pack(i, b):
-            return wrap(f"pack <{i}, {print_term(b, 0)}>", 1)
-        case Unpack(i, x, rhs, body, _):
-            return wrap(f"unpack <{i}, {x}> = {print_term(rhs, 1)} in {print_term(body, 0)}", 0)
-        case WithBorrow(f, a):
-            return wrap(f"withBorrow {print_term(f, 2)} {print_term(a, 2)}", 1)
-        case Split(b):
-            return wrap(f"split {print_term(b, 2)}", 1)
-        case Join(b):
-            return wrap(f"join {print_term(b, 2)}", 1)
-        case Push(b):
-            return wrap(f"push {print_term(b, 2)}", 1)
-        case Pull(b):
-            return wrap(f"pull {print_term(b, 2)}", 1)
-        case Share(b, _):
-            return wrap(f"share {print_term(b, 2)}", 1)
-        case Clone(x, ids, rhs, body, _):
-            ids_s = ", ".join(ids)
-            return wrap(f"let *{x} = clone {print_term(rhs, 2)} as <{ids_s}> in {print_term(body, 0)}", 0)
-        case Uniq(b, _):
-            return wrap(f"*{print_term(b, 2)}", 1)
-        case Unborrow(b):
-            return wrap(f"unborrow {print_term(b, 2)}", 1)
-        case RefVal(r):
-            return f"#{r}"
-        case _:
-            raise ValueError(f"unprintable term {t!r}")
+    Precedence levels: 0 open (lets, lambdas), 1 application, 2 atom. A node
+    whose level is below `prec` is wrapped in parentheses. Dispatch tests the
+    exact class, most frequent first (application spines, names and literals
+    dominate trace terms), and each tree level costs one Python frame, so
+    depth is bounded by the recursion limit alone. The order of the tests
+    changes only speed: the classes are disjoint, so each node prints the
+    text of its own branch.
+    """
+    cls = type(t)
+    if cls is App:
+        s = f"{print_term(t.fn, 1)} {print_term(t.arg, 2)}"
+        return f"({s})" if prec > 1 else s
+    if cls is Var or cls is Prim:
+        return t.name
+    if cls is NatLit:
+        return str(t.value)
+    if cls is FloatLit:
+        s = repr(t.value)
+        return s if "." in s or "e" in s else s + ".0"
+    if cls is RefVal:
+        return f"#{t.ref}"
+    prefix = _PREFIXES.get(cls)
+    if prefix is not None:
+        s = f"{prefix}{print_term(t.body, 2)}"
+        return f"({s})" if prec > 1 else s
+    if cls is Pair:
+        return f"({print_term(t.left, 0)}, {print_term(t.right, 0)})"
+    if cls is LetPair:
+        s = f"let ({t.left}, {t.right}) = {print_term(t.rhs, 1)} in {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is Abs:
+        ann = f" : {print_type(t.ann, 2)}" if t.ann is not None else ""
+        s = f"\\{t.param}{ann} -> {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is UnitVal:
+        return "()"
+    if cls is Pack:
+        s = f"pack <{t.ident}, {print_term(t.body, 0)}>"
+        return f"({s})" if prec > 1 else s
+    if cls is Unpack:
+        s = f"unpack <{t.ident}, {t.binder}> = {print_term(t.rhs, 1)} in {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is WithBorrow:
+        s = f"withBorrow {print_term(t.fn, 2)} {print_term(t.arg, 2)}"
+        return f"({s})" if prec > 1 else s
+    if cls is LetUnit:
+        s = f"let () = {print_term(t.rhs, 1)} in {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is Promote:
+        return f"[{print_term(t.body, 0)}]"
+    if cls is LetBox:
+        ann = f" : {print_type(t.ann, 3)}" if t.ann is not None else ""
+        s = f"let [{t.binder}]{ann} = {print_term(t.rhs, 1)} in {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    if cls is Clone:
+        s = f"let *{t.binder} = clone {print_term(t.rhs, 2)} as <{', '.join(t.idents)}> in {print_term(t.body, 0)}"
+        return f"({s})" if prec > 0 else s
+    raise ValueError(f"unprintable term {type(t).__name__}")
 
 
 def print_program(prog: SourceProgram) -> str:

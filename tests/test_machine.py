@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from gradebor.grades import NAT_LEQ, STAR, frac_perm
+from gradebor.grades import INTERVAL, NAT_LEQ, STAR, frac_perm
 from gradebor.machine import (
     ArrRes, EvalError, FuelExhausted, GradeUnderflow, Heap, Machine,
-    MissingResource, RefCell, RefRes, StuckTerm, arr_read, arr_write,
-    heap_copy,
+    MissingResource, RefCell, RefRes, StepRecord, StuckTerm, Trace, VarCell,
+    arr_read, arr_write, heap_copy,
 )
-from gradebor.parser import parse_program, parse_term
+from gradebor.parser import parse_program, parse_term, print_term
 from gradebor.syntax import (
     Abs, App, FloatLit, NatLit, Pack, Pair, Prim, Promote, RefVal, Share,
-    Split, Term, Unborrow, Uniq, UnitVal, Var, Prod, UnitT, FloatT,
+    Split, Term, Unborrow, Uniq, UnitVal, Var, Prod, UnitT, FloatT, NatT,
 )
 from gradebor.typecheck import check_program
 
@@ -257,6 +257,97 @@ def test_trace_jsonl_schema():
             assert entry["sort"] in ("var", "ref", "res")
     final = json.loads(lines[-1])
     assert "value" in final and "heap" in final
+
+
+def jsonl_oracle(trace):
+    """Every trace line as `json.dumps` of the whole record, nothing reused."""
+    import json
+
+    lines = [
+        json.dumps({"step": s.index, "rule": s.rule, "grade": s.grade,
+                    "term": print_term(s.post_term), "heap": s.post_heap.to_json()})
+        for s in trace.steps
+    ]
+    lines.append(json.dumps({"step": len(trace.steps), "value": print_term(trace.final_term),
+                             "heap": trace.final_heap.to_json()}))
+    return lines
+
+
+def test_trace_jsonl_matches_the_oracle_on_the_corpus():
+    import glob
+
+    from gradebor.typecheck import CheckError
+
+    checked = 0
+    for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
+        try:
+            cp = check_program(parse_program(open(path).read(), path))
+        except CheckError:
+            continue
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        assert trace.to_jsonl().split("\n") == jsonl_oracle(trace), path
+        checked += 1
+    assert checked >= 9
+
+
+def test_trace_jsonl_matches_the_oracle_on_generated_programs():
+    import random
+
+    from gradebor.generator import constructors_used, generate_program
+
+    rng = random.Random(61)
+    for i in range(200):
+        cp = check_program(generate_program(rng, 6 if i % 4 else 3))
+        grades = [cp.ring.one]
+        if cp.ring is not INTERVAL and not any(c.startswith("Prim:") for c in constructors_used(cp.main_term)):
+            grades.append(cp.ring.literal(2))
+        for s in grades:
+            _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, s)
+            assert trace.to_jsonl().split("\n") == jsonl_oracle(trace), (i, str(s))
+
+
+def hand_trace(heaps, term=UnitVal()):
+    """A trace whose printed configurations hold `term` and the given heaps
+    in turn: one step after each heap but the last, which is the final one."""
+    steps = [StepRecord(k + 1, "var", "1", term, heap, term, heap) for k, heap in enumerate(heaps[:-1])]
+    return Trace(one(), steps, term, heaps[-1], len(steps))
+
+
+def test_trace_jsonl_rereads_a_grade_that_changes_under_the_same_value():
+    import json
+
+    value, ty = FloatLit(1.5), FloatT()
+    heaps = [Heap({"x": VarCell(RING.literal(g), value, ty)}) for g in (2, 1, 0)]
+    trace = hand_trace(heaps)
+    lines = trace.to_jsonl().split("\n")
+    assert lines == jsonl_oracle(trace)
+    assert [json.loads(line)["heap"][0]["grade"] for line in lines] == ["2", "1", "0"]
+
+
+def test_trace_jsonl_rereads_swapped_values_and_resources():
+    import json
+
+    first, same, other = FloatLit(1.5), FloatLit(1.5), FloatLit(2.5)
+    ty, again = FloatT(), FloatT()
+    heaps = [
+        Heap({"x": VarCell(one(), value, vty), "y": VarCell(one(), first, yty)},
+             {"ref1": RefCell(perm, "id1")}, {"id1": ArrRes(items), "id2": RefRes(value, vty)})
+        for value, vty, yty, perm, items in (
+            (first, ty, ty, Fraction(1), {0: 1.0}),
+            (same, ty, ty, Fraction(1), {0: 1.0}),
+            (same, again, again, Fraction(1, 2), {0: 2.0}),
+            (other, again, NatT(), Fraction(1, 2), {0: 2.0, 1: 3.0}),
+        )
+    ]
+    trace = hand_trace(heaps)
+    lines = trace.to_jsonl().split("\n")
+    assert lines == jsonl_oracle(trace)
+    records = [json.loads(line)["heap"] for line in lines]
+    assert [r[0]["value"] for r in records] == ["1.5", "1.5", "1.5", "2.5"]
+    assert [r[1]["type"] for r in records] == ["Float", "Float", "Float", "Nat"]
+    assert [r[2]["perm"] for r in records] == ["1", "1", "1/2", "1/2"]
+    assert [r[3]["value"] for r in records] == ["init[0]=1.0", "init[0]=1.0", "init[0]=2.0", "init[0]=2.0[1]=3.0"]
+    assert [r[4]["value"] for r in records] == ["|- 1.5 : Float"] * 3 + ["|- 2.5 : Float"]
 
 
 RULE_NAMES = {

@@ -10,10 +10,12 @@ from gradebor.parser import (
     KEYWORDS, SYMBOLS, SyntaxError_, lex, parse_program, parse_term,
     parse_type, print_program, print_term, print_type,
 )
+from gradebor import syntax
 from gradebor.syntax import (
-    Abs, Amp, App, Box, ExistsT, FloatT, Forall, Fun, Join, LetPair, NatT,
-    Loc, Pair, PermVar, PRIMITIVES, Prod, Promote, ResT, Split, Uniq, UnitT,
-    UnitVal, Var, WithBorrow, RefVal, Unborrow,
+    Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
+    LetBox, LetPair, LetUnit, NameT, NatLit, NatT, Loc, Pack, Pair, PermVar,
+    PRIMITIVES, Prim, Prod, Promote, Pull, Push, RefVal, ResT, Share, Split,
+    Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
 )
 
 from test_syntax import random_user_term
@@ -75,6 +77,133 @@ def test_print_examples():
     assert print_term(Uniq(Var("t"))) == "*t"
     assert print_term(Unborrow(Var("t"))) == "unborrow t"
     assert print_term(RefVal("ref3")) == "#ref3"
+
+
+# ---------------------------------------------------------------------------
+# Exact printer output: each node class, in a context that parenthesizes it
+# and in one that does not
+
+F, A = Var("f"), Var("a")
+FA = App(F, A)
+NAT_ARROW = Fun(NatT(), NatT())
+REF = ResT("Ref", "i", FloatT())
+
+TYPE_CASES = [
+    (Fun(NatT(), Fun(UnitT(), FloatT())), 0, "Nat -o Unit -o Float"),
+    (Fun(NAT_ARROW, NatT()), 1, "((Nat -o Nat) -o Nat)"),
+    (Prod(Prod(NatT(), UnitT()), NatT()), 1, "(Nat * Unit) * Nat"),
+    (Prod(NatT(), NatT()), 2, "(Nat * Nat)"),
+    (UnitT(), 3, "Unit"),
+    (NatT(), 3, "Nat"),
+    (FloatT(), 3, "Float"),
+    (Box(NAT_LEQ.literal(2), NAT_ARROW), 2, "(Nat -o Nat) [2]"),
+    (Box(INTERVAL.literal(1, 3), NatT()), 3, "(Nat [1..3])"),
+    (Amp(STAR, REF), 2, "* Ref i Float"),
+    (Amp(frac_perm(1, 2), NatT()), 3, "(& 1/2 Nat)"),
+    (Amp(PermVar("p"), Prod(NatT(), NatT())), 2, "& p (Nat * Nat)"),
+    (ExistsT("i", Amp(STAR, ResT("Array", "i", FloatT()))), 2, "exists i . * Array i Float"),
+    (ExistsT("i", NatT()), 3, "(exists i . Nat)"),
+    (ResT("Ref", "i", NAT_ARROW), 2, "Ref i (Nat -o Nat)"),
+    (REF, 3, "(Ref i Float)"),
+    (NameT("i"), 3, "i"),
+    (Forall((("p", "Permission"), ("i", "Name")), Fun(Amp(PermVar("p"), REF), NatT())), 0,
+     "forall {p : Permission, i : Name} . & p Ref i Float -o Nat"),
+    (Forall((("i", "Name"),), NatT()), 1, "(forall {i : Name} . Nat)"),
+]
+
+TERM_CASES = [
+    (Var("x"), 2, "x"),
+    (Prim("writeArray"), 2, "writeArray"),
+    (NatLit(3), 2, "3"),
+    (FloatLit(2.0), 2, "2.0"),
+    (FloatLit(1e-05), 2, "1e-05"),
+    (FloatLit(1.5), 2, "1.5"),
+    (UnitVal(), 2, "()"),
+    (RefVal("ref3"), 2, "#ref3"),
+    (Abs("x", FA), 0, "\\x -> f a"),
+    (Abs("x", Var("x"), NAT_ARROW), 1, "(\\x : (Nat -o Nat) -> x)"),
+    (Abs("x", Var("x"), Amp(STAR, NatT())), 0, "\\x : * Nat -> x"),
+    (App(FA, FA), 1, "f a (f a)"),
+    (App(Abs("x", Var("x")), A), 2, "((\\x -> x) a)"),
+    (Pair(FA, Abs("x", Var("x"))), 2, "(f a, \\x -> x)"),
+    (LetPair("x", "y", FA, Pair(Var("y"), Var("x"))), 0, "let (x, y) = f a in (y, x)"),
+    (LetPair("x", "y", Abs("z", Var("z")), Var("x")), 1, "(let (x, y) = (\\z -> z) in x)"),
+    (LetUnit(FA, UnitVal()), 0, "let () = f a in ()"),
+    (LetUnit(Var("u"), UnitVal()), 1, "(let () = u in ())"),
+    (Promote(FA), 2, "[f a]"),
+    (LetBox("x", FA, Var("x"), Box(NAT_LEQ.literal(2), NatT())), 0, "let [x] : (Nat [2]) = f a in x"),
+    (LetBox("x", Var("b"), Var("x")), 1, "(let [x] = b in x)"),
+    (Pack("i", FA), 1, "pack <i, f a>"),
+    (Pack("i", A), 2, "(pack <i, a>)"),
+    (Unpack("i", "x", App(Prim("newArray"), NatLit(4)), Var("x")), 0, "unpack <i, x> = newArray 4 in x"),
+    (Unpack("i", "x", Var("r"), Var("x")), 1, "(unpack <i, x> = r in x)"),
+    (WithBorrow(Abs("b", Var("b")), Var("c")), 1, "withBorrow (\\b -> b) c"),
+    (WithBorrow(F, FA), 2, "(withBorrow f (f a))"),
+    (Split(Var("b")), 1, "split b"),
+    (Split(FA), 2, "(split (f a))"),
+    (Join(Pair(Var("x"), Var("y"))), 1, "join (x, y)"),
+    (Join(Var("p")), 2, "(join p)"),
+    (Push(FA), 1, "push (f a)"),
+    (Push(A), 2, "(push a)"),
+    (Pull(A), 1, "pull a"),
+    (Pull(FA), 2, "(pull (f a))"),
+    (Share(A), 1, "share a"),
+    (Share(Uniq(A)), 2, "(share (*a))"),
+    (Clone("x", ("id1", "id2"), FA, Var("x")), 0, "let *x = clone (f a) as <id1, id2> in x"),
+    (Clone("x", ("id1",), A, Var("x")), 1, "(let *x = clone a as <id1> in x)"),
+    (Uniq(RefVal("ref1")), 1, "*#ref1"),
+    (Uniq(FA), 2, "(*(f a))"),
+    (Unborrow(Var("t")), 1, "unborrow t"),
+    (Unborrow(FA), 2, "(unborrow (f a))"),
+]
+
+
+@pytest.mark.parametrize("ty, prec, expected", TYPE_CASES)
+def test_print_type_exact(ty, prec, expected):
+    assert print_type(ty, prec) == expected
+
+
+@pytest.mark.parametrize("t, prec, expected", TERM_CASES)
+def test_print_term_exact(t, prec, expected):
+    assert print_term(t, prec) == expected
+
+
+def test_exact_cases_cover_every_node_class():
+    def node_classes(base):
+        return {c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+    assert {type(ty) for ty, _, _ in TYPE_CASES} == node_classes(Type) and len(node_classes(Type)) == 11
+    assert {type(t) for t, _, _ in TERM_CASES} == node_classes(Term) and len(node_classes(Term)) == 24
+
+
+def test_printers_take_one_frame_per_level():
+    # 800 levels under the default recursion limit of 1000
+    depth = 800
+    spine = F
+    for _ in range(depth):
+        spine = App(spine, A)
+    assert print_term(spine) == "f" + " a" * depth
+    nest = RefVal("r")
+    for _ in range(depth):
+        nest = Uniq(nest)
+    assert print_term(nest) == "*(" * (depth - 1) + "*#r" + ")" * (depth - 1)
+    chain = NatT()
+    for _ in range(depth):
+        chain = Fun(UnitT(), chain)
+    assert print_type(chain) == "Unit -o " * depth + "Nat"
+
+
+def test_unknown_node_classes_are_unprintable():
+    class Hole(Term):
+        loc = None
+
+    class Blank(Type):
+        pass
+
+    with pytest.raises(ValueError, match="^unprintable term Hole$"):
+        print_term(Hole())
+    with pytest.raises(ValueError, match="^unprintable type Blank$"):
+        print_type(Blank())
 
 
 def test_parser_never_produces_runtime_forms():
