@@ -6,13 +6,14 @@
 For every run it writes OUTDIR/<name>.out, .err and .code (stdout, stderr,
 exit status). The runs are `trace`, `run`, `check`, `run --format json` and
 `check --format json` on every corpus file, `trace` and `run --format json`
-on a 100-write `writeArray` chain and a 20-rung split/join ladder generated
-here, `corpus --format json`, and `props --seed 42 --cases 500`
-with and without `--mutate-split`. `run` and `trace` also meet each way a run
-can fail: a missing file (exit 2), a syntax error (1), a type error (1) and
-`--fuel 2` (3). `check` also meets the type error and three lexical edge
+on a 100-write and a 240-write `writeArray` chain and a 20-rung split/join
+ladder generated here, `corpus --format json`, and `props --seed 42 --cases
+500` with and without `--mutate-split`. `run` and `trace` also meet each way a
+run can fail: a missing file (exit 2), a syntax error (1), a type error (1)
+and `--fuel 2` (3). `check` also meets the type error and three lexical edge
 cases: a non-decimal digit (`²`), 1000 nested parentheses, and a syntax
-error at the end of a file that ends in a comment. Each run is a fresh
+error at the end of a file that ends in a comment. `check` and `run` also
+meet a file that is not UTF-8 (exit 2). Each run is a fresh
 interpreter, because gradebor's fresh-name counter is process-wide and shows
 in the output.
 
@@ -93,7 +94,11 @@ def main(argv: list[str]) -> int:
             record(outdir, f"{command}-json-{grb.stem}", [command, path, "--format", "json"], ROOT)
     with tempfile.TemporaryDirectory() as tmp:
         generated = Path(tmp)
-        for name, source in (("write_chain", chain_source(100)), ("split_ladder", ladder_source(20))):
+        for name, source in (
+            ("write_chain", chain_source(100)),
+            ("deep_chain", chain_source(240)),
+            ("split_ladder", ladder_source(20)),
+        ):
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)
             record(outdir, f"run-json-{name}", ["run", f"{name}.grb", "--format", "json"], generated)
@@ -112,6 +117,9 @@ def main(argv: list[str]) -> int:
         (generated / "comment_eof.grb").write_text("main : Unit;\nmain = (() -- never closed", encoding="utf-8")
         for name in ("digit", "deep", "comment_eof", "type_error"):
             record(outdir, f"check-{name}", ["check", f"{name}.grb"], generated)
+        (generated / "not_utf8.grb").write_bytes(b"main : Unit;\nmain = (); -- \xff\n")
+        for command in ("check", "run"):
+            record(outdir, f"{command}-not_utf8", [command, "not_utf8.grb"], generated)
     record(outdir, "corpus-json", ["corpus", "--format", "json"], ROOT)
     record(outdir, "props", ["props", "--seed", "42", "--cases", "500"], ROOT)
     record(outdir, "props-mutate-split", ["props", "--seed", "42", "--cases", "500", "--mutate-split"], ROOT)

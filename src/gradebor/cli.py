@@ -37,7 +37,7 @@ def _default_fuel() -> int:
 def _load(path: str, semiring: str | None):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SystemExit2(f"{path}: {e}")
     ring = SEMIRINGS[semiring] if semiring else None
     return parse_program(text, path, ring)
@@ -176,9 +176,10 @@ def load_expectations() -> list[tuple[str, str, str | None]]:
 
 def cmd_corpus(args) -> int:
     rows = []
-    ok = True
+    worst = EXIT_OK
     for path, verdict, kind in load_expectations():
         name = Path(path).stem
+        failure = EXIT_META
         try:
             prog = _load(path, None)
             cp = check_program(prog)
@@ -202,9 +203,12 @@ def cmd_corpus(args) -> int:
             except EvalError as e:
                 matched = False
                 detail = f"evaluation failed: {e}"
+                if isinstance(e, FuelExhausted):
+                    failure = EXIT_FUEL
         elif got == "reject":
             detail = f"[{got_kind}]"
-        ok = ok and matched
+        if not matched:
+            worst = max(worst, failure)
         rows.append((name, verdict if matched else f"expected {verdict} {kind or ''}", "ok" if matched else "MISMATCH", detail))
     if args.format == "json":
         print(json.dumps([
@@ -214,7 +218,7 @@ def cmd_corpus(args) -> int:
         width = max(len(r[0]) for r in rows)
         for n, v, s, d in rows:
             print(f"{n:<{width}}  {v:<26} {s:<8} {d}")
-    return EXIT_OK if ok else EXIT_META
+    return worst
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .grades import Grade, Semiring, grade_mul, grade_residual
+from .grades import Grade, Semiring, grade_add, grade_mul, grade_residual
 from . import syntax as S
 from .syntax import Amp, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
 from .machine import Heap, Machine, EvalError, Trace
@@ -85,9 +85,9 @@ def heap_compat(
         if want_ty is not None and ty != want_ty:
             return CompatJudgment(False, f"stored value of {x!r} has type {ty!r}, context expects {want_ty!r}")
         for y, g in usage.graded.items():
-            _acc(demands, y, grade_mul(s_x, g), ring)
+            _acc(demands, y, grade_mul(s_x, g))
         for y in usage.linear:
-            _acc(demands, y, s_x, ring)
+            _acc(demands, y, s_x)
         ref_demands |= usage.refs
 
     if demands:
@@ -106,9 +106,7 @@ def heap_compat(
     return CompatJudgment(True)
 
 
-def _acc(demands: dict[str, Grade], y: str, g: Grade, ring: Semiring) -> None:
-    from .grades import grade_add
-
+def _acc(demands: dict[str, Grade], y: str, g: Grade) -> None:
     demands[y] = grade_add(demands[y], g) if y in demands else g
 
 

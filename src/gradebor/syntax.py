@@ -5,11 +5,22 @@ types renames binders on the fly, so alpha-equivalent trees compare equal.
 Runtime-only forms (wrapped uniques, unborrow, resource references) live in
 the same tree but are never produced by the parser.
 
-Traversals go through one table, built at import, of each term class's child
-term fields and type annotation fields: `children` lists a node's subterms and
-`map_children` rebuilds a node from mapped subterms. Each walker writes out
-only its special cases (binders, references, metadata) and falls through to
-`map_children` for every other node.
+Traversals go through tables built at import. `_SHAPES` holds each term
+class's child term fields, type annotation fields and binder fields;
+`_TYPE_CHILDREN` holds each type class's child type fields. Three rules hold:
+
+- `_BINDS` lists the binder fields of each binding form (`Abs.param`,
+  `LetPair.left`/`right`, `LetBox.binder`, `Unpack.ident`/`binder`,
+  `Clone.idents`/`binder`), in binding order.
+- Every binder scopes over the node's `body` and never over its `rhs`.
+- The deep walkers (substitution, free and bound names, alpha-equivalence,
+  on terms and on types) write out only their special cases and then loop
+  over the table's field names, calling themselves directly on each child:
+  one Python frame per tree level, fewer than the parser spends, so a term
+  that parses can be walked under the same recursion limit.
+
+`children` lists a node's subterms and `map_children` rebuilds a node from
+mapped subterms; they serve the shallower walkers that take a function.
 """
 
 from __future__ import annotations
@@ -148,139 +159,114 @@ def perm_expr_eq(a: PermExpr, b: PermExpr) -> bool:
     return False
 
 
+def _child_fields(cls: type, sort: type) -> tuple[str, ...]:
+    """The fields of a node class that hold one child of the given sort, in order."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] is sort)
+
+
+_TYPE_CHILDREN: dict[type, tuple[str, ...]] = {cls: _child_fields(cls, Type) for cls in Type.__subclasses__()}
+
+
 def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
-    env_a = env_a or {}
-    env_b = env_b or {}
-    match (a, b):
-        case (Fun(d1, c1), Fun(d2, c2)):
-            return type_alpha_eq(d1, d2, env_a, env_b) and type_alpha_eq(c1, c2, env_a, env_b)
-        case (Prod(l1, r1), Prod(l2, r2)):
-            return type_alpha_eq(l1, l2, env_a, env_b) and type_alpha_eq(r1, r2, env_a, env_b)
-        case (UnitT(), UnitT()) | (NatT(), NatT()) | (FloatT(), FloatT()):
-            return True
-        case (Box(g1, t1), Box(g2, t2)):
-            return g1 == g2 and type_alpha_eq(t1, t2, env_a, env_b)
-        case (Amp(p1, t1), Amp(p2, t2)):
-            return perm_expr_eq(p1, p2) and type_alpha_eq(t1, t2, env_a, env_b)
-        case (ExistsT(i1, t1), ExistsT(i2, t2)):
-            mark = object()
-            return type_alpha_eq(t1, t2, {**env_a, i1: mark}, {**env_b, i2: mark})
-        case (ResT(k1, i1, t1), ResT(k2, i2, t2)):
-            if k1 != k2 or not type_alpha_eq(t1, t2, env_a, env_b):
-                return False
-            return env_a.get(i1, i1) is env_b.get(i2, i2) or env_a.get(i1, i1) == env_b.get(i2, i2)
-        case (NameT(i1), NameT(i2)):
-            return env_a.get(i1, i1) is env_b.get(i2, i2) or env_a.get(i1, i1) == env_b.get(i2, i2)
-        case (Forall(bs1, t1), Forall(bs2, t2)):
-            if len(bs1) != len(bs2) or any(k1 != k2 for (_, k1), (_, k2) in zip(bs1, bs2)):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for (v1, _), (v2, _) in zip(bs1, bs2):
-                mark = object()
-                ea[v1] = mark
-                eb[v2] = mark
-            return type_alpha_eq(t1, t2, ea, eb)
-        case _:
+    cls = type(a)
+    if type(b) is not cls:
+        return False
+    if env_a is None:
+        env_a, env_b = {}, {}
+    if cls is Box:
+        if a.grade != b.grade:
             return False
+    elif cls is Amp:
+        if not perm_expr_eq(a.perm, b.perm):
+            return False
+    elif cls is ResT or cls is NameT:
+        if cls is ResT and a.kind != b.kind:
+            return False
+        if env_a.get(a.ident, a.ident) != env_b.get(b.ident, b.ident):
+            return False
+    elif cls is ExistsT:
+        mark = object()
+        env_a, env_b = {**env_a, a.binder: mark}, {**env_b, b.binder: mark}
+    elif cls is Forall:
+        if len(a.binders) != len(b.binders) or any(k1 != k2 for (_, k1), (_, k2) in zip(a.binders, b.binders)):
+            return False
+        env_a, env_b = dict(env_a), dict(env_b)
+        for (v1, _), (v2, _) in zip(a.binders, b.binders):
+            env_a[v1] = env_b[v2] = object()
+    for n in _TYPE_CHILDREN[cls]:
+        if not type_alpha_eq(getattr(a, n), getattr(b, n), env_a, env_b):
+            return False
+    return True
 
 
 def type_free_names(ty: Type) -> set[str]:
     """Free Name-kinded identifiers of a type."""
-    match ty:
-        case Fun(d, c):
-            return type_free_names(d) | type_free_names(c)
-        case Prod(l, r):
-            return type_free_names(l) | type_free_names(r)
-        case Box(_, t) | Amp(_, t):
-            return type_free_names(t)
-        case ExistsT(i, t):
-            return type_free_names(t) - {i}
-        case ResT(_, i, t):
-            return {i} | type_free_names(t)
-        case NameT(i):
-            return {i}
-        case Forall(bs, t):
-            bound = {v for v, k in bs if k == "Name"}
-            return type_free_names(t) - bound
-        case _:
-            return set()
+    cls = type(ty)
+    out: set[str] = set()
+    for n in _TYPE_CHILDREN[cls]:
+        out |= type_free_names(getattr(ty, n))
+    if cls is ResT or cls is NameT:
+        out.add(ty.ident)
+    elif cls is ExistsT:
+        out.discard(ty.binder)
+    elif cls is Forall:
+        out -= {v for v, k in ty.binders if k == "Name"}
+    return out
 
 
 def type_free_perm_vars(ty: Type) -> set[str]:
-    match ty:
-        case Fun(d, c):
-            return type_free_perm_vars(d) | type_free_perm_vars(c)
-        case Prod(l, r):
-            return type_free_perm_vars(l) | type_free_perm_vars(r)
-        case Box(_, t):
-            return type_free_perm_vars(t)
-        case Amp(p, t):
-            out = type_free_perm_vars(t)
-            if isinstance(p, PermVar):
-                out = out | {p.name}
-            return out
-        case ExistsT(_, t) | ResT(_, _, t):
-            return type_free_perm_vars(t)
-        case Forall(bs, t):
-            bound = {v for v, k in bs if k == "Permission"}
-            return type_free_perm_vars(t) - bound
-        case _:
-            return set()
+    cls = type(ty)
+    out: set[str] = set()
+    for n in _TYPE_CHILDREN[cls]:
+        out |= type_free_perm_vars(getattr(ty, n))
+    if cls is Amp and isinstance(ty.perm, PermVar):
+        out.add(ty.perm.name)
+    elif cls is Forall:
+        out -= {v for v, k in ty.binders if k == "Permission"}
+    return out
 
 
 def type_subst_names(ty: Type, env: dict[str, str]) -> Type:
     """Rename free Name identifiers of a type."""
     if not env:
         return ty
-    match ty:
-        case Fun(d, c):
-            return Fun(type_subst_names(d, env), type_subst_names(c, env))
-        case Prod(l, r):
-            return Prod(type_subst_names(l, env), type_subst_names(r, env))
-        case Box(g, t):
-            return Box(g, type_subst_names(t, env))
-        case Amp(p, t):
-            return Amp(p, type_subst_names(t, env))
-        case ExistsT(i, t):
-            inner = {k: v for k, v in env.items() if k != i}
-            return ExistsT(i, type_subst_names(t, inner))
-        case ResT(k, i, t):
-            return ResT(k, env.get(i, i), type_subst_names(t, env))
-        case NameT(i):
-            return NameT(env.get(i, i))
-        case Forall(bs, t):
-            bound = {v for v, k in bs if k == "Name"}
-            inner = {k: v for k, v in env.items() if k not in bound}
-            return Forall(bs, type_subst_names(t, inner))
-        case _:
-            return ty
+    cls = type(ty)
+    changes = {}
+    if cls is ResT or cls is NameT:
+        if ty.ident in env:
+            changes["ident"] = env[ty.ident]
+    elif cls is ExistsT:
+        env = {k: v for k, v in env.items() if k != ty.binder}
+    elif cls is Forall:
+        bound = {v for v, k in ty.binders if k == "Name"}
+        env = {k: v for k, v in env.items() if k not in bound}
+    for n in _TYPE_CHILDREN[cls]:
+        old = getattr(ty, n)
+        new = type_subst_names(old, env)
+        if new is not old:
+            changes[n] = new
+    return _rebuild(ty, **changes) if changes else ty
 
 
 def type_subst_perms(ty: Type, env: dict[str, PermExpr]) -> Type:
     """Instantiate permission variables in a type."""
     if not env:
         return ty
-    match ty:
-        case Fun(d, c):
-            return Fun(type_subst_perms(d, env), type_subst_perms(c, env))
-        case Prod(l, r):
-            return Prod(type_subst_perms(l, env), type_subst_perms(r, env))
-        case Box(g, t):
-            return Box(g, type_subst_perms(t, env))
-        case Amp(p, t):
-            if isinstance(p, PermVar) and p.name in env:
-                p = env[p.name]
-            return Amp(p, type_subst_perms(t, env))
-        case ExistsT(i, t):
-            return ExistsT(i, type_subst_perms(t, env))
-        case ResT(k, i, t):
-            return ResT(k, i, type_subst_perms(t, env))
-        case Forall(bs, t):
-            bound = {v for v, k in bs if k == "Permission"}
-            inner = {k: v for k, v in env.items() if k not in bound}
-            return Forall(bs, type_subst_perms(t, inner))
-        case _:
-            return ty
+    cls = type(ty)
+    changes = {}
+    if cls is Amp:
+        if isinstance(ty.perm, PermVar) and ty.perm.name in env:
+            changes["perm"] = env[ty.perm.name]
+    elif cls is Forall:
+        bound = {v for v, k in ty.binders if k == "Permission"}
+        env = {k: v for k, v in env.items() if k not in bound}
+    for n in _TYPE_CHILDREN[cls]:
+        old = getattr(ty, n)
+        new = type_subst_perms(old, env)
+        if new is not old:
+            changes[n] = new
+    return _rebuild(ty, **changes) if changes else ty
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +492,37 @@ RUNTIME_ONLY = (Uniq, Unborrow, RefVal)
 
 
 class _Shape(NamedTuple):
-    fields: tuple[str, ...]  # every constructor field, in order
     terms: tuple[str, ...]  # fields holding child terms
     types: tuple[str, ...]  # fields holding optional Type annotations
+    binds: tuple[str, ...]  # binder fields, in binding order; they scope over `body`
+
+
+# The binder fields of each binding form, in binding order. Every binder
+# scopes over the node's `body` and never over its `rhs`.
+_BINDS: dict[type, tuple[str, ...]] = {
+    Abs: ("param",),
+    LetPair: ("left", "right"),
+    LetBox: ("binder",),
+    Unpack: ("ident", "binder"),
+    Clone: ("idents", "binder"),
+}
 
 
 def _shape(cls: type) -> _Shape:
     hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
     return _Shape(
-        names,
-        tuple(n for n in names if hints[n] is Term),
-        tuple(n for n in names if hints[n] == Optional[Type]),
+        _child_fields(cls, Term),
+        tuple(f.name for f in fields(cls) if hints[f.name] == Optional[Type]),
+        _BINDS.get(cls, ()),
     )
 
 
 _SHAPES: dict[type, _Shape] = {cls: _shape(cls) for cls in Term.__subclasses__()}
+
+# Every constructor field of every Term and Type class, in order.
+_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in (*Term.__subclasses__(), *Type.__subclasses__())
+}
 
 
 def children(t: Term) -> list[Term]:
@@ -553,89 +554,66 @@ def map_children(
     return _rebuild(t, **changes) if changes else t
 
 
+def _bound_by(t: Term, binds: tuple[str, ...]) -> list[str]:
+    """The names that t's binder fields `binds` bind over its body, in binding order."""
+    out: list[str] = []
+    for n in binds:
+        v = getattr(t, n)
+        if type(v) is str:
+            out.append(v)
+        else:
+            out.extend(v)
+    return out
+
+
+# Fields alpha_eq compares by plain equality: the non-child data of each leaf
+# or graded form. Binders, annotations, `loc` and `Clone.old_idents` are not
+# among them, and `Var.name` and `Pack.ident` are compared up to renaming.
+_DATA: dict[type, str] = {
+    Promote: "grade",
+    Share: "grade",
+    Uniq: "perm",
+    NatLit: "value",
+    FloatLit: "value",
+    Prim: "name",
+    RefVal: "ref",
+}
+
+
 def alpha_eq(a: Term, b: Term, env_a=None, env_b=None) -> bool:
-    env_a = env_a or {}
-    env_b = env_b or {}
-
-    def rec(x, y, ea, eb):
-        return alpha_eq(x, y, ea, eb)
-
-    match (a, b):
-        case (Var(n1), Var(n2)):
-            return _name_eq(env_a, n1, env_b, n2)
-        case (Abs(p1, b1, an1), Abs(p2, b2, an2)):
-            if not _ann_eq(an1, an2):
-                return False
-            mark = _fresh_mark()
-            return rec(b1, b2, {**env_a, p1: mark}, {**env_b, p2: mark})
-        case (App(f1, a1), App(f2, a2)):
-            return rec(f1, f2, env_a, env_b) and rec(a1, a2, env_a, env_b)
-        case (Pair(l1, r1), Pair(l2, r2)):
-            return rec(l1, l2, env_a, env_b) and rec(r1, r2, env_a, env_b)
-        case (LetPair(x1, y1, t1, u1, la1, ra1), LetPair(x2, y2, t2, u2, la2, ra2)):
-            if not (_ann_eq(la1, la2) and _ann_eq(ra1, ra2)):
-                return False
-            if not rec(t1, t2, env_a, env_b):
-                return False
-            m1, m2 = _fresh_mark(), _fresh_mark()
-            return rec(u1, u2, {**env_a, x1: m1, y1: m2}, {**env_b, x2: m1, y2: m2})
-        case (UnitVal(), UnitVal()):
-            return True
-        case (LetUnit(t1, u1), LetUnit(t2, u2)):
-            return rec(t1, t2, env_a, env_b) and rec(u1, u2, env_a, env_b)
-        case (Promote(t1, g1), Promote(t2, g2)):
-            return g1 == g2 and rec(t1, t2, env_a, env_b)
-        case (LetBox(x1, t1, u1, an1), LetBox(x2, t2, u2, an2)):
-            if not _ann_eq(an1, an2) or not rec(t1, t2, env_a, env_b):
-                return False
-            mark = _fresh_mark()
-            return rec(u1, u2, {**env_a, x1: mark}, {**env_b, x2: mark})
-        case (Pack(i1, t1), Pack(i2, t2)):
-            return _name_eq(env_a, i1, env_b, i2) and rec(t1, t2, env_a, env_b)
-        case (Unpack(i1, x1, t1, u1, _), Unpack(i2, x2, t2, u2, _)):
-            if not rec(t1, t2, env_a, env_b):
-                return False
-            mi, mx = _fresh_mark(), _fresh_mark()
-            return rec(u1, u2, {**env_a, i1: mi, x1: mx}, {**env_b, i2: mi, x2: mx})
-        case (WithBorrow(f1, a1), WithBorrow(f2, a2)):
-            return rec(f1, f2, env_a, env_b) and rec(a1, a2, env_a, env_b)
-        case (Split(t1), Split(t2)) | (Join(t1), Join(t2)) | (Push(t1), Push(t2)) | (Pull(t1), Pull(t2)):
-            return rec(t1, t2, env_a, env_b)
-        case (Share(t1, g1), Share(t2, g2)):
-            return g1 == g2 and rec(t1, t2, env_a, env_b)
-        case (Clone(x1, ids1, t1, u1, _), Clone(x2, ids2, t2, u2, _)):
-            if len(ids1) != len(ids2) or not rec(t1, t2, env_a, env_b):
-                return False
-            ea, eb = dict(env_a), dict(env_b)
-            for i1, i2 in zip(ids1, ids2):
-                m = _fresh_mark()
-                ea[i1] = m
-                eb[i2] = m
-            mx = _fresh_mark()
-            ea[x1] = mx
-            eb[x2] = mx
-            return rec(u1, u2, ea, eb)
-        case (NatLit(v1), NatLit(v2)):
-            return v1 == v2
-        case (FloatLit(v1), FloatLit(v2)):
-            return v1 == v2
-        case (Prim(n1), Prim(n2)):
-            return n1 == n2
-        case (Uniq(t1, p1), Uniq(t2, p2)):
-            return p1 == p2 and rec(t1, t2, env_a, env_b)
-        case (Unborrow(t1), Unborrow(t2)):
-            return rec(t1, t2, env_a, env_b)
-        case (RefVal(r1), RefVal(r2)):
-            return r1 == r2
-        case _:
+    cls = type(a)
+    if type(b) is not cls:
+        return False
+    if env_a is None:
+        env_a, env_b = {}, {}
+    if cls is Var:
+        return _name_eq(env_a, a.name, env_b, b.name)
+    if cls is Pack:
+        if not _name_eq(env_a, a.ident, env_b, b.ident):
             return False
-
-
-_mark_counter = itertools.count()
-
-
-def _fresh_mark():
-    return next(_mark_counter)
+    elif cls in _DATA and getattr(a, _DATA[cls]) != getattr(b, _DATA[cls]):
+        return False
+    shape = _SHAPES[cls]
+    # the annotations of unpack and clone mention their own name binders
+    if cls is not Unpack and cls is not Clone:
+        for n in shape.types:
+            if not _ann_eq(getattr(a, n), getattr(b, n)):
+                return False
+    inner_a, inner_b = env_a, env_b
+    if shape.binds:
+        xs, ys = _bound_by(a, shape.binds), _bound_by(b, shape.binds)
+        if len(xs) != len(ys):
+            return False
+        inner_a, inner_b = dict(env_a), dict(env_b)
+        for x, y in zip(xs, ys):
+            inner_a[x] = inner_b[y] = object()
+    for n in shape.terms:
+        if n == "body":
+            if not alpha_eq(a.body, b.body, inner_a, inner_b):
+                return False
+        elif not alpha_eq(getattr(a, n), getattr(b, n), env_a, env_b):
+            return False
+    return True
 
 
 def _name_eq(env_a, n1, env_b, n2) -> bool:
@@ -663,25 +641,15 @@ def free_vars(t: Term, memo: Optional[Memo] = None) -> set[str]:
     """
     if memo is not None and (hit := memo.get(id(t))) is not None:
         return hit[1]
-    match t:
-        case Var(n):
-            out = {n}
-        case Abs(p, b, _):
-            out = free_vars(b, memo) - {p}
-        case LetPair(x, y, rhs, body):
-            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x, y})
-        case LetBox(x, rhs, body):
-            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x})
-        case Pack(i, b):
-            out = {i} | free_vars(b, memo)
-        case Unpack(i, x, rhs, body):
-            out = free_vars(rhs, memo) | (free_vars(body, memo) - {i, x})
-        case Clone(x, ids, rhs, body):
-            out = free_vars(rhs, memo) | (free_vars(body, memo) - {x, *ids})
-        case _:
-            out = set()
-            for c in children(t):
-                out |= free_vars(c, memo)
+    cls = type(t)
+    if cls is Var:
+        out = {t.name}
+    else:
+        shape = _SHAPES[cls]
+        out = {t.ident} if cls is Pack else set()
+        for n in shape.terms:
+            sub = free_vars(getattr(t, n), memo)
+            out |= sub.difference(_bound_by(t, shape.binds)) if n == "body" and shape.binds else sub
     if memo is not None:
         memo[id(t)] = (t, out)
     return out
@@ -713,20 +681,10 @@ def bound_names(t: Term, memo: Optional[Memo] = None) -> set[str]:
     """
     if memo is not None and (hit := memo.get(id(t))) is not None:
         return hit[1]
-    out: set[str] = set()
-    for c in children(t):
-        out |= bound_names(c, memo)
-    match t:
-        case Abs(p):
-            out.add(p)
-        case LetPair(x, y):
-            out |= {x, y}
-        case LetBox(x):
-            out.add(x)
-        case Unpack(i, x):
-            out |= {i, x}
-        case Clone(x, ids):
-            out |= {x, *ids}
+    shape = _SHAPES[type(t)]
+    out = set(_bound_by(t, shape.binds))
+    for n in shape.terms:
+        out |= bound_names(getattr(t, n), memo)
     if memo is not None:
         memo[id(t)] = (t, out)
     return out
@@ -743,90 +701,91 @@ def fresh_name(base: str, avoid: set[str]) -> str:
             return cand
 
 
-def _rebuild(t: Term, **changes) -> Term:
-    """t with some fields replaced; t itself when every new value is the old one."""
-    if all(getattr(t, n) is v for n, v in changes.items()):
-        return t
-    vals = {n: getattr(t, n) for n in _SHAPES[type(t)].fields}
-    vals.update(changes)
-    return type(t)(**vals)
+def _rebuild(node, **changes):
+    """A term or type with some fields replaced; node itself when every new
+    value is the old one."""
+    for n, v in changes.items():
+        if getattr(node, n) is not v:
+            break
+    else:
+        return node
+    return type(node)(*[changes[n] if n in changes else getattr(node, n) for n in _FIELDS[type(node)]])
 
 
 def subst(t: Term, x: str, s: Term) -> Term:
     """Capture-avoiding substitution of s for the term variable x."""
-    fv_s = free_vars(s)
+    return _subst(t, {x: s}, free_vars(s))
 
-    def go(t: Term, env: dict[str, Term]) -> Term:
-        match t:
-            case Var(n):
-                return env.get(n, t)
-            case Abs(p, body, _):
-                p2, env2 = _avoid(p, env, fv_s)
-                return _rebuild(t, param=p2, body=go(body, env2))
-            case LetPair(l, r, rhs, body):
-                l2, env2 = _avoid(l, env, fv_s)
-                r2, env3 = _avoid(r, env2, fv_s)
-                return _rebuild(t, left=l2, right=r2, rhs=go(rhs, env), body=go(body, env3))
-            case LetBox(b, rhs, body):
-                b2, env2 = _avoid(b, env, fv_s)
-                return _rebuild(t, binder=b2, rhs=go(rhs, env), body=go(body, env2))
-            case Unpack(i, b, rhs, body):
-                i2, env2 = _avoid(i, env, fv_s)
-                b2, env3 = _avoid(b, env2, fv_s)
-                return _rebuild(t, ident=i2, binder=b2, rhs=go(rhs, env), body=go(body, env3))
-            case Clone(b, ids, rhs, body):
-                env2 = env
-                ids2 = []
-                for i in ids:
-                    i2, env2 = _avoid(i, env2, fv_s)
-                    ids2.append(i2)
-                b2, env3 = _avoid(b, env2, fv_s)
-                ids2 = ids if list(ids) == ids2 else tuple(ids2)
-                return _rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3))
-            case _:
-                return map_children(t, lambda c: go(c, env))
 
-    def _avoid(binder: str, env: dict[str, Term], avoid: set[str]):
-        env = {k: v for k, v in env.items() if k != binder}
-        if binder in avoid:
-            nb = fresh_name(binder, avoid | set(env))
-            env[binder] = Var(nb)
-            return nb, env
-        return binder, env
+def _subst(t: Term, env: dict[str, Term], fv_s: set[str]) -> Term:
+    """Substitute env's terms for their variables in t, renaming each binder
+    that would capture one of fv_s."""
+    cls = type(t)
+    if cls is Var:
+        return env.get(t.name, t)
+    shape = _SHAPES[cls]
+    changes = {}
+    inner = env
+    for n in shape.binds:
+        old = getattr(t, n)
+        if type(old) is str:
+            new, inner = _avoid(old, inner, fv_s)
+        else:
+            renamed = []
+            for i in old:
+                i2, inner = _avoid(i, inner, fv_s)
+                renamed.append(i2)
+            new = old if list(old) == renamed else tuple(renamed)
+        if new is not old:
+            changes[n] = new
+    for n in shape.terms:
+        old = getattr(t, n)
+        new = _subst(old, inner if n == "body" else env, fv_s)
+        if new is not old:
+            changes[n] = new
+    return _rebuild(t, **changes) if changes else t
 
-    return go(t, {x: s})
+
+def _avoid(binder: str, env: dict[str, Term], avoid: set[str]):
+    """env under `binder`, and the name the binder takes there: a fresh one
+    when the binder is in `avoid`."""
+    env = {k: v for k, v in env.items() if k != binder}
+    if binder in avoid:
+        nb = fresh_name(binder, avoid | set(env))
+        env[binder] = Var(nb)
+        return nb, env
+    return binder, env
 
 
 def subst_names(t: Term, env: dict[str, str]) -> Term:
     """Rename free name identifiers in a term (and in its type annotations)."""
     if not env:
         return t
-
-    def go(t: Term, env: dict[str, str]) -> Term:
-        match t:
-            case Pack(i, body):
-                return _rebuild(t, ident=env.get(i, i), body=go(body, env))
-            case Unpack(i, b, rhs, body, bann):
-                inner = {k: v for k, v in env.items() if k != i}
-                return _rebuild(
-                    t,
-                    rhs=go(rhs, env),
-                    body=go(body, inner),
-                    bann=type_subst_names(bann, inner) if bann else None,
-                )
-            case Clone(b, ids, rhs, body, bann, old_idents):
-                inner = {k: v for k, v in env.items() if k not in ids}
-                return _rebuild(
-                    t,
-                    rhs=go(rhs, env),
-                    body=go(body, inner),
-                    bann=type_subst_names(bann, inner) if bann else None,
-                    old_idents=tuple(env.get(i, i) for i in old_idents) if old_idents else None,
-                )
-            case _:
-                return map_children(t, lambda c: go(c, env), lambda ty: type_subst_names(ty, env))
-
-    return go(t, env)
+    cls = type(t)
+    changes = {}
+    inner = env
+    if cls is Pack:
+        changes["ident"] = env.get(t.ident, t.ident)
+    elif cls is Unpack:
+        inner = {k: v for k, v in env.items() if k != t.ident}
+    elif cls is Clone:
+        inner = {k: v for k, v in env.items() if k not in t.idents}
+        if t.old_idents:
+            changes["old_idents"] = tuple(env.get(i, i) for i in t.old_idents)
+    shape = _SHAPES[cls]
+    for n in shape.terms:
+        old = getattr(t, n)
+        new = subst_names(old, inner if n == "body" else env)
+        if new is not old:
+            changes[n] = new
+    # every annotation lies under the node's name binders
+    for n in shape.types:
+        old = getattr(t, n)
+        if old is not None:
+            new = type_subst_names(old, inner)
+            if new is not old:
+                changes[n] = new
+    return _rebuild(t, **changes) if changes else t
 
 
 def rename_refs(theta: dict[str, str], t: Term) -> Term:

@@ -190,18 +190,14 @@ def resource_allocator(t: Term) -> bool:
 # Type utilities
 
 
-def types_equal(a: Type, b: Type) -> bool:
-    return type_alpha_eq(a, b)
-
-
 def _arg_type_fits(actual: Type, expected: Type) -> bool:
     """Structural equality, with grade approximation at a top-level box."""
     if isinstance(actual, Box) and isinstance(expected, Box):
         try:
-            return grade_leq(actual.grade, expected.grade) and types_equal(actual.body, expected.body)
+            return grade_leq(actual.grade, expected.grade) and type_alpha_eq(actual.body, expected.body)
         except G.InstanceMismatch:
             return False
-    return types_equal(actual, expected)
+    return type_alpha_eq(actual, expected)
 
 
 def unify(pattern: Type, concrete: Type, bindable: set[str], sol: dict) -> bool:
@@ -464,7 +460,7 @@ class Checker:
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
                     raise CheckError(MISMATCH, f"join expects a pair of borrows, got {tb!r}", t.loc, rule="join")
-                if not types_equal(tb.left.body, tb.right.body):
+                if not type_alpha_eq(tb.left.body, tb.right.body):
                     raise CheckError(
                         MISMATCH,
                         "join requires both borrows to reference the same value type",
@@ -527,7 +523,7 @@ class Checker:
             case Abs(p, body, ann):
                 if not isinstance(expected, Fun):
                     raise CheckError(MISMATCH, f"function given non-function type {expected!r}", t.loc, rule="abs")
-                if ann is not None and not types_equal(ann, expected.dom):
+                if ann is not None and not type_alpha_eq(ann, expected.dom):
                     raise CheckError(MISMATCH, f"annotation {ann!r} conflicts with expected domain {expected.dom!r}", t.loc, rule="abs")
                 p, (body,) = self._freshen_var(p, ctx, body)
                 ctx2 = ctx.bind(p, LinearEntry(expected.dom))
@@ -695,14 +691,10 @@ class Checker:
         return ty, usage, out
 
     def _prim_result_type(self, name: str, args: list[Type], loc) -> Type:
-        if len(args) > S.PRIMITIVES[name]:
-            raise CheckError(MISMATCH, f"{name} applied to too many arguments", loc, rule=name)
-        return self._prim_result_type_full(name, args, loc)
-
-    def _prim_result_type_full(self, name: str, args: list[Type], loc) -> Type:
+        """The type of `name` applied to arguments of types `args`, at most its arity."""
         n = len(args)
         if name == "newArray":
-            if n >= 1 and not types_equal(args[0], NatT()):
+            if n >= 1 and not type_alpha_eq(args[0], NatT()):
                 raise CheckError(MISMATCH, f"newArray expects a Nat size, got {args[0]!r}", loc, rule=name)
             result = ExistsT("id", Amp(STAR, ResT("Array", "id", FloatT())))
             return result if n == 1 else Fun(NatT(), result)
@@ -718,7 +710,7 @@ class Checker:
                 raise CheckError(MISMATCH, f"{name} expects an array reference, got {ta!r}", loc, rule=name)
             p, res = ta.perm, ta.body
             if name == "readArray":
-                if n >= 2 and not types_equal(args[1], NatT()):
+                if n >= 2 and not type_alpha_eq(args[1], NatT()):
                     raise CheckError(MISMATCH, f"readArray index must be a Nat, got {args[1]!r}", loc, rule=name)
                 result = Prod(FloatT(), Amp(p, res))
                 return result if n == 2 else Fun(NatT(), result)
@@ -730,9 +722,9 @@ class Checker:
                         loc,
                         rule=name,
                     )
-                if n >= 2 and not types_equal(args[1], NatT()):
+                if n >= 2 and not type_alpha_eq(args[1], NatT()):
                     raise CheckError(MISMATCH, f"writeArray index must be a Nat, got {args[1]!r}", loc, rule=name)
-                if n >= 3 and not types_equal(args[2], FloatT()):
+                if n >= 3 and not type_alpha_eq(args[2], FloatT()):
                     raise CheckError(MISMATCH, f"writeArray value must be a Float, got {args[2]!r}", loc, rule=name)
                 result = Amp(p, res)
                 if n == 3:
@@ -775,7 +767,7 @@ class Checker:
                         loc,
                         rule=name,
                     )
-                if n >= 2 and not types_equal(args[1], res.payload):
+                if n >= 2 and not type_alpha_eq(args[1], res.payload):
                     raise CheckError(MISMATCH, f"swapRef value must have type {res.payload!r}, got {args[1]!r}", loc, rule=name)
                 result = Prod(res.payload, Amp(p, res))
                 return result if n == 2 else Fun(res.payload, result)
@@ -885,9 +877,9 @@ class Checker:
             and tf.cod.perm == WHOLE
         ):
             raise CheckError(MISMATCH, f"withBorrow needs a function between whole borrows, got {tf!r}", t.loc, rule="withBorrow")
-        if not types_equal(tf.dom.body, inner):
+        if not type_alpha_eq(tf.dom.body, inner):
             raise CheckError(MISMATCH, f"borrowing function domain {tf.dom.body!r} does not match {inner!r}", t.loc, rule="withBorrow")
-        if out_body is not None and not types_equal(tf.cod.body, out_body):
+        if out_body is not None and not type_alpha_eq(tf.cod.body, out_body):
             raise CheckError(MISMATCH, f"borrowing function returns {tf.cod.body!r}, expected {out_body!r}", t.loc, rule="withBorrow")
         return Amp(STAR, tf.cod.body), ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
 
@@ -964,47 +956,26 @@ class Checker:
 
 
 def _check_array_payloads(ty: Type, loc) -> None:
-    match ty:
-        case ResT("Array", _, payload):
-            if not isinstance(payload, FloatT):
-                raise CheckError(MISMATCH, "arrays hold floats only", loc, rule="type")
-        case Fun(d, c):
-            _check_array_payloads(d, loc)
-            _check_array_payloads(c, loc)
-        case Prod(l, r):
-            _check_array_payloads(l, loc)
-            _check_array_payloads(r, loc)
-        case Box(_, t) | Amp(_, t) | ExistsT(_, t) | ResT(_, _, t) | Forall(_, t):
-            _check_array_payloads(t, loc)
-        case _:
-            pass
+    if type(ty) is ResT and ty.kind == "Array" and not isinstance(ty.payload, FloatT):
+        raise CheckError(MISMATCH, "arrays hold floats only", loc, rule="type")
+    for n in S._TYPE_CHILDREN[type(ty)]:
+        _check_array_payloads(getattr(ty, n), loc)
 
 
 def _names_in_order(ty: Type) -> list[str]:
-    """Free name identifiers of a type in first-occurrence order."""
+    """Free name identifiers of a type in first-occurrence order, outside any Forall."""
     out: list[str] = []
 
     def go(ty: Type, bound: frozenset):
-        match ty:
-            case Fun(d, c):
-                go(d, bound)
-                go(c, bound)
-            case Prod(l, r):
-                go(l, bound)
-                go(r, bound)
-            case Box(_, b) | Amp(_, b):
-                go(b, bound)
-            case ExistsT(i, b):
-                go(b, bound | {i})
-            case ResT(_, i, b):
-                if i not in bound and i not in out:
-                    out.append(i)
-                go(b, bound)
-            case NameT(i):
-                if i not in bound and i not in out:
-                    out.append(i)
-            case _:
-                pass
+        cls = type(ty)
+        if cls is Forall:
+            return
+        if (cls is ResT or cls is NameT) and ty.ident not in bound and ty.ident not in out:
+            out.append(ty.ident)
+        elif cls is ExistsT:
+            bound = bound | {ty.binder}
+        for n in S._TYPE_CHILDREN[cls]:
+            go(getattr(ty, n), bound)
 
     go(ty, frozenset())
     return out

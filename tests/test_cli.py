@@ -1,11 +1,32 @@
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 
 from gradebor.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "src" / "gradebor" / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "src" / "gradebor" / "corpus"
+
+
+def _golden():
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cli(*args, cwd):
+    """Run gradebor in a fresh interpreter, under the default recursion limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "gradebor.cli", *args], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
 
 
 def test_check_accepted(capsys):
@@ -127,16 +148,12 @@ def test_run_and_trace_type_errors_name_the_file(capsys):
 
 
 def test_trace_into_a_closed_pipe_is_an_io_error(tmp_path):
-    import os
-    import subprocess
-    import sys
-
     body = "a"
     for k in range(100):
         body = f"writeArray ({body}) {k % 4} 1.5"
     f = tmp_path / "chain.grb"
     f.write_text(f"main : exists i . * (Array i Float);\nmain = unpack <i, a> = newArray 4 in pack <i, {body}>;\n")
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "gradebor.cli", "trace", str(f)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)),
@@ -189,3 +206,33 @@ def test_type_errors_print_types_in_surface_syntax(tmp_path, capsys):
     f.write_text("main : Unit;\nmain = 1;\n")
     assert main(["run", str(f)]) == 1
     assert capsys.readouterr().err == f"{f}:2:8: [Mismatch] expected Unit but found Nat\n"
+
+
+def test_non_utf8_source_is_an_io_error(tmp_path, capsys):
+    f = tmp_path / "not_utf8.grb"
+    f.write_bytes(b"main : Unit;\nmain = (); -- \xff\n")
+    assert main(["check", str(f)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{f}: [IO] {f}: 'utf-8' codec can't decode byte 0xff") and out.count("\n") == 1
+    for command in ("run", "trace"):
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{f}: 'utf-8' codec can't decode byte 0xff") and captured.err.count("\n") == 1
+
+
+def test_corpus_out_of_fuel_exits_3(capsys):
+    assert main(["corpus", "--fuel", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and "evaluation failed: no fuel left after 2 steps" in out
+
+
+@pytest.mark.parametrize("writes", [150, 240])
+def test_deep_chains_run_and_trace(tmp_path, writes):
+    (tmp_path / "chain.grb").write_text(_golden().chain_source(writes), encoding="utf-8")
+    run = _cli("run", "chain.grb", "--format", "json", cwd=tmp_path)
+    assert run.returncode == 0 and "Traceback" not in run.stderr
+    trace = _cli("trace", "chain.grb", cwd=tmp_path)
+    assert trace.returncode == 0 and "Traceback" not in trace.stderr
+    last = json.loads(trace.stdout.splitlines()[-1])
+    assert last["step"] == json.loads(run.stdout)["steps"] == writes + 3

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import random
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 from hypothesis import given
@@ -9,11 +12,15 @@ from gradebor import syntax
 from gradebor.generator import generate_programs
 from gradebor.grades import STAR, frac_perm
 from gradebor.machine import EvalError, Heap, Machine
-from gradebor.parser import parse_program, parse_term
+from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
-    Abs, App, FloatLit, NatLit, Pack, Pair, Prim, Promote, RefVal, Term, Uniq,
-    UnitVal, Unpack, Var, WithBorrow, alpha_eq, children, free_vars, is_value,
-    map_children, refs_of, rename_refs, subst, user_writable,
+    Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
+    LetBox, LetPair, LetUnit, NameT, NatLit, NatT, Pack, Pair, PermVar, Prim,
+    Prod, Promote, Pull, Push, RefVal, ResT, Share, Split, Term, Type,
+    Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow, alpha_eq,
+    bound_names, children, free_vars, is_value, map_children, refs_of,
+    rename_refs, strip_meta, subst, subst_names, type_alpha_eq, type_free_names,
+    type_free_perm_vars, type_subst_names, type_subst_perms, user_writable,
 )
 from gradebor.typecheck import CheckError, check_program
 
@@ -106,16 +113,10 @@ def random_user_term(rng: random.Random, depth: int) -> Term:
     if pick == 2:
         return Pair(sub(), sub())
     if pick == 3:
-        from gradebor.syntax import LetPair
-
         return LetPair(rng.choice("ab"), rng.choice("cd"), sub(), sub())
     if pick == 4:
-        from gradebor.syntax import LetBox, Promote
-
         return LetBox("w", Promote(sub()), sub())
     if pick == 5:
-        from gradebor.syntax import Split, Join, Push, Pull, Share
-
         return rng.choice([Split, Join, Push, Pull, Share])(sub())
     if pick == 6:
         return WithBorrow(sub(), sub())
@@ -123,8 +124,6 @@ def random_user_term(rng: random.Random, depth: int) -> Term:
         return Pack(rng.choice("ij"), sub())
     if pick == 8:
         return Unpack(rng.choice("ij"), rng.choice("uv"), sub(), sub())
-    from gradebor.syntax import Clone
-
     return Clone("c", ("k",), sub(), sub())
 
 
@@ -159,24 +158,27 @@ def _nodes(t: Term):
         yield from _nodes(c)
 
 
-def _sample_terms() -> list[Term]:
-    """Source, elaborated and runtime terms of the corpus and 300 generated programs."""
+def _samples() -> tuple[list[Term], list[Type]]:
+    """Source, elaborated and runtime terms of the corpus and 300 generated
+    programs, and the programs' declared types."""
     corpus = Path(__file__).resolve().parent.parent / "src" / "gradebor" / "corpus"
     programs = [parse_program(p.read_text(), str(p)) for p in sorted(corpus.glob("*.grb"))]
     programs += generate_programs(7, count=300)
     terms: list[Term] = []
+    signatures: list[Type] = []
     for prog in programs:
         terms.extend(d.body for d in prog.definitions)
+        signatures.extend(d.signature for d in prog.definitions)
         try:
             cp = check_program(prog)
             _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
         except (CheckError, EvalError):
             continue
         terms.extend(term for term, _ in trace.configurations())
-    return terms
+    return terms, signatures
 
 
-SAMPLE_TERMS = _sample_terms()
+SAMPLE_TERMS, SIGNATURES = _samples()
 
 
 def test_every_term_class_has_a_table_entry():
@@ -237,3 +239,512 @@ def test_bound_names_lists_every_binder():
     t = parse_term(r"let (a, b) = x in unpack <i, c> = b in let *d = clone y as <j> in \w -> ((a, c), (d, w))")
     assert syntax.bound_names(t) == {"a", "b", "i", "c", "j", "d", "w"}
     assert syntax.bound_names(parse_term("(x, ())")) == set()
+
+
+# -- the binder and type-child tables, against the match walkers they replaced --
+#
+# The old_* functions below are test-only copies of the walkers as they were
+# written before the tables held binders and type children, one `match` arm
+# per node class. Each rewritten walker must give exactly their answers.
+
+
+def old_type_alpha_eq(a, b, env_a=None, env_b=None):
+    env_a = env_a or {}
+    env_b = env_b or {}
+    match (a, b):
+        case (Fun(d1, c1), Fun(d2, c2)):
+            return old_type_alpha_eq(d1, d2, env_a, env_b) and old_type_alpha_eq(c1, c2, env_a, env_b)
+        case (Prod(l1, r1), Prod(l2, r2)):
+            return old_type_alpha_eq(l1, l2, env_a, env_b) and old_type_alpha_eq(r1, r2, env_a, env_b)
+        case (UnitT(), UnitT()) | (NatT(), NatT()) | (FloatT(), FloatT()):
+            return True
+        case (Box(g1, t1), Box(g2, t2)):
+            return g1 == g2 and old_type_alpha_eq(t1, t2, env_a, env_b)
+        case (Amp(p1, t1), Amp(p2, t2)):
+            return syntax.perm_expr_eq(p1, p2) and old_type_alpha_eq(t1, t2, env_a, env_b)
+        case (ExistsT(i1, t1), ExistsT(i2, t2)):
+            mark = object()
+            return old_type_alpha_eq(t1, t2, {**env_a, i1: mark}, {**env_b, i2: mark})
+        case (ResT(k1, i1, t1), ResT(k2, i2, t2)):
+            if k1 != k2 or not old_type_alpha_eq(t1, t2, env_a, env_b):
+                return False
+            return env_a.get(i1, i1) is env_b.get(i2, i2) or env_a.get(i1, i1) == env_b.get(i2, i2)
+        case (NameT(i1), NameT(i2)):
+            return env_a.get(i1, i1) is env_b.get(i2, i2) or env_a.get(i1, i1) == env_b.get(i2, i2)
+        case (Forall(bs1, t1), Forall(bs2, t2)):
+            if len(bs1) != len(bs2) or any(k1 != k2 for (_, k1), (_, k2) in zip(bs1, bs2)):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            for (v1, _), (v2, _) in zip(bs1, bs2):
+                mark = object()
+                ea[v1] = mark
+                eb[v2] = mark
+            return old_type_alpha_eq(t1, t2, ea, eb)
+        case _:
+            return False
+
+
+def old_type_free_names(ty):
+    match ty:
+        case Fun(d, c):
+            return old_type_free_names(d) | old_type_free_names(c)
+        case Prod(l, r):
+            return old_type_free_names(l) | old_type_free_names(r)
+        case Box(_, t) | Amp(_, t):
+            return old_type_free_names(t)
+        case ExistsT(i, t):
+            return old_type_free_names(t) - {i}
+        case ResT(_, i, t):
+            return {i} | old_type_free_names(t)
+        case NameT(i):
+            return {i}
+        case Forall(bs, t):
+            bound = {v for v, k in bs if k == "Name"}
+            return old_type_free_names(t) - bound
+        case _:
+            return set()
+
+
+def old_type_free_perm_vars(ty):
+    match ty:
+        case Fun(d, c):
+            return old_type_free_perm_vars(d) | old_type_free_perm_vars(c)
+        case Prod(l, r):
+            return old_type_free_perm_vars(l) | old_type_free_perm_vars(r)
+        case Box(_, t):
+            return old_type_free_perm_vars(t)
+        case Amp(p, t):
+            out = old_type_free_perm_vars(t)
+            if isinstance(p, PermVar):
+                out = out | {p.name}
+            return out
+        case ExistsT(_, t) | ResT(_, _, t):
+            return old_type_free_perm_vars(t)
+        case Forall(bs, t):
+            bound = {v for v, k in bs if k == "Permission"}
+            return old_type_free_perm_vars(t) - bound
+        case _:
+            return set()
+
+
+def old_type_subst_names(ty, env):
+    if not env:
+        return ty
+    match ty:
+        case Fun(d, c):
+            return Fun(old_type_subst_names(d, env), old_type_subst_names(c, env))
+        case Prod(l, r):
+            return Prod(old_type_subst_names(l, env), old_type_subst_names(r, env))
+        case Box(g, t):
+            return Box(g, old_type_subst_names(t, env))
+        case Amp(p, t):
+            return Amp(p, old_type_subst_names(t, env))
+        case ExistsT(i, t):
+            inner = {k: v for k, v in env.items() if k != i}
+            return ExistsT(i, old_type_subst_names(t, inner))
+        case ResT(k, i, t):
+            return ResT(k, env.get(i, i), old_type_subst_names(t, env))
+        case NameT(i):
+            return NameT(env.get(i, i))
+        case Forall(bs, t):
+            bound = {v for v, k in bs if k == "Name"}
+            inner = {k: v for k, v in env.items() if k not in bound}
+            return Forall(bs, old_type_subst_names(t, inner))
+        case _:
+            return ty
+
+
+def old_type_subst_perms(ty, env):
+    if not env:
+        return ty
+    match ty:
+        case Fun(d, c):
+            return Fun(old_type_subst_perms(d, env), old_type_subst_perms(c, env))
+        case Prod(l, r):
+            return Prod(old_type_subst_perms(l, env), old_type_subst_perms(r, env))
+        case Box(g, t):
+            return Box(g, old_type_subst_perms(t, env))
+        case Amp(p, t):
+            if isinstance(p, PermVar) and p.name in env:
+                p = env[p.name]
+            return Amp(p, old_type_subst_perms(t, env))
+        case ExistsT(i, t):
+            return ExistsT(i, old_type_subst_perms(t, env))
+        case ResT(k, i, t):
+            return ResT(k, i, old_type_subst_perms(t, env))
+        case Forall(bs, t):
+            bound = {v for v, k in bs if k == "Permission"}
+            inner = {k: v for k, v in env.items() if k not in bound}
+            return Forall(bs, old_type_subst_perms(t, inner))
+        case _:
+            return ty
+
+
+_old_marks = itertools.count()
+
+
+def old_alpha_eq(a, b, env_a=None, env_b=None):
+    env_a = env_a or {}
+    env_b = env_b or {}
+    rec = old_alpha_eq
+    name_eq = syntax._name_eq
+    ann_eq = syntax._ann_eq
+    match (a, b):
+        case (Var(n1), Var(n2)):
+            return name_eq(env_a, n1, env_b, n2)
+        case (Abs(p1, b1, an1), Abs(p2, b2, an2)):
+            if not ann_eq(an1, an2):
+                return False
+            mark = next(_old_marks)
+            return rec(b1, b2, {**env_a, p1: mark}, {**env_b, p2: mark})
+        case (App(f1, a1), App(f2, a2)):
+            return rec(f1, f2, env_a, env_b) and rec(a1, a2, env_a, env_b)
+        case (Pair(l1, r1), Pair(l2, r2)):
+            return rec(l1, l2, env_a, env_b) and rec(r1, r2, env_a, env_b)
+        case (LetPair(x1, y1, t1, u1, la1, ra1), LetPair(x2, y2, t2, u2, la2, ra2)):
+            if not (ann_eq(la1, la2) and ann_eq(ra1, ra2)):
+                return False
+            if not rec(t1, t2, env_a, env_b):
+                return False
+            m1, m2 = next(_old_marks), next(_old_marks)
+            return rec(u1, u2, {**env_a, x1: m1, y1: m2}, {**env_b, x2: m1, y2: m2})
+        case (UnitVal(), UnitVal()):
+            return True
+        case (LetUnit(t1, u1), LetUnit(t2, u2)):
+            return rec(t1, t2, env_a, env_b) and rec(u1, u2, env_a, env_b)
+        case (Promote(t1, g1), Promote(t2, g2)):
+            return g1 == g2 and rec(t1, t2, env_a, env_b)
+        case (LetBox(x1, t1, u1, an1), LetBox(x2, t2, u2, an2)):
+            if not ann_eq(an1, an2) or not rec(t1, t2, env_a, env_b):
+                return False
+            mark = next(_old_marks)
+            return rec(u1, u2, {**env_a, x1: mark}, {**env_b, x2: mark})
+        case (Pack(i1, t1), Pack(i2, t2)):
+            return name_eq(env_a, i1, env_b, i2) and rec(t1, t2, env_a, env_b)
+        case (Unpack(i1, x1, t1, u1, _), Unpack(i2, x2, t2, u2, _)):
+            if not rec(t1, t2, env_a, env_b):
+                return False
+            mi, mx = next(_old_marks), next(_old_marks)
+            return rec(u1, u2, {**env_a, i1: mi, x1: mx}, {**env_b, i2: mi, x2: mx})
+        case (WithBorrow(f1, a1), WithBorrow(f2, a2)):
+            return rec(f1, f2, env_a, env_b) and rec(a1, a2, env_a, env_b)
+        case (Split(t1), Split(t2)) | (Join(t1), Join(t2)) | (Push(t1), Push(t2)) | (Pull(t1), Pull(t2)):
+            return rec(t1, t2, env_a, env_b)
+        case (Share(t1, g1), Share(t2, g2)):
+            return g1 == g2 and rec(t1, t2, env_a, env_b)
+        case (Clone(x1, ids1, t1, u1, _), Clone(x2, ids2, t2, u2, _)):
+            if len(ids1) != len(ids2) or not rec(t1, t2, env_a, env_b):
+                return False
+            ea, eb = dict(env_a), dict(env_b)
+            for i1, i2 in zip(ids1, ids2):
+                m = next(_old_marks)
+                ea[i1] = m
+                eb[i2] = m
+            mx = next(_old_marks)
+            ea[x1] = mx
+            eb[x2] = mx
+            return rec(u1, u2, ea, eb)
+        case (NatLit(v1), NatLit(v2)):
+            return v1 == v2
+        case (FloatLit(v1), FloatLit(v2)):
+            return v1 == v2
+        case (Prim(n1), Prim(n2)):
+            return n1 == n2
+        case (Uniq(t1, p1), Uniq(t2, p2)):
+            return p1 == p2 and rec(t1, t2, env_a, env_b)
+        case (Unborrow(t1), Unborrow(t2)):
+            return rec(t1, t2, env_a, env_b)
+        case (RefVal(r1), RefVal(r2)):
+            return r1 == r2
+        case _:
+            return False
+
+
+def old_free_vars(t):
+    match t:
+        case Var(n):
+            return {n}
+        case Abs(p, b, _):
+            return old_free_vars(b) - {p}
+        case LetPair(x, y, rhs, body):
+            return old_free_vars(rhs) | (old_free_vars(body) - {x, y})
+        case LetBox(x, rhs, body):
+            return old_free_vars(rhs) | (old_free_vars(body) - {x})
+        case Pack(i, b):
+            return {i} | old_free_vars(b)
+        case Unpack(i, x, rhs, body):
+            return old_free_vars(rhs) | (old_free_vars(body) - {i, x})
+        case Clone(x, ids, rhs, body):
+            return old_free_vars(rhs) | (old_free_vars(body) - {x, *ids})
+        case _:
+            out = set()
+            for c in children(t):
+                out |= old_free_vars(c)
+            return out
+
+
+def old_bound_names(t):
+    out = set()
+    for c in children(t):
+        out |= old_bound_names(c)
+    match t:
+        case Abs(p):
+            out.add(p)
+        case LetPair(x, y):
+            out |= {x, y}
+        case LetBox(x):
+            out.add(x)
+        case Unpack(i, x):
+            out |= {i, x}
+        case Clone(x, ids):
+            out |= {x, *ids}
+    return out
+
+
+def old_subst(t, x, s):
+    fv_s = old_free_vars(s)
+    rebuild = syntax._rebuild
+
+    def go(t, env):
+        match t:
+            case Var(n):
+                return env.get(n, t)
+            case Abs(p, body, _):
+                p2, env2 = _avoid(p, env, fv_s)
+                return rebuild(t, param=p2, body=go(body, env2))
+            case LetPair(l, r, rhs, body):
+                l2, env2 = _avoid(l, env, fv_s)
+                r2, env3 = _avoid(r, env2, fv_s)
+                return rebuild(t, left=l2, right=r2, rhs=go(rhs, env), body=go(body, env3))
+            case LetBox(b, rhs, body):
+                b2, env2 = _avoid(b, env, fv_s)
+                return rebuild(t, binder=b2, rhs=go(rhs, env), body=go(body, env2))
+            case Unpack(i, b, rhs, body):
+                i2, env2 = _avoid(i, env, fv_s)
+                b2, env3 = _avoid(b, env2, fv_s)
+                return rebuild(t, ident=i2, binder=b2, rhs=go(rhs, env), body=go(body, env3))
+            case Clone(b, ids, rhs, body):
+                env2 = env
+                ids2 = []
+                for i in ids:
+                    i2, env2 = _avoid(i, env2, fv_s)
+                    ids2.append(i2)
+                b2, env3 = _avoid(b, env2, fv_s)
+                ids2 = ids if list(ids) == ids2 else tuple(ids2)
+                return rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3))
+            case _:
+                return map_children(t, lambda c: go(c, env))
+
+    def _avoid(binder, env, avoid):
+        env = {k: v for k, v in env.items() if k != binder}
+        if binder in avoid:
+            nb = syntax.fresh_name(binder, avoid | set(env))
+            env[binder] = Var(nb)
+            return nb, env
+        return binder, env
+
+    return go(t, {x: s})
+
+
+def old_subst_names(t, env):
+    if not env:
+        return t
+    rebuild = syntax._rebuild
+
+    def go(t, env):
+        match t:
+            case Pack(i, body):
+                return rebuild(t, ident=env.get(i, i), body=go(body, env))
+            case Unpack(i, b, rhs, body, bann):
+                inner = {k: v for k, v in env.items() if k != i}
+                return rebuild(
+                    t,
+                    rhs=go(rhs, env),
+                    body=go(body, inner),
+                    bann=old_type_subst_names(bann, inner) if bann else None,
+                )
+            case Clone(b, ids, rhs, body, bann, old_idents):
+                inner = {k: v for k, v in env.items() if k not in ids}
+                return rebuild(
+                    t,
+                    rhs=go(rhs, env),
+                    body=go(body, inner),
+                    bann=old_type_subst_names(bann, inner) if bann else None,
+                    old_idents=tuple(env.get(i, i) for i in old_idents) if old_idents else None,
+                )
+            case _:
+                return map_children(t, lambda c: go(c, env), lambda ty: old_type_subst_names(ty, env))
+
+    return go(t, env)
+
+
+def _same(a, b) -> bool:
+    """Exact structural equality: the same classes and field values, binder
+    names, annotations and locations included."""
+    if a is b:
+        return True
+    if isinstance(a, (Term, Type)):
+        return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in syntax._FIELDS[type(a)])
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def _distinct(items):
+    return list({id(x): x for x in items}.values())
+
+
+def _type_nodes(ty):
+    yield ty
+    for n in syntax._TYPE_CHILDREN[type(ty)]:
+        yield from _type_nodes(getattr(ty, n))
+
+
+SAMPLE_NODES = _distinct(n for t in SAMPLE_TERMS for n in _nodes(t))
+EXTRA_TYPES = [
+    parse_type("forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float)"),
+    Forall((("i", "Name"), ("p", "Permission")), Fun(NameT("i"), Amp(PermVar("p"), NameT("j")))),
+    ExistsT("i", Prod(NameT("i"), ExistsT("i", ResT("Array", "i", NatT())))),
+    parse_type("& q (Ref k (Nat [2])) -o exists k . * (Array k Float)"),
+]
+SAMPLE_TYPES = _distinct(
+    x
+    for ty in [getattr(n, f) for n in SAMPLE_NODES for f in syntax._SHAPES[type(n)].types] + SIGNATURES + EXTRA_TYPES
+    if ty is not None
+    for x in _type_nodes(ty)
+)
+
+
+def _drawn(fn, *args):
+    """fn(*args) from a fixed fresh-name counter, and the next name it leaves."""
+    saved = syntax._fresh_counter
+    syntax._fresh_counter = itertools.count(1)
+    try:
+        return fn(*args), next(syntax._fresh_counter)
+    finally:
+        syntax._fresh_counter = saved
+
+
+def _clash(names) -> Term:
+    """A term whose free variables are `names` and z, so that substituting it
+    renames every binder named in `names`."""
+    out: Term = Var("z")
+    for n in sorted(names):
+        out = Pair(Var(n), out)
+    return out
+
+
+def _check_term_walkers(t: Term) -> None:
+    fv, bound = old_free_vars(t), old_bound_names(t)
+    assert free_vars(t) == fv
+    assert bound_names(t) == bound
+    for x in (min(fv, default="x"), "absent"):
+        new, new_next = _drawn(subst, t, x, _clash(bound))
+        old, old_next = _drawn(old_subst, t, x, _clash(bound))
+        assert _same(new, old) and new_next == old_next
+        assert (new is t) == (old is t)
+    # substituting for an absent variable renames every binder
+    assert alpha_eq(t, new) == old_alpha_eq(t, new)
+    stripped = strip_meta(t)
+    assert alpha_eq(stripped, t) == old_alpha_eq(stripped, t)
+    env = {n: n + "'" for n in sorted(fv | bound)}
+    assert _same(subst_names(t, env), old_subst_names(t, env))
+
+
+def test_term_walkers_match_the_match_walkers_on_every_sample_node():
+    for t in SAMPLE_NODES:
+        _check_term_walkers(t)
+
+
+def test_alpha_eq_matches_the_match_walker_on_pairs_of_sample_nodes():
+    by_class = defaultdict(list)
+    for t in SAMPLE_NODES:
+        by_class[type(t)].append(t)
+    pairs = list(zip(SAMPLE_NODES, SAMPLE_NODES[1:]))
+    for nodes in by_class.values():
+        pairs += zip(nodes, nodes[1:] + nodes[:1])
+    for a, b in pairs:
+        assert alpha_eq(a, b) == old_alpha_eq(a, b), (a, b)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+def test_term_walkers_match_the_match_walkers_on_random_terms(seed):
+    rng = random.Random(seed)
+    t, other = random_user_term(rng, 4), random_user_term(rng, 4)
+    _check_term_walkers(t)
+    assert alpha_eq(t, other) == old_alpha_eq(t, other)
+
+
+def _type_binders(ty: Type) -> tuple[set[str], set[str]]:
+    """Every name identifier and every permission variable written in ty."""
+    names: set[str] = set()
+    perms: set[str] = set()
+    for x in _type_nodes(ty):
+        if isinstance(x, (ResT, NameT)):
+            names.add(x.ident)
+        elif isinstance(x, ExistsT):
+            names.add(x.binder)
+        elif isinstance(x, Amp) and isinstance(x.perm, PermVar):
+            perms.add(x.perm.name)
+        elif isinstance(x, Forall):
+            for v, k in x.binders:
+                (names if k == "Name" else perms).add(v)
+    return names, perms
+
+
+def test_type_walkers_match_the_match_walkers_on_every_sample_type():
+    assert {type(x) for x in SAMPLE_TYPES} == set(syntax._TYPE_CHILDREN)
+    for ty in SAMPLE_TYPES:
+        assert type_free_names(ty) == old_type_free_names(ty)
+        assert type_free_perm_vars(ty) == old_type_free_perm_vars(ty)
+        names, perms = _type_binders(ty)
+        env = {n: n + "'" for n in names}
+        assert _same(type_subst_names(ty, env), old_type_subst_names(ty, env))
+        penv = {p: PermVar(p + "'") for p in perms} | {"q": STAR}
+        assert _same(type_subst_perms(ty, penv), old_type_subst_perms(ty, penv))
+
+
+def test_type_alpha_eq_matches_the_match_walker_on_pairs_of_sample_types():
+    by_class = defaultdict(list)
+    for ty in SAMPLE_TYPES:
+        by_class[type(ty)].append(ty)
+    pairs = [(ty, ty) for ty in SAMPLE_TYPES] + list(zip(SAMPLE_TYPES, SAMPLE_TYPES[1:]))
+    for types in by_class.values():
+        pairs += zip(types, types[1:] + types[:1])
+    for a, b in pairs:
+        assert type_alpha_eq(a, b) == old_type_alpha_eq(a, b), (a, b)
+
+
+def _spine(arg: str) -> Term:
+    t: Term = Var("f")
+    for _ in range(800):
+        t = App(t, Pack("i", Var(arg)))
+    return t
+
+
+def fun_chain(ident: str) -> Type:
+    """An 800-deep chain of functions over borrowed arrays."""
+    ty: Type = UnitT()
+    for _ in range(800):
+        ty = Fun(Amp(PermVar("p"), ResT("Array", ident, FloatT())), ty)
+    return ty
+
+
+def test_term_walkers_take_one_frame_per_tree_level():
+    assert sys.getrecursionlimit() == 1000
+    t = _spine("x")
+    assert free_vars(t) == {"f", "i", "x"}
+    assert bound_names(t) == set()
+    assert alpha_eq(t, _spine("x")) and not alpha_eq(t, _spine("y"))
+    assert alpha_eq(subst(t, "x", Var("y")), _spine("y"))
+    assert free_vars(subst_names(t, {"i": "j"})) == {"f", "j", "x"}
+
+
+def test_type_walkers_take_one_frame_per_tree_level():
+    assert sys.getrecursionlimit() == 1000
+    ty = fun_chain("i")
+    assert type_alpha_eq(ty, fun_chain("i")) and not type_alpha_eq(ty, fun_chain("j"))
+    assert type_free_names(ty) == {"i"}
+    assert type_free_perm_vars(ty) == {"p"}
+    assert type_alpha_eq(type_subst_names(ty, {"i": "j"}), fun_chain("j"))
+    assert type_free_perm_vars(type_subst_perms(ty, {"p": STAR})) == set()

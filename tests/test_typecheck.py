@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,12 @@ from hypothesis import strategies as st
 
 from gradebor.grades import NAT, NAT_LEQ, frac_perm
 from gradebor.parser import parse_program, parse_term, parse_type
-from gradebor.syntax import Amp, Prod, ResT, UnitT, Var
+from gradebor.syntax import Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Prod, ResT, UnitT, Var
 from gradebor.typecheck import (
-    CheckError, Checker, Ctx, GradedEntry, LinearEntry, Usage, check_program,
-    ctx_add, ctx_scale, resource_allocator,
+    CheckError, Checker, Ctx, GradedEntry, LinearEntry, Usage, _check_array_payloads,
+    _names_in_order, check_program, ctx_add, ctx_scale, resource_allocator,
 )
+from test_syntax import SAMPLE_TYPES, fun_chain
 
 
 def ring():
@@ -335,3 +337,81 @@ def test_share_demands_an_expected_grade():
 def test_bare_promotion_cannot_be_inferred():
     with pytest.raises(CheckError):
         Checker(ring()).infer(Ctx(ring()), parse_term("[()]"))
+
+
+# -- the type-child table, against the match walkers it replaced -----------------
+
+
+def old_check_array_payloads(ty, loc):
+    match ty:
+        case ResT("Array", _, payload):
+            if not isinstance(payload, FloatT):
+                raise CheckError("Mismatch", "arrays hold floats only", loc, rule="type")
+        case Fun(d, c):
+            old_check_array_payloads(d, loc)
+            old_check_array_payloads(c, loc)
+        case Prod(l, r):
+            old_check_array_payloads(l, loc)
+            old_check_array_payloads(r, loc)
+        case Box(_, t) | Amp(_, t) | ExistsT(_, t) | ResT(_, _, t) | Forall(_, t):
+            old_check_array_payloads(t, loc)
+        case _:
+            pass
+
+
+def old_names_in_order(ty):
+    out = []
+
+    def go(ty, bound):
+        match ty:
+            case Fun(d, c):
+                go(d, bound)
+                go(c, bound)
+            case Prod(l, r):
+                go(l, bound)
+                go(r, bound)
+            case Box(_, b) | Amp(_, b):
+                go(b, bound)
+            case ExistsT(i, b):
+                go(b, bound | {i})
+            case ResT(_, i, b):
+                if i not in bound and i not in out:
+                    out.append(i)
+                go(b, bound)
+            case NameT(i):
+                if i not in bound and i not in out:
+                    out.append(i)
+            case _:
+                pass
+
+    go(ty, frozenset())
+    return out
+
+
+def _array_payload_error(check, ty):
+    try:
+        check(ty, None)
+    except CheckError as e:
+        return str(e)
+    return None
+
+
+def test_type_walkers_match_the_match_walkers_on_every_sample_type():
+    rejected = 0
+    for ty in SAMPLE_TYPES:
+        assert _names_in_order(ty) == old_names_in_order(ty)
+        # the same type also as the payload of an array, which only Float may be
+        for candidate in (ty, Fun(ty, ResT("Array", "i", ty))):
+            error = _array_payload_error(_check_array_payloads, candidate)
+            assert error == _array_payload_error(old_check_array_payloads, candidate)
+            rejected += error is not None
+    assert rejected > len(SAMPLE_TYPES) // 2
+
+
+def test_type_walkers_take_one_frame_per_tree_level():
+    assert sys.getrecursionlimit() == 1000
+    ty = fun_chain("i")
+    assert _names_in_order(ty) == ["i"]
+    _check_array_payloads(ty, None)
+    with pytest.raises(CheckError):
+        _check_array_payloads(Fun(ty, ResT("Array", "i", NatT())), None)
