@@ -166,19 +166,16 @@ def check_progress(trace: Trace) -> list[Violation]:
 # Borrow safety
 
 
-def reachable_refs(
-    term: Term, heap: Heap, free_memo: Optional[S.Memo] = None, refs_memo: Optional[S.Memo] = None
-) -> set[str]:
+def reachable_refs(term: Term, heap: Heap) -> set[str]:
     """References the term can reach, following variables bound in the heap.
 
     The machine binds intermediate values in the heap rather than leaving
     them in the term, so the permission totals of the borrow-safety lemma
-    must chase heap variables. The memos are passed on to `free_vars` and
-    `refs_of`.
+    must chase heap variables.
     """
-    out = set(refs_of(term, refs_memo))
+    out = set(refs_of(term))
     seen: set[str] = set()
-    todo = list(S.free_vars(term, free_memo))
+    todo = list(S.free_vars(term))
     while todo:
         x = todo.pop()
         if x in seen:
@@ -187,8 +184,8 @@ def reachable_refs(
         cell = heap.vars.get(x)
         if cell is None:
             continue
-        out |= refs_of(cell.value, refs_memo)
-        todo.extend(S.free_vars(cell.value, free_memo))
+        out |= refs_of(cell.value)
+        todo.extend(S.free_vars(cell.value))
     return out
 
 
@@ -249,19 +246,16 @@ def check_borrow_safety(trace: Trace) -> list[Violation]:
     """`check_borrow_safety_step` on every step of a recorded trace.
 
     Steps share configurations (a step's post-configuration is the next
-    one's pre-configuration) and unchanged subterms, so reachability is
-    computed once per configuration, and free variables and references once
-    per distinct node. Everything is still computed from the recorded terms
-    and heaps.
+    one's pre-configuration), so reachability is computed once per
+    configuration. Everything is still computed from the recorded terms and
+    heaps.
     """
-    free_memo: S.Memo = {}
-    refs_memo: S.Memo = {}
     configs: dict[tuple[int, int], tuple[Term, Heap, set[str]]] = {}
 
     def reach(term: Term, heap: Heap) -> set[str]:
         key = (id(term), id(heap))
         if key not in configs:
-            configs[key] = (term, heap, reachable_refs(term, heap, free_memo, refs_memo))
+            configs[key] = (term, heap, reachable_refs(term, heap))
         return configs[key][2]
 
     out: list[Violation] = []
@@ -297,9 +291,8 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
     if not uniqueness_applicable(final_type):
         return []
     out: list[Violation] = []
-    configs = trace.configurations()
-    t0, h0 = configs[0]
     v, hf = trace.final_term, trace.final_heap
+    t0, h0 = (trace.steps[0].pre_term, trace.steps[0].pre_heap) if trace.steps else (v, hf)
 
     pre_sums = _perm_sums(reachable_refs(t0, h0), h0)
     for ident, total in pre_sums.items():
@@ -313,7 +306,8 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
                         f"resource {ident}: expected exactly one whole reference at the end, found {len(whole)}",
                     )
                 )
-    new_idents = {c.ident for r, c in hf.refs.items() if r in reachable_refs(v, hf)} - set(h0.resources)
+    final_reach = reachable_refs(v, hf)
+    new_idents = {c.ident for r, c in hf.refs.items() if r in final_reach} - set(h0.resources)
     for ident in sorted(new_idents):
         whole = [r for r, c in hf.refs.items() if c.ident == ident and c.perm == 1]
         if len(whole) != 1:
@@ -347,7 +341,9 @@ def check_trace(trace: Trace, main_type: Type, ring: Semiring, s: Grade) -> list
 
 
 def close_value(heap: Heap, t: Term, depth: int = 0) -> Term:
-    """Substitute heap variables into a value until it is heap-closed."""
+    """Substitute heap variables into a value until it is heap-closed.
+
+    `depth` counts heap dereferences, the only step that can loop, not tree levels."""
     if depth > 64:
         raise EvalError("value closure recursion exceeded")
     match t:
@@ -357,11 +353,13 @@ def close_value(heap: Heap, t: Term, depth: int = 0) -> Term:
                 return t
             return close_value(heap, cell.value, depth + 1)
         case _:
-            return S.map_children(t, lambda c: close_value(heap, c, depth + 1))
+            return S.map_children(t, lambda c: close_value(heap, c, depth))
 
 
 def readback(heap: Heap, t: Term, depth: int = 0):
-    """Replace references by their resource contents, forgetting names."""
+    """Replace references by their resource contents, forgetting names.
+
+    `depth` counts heap dereferences (variable to cell, reference to resource)."""
     if depth > 64:
         raise EvalError("readback recursion exceeded")
     match t:
@@ -381,9 +379,9 @@ def readback(heap: Heap, t: Term, depth: int = 0):
                 return ("freevar", x)
             return readback(heap, cell.value, depth + 1)
         case Uniq(w, p):
-            return ("uniq", str(p), readback(heap, w, depth + 1))
+            return ("uniq", str(p), readback(heap, w, depth))
         case Pair(l, r):
-            return ("pair", readback(heap, l, depth + 1), readback(heap, r, depth + 1))
+            return ("pair", readback(heap, l, depth), readback(heap, r, depth))
         case S.UnitVal():
             return ("unit",)
         case S.NatLit(v):
@@ -391,11 +389,11 @@ def readback(heap: Heap, t: Term, depth: int = 0):
         case S.FloatLit(v):
             return ("float", v)
         case S.Promote(w, _):
-            return ("box", readback(heap, w, depth + 1))
+            return ("box", readback(heap, w, depth))
         case Pack(_, w):
-            return ("pack", readback(heap, w, depth + 1))
+            return ("pack", readback(heap, w, depth))
         case S.Unborrow(w):
-            return ("unborrow", readback(heap, w, depth + 1))
+            return ("unborrow", readback(heap, w, depth))
         case S.Abs():
             return ("fun", S.strip_meta(close_value(heap, t)))
         case S.Prim(n):
@@ -404,8 +402,8 @@ def readback(heap: Heap, t: Term, depth: int = 0):
             spine = S.prim_spine(t)
             if spine is not None:
                 name, args = spine
-                return ("papp", name, tuple(readback(heap, a, depth + 1) for a in args))
-            return ("app", readback(heap, t.fn, depth + 1), readback(heap, t.arg, depth + 1))
+                return ("papp", name, tuple(readback(heap, a, depth) for a in args))
+            return ("app", readback(heap, t.fn, depth), readback(heap, t.arg, depth))
         case _:
             return ("term", S.strip_meta(t))
 

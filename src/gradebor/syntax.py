@@ -21,6 +21,12 @@ class's child term fields, type annotation fields and binder fields;
 
 `children` lists a node's subterms and `map_children` rebuilds a node from
 mapped subterms; they serve the shallower walkers that take a function.
+
+Nodes are immutable, so `free_vars`, `refs_of` and `bound_names` compute
+their answer for a node with child terms once and store it on the node
+(through `__dict__`, as the dataclasses are frozen); a leaf stores nothing
+and gets a fresh set on every call. A stored set is shared by every caller
+that asks about that node, and no caller may mutate it.
 """
 
 from __future__ import annotations
@@ -286,6 +292,9 @@ PRIMITIVES = {
 
 class Term:
     loc: Optional[Loc]
+    # The stored results of free_vars, refs_of and bound_names (see the module
+    # docstring). Unannotated: get_type_hints would evaluate them per class.
+    _free = _refs = _bound = None
 
     def __eq__(self, other):
         return isinstance(other, Term) and alpha_eq(self, other)
@@ -488,9 +497,6 @@ class RefVal(Term):
     loc: Optional[Loc] = _loc_field()
 
 
-RUNTIME_ONLY = (Uniq, Unborrow, RefVal)
-
-
 class _Shape(NamedTuple):
     terms: tuple[str, ...]  # fields holding child terms
     types: tuple[str, ...]  # fields holding optional Type annotations
@@ -628,65 +634,54 @@ def _ann_eq(a, b) -> bool:
     return a == b
 
 
-# A memo for free_vars or refs_of: id(node) -> (node, its set). Holding the
-# node keeps it alive, so no other node can take its id while the memo lives.
-Memo = dict[int, tuple["Term", set[str]]]
-
-
-def free_vars(t: Term, memo: Optional[Memo] = None) -> set[str]:
+def free_vars(t: Term) -> set[str]:
     """Free term variables and free name identifiers of a term.
 
-    Calls sharing `memo` walk each distinct node once; the sets they return
-    are then shared between nodes and must not be mutated.
+    The set is stored on a node with child terms (see the module docstring):
+    callers must not mutate it.
     """
-    if memo is not None and (hit := memo.get(id(t))) is not None:
-        return hit[1]
+    if (out := t._free) is not None:
+        return out
     cls = type(t)
     if cls is Var:
-        out = {t.name}
-    else:
-        shape = _SHAPES[cls]
-        out = {t.ident} if cls is Pack else set()
-        for n in shape.terms:
-            sub = free_vars(getattr(t, n), memo)
-            out |= sub.difference(_bound_by(t, shape.binds)) if n == "body" and shape.binds else sub
-    if memo is not None:
-        memo[id(t)] = (t, out)
+        return {t.name}
+    shape = _SHAPES[cls]
+    out = {t.ident} if cls is Pack else set()
+    for n in shape.terms:
+        sub = free_vars(getattr(t, n))
+        out |= sub.difference(_bound_by(t, shape.binds)) if n == "body" and shape.binds else sub
+    if shape.terms:
+        t.__dict__["_free"] = out
     return out
 
 
-def refs_of(t: Term, memo: Optional[Memo] = None) -> set[str]:
-    """Every resource reference occurring anywhere in the term.
-
-    `memo` is used as in `free_vars`.
-    """
-    if memo is not None and (hit := memo.get(id(t))) is not None:
-        return hit[1]
-    match t:
-        case RefVal(r):
-            out = {r}
-        case _:
-            out = set()
-            for c in children(t):
-                out |= refs_of(c, memo)
-    if memo is not None:
-        memo[id(t)] = (t, out)
+def refs_of(t: Term) -> set[str]:
+    """Every resource reference occurring anywhere in the term, stored as in
+    `free_vars`."""
+    if (out := t._refs) is not None:
+        return out
+    if type(t) is RefVal:
+        return {t.ref}
+    terms = _SHAPES[type(t)].terms
+    out = set()
+    for n in terms:
+        out |= refs_of(getattr(t, n))
+    if terms:
+        t.__dict__["_refs"] = out
     return out
 
 
-def bound_names(t: Term, memo: Optional[Memo] = None) -> set[str]:
-    """Every variable and name identifier that some binder inside t binds.
-
-    `memo` is used as in `free_vars`.
-    """
-    if memo is not None and (hit := memo.get(id(t))) is not None:
-        return hit[1]
+def bound_names(t: Term) -> set[str]:
+    """Every variable and name identifier that some binder inside t binds,
+    stored as in `free_vars`."""
+    if (out := t._bound) is not None:
+        return out
     shape = _SHAPES[type(t)]
     out = set(_bound_by(t, shape.binds))
     for n in shape.terms:
-        out |= bound_names(getattr(t, n), memo)
-    if memo is not None:
-        memo[id(t)] = (t, out)
+        out |= bound_names(getattr(t, n))
+    if shape.terms:
+        t.__dict__["_bound"] = out
     return out
 
 
@@ -726,23 +721,32 @@ def _subst(t: Term, env: dict[str, Term], fv_s: set[str]) -> Term:
     shape = _SHAPES[cls]
     changes = {}
     inner = env
+    names = {}  # renamed name binders (Unpack.ident, Clone.idents), old -> new
     for n in shape.binds:
         old = getattr(t, n)
         if type(old) is str:
             new, inner = _avoid(old, inner, fv_s)
+            if n == "ident" and new != old:
+                names[old] = new
         else:
             renamed = []
             for i in old:
                 i2, inner = _avoid(i, inner, fv_s)
                 renamed.append(i2)
+                if i2 != i:
+                    names[i] = i2
             new = old if list(old) == renamed else tuple(renamed)
         if new is not old:
             changes[n] = new
     for n in shape.terms:
         old = getattr(t, n)
-        new = _subst(old, inner if n == "body" else env, fv_s)
+        # a renamed name binder also binds the body's pack identifiers and
+        # annotations: rename them before env brings in the names to avoid
+        new = _subst(subst_names(old, names), inner, fv_s) if n == "body" else _subst(old, env, fv_s)
         if new is not old:
             changes[n] = new
+    if names and t.bann is not None:
+        changes["bann"] = type_subst_names(t.bann, names)
     return _rebuild(t, **changes) if changes else t
 
 
@@ -833,13 +837,6 @@ def is_value(t: Term) -> bool:
         case _:
             # unborrow t always reduces once its body does, so it is not a value
             return False
-
-
-def user_writable(t: Term) -> bool:
-    """True when the term contains no runtime-only constructors."""
-    if isinstance(t, RUNTIME_ONLY):
-        return False
-    return all(user_writable(c) for c in children(t))
 
 
 def strip_meta(t: Term) -> Term:

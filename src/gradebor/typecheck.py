@@ -278,7 +278,9 @@ class TypingMemo:
     when inferring) and the part of the context it can read: the entries of
     the node's free variables and names, the entries of its references, the
     permission and name variables, and the names in scope unless identifiers
-    are lenient. Types and entries compare up to alpha-equivalence, as
+    are lenient. The entries follow the order of the sets `free_vars` and
+    `refs_of` store on the node, so a node's key always lists them in the
+    same order. Types and entries compare up to alpha-equivalence, as
     everywhere in the checker. A node with a binder that clashes with the
     context has no key, because checking it renames that binder. Entries hold
     their nodes, so no other node can take a node's id while the memo lives.
@@ -286,21 +288,18 @@ class TypingMemo:
     """
 
     def __init__(self) -> None:
-        self.free: S.Memo = {}
-        self.refs: S.Memo = {}
-        self.bound: S.Memo = {}
         self.judgments: dict[tuple, tuple[Term, tuple]] = {}
 
     def key(self, ctx: Ctx, t: Term, expected: Optional[Type]) -> Optional[tuple]:
-        bound = S.bound_names(t, self.bound)
+        bound = S.bound_names(t)
         if not (bound.isdisjoint(ctx.vars) and bound.isdisjoint(ctx.names) and bound.isdisjoint(ctx.name_vars)):
             return None
         vars_, refs = ctx.vars, ctx.refs
         return (
             id(t),
             expected,
-            tuple([vars_.get(x) for x in free_vars(t, self.free)]),
-            tuple([refs.get(r) for r in S.refs_of(t, self.refs)]),
+            tuple([vars_.get(x) for x in free_vars(t)]),
+            tuple([refs.get(r) for r in S.refs_of(t)]),
             ctx.perm_vars,
             ctx.name_vars,
             True if ctx.lenient_names else ctx.names,

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradebor.grades import NAT, NAT_LEQ, STAR, frac_perm, grade_add, grade_mul, grade_residual
-from gradebor.machine import ArrRes, Heap, Machine, RefCell, VarCell
+from gradebor.machine import ArrRes, EvalError, Heap, Machine, RefCell, VarCell
 from gradebor.metatheory import (
     check_borrow_safety, check_borrow_safety_step, check_equational,
-    check_preservation, check_progress, check_uniqueness, heap_compat,
-    reachable_refs, run_algebra_suite, run_equational_suite,
-    uniqueness_applicable,
+    check_preservation, check_progress, check_uniqueness, close_value,
+    heap_compat, reachable_refs, readback, run_algebra_suite,
+    run_equational_suite, uniqueness_applicable,
 )
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
@@ -375,6 +375,25 @@ def test_equational_distinguishes_different_writes():
     owner = Uniq(RefVal("ref1"), STAR)
     rep = check_equational(WithBorrow(write(0, 1.0), owner), WithBorrow(write(0, 2.0), owner), seeded(), RING)
     assert not rep.equal
+
+
+def test_readback_limits_heap_dereferences_not_tree_depth():
+    deep = UnitVal()
+    for _ in range(100):
+        deep = Pair(deep, NatLit(1))
+    assert readback(Heap(), deep)[0] == "pair"
+    assert readback(Heap(), Abs("x", deep)) == ("fun", Abs("x", deep))
+    heap = Heap()
+    heap.vars["x0"] = VarCell(RING.one, deep, None)
+    for k in range(1, 70):
+        heap.vars[f"x{k}"] = VarCell(RING.one, Var(f"x{k - 1}"), None)
+    # 64 dereferences reach the value, 65 are one too many
+    assert readback(heap, Var("x63"))[0] == "pair"
+    assert close_value(heap, Var("x63")) is deep
+    with pytest.raises(EvalError, match="readback recursion exceeded"):
+        readback(heap, Var("x64"))
+    with pytest.raises(EvalError, match="value closure recursion exceeded"):
+        close_value(heap, Var("x64"))
 
 
 def test_equational_suite_clean():

@@ -5,6 +5,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from gradebor import syntax
 from gradebor.generator import generate_programs
 from gradebor.grades import STAR, frac_perm
 from gradebor.machine import EvalError, Heap, Machine
+from gradebor.metatheory import check_trace
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
@@ -20,7 +22,7 @@ from gradebor.syntax import (
     Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow, alpha_eq,
     bound_names, children, free_vars, is_value, map_children, refs_of,
     rename_refs, strip_meta, subst, subst_names, type_alpha_eq, type_free_names,
-    type_free_perm_vars, type_subst_names, type_subst_perms, user_writable,
+    type_free_perm_vars, type_subst_names, type_subst_perms,
 )
 from gradebor.typecheck import CheckError, check_program
 
@@ -90,12 +92,6 @@ def test_alpha_distinguishes_permissions():
     assert Uniq(UnitVal(), STAR) != Uniq(UnitVal(), frac_perm(1))
 
 
-def test_user_writable():
-    assert user_writable(parse_term(r"withBorrow (\b -> b) c"))
-    assert not user_writable(Uniq(UnitVal()))
-    assert not user_writable(Pair(UnitVal(), RefVal("r")))
-
-
 def random_user_term(rng: random.Random, depth: int) -> Term:
     if depth <= 0:
         return rng.choice(
@@ -158,15 +154,23 @@ def _nodes(t: Term):
         yield from _nodes(c)
 
 
-def _samples() -> tuple[list[Term], list[Type]]:
-    """Source, elaborated and runtime terms of the corpus and 300 generated
-    programs, and the programs' declared types."""
+def _programs():
+    """The corpus and 300 generated programs."""
     corpus = Path(__file__).resolve().parent.parent / "src" / "gradebor" / "corpus"
     programs = [parse_program(p.read_text(), str(p)) for p in sorted(corpus.glob("*.grb"))]
     programs += generate_programs(7, count=300)
+    return programs
+
+
+PROGRAMS = _programs()
+
+
+def _samples() -> tuple[list[Term], list[Type]]:
+    """Source, elaborated and runtime terms of `PROGRAMS`, and the programs'
+    declared types."""
     terms: list[Term] = []
     signatures: list[Type] = []
-    for prog in programs:
+    for prog in PROGRAMS:
         terms.extend(d.body for d in prog.definitions)
         signatures.extend(d.signature for d in prog.definitions)
         try:
@@ -501,6 +505,17 @@ def old_bound_names(t):
     return out
 
 
+def old_refs_of(t):
+    match t:
+        case RefVal(r):
+            return {r}
+        case _:
+            out = set()
+            for c in children(t):
+                out |= old_refs_of(c)
+            return out
+
+
 def old_subst(t, x, s):
     fv_s = old_free_vars(s)
     rebuild = syntax._rebuild
@@ -522,7 +537,8 @@ def old_subst(t, x, s):
             case Unpack(i, b, rhs, body):
                 i2, env2 = _avoid(i, env, fv_s)
                 b2, env3 = _avoid(b, env2, fv_s)
-                return rebuild(t, ident=i2, binder=b2, rhs=go(rhs, env), body=go(body, env3))
+                body, bann = renamed_names(body, t.bann, {i: i2} if i2 != i else {})
+                return rebuild(t, ident=i2, binder=b2, rhs=go(rhs, env), body=go(body, env3), bann=bann)
             case Clone(b, ids, rhs, body):
                 env2 = env
                 ids2 = []
@@ -530,10 +546,17 @@ def old_subst(t, x, s):
                     i2, env2 = _avoid(i, env2, fv_s)
                     ids2.append(i2)
                 b2, env3 = _avoid(b, env2, fv_s)
+                body, bann = renamed_names(body, t.bann, {i: i2 for i, i2 in zip(ids, ids2) if i2 != i})
                 ids2 = ids if list(ids) == ids2 else tuple(ids2)
-                return rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3))
+                return rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3), bann=bann)
             case _:
                 return map_children(t, lambda c: go(c, env))
+
+    def renamed_names(body, bann, names):
+        """A renamed name binder's occurrences in the body's packs and annotations and in bann, renamed."""
+        if not names:
+            return body, bann
+        return old_subst_names(body, names), bann and old_type_subst_names(bann, names)
 
     def _avoid(binder, env, avoid):
         env = {k: v for k, v in env.items() if k != binder}
@@ -656,6 +679,18 @@ def test_term_walkers_match_the_match_walkers_on_every_sample_node():
         _check_term_walkers(t)
 
 
+def test_subst_renames_a_name_binder_in_packs_and_annotations():
+    t = parse_term("unpack <i, c> = newRef 98.0 in pack <i, absent>")
+    out = subst(t, "absent", parse_term("(i, (c, z))"))
+    assert out.ident != "i" and out.body.ident == out.ident
+    clone = Clone("d", ("j",), Var("y"), Pack("j", Var("absent")), bann=ResT("Ref", "j", FloatT()))
+    out = subst(clone, "absent", Var("j"))
+    assert out.idents[0] != "j" and out.body.ident == out.bann.ident == out.idents[0]
+    # substituting for an absent variable only renames binders
+    for t in SAMPLE_NODES:
+        assert alpha_eq(strip_meta(subst(t, "absent", _clash(bound_names(t)))), strip_meta(t)), t
+
+
 def test_alpha_eq_matches_the_match_walker_on_pairs_of_sample_nodes():
     by_class = defaultdict(list)
     for t in SAMPLE_NODES:
@@ -748,3 +783,38 @@ def test_type_walkers_take_one_frame_per_tree_level():
     assert type_free_perm_vars(ty) == {"p"}
     assert type_alpha_eq(type_subst_names(ty, {"i": "j"}), fun_chain("j"))
     assert type_free_perm_vars(type_subst_perms(ty, {"p": STAR})) == set()
+
+
+# -- the sets free_vars, refs_of and bound_names store on nodes -----------------
+
+
+def _unseen_nodes(roots, seen: set[int]):
+    """Every node under roots whose id is not in seen, each once; adds them to seen."""
+    todo = list(roots)
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            yield t
+            todo.extend(children(t))
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_stored_sets_equal_the_uncached_walkers_after_a_checked_run(mutate):
+    # run the machine and every checker first, so that a caller that mutated
+    # a stored set would leave a wrong answer behind
+    for prog in PROGRAMS:
+        try:
+            cp = check_program(prog)
+            _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, cp.ring.one)
+        except (CheckError, EvalError):
+            continue
+        check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
+        seen: set[int] = set()
+        for term, heap in trace.configurations():
+            values = [c.value for c in heap.vars.values()]
+            values += [r.value for r in heap.resources.values() if not r.is_array]
+            for t in _unseen_nodes([term, *values], seen):
+                assert free_vars(t) == old_free_vars(t)
+                assert refs_of(t) == old_refs_of(t)
+                assert bound_names(t) == old_bound_names(t)
