@@ -15,6 +15,20 @@ non-value. A step then costs the distance between consecutive redexes, not
 the depth of the term. Only a recording run plugs the contractum back
 through the frames to build the whole term, and builds the rule path from
 the frames.
+
+After every contraction, `eval` drops each variable that the run bound,
+whose grade is exactly zero and that nothing reaches, as the usage-aware
+semantics of Choudhury et al. (POPL 2021) discards 0-graded bindings: such
+a variable can never be read again, and a heap check that sees no demand
+on it discharges it anyway. The roots are the free variables of the
+contractum, of every frame node's children other than the hole, and of
+every stored reference value; reach then closes over the values of the
+variables it meets. The roots come from the frames, never from the whole
+term, which only a recording run builds: the same pass runs in both modes,
+and it stores no free-variable set on the nodes that plugging creates.
+Variables of the heap passed to `eval`, variables of nonzero grade,
+references and resources are never dropped. Fresh names come from a
+process-wide counter, so a dropped name is never bound again.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 from .grades import Grade, Permission, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
@@ -32,8 +46,8 @@ from .parser import print_term, print_type
 from .syntax import (
     Abs, App, Clone, FloatLit, Join, LetBox, LetPair, LetUnit, NatLit, Pack,
     Pair, Prim, Promote, Pull, Push, RefVal, Share, Split, Term, Type, Unborrow,
-    Uniq, UnitVal, Unpack, Var, WithBorrow, fresh_name, is_value, prim_spine,
-    refs_of, rename_refs, subst, subst_names,
+    Uniq, UnitVal, Unpack, Var, WithBorrow, free_vars, fresh_name, is_value,
+    prim_spine, refs_of, rename_refs, subst, subst_names,
 )
 
 
@@ -350,7 +364,10 @@ class Machine:
     # -- public API -----------------------------------------------------------
 
     def step(self, heap: Heap, t: Term, s: Grade) -> Optional[tuple[Term, str]]:
-        """Apply one reduction rule in place; None when t is a value."""
+        """Apply one reduction rule in place; None when t is a value.
+
+        Unlike `eval`, a step collects nothing: every variable it binds
+        stays in the heap, whatever its grade."""
         frames: list[Frame] = []
         redex, g, found = self._refocus(t, s, frames)
         if not found:
@@ -359,8 +376,14 @@ class Machine:
         return _plug(frames, c), _rule(frames, leaf)
 
     def eval(self, heap: Heap, t: Term, s: Grade, fuel: int = 10000, record: bool = True) -> tuple[Term, Trace]:
+        """Reduce t at grade s to a value, in place on heap, dropping the
+        unreachable grade-0 variables the run bound after every step (see
+        the module docstring)."""
         frames: list[Frame] = []
         steps: list[StepRecord] = []
+        own = set(heap.vars)  # the caller's variables, never dropped
+        zeros: set[str] = set()  # variables the run bound that hold grade 0
+        zero = self.ring.zero
         pre_heap = heap.snapshot() if record else None
         redex, g, found = self._refocus(t, s, frames)
         k = 0
@@ -368,7 +391,16 @@ class Machine:
             if fuel <= 0:
                 raise FuelExhausted(f"no fuel left after {k} steps")
             fuel -= 1
+            n = len(heap.vars)
             c, leaf = self._contract(heap, redex, g)
+            # a contraction only appends variables, or lowers the grade of
+            # the variable it reads
+            changed = list(islice(reversed(heap.vars), len(heap.vars) - n))
+            if type(redex) is Var:
+                changed.append(redex.name)
+            zeros.update(x for x in changed if x not in own and heap.vars[x].grade == zero)
+            if zeros:
+                _collect(heap, frames, c, zeros)
             if record:
                 t2 = _plug(frames, c)
                 post_heap = heap.snapshot()
@@ -714,6 +746,37 @@ class Machine:
             return ty
         except CheckError:
             return None
+
+
+def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:
+    """Drop from the heap, and from `zeros`, each variable of `zeros` that
+    nothing reaches from the term `c` plugged into `frames`.
+
+    The roots are the free variables of c, of each frame node's children
+    other than the hole (a body's less the node's binders, which never
+    scope over the hole), and of every stored reference value; a variable
+    reached adds the free variables of its value, whatever its grade.
+    """
+    cells = heap.vars
+    roots = [free_vars(c)]
+    for node, i, _ in frames:
+        shape = S._SHAPES[type(node)]
+        hole = _CONGRUENCES[type(node)][i][0]
+        for n in shape.terms:
+            if n != hole:
+                fv = free_vars(getattr(node, n))
+                roots.append(fv.difference(S._bound_by(node, shape.binds)) if n == "body" and shape.binds else fv)
+    roots.extend(free_vars(res.value) for res in heap.resources.values() if not res.is_array)
+    todo = [x for fv in roots for x in fv if x in cells]
+    reached: set[str] = set()
+    while todo:
+        x = todo.pop()
+        if x not in reached:
+            reached.add(x)
+            todo.extend(y for y in free_vars(cells[x].value) if y in cells)
+    for x in zeros - reached:
+        del cells[x]
+    zeros &= reached
 
 
 def _ref_order(t: Term) -> list[str]:

@@ -165,13 +165,15 @@ def perm_expr_eq(a: PermExpr, b: PermExpr) -> bool:
     return False
 
 
-def _child_fields(cls: type, sort: type) -> tuple[str, ...]:
-    """The fields of a node class that hold one child of the given sort, in order."""
-    hints = get_type_hints(cls)
-    return tuple(f.name for f in fields(cls) if hints[f.name] is sort)
+def _child_fields(cls: type, hints: dict, sort) -> tuple[str, ...]:
+    """The fields of a node class annotated `sort`, in order; `hints` are the
+    class's evaluated annotations, from one `get_type_hints(cls)`."""
+    return tuple(f.name for f in fields(cls) if hints[f.name] == sort)
 
 
-_TYPE_CHILDREN: dict[type, tuple[str, ...]] = {cls: _child_fields(cls, Type) for cls in Type.__subclasses__()}
+_TYPE_CHILDREN: dict[type, tuple[str, ...]] = {
+    cls: _child_fields(cls, get_type_hints(cls), Type) for cls in Type.__subclasses__()
+}
 
 
 def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
@@ -516,11 +518,7 @@ _BINDS: dict[type, tuple[str, ...]] = {
 
 def _shape(cls: type) -> _Shape:
     hints = get_type_hints(cls)
-    return _Shape(
-        _child_fields(cls, Term),
-        tuple(f.name for f in fields(cls) if hints[f.name] == Optional[Type]),
-        _BINDS.get(cls, ()),
-    )
+    return _Shape(_child_fields(cls, hints, Term), _child_fields(cls, hints, Optional[Type]), _BINDS.get(cls, ()))
 
 
 _SHAPES: dict[type, _Shape] = {cls: _shape(cls) for cls in Term.__subclasses__()}

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,9 @@ from gradebor.machine import (
 )
 from gradebor.parser import parse_program, parse_term, print_term
 from gradebor.syntax import (
-    Abs, App, FloatLit, NatLit, Pack, Pair, Prim, Promote, RefVal, Share,
-    Split, Term, Unborrow, Uniq, UnitVal, Var, Prod, UnitT, FloatT, NatT,
+    Abs, App, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
+    Promote, RefVal, Share, Split, Term, Unborrow, Uniq, UnitVal, Unpack, Var,
+    Prod, UnitT, FloatT, NatT,
 )
 from gradebor.typecheck import check_program
 
@@ -541,3 +544,194 @@ def test_deep_write_chain_runs_without_recursion():
     assert v == Uniq(RefVal("ref1"), STAR)
     assert trace.step_count == 2000
     assert heap.resources["id1"].items == {0: 1996.0, 1: 1997.0, 2: 1998.0, 3: 1999.0}
+
+
+# -- dropping unreachable grade-0 variables ------------------------------------------
+
+# The term-variable binder fields of each binding form; each scopes over `body`.
+_VAR_BINDERS = {Abs: ("param",), LetPair: ("left", "right"), LetBox: ("binder",), Unpack: ("binder",), Clone: ("binder",)}
+
+
+def _walk_vars(t):
+    """The free term variables of t, by a walk of its own over the whole term."""
+    if isinstance(t, Var):
+        return {t.name}
+    out = set()
+    for f in dataclasses.fields(t):
+        child = getattr(t, f.name)
+        if isinstance(child, Term):
+            sub = _walk_vars(child)
+            if f.name == "body":
+                sub -= {getattr(t, b) for b in _VAR_BINDERS.get(type(t), ())}
+            out |= sub
+    return out
+
+
+def _unreachable_zeros(term, heap, zero):
+    """The variables of heap of grade zero that neither the term nor a stored
+    reference value reaches through the heap."""
+    todo = list(_walk_vars(term))
+    for res in heap.resources.values():
+        if not res.is_array:
+            todo.extend(_walk_vars(res.value))
+    reached = set()
+    while todo:
+        x = todo.pop()
+        if x in heap.vars and x not in reached:
+            reached.add(x)
+            todo.extend(_walk_vars(heap.vars[x].value))
+    return {x for x, c in heap.vars.items() if c.grade == zero and x not in reached}
+
+
+def _without(heap, dead):
+    return Heap({x: c for x, c in heap.vars.items() if x not in dead}, heap.refs, heap.resources, heap.counter)
+
+
+def _collection_oracle(ring, term, s, monkeypatch, mutate=False):
+    """Run term from an empty heap, so that the run binds every variable,
+    with collection and with `_collect` a no-op, from the same fresh-name
+    start, and check each collected heap against the oracle. Returns the
+    collected and uncollected traces, or None when all three runs failed
+    with the same error."""
+    import itertools
+    import json
+
+    from gradebor import machine as M, syntax
+
+    collect = M._collect
+    runs = {}
+    for mode, record in (("collected", True), ("uncollected", True), ("unrecorded", False)):
+        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(10**6))
+        monkeypatch.setattr(M, "_collect", (lambda *_: None) if mode == "uncollected" else collect)
+        try:
+            runs[mode] = Machine(ring, mutate_split=mutate).eval(Heap(), term, s, record=record)[1]
+        except EvalError as e:
+            runs[mode] = str(e)
+    if isinstance(runs["collected"], str):
+        assert runs["collected"] == runs["uncollected"] == runs["unrecorded"]
+        return None
+    kept, full = runs["collected"], runs["uncollected"]
+    assert [r.rule for r in kept.steps] == [r.rule for r in full.steps]
+    assert [print_term(r.post_term) for r in kept.steps] == [print_term(r.post_term) for r in full.steps]
+    assert print_term(kept.final_term) == print_term(full.final_term)
+    for (t, heap), (_, whole) in zip(kept.configurations(), full.configurations(), strict=True):
+        dead = _unreachable_zeros(t, whole, ring.zero)
+        assert heap.to_json() == _without(whole, dead).to_json()
+    assert json.dumps(kept.final_heap.to_json()) == json.dumps(runs["unrecorded"].final_heap.to_json())
+    return kept, full
+
+
+def _collection_agrees(cp, s, mutate, monkeypatch):
+    from gradebor.metatheory import check_trace
+
+    traces = _collection_oracle(cp.ring, cp.main_term, s, monkeypatch, mutate)
+    if traces is not None:
+        kept, full = traces
+        assert check_trace(kept, cp.main_type, cp.ring, s) == check_trace(full, cp.main_type, cp.ring, s)
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_collection_drops_exactly_the_unreachable_zeros_on_the_corpus(mutate, monkeypatch):
+    import glob
+
+    from gradebor.typecheck import CheckError
+
+    checked = 0
+    for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
+        try:
+            cp = check_program(parse_program(open(path).read(), path))
+        except CheckError:
+            continue
+        _collection_agrees(cp, cp.ring.one, mutate, monkeypatch)
+        checked += 1
+    assert checked >= 9
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_collection_drops_exactly_the_unreachable_zeros_on_generated_programs(mutate, monkeypatch):
+    from gradebor.generator import constructors_used, generate_programs
+
+    for prog in generate_programs(23, count=300):
+        cp = check_program(prog)
+        grades = [cp.ring.one]
+        if cp.ring is not INTERVAL and not any(c.startswith("Prim:") for c in constructors_used(cp.main_term)):
+            grades.append(cp.ring.literal(2))
+        for s in grades:
+            _collection_agrees(cp, s, mutate, monkeypatch)
+
+
+@pytest.mark.parametrize("term", [
+    # x is reached only through the frame (hole, x) while u is bound
+    App(Abs("x", Pair(App(Abs("u", Var("u")), UnitVal()), Var("x"))), UnitVal()),
+    # b is reached only through the value of a
+    App(Abs("b", App(Abs("a", Pair(App(Abs("u", Var("u")), UnitVal()), Var("a"))), Abs("z", Var("b")))), UnitVal()),
+    # b is reached only through the stored value of a reference
+    App(Abs("b", App(Abs("r", Pair(App(Abs("u", Var("u")), UnitVal()), Var("r"))),
+                     App(Prim("newRef"), Promote(Abs("z", Var("b")))))), UnitVal()),
+    # the frame's let binds the name the step gives u, so nothing reaches u
+    LetPair("u.1000000", "q", Pair(App(Abs("u", UnitVal()), UnitVal()), UnitVal()), Var("u.1000000")),
+])
+def test_collection_keeps_zeros_reached_only_through_frames_values_and_references(term, monkeypatch):
+    # at grade 0 every variable is bound at grade 0; the oracle's counter
+    # starts at 10**6, which fixes the names the run binds
+    assert _collection_oracle(RING, term, RING.zero, monkeypatch) is not None
+
+
+def ladder_source(rungs):
+    """The split/join reborrow ladder of `scripts/golden.py`."""
+    rng = random.Random(7)
+    body = "let (x0, y0) = split b in\n"
+    for k in range(1, rungs + 1):
+        x, y = f"x{k - 1}", f"y{k - 1}"
+        if rng.random() < 0.5:
+            x = f"observe {x}"
+        else:
+            y = f"observe {y}"
+        pair = f"({y}, {x})" if rng.random() < 0.5 else f"({x}, {y})"
+        body += f"  let (x{k}, y{k}) = split (join {pair}) in\n"
+    body += f"  join (x{rungs}, y{rungs})"
+    return (
+        "#semiring nat-leq\n\n"
+        "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
+        "observe = \\w -> w;\n\n"
+        "ladder : forall {i : Name} . * (Ref i Float) -o * (Ref i Float);\n"
+        f"ladder = \\c -> withBorrow (\\b -> {body}) c;\n\n"
+        "main : exists i . * (Ref i Float);\n"
+        "main = unpack <i, c> = newRef 1.5 in pack <i, ladder c>;\n"
+    )
+
+
+def test_ladder_heap_stays_the_same_size_as_the_ladder_grows():
+    largest = []
+    for rungs in (10, 20, 40):
+        cp = check_program(parse_program(ladder_source(rungs)))
+        heap = Heap()
+        heap.vars["w"] = VarCell(cp.ring.zero, UnitVal(), UnitT())  # the caller's: kept
+        _, trace = Machine(cp.ring).eval(heap, cp.main_term, cp.ring.one)
+        configs = trace.configurations()
+        assert len(configs) > 4 * rungs
+        assert all(h.vars["w"].grade == cp.ring.zero for _, h in configs)
+        largest.append(max(len(h.vars) - 1 for _, h in configs))
+    assert largest[0] == largest[1] == largest[2] <= 2
+
+
+def test_starting_heap_variables_survive_at_grade_zero():
+    heap = Heap()
+    heap.vars["y"] = VarCell(RING.literal(2), UnitVal(), UnitT())
+    t = App(Abs("x", Pair(Var("x"), Var("y")), Prod(UnitT(), UnitT())), Pair(UnitVal(), Var("y")))
+    for record in (True, False):
+        h = heap.snapshot()
+        _, trace = machine().eval(h, t, one(), record=record)
+        # the run's x is read once and dropped; y is the caller's
+        assert list(trace.final_heap.vars) == ["y"]
+        assert trace.final_heap.vars["y"].grade == RING.zero
+
+
+def test_step_does_not_collect():
+    t = App(Abs("x", UnitVal(), UnitT()), UnitVal())
+    heap = Heap()
+    assert machine().step(heap, t, RING.zero) == (UnitVal(), "beta")
+    assert [c.grade for c in heap.vars.values()] == [RING.zero]
+    heap = Heap()
+    machine().eval(heap, t, RING.zero, record=False)
+    assert heap.vars == {}

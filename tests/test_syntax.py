@@ -192,6 +192,19 @@ def test_every_term_class_has_a_table_entry():
         assert c in syntax._SHAPES, c.__name__
 
 
+def test_tables_pin_child_annotation_and_binder_fields():
+    assert syntax._SHAPES[LetPair] == (("rhs", "body"), ("lann", "rann"), ("left", "right"))
+    assert syntax._SHAPES[Clone] == (("rhs", "body"), ("bann",), ("idents", "binder"))
+    assert syntax._SHAPES[Unpack] == (("rhs", "body"), ("bann",), ("ident", "binder"))
+    assert syntax._SHAPES[Abs] == (("body",), ("ann",), ("param",))
+    assert syntax._SHAPES[Promote] == (("body",), (), ())
+    assert syntax._SHAPES[Var] == ((), (), ())
+    assert syntax._TYPE_CHILDREN[ResT] == ("payload",)
+    assert syntax._TYPE_CHILDREN[Fun] == ("dom", "cod")
+    assert syntax._TYPE_CHILDREN[Amp] == ("body",)
+    assert syntax._TYPE_CHILDREN[NameT] == ()
+
+
 def test_every_node_class_reprs_as_surface_syntax():
     for base in (syntax.Term, syntax.Type):
         classes = [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, base) and c is not base]
