@@ -3,8 +3,14 @@
 Configurations pair a three-sorted heap (variables, permission-annotated
 references, resources) with a term under reduction. `step` applies exactly
 one rule; the recorded rule name is the chain of congruences down to the
-leaf, joined with '/'. Evaluation captures a full snapshot trace for the
-metatheory checkers, or only the step count when it does not record.
+leaf, joined with '/'. The machine reduces and records, and never types a
+term: the type stored with a `newRef` cell is the payload type elaboration
+put on the `newRef` head (`Prim.ann`), lowered once per `readRef`, and
+`swapRef` keeps it, since the checker requires the new value to have it.
+Evaluation records for the metatheory checkers a `Trace` that holds each
+configuration once, as a term and a heap snapshot, and one rule path per
+step; a run that does not record keeps only the step count and its final
+configuration.
 
 Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
 BRICS RS-04-26) instead of searching for each redex from the root: the
@@ -230,33 +236,30 @@ def arr_write(a: ArrRes, n: int, v: float) -> ArrRes:
 
 
 @dataclass
-class StepRecord:
-    index: int
-    rule: str
-    grade: str
-    pre_term: Term
-    pre_heap: Heap
-    post_term: Term
-    post_heap: Heap
-
-
-@dataclass
 class Trace:
-    """A run's steps (empty when evaluation did not record), its final
-    configuration and how many steps it took."""
+    """A run at grade `grade`: the rule path of each recorded step, the
+    configurations, and how many steps the run took.
+
+    A recorded run keeps every configuration once, the initial one first:
+    step k leads from configuration k to configuration k + 1. A run that
+    did not record has no steps and one configuration, its value and live
+    heap."""
 
     grade: Grade
-    steps: list[StepRecord]
-    final_term: Term
-    final_heap: Heap
+    steps: list[str]
+    configs: list[tuple[Term, Heap]]
     step_count: int
 
     def configurations(self) -> list[tuple[Term, Heap]]:
-        if not self.steps:
-            return [(self.final_term, self.final_heap)]
-        out = [(self.steps[0].pre_term, self.steps[0].pre_heap)]
-        out.extend((s.post_term, s.post_heap) for s in self.steps)
-        return out
+        return self.configs
+
+    @property
+    def final_term(self) -> Term:
+        return self.configs[-1][0]
+
+    @property
+    def final_heap(self) -> Heap:
+        return self.configs[-1][1]
 
     def to_jsonl(self) -> str:
         """One JSON object per step, then one for the final configuration.
@@ -284,9 +287,10 @@ class Trace:
                 entries.append(hit[0])
             return f'{json.dumps(fields)[:-1]}, "heap": [{", ".join(entries)}]}}'
 
+        grade = str(self.grade)
         lines = [
-            line({"step": s.index, "rule": s.rule, "grade": s.grade, "term": print_term(s.post_term)}, s.post_heap)
-            for s in self.steps
+            line({"step": k, "rule": rule, "grade": grade, "term": print_term(term)}, heap)
+            for k, (rule, (term, heap)) in enumerate(zip(self.steps, self.configs[1:]))
         ]
         lines.append(line({"step": len(self.steps), "value": print_term(self.final_term)}, self.final_heap))
         return "\n".join(lines)
@@ -380,11 +384,11 @@ class Machine:
         unreachable grade-0 variables the run bound after every step (see
         the module docstring)."""
         frames: list[Frame] = []
-        steps: list[StepRecord] = []
+        rules: list[str] = []
+        configs = [(t, heap.snapshot())] if record else []
         own = set(heap.vars)  # the caller's variables, never dropped
         zeros: set[str] = set()  # variables the run bound that hold grade 0
         zero = self.ring.zero
-        pre_heap = heap.snapshot() if record else None
         redex, g, found = self._refocus(t, s, frames)
         k = 0
         while found:
@@ -402,15 +406,14 @@ class Machine:
             if zeros:
                 _collect(heap, frames, c, zeros)
             if record:
-                t2 = _plug(frames, c)
-                post_heap = heap.snapshot()
-                steps.append(StepRecord(k, _rule(frames, leaf), str(s), t, pre_heap, t2, post_heap))
-                t, pre_heap = t2, post_heap
+                t = _plug(frames, c)
+                rules.append(_rule(frames, leaf))
+                configs.append((t, heap.snapshot()))
             redex, g, found = self._refocus(c, g, frames)
             k += 1
         if not record:
-            return redex, Trace(s, steps, redex, heap, k)
-        return t, Trace(s, steps, t, heap.snapshot(), k)
+            return redex, Trace(s, rules, [(redex, heap)], k)
+        return t, Trace(s, rules, configs, k)
 
     # -- finding the redex ------------------------------------------------------
 
@@ -472,7 +475,7 @@ class Machine:
                 # a redex with a primitive head is a saturated application
                 spine = prim_spine(t)
                 if spine is not None:
-                    return self._prim_step(heap, *spine)
+                    return self._prim_step(heap, t, *spine)
                 if isinstance(t.fn, Abs):
                     fresh = heap.fresh_var(t.fn.param)
                     heap.vars[fresh] = VarCell(s, t.arg, t.fn.ann)
@@ -581,7 +584,7 @@ class Machine:
 
     # -- resource primitives ----------------------------------------------------
 
-    def _prim_step(self, heap: Heap, name: str, args: list[Term]) -> tuple[Term, str]:
+    def _prim_step(self, heap: Heap, t: App, name: str, args: list[Term]) -> tuple[Term, str]:
         if name == "newArray":
             ident = heap.fresh_ident()
             ref = heap.fresh_ref()
@@ -592,7 +595,8 @@ class Machine:
             (v,) = args
             ident = heap.fresh_ident()
             ref = heap.fresh_ref()
-            heap.resources[ident] = RefRes(v, self._type_of_value(heap, v))
+            # the payload type that elaboration put on the head, or None
+            heap.resources[ident] = RefRes(v, t.fn.ann)
             heap.refs[ref] = RefCell(Fraction(1), ident)
             return Pack(ident, Uniq(RefVal(ref), STAR)), "newRef"
 
@@ -620,7 +624,8 @@ class Machine:
             del heap.resources[cell.ident]
             return UnitVal(), "deleteArray"
         if name == "readRef":
-            if not isinstance(res.value, Promote):
+            box = res.value
+            if not isinstance(box, Promote):
                 raise StuckTerm("readRef on a cell whose payload is not boxed")
             # mirror the static accounting in the stored type: each read
             # lowers the payload grade by one (the boxed value is unchanged)
@@ -628,11 +633,11 @@ class Machine:
                 lowered = G.grade_minus_one(res.ty.grade)
                 if lowered is not None:
                     res.ty = S.Box(lowered, res.ty.body)
-            return Pair(res.value.body, u), "readRef"
+            return Pair(box.body, u), "readRef"
         if name == "swapRef":
+            # the new value has the stored payload type, so res.ty stays
             old = res.value
             res.value = args[1]
-            res.ty = self._type_of_value(heap, args[1])
             return Pair(old, u), "swapRef"
         if name == "deleteRef":
             del heap.refs[ref]
@@ -735,17 +740,6 @@ class Machine:
         heap.vars[fx] = VarCell(s, copied, ty)
         body = subst_names(t.body, name_env)
         return subst(body, t.binder, Var(fx))
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _type_of_value(self, heap: Heap, v: Term) -> Optional[Type]:
-        from .typecheck import Checker, CheckError, runtime_ctx
-
-        try:
-            ty, _, _ = Checker(self.ring).infer(runtime_ctx(heap, self.ring), v)
-            return ty
-        except CheckError:
-            return None
 
 
 def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:

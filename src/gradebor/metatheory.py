@@ -245,27 +245,15 @@ def _conservation(
 def check_borrow_safety(trace: Trace) -> list[Violation]:
     """`check_borrow_safety_step` on every step of a recorded trace.
 
-    Steps share configurations (a step's post-configuration is the next
-    one's pre-configuration), so reachability is computed once per
-    configuration. Everything is still computed from the recorded terms and
-    heaps.
+    Step k leads from configuration k to configuration k + 1, so
+    reachability is computed once per configuration. Everything is still
+    computed from the recorded terms and heaps.
     """
-    configs: dict[tuple[int, int], tuple[Term, Heap, set[str]]] = {}
-
-    def reach(term: Term, heap: Heap) -> set[str]:
-        key = (id(term), id(heap))
-        if key not in configs:
-            configs[key] = (term, heap, reachable_refs(term, heap))
-        return configs[key][2]
-
+    configs = trace.configurations()
+    reach = [reachable_refs(term, heap) for term, heap in configs]
     out: list[Violation] = []
-    for rec in trace.steps:
-        out.extend(
-            _conservation(
-                reach(rec.pre_term, rec.pre_heap), rec.pre_heap,
-                reach(rec.post_term, rec.post_heap), rec.post_heap, rec.index,
-            )
-        )
+    for k in range(len(configs) - 1):
+        out.extend(_conservation(reach[k], configs[k][1], reach[k + 1], configs[k + 1][1], k))
     return out
 
 
@@ -291,8 +279,8 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
     if not uniqueness_applicable(final_type):
         return []
     out: list[Violation] = []
-    v, hf = trace.final_term, trace.final_heap
-    t0, h0 = (trace.steps[0].pre_term, trace.steps[0].pre_heap) if trace.steps else (v, hf)
+    configs = trace.configurations()
+    (t0, h0), (v, hf) = configs[0], configs[-1]
 
     pre_sums = _perm_sums(reachable_refs(t0, h0), h0)
     for ident, total in pre_sums.items():

@@ -467,6 +467,7 @@ class FloatLit(Term):
 @_node
 class Prim(Term):
     name: str
+    ann: Optional[Type] = None  # newRef's payload type; filled in by elaboration
     loc: Optional[Loc] = _loc_field()
 
 

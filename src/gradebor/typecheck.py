@@ -683,8 +683,9 @@ class Checker:
             elabs.append(ea)
             tys.append(ta)
         ty = self._prim_result_type(name, tys, t.loc)
-        # rebuild the spine with elaborated arguments
-        out: Term = Prim(name, loc=t.loc)
+        # rebuild the spine with elaborated arguments; a newRef head carries
+        # its payload type, which the machine stores with the new cell
+        out: Term = Prim(name, tys[0] if name == "newRef" else None, loc=t.loc)
         for ea in elabs:
             out = App(out, ea, loc=t.loc)
         return ty, usage, out
@@ -1033,7 +1034,7 @@ def check_program(prog) -> CheckedProgram:
 
 
 # ---------------------------------------------------------------------------
-# Runtime contexts (used by the machine and the metatheory checkers)
+# Runtime contexts (used by the metatheory checkers)
 
 
 def runtime_ctx(heap, ring: Semiring) -> Ctx:

@@ -7,7 +7,7 @@ import pytest
 from gradebor.grades import INTERVAL, NAT_LEQ, STAR, frac_perm
 from gradebor.machine import (
     ArrRes, EvalError, FuelExhausted, GradeUnderflow, Heap, Machine,
-    MissingResource, RefCell, RefRes, StepRecord, StuckTerm, Trace, VarCell,
+    MissingResource, RefCell, RefRes, StuckTerm, Trace, VarCell,
     arr_read, arr_write, heap_copy,
 )
 from gradebor.parser import parse_program, parse_term, print_term
@@ -123,7 +123,7 @@ def test_worked_example_replay():
     heap.vars["y"] = VarCell(RING.literal(2), UnitVal(), UnitT())
     t = App(Abs("x", Pair(Var("x"), Var("y")), Prod(UnitT(), UnitT())), Pair(UnitVal(), Var("y")))
     v, trace = machine().eval(heap, t, one())
-    assert [s.rule for s in trace.steps] == [
+    assert trace.steps == [
         "appL/congPairR/var",
         "beta",
         "congPairL/var",
@@ -152,16 +152,17 @@ def test_determinism():
     v1, t1 = machine().eval(Heap(), cp.main_term, one())
     v2, t2 = machine().eval(Heap(), cp.main_term, one())
     assert v1 == v2
-    assert [s.rule for s in t1.steps] == [s.rule for s in t2.steps]
+    assert t1.steps == t2.steps
 
 
 def test_freshness_of_introduced_names():
     src = open("src/gradebor/corpus/amethyst.grb").read()
     cp = check_program(parse_program(src))
     _, trace = machine().eval(Heap(), cp.main_term, one())
-    for rec in trace.steps:
-        pre = rec.pre_heap.names()
-        introduced = rec.post_heap.names() - pre
+    configs = trace.configurations()
+    for (_, pre_heap), (_, post_heap) in zip(configs, configs[1:]):
+        pre = pre_heap.names()
+        introduced = post_heap.names() - pre
         assert introduced.isdisjoint(pre)
 
 
@@ -171,11 +172,11 @@ def test_configuration_invariant_refs_in_heap():
     src = open("src/gradebor/corpus/indigo_seq.grb").read()
     cp = check_program(parse_program(src))
     _, trace = machine().eval(Heap(), cp.main_term, one())
-    for rec in trace.steps:
-        assert refs_of(rec.post_term) <= set(rec.post_heap.refs)
+    for post_term, post_heap in trace.configurations()[1:]:
+        assert refs_of(post_term) <= set(post_heap.refs)
         # free term variables and name identifiers both resolve in the heap
-        dom = set(rec.post_heap.vars) | set(rec.post_heap.resources)
-        assert free_vars(rec.post_term) <= dom
+        dom = set(post_heap.vars) | set(post_heap.resources)
+        assert free_vars(post_term) <= dom
 
 
 # -- heap operations ----------------------------------------------------------------
@@ -232,7 +233,7 @@ def test_read_write_delete_array_steps():
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
     assert v == UnitVal()
-    rules = [s.rule.split("/")[-1] for s in trace.steps]
+    rules = [rule.split("/")[-1] for rule in trace.steps]
     assert "newArray" in rules and "writeArray" in rules and "readArray" in rules and "deleteArray" in rules
     assert not trace.final_heap.refs and not trace.final_heap.resources
 
@@ -267,9 +268,9 @@ def jsonl_oracle(trace):
     import json
 
     lines = [
-        json.dumps({"step": s.index, "rule": s.rule, "grade": s.grade,
-                    "term": print_term(s.post_term), "heap": s.post_heap.to_json()})
-        for s in trace.steps
+        json.dumps({"step": k, "rule": rule, "grade": str(trace.grade),
+                    "term": print_term(term), "heap": heap.to_json()})
+        for k, (rule, (term, heap)) in enumerate(zip(trace.steps, trace.configurations()[1:]))
     ]
     lines.append(json.dumps({"step": len(trace.steps), "value": print_term(trace.final_term),
                              "heap": trace.final_heap.to_json()}))
@@ -311,9 +312,9 @@ def test_trace_jsonl_matches_the_oracle_on_generated_programs():
 
 def hand_trace(heaps, term=UnitVal()):
     """A trace whose printed configurations hold `term` and the given heaps
-    in turn: one step after each heap but the last, which is the final one."""
-    steps = [StepRecord(k + 1, "var", "1", term, heap, term, heap) for k, heap in enumerate(heaps[:-1])]
-    return Trace(one(), steps, term, heaps[-1], len(steps))
+    in turn: one step into each heap, the last of which is also the final one."""
+    configs = [(term, Heap())] + [(term, heap) for heap in heaps]
+    return Trace(one(), ["var"] * len(heaps), configs, len(heaps))
 
 
 def test_trace_jsonl_rereads_a_grade_that_changes_under_the_same_value():
@@ -324,7 +325,7 @@ def test_trace_jsonl_rereads_a_grade_that_changes_under_the_same_value():
     trace = hand_trace(heaps)
     lines = trace.to_jsonl().split("\n")
     assert lines == jsonl_oracle(trace)
-    assert [json.loads(line)["heap"][0]["grade"] for line in lines] == ["2", "1", "0"]
+    assert [json.loads(line)["heap"][0]["grade"] for line in lines] == ["2", "1", "0", "0"]
 
 
 def test_trace_jsonl_rereads_swapped_values_and_resources():
@@ -346,11 +347,13 @@ def test_trace_jsonl_rereads_swapped_values_and_resources():
     lines = trace.to_jsonl().split("\n")
     assert lines == jsonl_oracle(trace)
     records = [json.loads(line)["heap"] for line in lines]
-    assert [r[0]["value"] for r in records] == ["1.5", "1.5", "1.5", "2.5"]
-    assert [r[1]["type"] for r in records] == ["Float", "Float", "Float", "Nat"]
-    assert [r[2]["perm"] for r in records] == ["1", "1", "1/2", "1/2"]
-    assert [r[3]["value"] for r in records] == ["init[0]=1.0", "init[0]=1.0", "init[0]=2.0", "init[0]=2.0[1]=3.0"]
-    assert [r[4]["value"] for r in records] == ["|- 1.5 : Float"] * 3 + ["|- 2.5 : Float"]
+    assert [r[0]["value"] for r in records] == ["1.5", "1.5", "1.5", "2.5", "2.5"]
+    assert [r[1]["type"] for r in records] == ["Float", "Float", "Float", "Nat", "Nat"]
+    assert [r[2]["perm"] for r in records] == ["1", "1", "1/2", "1/2", "1/2"]
+    assert [r[3]["value"] for r in records] == [
+        "init[0]=1.0", "init[0]=1.0", "init[0]=2.0", "init[0]=2.0[1]=3.0", "init[0]=2.0[1]=3.0"
+    ]
+    assert [r[4]["value"] for r in records] == ["|- 1.5 : Float"] * 3 + ["|- 2.5 : Float"] * 2
 
 
 RULE_NAMES = {
@@ -376,8 +379,8 @@ def test_rule_names_are_from_the_closed_set():
         except Exception:
             continue
         _, trace = machine().eval(Heap(), cp.main_term, one())
-        for rec in trace.steps:
-            for part in rec.rule.split("/"):
+        for rule in trace.steps:
+            for part in rule.split("/"):
                 assert part in RULE_NAMES, f"{path}: unknown rule {part}"
 
 
@@ -411,7 +414,7 @@ def test_multi_identifier_clone():
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
     assert v == Pair(FloatLit(1.0), FloatLit(2.0))
-    rules = {r for s in trace.steps for r in s.rule.split("/")}
+    rules = {r for rule in trace.steps for r in rule.split("/")}
     assert "copyBeta" in rules
     # the shared originals remain at permission zero, the copies were consumed
     assert all(c.perm == 0 for c in trace.final_heap.refs.values())
@@ -425,7 +428,7 @@ def test_split_and_join_at_pair_granularity():
         "       pack <i, pack <j, withBorrow (\\p -> join (split p)) (pull (r, g))>>;"
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
-    leaf_rules = [s.rule.split("/")[-1] for s in trace.steps]
+    leaf_rules = [rule.split("/")[-1] for rule in trace.steps]
     assert "splitPair" in leaf_rules and "joinPair" in leaf_rules
     # both resources end uniquely referenced
     per_ident = {}
@@ -443,7 +446,7 @@ def test_push_pull_on_borrowed_products():
         "                                            pull (x, join (split y))) (pull (r, g))>>;"
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
-    leaf_rules = [s.rule.split("/")[-1] for s in trace.steps]
+    leaf_rules = [rule.split("/")[-1] for rule in trace.steps]
     assert "pushBorrow" in leaf_rules and "pullBorrow" in leaf_rules
 
 
@@ -523,7 +526,7 @@ def test_write_chain_rule_paths():
         "       pack <i, writeArray (writeArray (writeArray a 0 1.5) 1 2.5) 0 3.5>;"
     ))
     _, trace = machine().eval(Heap(), cp.main_term, one())
-    assert [s.rule for s in trace.steps] == [
+    assert trace.steps == [
         "congUnpack/newArray",
         "existentialBeta",
         "congPack/appR/appR/appL/appR/appR/appL/appR/appR/appL/var",
@@ -611,8 +614,8 @@ def _collection_oracle(ring, term, s, monkeypatch, mutate=False):
         assert runs["collected"] == runs["uncollected"] == runs["unrecorded"]
         return None
     kept, full = runs["collected"], runs["uncollected"]
-    assert [r.rule for r in kept.steps] == [r.rule for r in full.steps]
-    assert [print_term(r.post_term) for r in kept.steps] == [print_term(r.post_term) for r in full.steps]
+    assert kept.steps == full.steps
+    assert [print_term(t) for t, _ in kept.configurations()] == [print_term(t) for t, _ in full.configurations()]
     assert print_term(kept.final_term) == print_term(full.final_term)
     for (t, heap), (_, whole) in zip(kept.configurations(), full.configurations(), strict=True):
         dead = _unreachable_zeros(t, whole, ring.zero)

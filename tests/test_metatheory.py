@@ -280,19 +280,20 @@ def naive_borrow_safety(trace):
         return out
 
     found = []
-    for rec in trace.steps:
-        pre, post = sums(rec.pre_term, rec.pre_heap), sums(rec.post_term, rec.post_heap)
-        for ident in rec.pre_heap.resources:
+    configs = trace.configurations()
+    for k, ((pre_term, pre_heap), (post_term, post_heap)) in enumerate(zip(configs, configs[1:])):
+        pre, post = sums(pre_term, pre_heap), sums(post_term, post_heap)
+        for ident in pre_heap.resources:
             after = post.get(ident, Fraction(0))
             if pre.get(ident) == 1 and after not in (0, 1):
-                found.append(Violation("borrow-safety", rec.index, f"resource {ident}: permission total went from 1 to {after}"))
-        reach = naive_reachable_refs(rec.post_term, rec.post_heap)
-        for ident in rec.post_heap.resources:
-            touching = [r for r in reach if r in rec.post_heap.refs and rec.post_heap.refs[r].ident == ident]
-            total = sum(rec.post_heap.refs[r].perm for r in touching)
-            if ident not in rec.pre_heap.resources and touching and total != 1:
+                found.append(Violation("borrow-safety", k, f"resource {ident}: permission total went from 1 to {after}"))
+        reach = naive_reachable_refs(post_term, post_heap)
+        for ident in post_heap.resources:
+            touching = [r for r in reach if r in post_heap.refs and post_heap.refs[r].ident == ident]
+            total = sum(post_heap.refs[r].perm for r in touching)
+            if ident not in pre_heap.resources and touching and total != 1:
                 found.append(Violation(
-                    "borrow-safety", rec.index,
+                    "borrow-safety", k,
                     f"fresh resource {ident}: referenced at total permission {total}, expected 1",
                 ))
     return found
@@ -569,7 +570,7 @@ def test_memo_tells_contexts_apart_by_reference_entries():
 
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
     # two configurations share one term; the second heap holds x at grade 0
-    from gradebor.machine import StepRecord, Trace
+    from gradebor.machine import Trace
 
     t = LetUnit(Var("x"), UnitVal())
     heaps = []
@@ -577,7 +578,7 @@ def test_preservation_tells_heaps_apart_by_a_variable_grade():
         heap = Heap()
         heap.vars["x"] = VarCell(RING.literal(grade), UnitVal(), UnitT())
         heaps.append(heap)
-    trace = Trace(RING.one, [StepRecord(0, "none", "1", t, heaps[0], t, heaps[1])], t, heaps[1], 1)
+    trace = Trace(RING.one, ["none"], [(t, heaps[0]), (t, heaps[1])], 1)
     found = check_preservation(trace, UnitT(), RING, RING.one)
     assert [(v.step, v.message) for v in found] == [
         (1, "heap compatibility failed: variable 'x': demand 1 exceeds heap grade 0")

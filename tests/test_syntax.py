@@ -465,8 +465,8 @@ def old_alpha_eq(a, b, env_a=None, env_b=None):
             return v1 == v2
         case (FloatLit(v1), FloatLit(v2)):
             return v1 == v2
-        case (Prim(n1), Prim(n2)):
-            return n1 == n2
+        case (Prim(n1, an1), Prim(n2, an2)):
+            return n1 == n2 and ann_eq(an1, an2)
         case (Uniq(t1, p1), Uniq(t2, p2)):
             return p1 == p2 and rec(t1, t2, env_a, env_b)
         case (Unborrow(t1), Unborrow(t2)):
