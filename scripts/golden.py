@@ -6,8 +6,9 @@
 For every run it writes OUTDIR/<name>.out, .err and .code (stdout, stderr,
 exit status). The runs are `trace`, `run`, `check`, `run --format json` and
 `check --format json` on every corpus file, `trace` and `run --format json`
-on a 100-write and a 240-write `writeArray` chain and a 20-rung split/join
-ladder generated here, `corpus --format json`, and `props --seed 42 --cases
+on a 100-write and a 240-write `writeArray` chain, a 20-rung split/join
+ladder and a program that reads a graded reference, swaps it and reads it
+again (`read_swap`), all generated here, `corpus --format json`, and `props --seed 42 --cases
 500` with and without `--mutate-split`. `run` and `trace` also meet each way a
 run can fail: a missing file (exit 2), a syntax error (1), a type error (1)
 and `--fuel 2` (3). `check` also meets the type error and three lexical edge
@@ -69,6 +70,21 @@ def ladder_source(rungs: int) -> str:
     )
 
 
+# Reads a `Float [2]` reference, swaps in a `Float [1]` box, reads it again
+# and deletes it; the swapped-out box must have the grade its type says.
+READ_SWAP = (
+    "#semiring nat-leq\n\n"
+    "main : Float * (Float * (Float [1]));\n"
+    "main = (\\rp : (exists i . * (Ref i (Float [2]))) ->\n"
+    "          unpack <i, r0> = rp in\n"
+    "          let (v1, r1) = readRef r0 in\n"
+    "          let (old, r2) = (\\b : (Float [1]) -> swapRef r1 b) [2.5] in\n"
+    "          let (v2, r3) = readRef r2 in\n"
+    "          let [z] = deleteRef r3 in (v1, (v2, old)))\n"
+    "       (newRef [1.5]);\n"
+)
+
+
 def record(outdir: Path, name: str, args: list[str], cwd: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("GRADEBOR_FUEL", None)
@@ -98,6 +114,7 @@ def main(argv: list[str]) -> int:
             ("write_chain", chain_source(100)),
             ("deep_chain", chain_source(240)),
             ("split_ladder", ladder_source(20)),
+            ("read_swap", READ_SWAP),
         ):
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)

@@ -3,14 +3,16 @@
 Configurations pair a three-sorted heap (variables, permission-annotated
 references, resources) with a term under reduction. `step` applies exactly
 one rule; the recorded rule name is the chain of congruences down to the
-leaf, joined with '/'. The machine reduces and records, and never types a
-term: the type stored with a `newRef` cell is the payload type elaboration
-put on the `newRef` head (`Prim.ann`), lowered once per `readRef`, and
-`swapRef` keeps it, since the checker requires the new value to have it.
-Evaluation records for the metatheory checkers a `Trace` that holds each
-configuration once, as a term and a heap snapshot, and one rule path per
-step; a run that does not record keeps only the step count and its final
-configuration.
+leaf, joined with '/'.
+
+The machine reduces and records; it never types a term. A `newRef` cell
+stores the payload type that elaboration put on its head (`Prim.ann`, None
+for a term that was never elaborated). Each `readRef` lowers the grade of
+that type and of the stored box by one, as the checker's rule does, and
+`swapRef` keeps the type, which the checker requires the new value to
+have. A recording `eval` returns a `Trace` that holds each configuration
+once, a term and a heap snapshot, plus the rule path of each step; a run
+that does not record keeps only its step count and final configuration.
 
 Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
 BRICS RS-04-26) instead of searching for each redex from the root: the
@@ -627,12 +629,16 @@ class Machine:
             box = res.value
             if not isinstance(box, Promote):
                 raise StuckTerm("readRef on a cell whose payload is not boxed")
-            # mirror the static accounting in the stored type: each read
-            # lowers the payload grade by one (the boxed value is unchanged)
+            # mirror the static accounting: each read lowers the payload
+            # grade by one, in the stored type and in the stored box alike
             if isinstance(res.ty, S.Box):
                 lowered = G.grade_minus_one(res.ty.grade)
                 if lowered is not None:
                     res.ty = S.Box(lowered, res.ty.body)
+            if box.grade is not None:
+                lowered = G.grade_minus_one(box.grade)
+                if lowered is not None:
+                    res.value = Promote(box.body, lowered, box.loc)
             return Pair(box.body, u), "readRef"
         if name == "swapRef":
             # the new value has the stored payload type, so res.ty stays

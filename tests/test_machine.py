@@ -738,3 +738,93 @@ def test_step_does_not_collect():
     heap = Heap()
     machine().eval(heap, t, RING.zero, record=False)
     assert heap.vars == {}
+
+
+# -- stored reference types come from elaboration ------------------------------------
+
+READ_SWAP = (
+    "#semiring nat-leq\n\n"
+    "main : Float * (Float * (Float [1]));\n"
+    "main = (\\rp : (exists i . * (Ref i (Float [2]))) ->\n"
+    "          unpack <i, r0> = rp in\n"
+    "          let (v1, r1) = readRef r0 in\n"
+    "          let (old, r2) = (\\b : (Float [1]) -> swapRef r1 b) [2.5] in\n"
+    "          let (v2, r3) = readRef r2 in\n"
+    "          let [z] = deleteRef r3 in (v1, (v2, old)))\n"
+    "       (newRef [1.5]);\n"
+)
+
+
+def test_read_then_swap_returns_the_box_at_its_lowered_grade():
+    from gradebor.metatheory import check_trace
+
+    cp = check_program(parse_program(READ_SWAP))
+    v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    assert v == Pair(FloatLit(1.5), Pair(FloatLit(2.5), Promote(FloatLit(1.5), cp.ring.one)))
+    assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []
+
+
+def _checked_programs():
+    """The corpus programs that check, the read/swap program and 300
+    generated ones, each with its elaborated program."""
+    import glob
+
+    from gradebor.generator import generate_programs
+    from gradebor.typecheck import CheckError
+
+    for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
+        try:
+            yield path, check_program(parse_program(open(path).read(), path))
+        except CheckError:
+            continue
+    yield "read_swap", check_program(parse_program(READ_SWAP))
+    for i, prog in enumerate(generate_programs(31, count=300)):
+        yield f"generated {i}", check_program(prog)
+
+
+def test_stored_reference_types_are_the_types_of_the_stored_values():
+    from gradebor.typecheck import CheckError, Checker, runtime_ctx
+
+    compared = set()
+    for label, cp in _checked_programs():
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        for k, (_, heap) in enumerate(trace.configurations()):
+            for ident, res in heap.resources.items():
+                if res.is_array:
+                    continue
+                try:
+                    ty = Checker(cp.ring).infer(runtime_ctx(heap, cp.ring), res.value)[0]
+                except CheckError:
+                    continue
+                assert res.ty == ty, (label, k, ident, res.ty, ty)
+                compared.add(label)
+    assert "src/gradebor/corpus/readref_demo.grb" in compared and "read_swap" in compared
+    assert len(compared) > 50
+
+
+def test_only_new_ref_heads_carry_a_payload_type_after_elaboration():
+    from gradebor.syntax import children
+
+    heads = 0
+    for label, cp in _checked_programs():
+        todo = [cp.main_term]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Prim):
+                assert (t.ann is not None) == (t.name == "newRef"), (label, t.name)
+                heads += t.name == "newRef"
+            todo.extend(children(t))
+    assert heads > 50
+
+
+def test_the_machine_does_not_import_the_typechecker():
+    import ast
+
+    from gradebor import machine as M
+
+    with open(M.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            assert not any("typecheck" in n for n in names), ast.dump(node)
