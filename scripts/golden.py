@@ -9,11 +9,15 @@ exit status). The runs are `trace`, `run`, `check`, `run --format json` and
 on a 100-write and a 240-write `writeArray` chain, a 20-rung split/join
 ladder and a program that reads a graded reference, swaps it and reads it
 again (`read_swap`), all generated here, `corpus --format json`, and `props --seed 42 --cases
-500` with and without `--mutate-split`. `run` and `trace` also meet each way a
-run can fail: a missing file (exit 2), a syntax error (1), a type error (1)
-and `--fuel 2` (3). `check` also meets the type error and three lexical edge
-cases: a non-decimal digit (`²`), 1000 nested parentheses, and a syntax
-error at the end of a file that ends in a comment. `check` and `run` also
+500` with and without `--mutate-split`. `check` plus `trace` meet a promoted
+`newRef` hidden behind a beta-redex (`promo_beta_ref`), and `check` plus
+`run` meet `alloc_promo_bad` with its `newArray` hidden the same way
+(`promo_beta_array`): both pass `check` and fail at run time (exit 4).
+`run` and `trace` also meet each way a run can fail: a missing file (exit
+2), a syntax error (1), a type error (1) and `--fuel 2` (3). `check` also
+meets the type error and three lexical edge cases: a non-decimal digit
+(`²`), 1000 nested parentheses, and a syntax error at the end of a file
+that ends in a comment. `check` and `run` also
 meet a file that is not UTF-8 (exit 2). Each run is a fresh
 interpreter, because gradebor's fresh-name counter is process-wide and shows
 in the output.
@@ -85,6 +89,23 @@ READ_SWAP = (
 )
 
 
+# The PromotionOfAllocator test reads the syntax of a box's body, so a
+# beta-redex hides an allocation from it.
+PROMO_BETA_REF = (
+    "main : (exists i . * (Ref i Float)) [1];\n"
+    "main = [(\\x : Float -> newRef x) 1.5];\n"
+)
+PROMO_BETA_ARRAY = (
+    "#semiring nat-leq\n\n"
+    "main : Unit;\n"
+    "main = let [x] : ((exists i . * (Array i Float)) [2]) = [(\\u : Nat -> newArray u) 1] in\n"
+    "       unpack <i, a> = x in\n"
+    "       let () = deleteArray a in\n"
+    "       unpack <j, b> = x in\n"
+    "       let () = deleteArray b in ();\n"
+)
+
+
 def record(outdir: Path, name: str, args: list[str], cwd: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("GRADEBOR_FUEL", None)
@@ -119,6 +140,13 @@ def main(argv: list[str]) -> int:
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             record(outdir, f"trace-{name}", ["trace", f"{name}.grb"], generated)
             record(outdir, f"run-json-{name}", ["run", f"{name}.grb", "--format", "json"], generated)
+        for name, source, runner in (
+            ("promo_beta_ref", PROMO_BETA_REF, "trace"),
+            ("promo_beta_array", PROMO_BETA_ARRAY, "run"),
+        ):
+            (generated / f"{name}.grb").write_text(source, encoding="utf-8")
+            for command in ("check", runner):
+                record(outdir, f"{command}-{name}", [command, f"{name}.grb"], generated)
         (generated / "syntax_error.grb").write_text("main : Unit;\nmain = let () = in ();\n", encoding="utf-8")
         (generated / "type_error.grb").write_text("main : Unit;\nmain = 1;\n", encoding="utf-8")
         for command in ("run", "trace"):

@@ -14,10 +14,10 @@ from typing import Optional
 
 from .grades import Grade, Semiring, grade_add, grade_mul, grade_residual
 from . import syntax as S
-from .syntax import Amp, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
+from .syntax import Amp, App, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
 from .machine import Heap, Machine, EvalError, Trace
 from .typecheck import (
-    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, runtime_ctx,
+    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, runtime_ctx, transparent_child,
 )
 
 
@@ -133,26 +133,144 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     compatibility.
 
     The ambient context is empty, so compatibility is checked against the
-    synthesized usage scaled by the reduction grade. Consecutive
-    configurations share most of their term and every stored value, so one
-    `TypingMemo` serves the whole trace: a judgment on a let, unpack, clone
-    or withBorrow node, or on a stored value, that an earlier configuration
-    made under the same relevant context is looked up, not recomputed. Each
-    configuration is still judged in full, from its own term and heap.
+    synthesized usage scaled by the reduction grade, on every configuration.
+
+    A step rebuilds only the path from the root to its redex, so most of a
+    configuration's term is the previous one's, node for node. Where the
+    previous configuration's judgments were recorded, the root usage is
+    reused when the terms differ in one subtree whose judgment is unchanged
+    (`_cut_off`). Judgments are recorded only for a configuration whose
+    runtime context has the same variables, references and names as the next
+    one's, and only kept from a check that renamed no binder; the subtree
+    check draws no fresh name either (`Checker.draw_names`). So this
+    function draws exactly the fresh names full checks would. Every other
+    configuration is checked in full, with one `TypingMemo` for the whole
+    trace: a judgment on a let, unpack, clone or withBorrow node, or on a
+    stored value, that an earlier configuration made under the same relevant
+    context is looked up, not recomputed.
     """
     out: list[Violation] = []
     checker = Checker(ring, memo=TypingMemo())
-    for k, (term, heap) in enumerate(trace.configurations()):
-        rt = runtime_ctx(heap, ring)
-        try:
-            usage, _ = checker.check(rt, term, main_type)
-        except CheckError as e:
-            out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
-            continue
+    configs = trace.configurations()
+    rts = [runtime_ctx(heap, ring) for _, heap in configs]
+    prev: Optional[tuple[Term, Usage, dict]] = None  # the last term, its root usage and its judgments
+    for k, (term, heap) in enumerate(configs):
+        rt = rts[k]
+        keep = k + 1 < len(rts) and _same_ctx(rt, rts[k + 1])
+        usage = _cut_off(checker, prev, term, rt, keep) if prev is not None else None
+        if usage is not None:
+            prev = (term, usage, prev[2]) if keep else None
+        else:
+            prev = None
+            renames = checker.renames
+            checker.record = {} if keep else None
+            try:
+                usage, _ = checker.check(rt, term, main_type)
+            except CheckError as e:
+                out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
+                continue
+            finally:
+                judgments, checker.record = checker.record, None
+            if keep and checker.renames == renames:
+                prev = (term, usage, judgments)
         judgment = heap_compat(heap, _demand_ctx(rt, usage, s), ring, rt, checker)
         if not judgment.accepted:
             out.append(Violation("preservation", k, f"heap compatibility failed: {judgment.failure}"))
     return out
+
+
+def _same_ctx(a: Ctx, b: Ctx) -> bool:
+    """Whether two runtime contexts agree in everything a judgment reads."""
+    return a.vars == b.vars and a.refs == b.refs and a.names == b.names
+
+
+def _cut_off(
+    checker: Checker, prev: tuple[Term, Usage, dict], term: Term, rt: Ctx, keep: bool
+) -> Optional[Usage]:
+    """The root usage of `term`, taken from the previous configuration when
+    that is sound; None when `term` needs a full check.
+
+    `prev` is the previous term, its root usage and its judgments, recorded
+    in a runtime context equal to `rt`. Walking both terms from the root,
+    while the nodes agree in class and data and differ in exactly one child,
+    at a transparent position of both (`transparent_child`), finds the
+    subtree the step replaced. Every node on that walk is typed in `rt`
+    itself. The new subtree is typed in the mode the old one was; if its
+    type and usage are the old ones, every ancestor keeps its judgment, the
+    root included. With `keep`, the new subtree's judgments and the
+    ancestors' judgments, copied to their new nodes, are added to `prev`'s.
+    """
+    old, usage, judgments = prev
+    new = term
+    if old is new:
+        return usage
+    path = []
+    while (name := _replaced_child(old, new)) is not None:
+        path.append((old, new))
+        old, new = getattr(old, name), getattr(new, name)
+    if not path:
+        return None
+    # A spine link carries no judgment of its own, and a function position
+    # reached from two applications of which only one is a primitive spine
+    # is typed by two different rules. Below an argument step the function
+    # chains are shared, so this test at the last step covers the whole walk.
+    parent = path[-1][0]
+    if type(parent) is App and parent.fn is old and not (
+        S.prim_spine(parent) is None and S.prim_spine(path[-1][1]) is None
+    ):
+        return None
+    entry = judgments.get(id(old))
+    if entry is None:
+        return None
+    _, expected, ty, used = entry
+    record = {} if keep else None
+    checker.record, checker.draw_names = record, False
+    try:
+        if expected is None:
+            ty2, used2, _ = checker.infer(rt, new)
+        else:
+            ty2 = expected
+            used2, _ = checker.check(rt, new, expected)
+    except CheckError:
+        return None
+    finally:
+        checker.record, checker.draw_names = None, True
+    if ty2 != ty or used2 != used:
+        return None
+    if keep:
+        for po, pn in path:
+            if (judged := judgments.get(id(po))) is not None:
+                judgments[id(pn)] = (pn, *judged[1:])
+        judgments.update(record)
+    return usage
+
+
+# The fields of each term class other than its child terms and `loc`.
+_DATA_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(n for n in S._FIELDS[cls] if n not in shape.terms and n != "loc") for cls, shape in S._SHAPES.items()
+}
+
+
+def _replaced_child(old: Term, new: Term) -> Optional[str]:
+    """The one child in which `new` differs from `old` by identity, when the
+    two nodes have one class and equal data and the child's position is
+    transparent in both; None otherwise."""
+    cls = type(old)
+    if type(new) is not cls:
+        return None
+    for n in _DATA_FIELDS[cls]:
+        a, b = getattr(old, n), getattr(new, n)
+        if a is not b and a != b:
+            return None
+    name = None
+    for n in S._SHAPES[cls].terms:
+        if getattr(old, n) is not getattr(new, n):
+            if name is not None:
+                return None
+            name = n
+    if name is None or not (transparent_child(old, name) and transparent_child(new, name)):
+        return None
+    return name
 
 
 def check_progress(trace: Trace) -> list[Violation]:

@@ -24,9 +24,11 @@ mapped subterms; they serve the shallower walkers that take a function.
 
 Nodes are immutable, so `free_vars`, `refs_of` and `bound_names` compute
 their answer for a node with child terms once and store it on the node
-(through `__dict__`, as the dataclasses are frozen); a leaf stores nothing
-and gets a fresh set on every call. A stored set is shared by every caller
-that asks about that node, and no caller may mutate it.
+(through `object.__setattr__`, as the dataclasses are frozen; writing to
+`__dict__` would give every such node a dict of its own); a leaf stores
+nothing and gets a fresh set on every call. A stored set is shared by every
+caller that asks about that node, and by the node's ancestors whose free
+variables all come from it, so no caller may mutate it.
 """
 
 from __future__ import annotations
@@ -645,12 +647,17 @@ def free_vars(t: Term) -> set[str]:
     if cls is Var:
         return {t.name}
     shape = _SHAPES[cls]
-    out = {t.ident} if cls is Pack else set()
+    out = {t.ident} if cls is Pack else None
     for n in shape.terms:
         sub = free_vars(getattr(t, n))
-        out |= sub.difference(_bound_by(t, shape.binds)) if n == "body" and shape.binds else sub
+        if n == "body" and shape.binds:
+            sub = sub.difference(_bound_by(t, shape.binds))
+        if sub:
+            out = sub if out is None else out | sub
+    if out is None:
+        out = set()
     if shape.terms:
-        t.__dict__["_free"] = out
+        object.__setattr__(t, "_free", out)
     return out
 
 
@@ -666,7 +673,7 @@ def refs_of(t: Term) -> set[str]:
     for n in terms:
         out |= refs_of(getattr(t, n))
     if terms:
-        t.__dict__["_refs"] = out
+        object.__setattr__(t, "_refs", out)
     return out
 
 
@@ -680,7 +687,7 @@ def bound_names(t: Term) -> set[str]:
     for n in shape.terms:
         out |= bound_names(getattr(t, n))
     if shape.terms:
-        t.__dict__["_bound"] = out
+        object.__setattr__(t, "_bound", out)
     return out
 
 
@@ -713,10 +720,13 @@ def subst(t: Term, x: str, s: Term) -> Term:
 
 def _subst(t: Term, env: dict[str, Term], fv_s: set[str]) -> Term:
     """Substitute env's terms for their variables in t, renaming each binder
-    that would capture one of fv_s."""
+    that would capture one of fv_s. A subterm in which no variable of env
+    occurs free is returned as it is, its binders unrenamed."""
     cls = type(t)
     if cls is Var:
         return env.get(t.name, t)
+    if env.keys().isdisjoint(free_vars(t)):
+        return t
     shape = _SHAPES[cls]
     changes = {}
     inner = env

@@ -187,6 +187,37 @@ def resource_allocator(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Transparent child positions
+
+# The child positions whose rule reads the child only through the type and
+# usage of one `infer` or `check` call on it, made in the parent's own
+# context: replacing such a child by a term with the same judgment leaves the
+# parent's judgment unchanged (the replacement lemma). App is decided in
+# `transparent_child`. Never transparent: binder bodies, which are typed in a
+# larger context; Abs; and the bodies of Promote and Share, whose rules also
+# test `resource_allocator` on the syntax.
+_TRANSPARENT: dict[type, tuple[str, ...]] = {
+    Pair: ("left", "right"),
+    **{cls: ("body",) for cls in (Uniq, Pack, Unborrow, Split, Join, Push, Pull)},
+    **{cls: ("rhs",) for cls in (LetPair, LetUnit, LetBox, Unpack)},
+}
+
+
+def transparent_child(t: Term, name: str) -> bool:
+    """Whether t's rule reads its child `name` only through judgments on it.
+
+    For an application these are the argument, and the function unless it
+    is an abstraction (the beta-redex rule reads that syntactically) or a
+    primitive head. So the links of a primitive spine are transparent: the
+    spine's rule walks them down to the arguments, which it types, without
+    typing the links themselves.
+    """
+    if type(t) is App:
+        return name == "arg" or type(t.fn) not in (Abs, Prim)
+    return name in _TRANSPARENT.get(type(t), ())
+
+
+# ---------------------------------------------------------------------------
 # Type utilities
 
 
@@ -285,6 +316,12 @@ class TypingMemo:
     context has no key, because checking it renames that binder. Entries hold
     their nodes, so no other node can take a node's id while the memo lives.
     Every hit returns the same stored result, so callers must not mutate it.
+
+    A memo hit is keyed on one node, so it cannot help a node that a step
+    has just rebuilt. `check_preservation` therefore uses the memo only for
+    the configurations it checks in full; in between it types only the
+    subtree a step replaced, against the judgments a Checker records (see
+    `Checker`).
     """
 
     def __init__(self) -> None:
@@ -324,7 +361,20 @@ class Checker:
     computed. Failures are never stored, nor is a judgment whose computation
     renamed a binder, so a lookup draws exactly the fresh names the
     computation would have drawn: none.
+
+    While `record` is a dict, every `infer` and `check` call that succeeds
+    stores its judgment there under `id(t)`: `(t, expected, type, usage)`,
+    with `expected` None when inferring and the type the expected one when
+    checking. The outermost call on a node wins (`check` falling back to
+    `infer` on the same node), and a node judged by two separate calls, as a
+    node shared by two positions is, maps to None. With `draw_names` off, a
+    binder that would be renamed raises a CheckError before it draws a fresh
+    name.
     """
+
+    # Class-level defaults, so that a checker that never records carries neither.
+    record: Optional[dict] = None
+    draw_names = True
 
     def __init__(
         self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None, memo: Optional[TypingMemo] = None
@@ -338,10 +388,17 @@ class Checker:
     # the fly, so contexts never bind a name twice; the elaborated term keeps
     # the fresh names.
 
+    def _renaming(self, binder: str) -> None:
+        """Count one binder rename; with `draw_names` off, raise before any
+        fresh name is drawn."""
+        if not self.draw_names:
+            raise CheckError(MISMATCH, f"binder {binder!r} would be renamed", rule="rename")
+        self.renames += 1
+
     def _freshen_var(self, x: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if x not in ctx.vars:
             return x, bodies
-        self.renames += 1
+        self._renaming(x)
         avoid = set(ctx.vars)
         for b in bodies:
             avoid |= free_vars(b)
@@ -351,7 +408,7 @@ class Checker:
     def _freshen_name(self, i: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if i not in ctx.names and i not in ctx.name_vars:
             return i, bodies
-        self.renames += 1
+        self._renaming(i)
         i2 = S.fresh_name(i, set(ctx.names) | set(ctx.name_vars))
         return i2, tuple(S.subst_names(b, {i: i2}) for b in bodies)
 
@@ -386,25 +443,26 @@ class Checker:
     def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
         match t:
             case Var(n):
-                if n in ctx.vars:
-                    entry = ctx.vars[n]
-                    if isinstance(entry, LinearEntry):
-                        return entry.ty, Usage(linear={n: _is_structural(entry.ty)}), t
-                    return entry.ty, Usage(graded={n: self.ring.one}), t
-                if n in self.globals:
+                entry = ctx.vars.get(n)
+                if isinstance(entry, LinearEntry):
+                    out = entry.ty, Usage(linear={n: _is_structural(entry.ty)}), t
+                elif entry is not None:
+                    out = entry.ty, Usage(graded={n: self.ring.one}), t
+                elif n in self.globals:
                     g = self.globals[n]
-                    return g.signature, Usage(), g.body
-                raise CheckError(UNBOUND_VARIABLE, f"unbound variable {n!r}", t.loc, rule="var")
+                    out = g.signature, Usage(), g.body
+                else:
+                    raise CheckError(UNBOUND_VARIABLE, f"unbound variable {n!r}", t.loc, rule="var")
             case NatLit():
-                return NatT(), Usage(), t
+                out = NatT(), Usage(), t
             case FloatLit():
-                return FloatT(), Usage(), t
+                out = FloatT(), Usage(), t
             case UnitVal():
-                return UnitT(), Usage(), t
+                out = UnitT(), Usage(), t
             case Pair(l, r):
                 tl, ul, el = self.infer(ctx, l)
                 tr, ur, er = self.infer(ctx, r)
-                return Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
+                out = Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case Abs(p, body, ann):
                 if ann is None:
                     raise CheckError(MISMATCH, "cannot infer the type of an unannotated function", t.loc, rule="abs")
@@ -413,13 +471,13 @@ class Checker:
                 ctx2 = ctx.bind(p, LinearEntry(ann))
                 tb, ub, eb = self.infer(ctx2, body)
                 ub = self._pop_linear(ub, p, ann, t.loc)
-                return Fun(ann, tb), ub, S._rebuild(t, param=p, body=eb)
+                out = Fun(ann, tb), ub, S._rebuild(t, param=p, body=eb)
             case App():
-                return self._infer_app(ctx, t)
+                out = self._infer_app(ctx, t)
             case LetPair():
-                return self._recalled(ctx, t, None, self._let_pair)
+                out = self._recalled(ctx, t, None, self._let_pair)
             case LetUnit():
-                return self._recalled(ctx, t, None, self._let_unit)
+                out = self._recalled(ctx, t, None, self._let_unit)
             case Promote(body, grade):
                 if grade is None:
                     raise CheckError(MISMATCH, "cannot infer the grade of a promotion; annotate the binding", t.loc, rule="promotion")
@@ -428,19 +486,19 @@ class Checker:
                     raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
                 tb, ub, eb = self.infer(ctx, body)
                 ub = ctx_scale(grade, ub, t.loc)
-                return Box(grade, tb), ub, S._rebuild(t, body=eb)
+                out = Box(grade, tb), ub, S._rebuild(t, body=eb)
             case LetBox():
-                return self._recalled(ctx, t, None, self._let_box)
+                out = self._recalled(ctx, t, None, self._let_box)
             case Pack(i, body):
                 if not ctx.has_name(i):
                     raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
                 tb, ub, eb = self.infer(ctx, body)
                 ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
-                return ExistsT(i, tb), ub, S._rebuild(t, body=eb)
+                out = ExistsT(i, tb), ub, S._rebuild(t, body=eb)
             case Unpack():
-                return self._recalled(ctx, t, None, self._unpack)
+                out = self._recalled(ctx, t, None, self._unpack)
             case WithBorrow():
-                return self._recalled(ctx, t, None, self._with_borrow)
+                out = self._recalled(ctx, t, None, self._with_borrow)
             case Split(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not isinstance(tb, Amp):
@@ -454,7 +512,7 @@ class Checker:
                         rule="split",
                     )
                 half = G.perm_half(p)
-                return Prod(Amp(half, tb.body), Amp(half, tb.body)), ub, S._rebuild(t, body=eb)
+                out = Prod(Amp(half, tb.body), Amp(half, tb.body)), ub, S._rebuild(t, body=eb)
             case Join(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
@@ -475,12 +533,12 @@ class Checker:
                     raise CheckError(STAR_NOT_ADDABLE, str(e), t.loc, rule="join")
                 except G.PermissionOverflow as e:
                     raise CheckError(PERMISSION_OVERFLOW, str(e), t.loc, rule="join")
-                return Amp(total, tb.left.body), ub, S._rebuild(t, body=eb)
+                out = Amp(total, tb.left.body), ub, S._rebuild(t, body=eb)
             case Push(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Amp) and isinstance(tb.body, Prod)):
                     raise CheckError(MISMATCH, f"push expects a borrowed product, got {tb!r}", t.loc, rule="push")
-                return Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), ub, S._rebuild(t, body=eb)
+                out = Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), ub, S._rebuild(t, body=eb)
             case Pull(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
@@ -492,30 +550,33 @@ class Checker:
                         t.loc,
                         rule="pull",
                     )
-                return Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
+                out = Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
             case Share():
                 raise CheckError(MISMATCH, "cannot infer the grade of share; annotate the use site", t.loc, rule="share")
             case Clone():
-                return self._recalled(ctx, t, None, self._clone)
+                out = self._recalled(ctx, t, None, self._clone)
             case Prim(name):
-                if name == "newArray":
-                    return self._prim_result_type("newArray", [], t.loc), Usage(), t
-                raise CheckError(MISMATCH, f"primitive {name} must be applied to its resource argument", t.loc, rule="prim")
+                if name != "newArray":
+                    raise CheckError(MISMATCH, f"primitive {name} must be applied to its resource argument", t.loc, rule="prim")
+                out = self._prim_result_type("newArray", [], t.loc), Usage(), t
             case Uniq(body, perm):
                 tb, ub, eb = self.infer(ctx, body)
-                return Amp(perm, tb), ub, S._rebuild(t, body=eb)
+                out = Amp(perm, tb), ub, S._rebuild(t, body=eb)
             case Unborrow(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Amp) and isinstance(tb.perm, Permission) and tb.perm == WHOLE):
                     raise CheckError(MISMATCH, f"unborrow expects a whole borrow, got {tb!r}", t.loc, rule="unborrow")
-                return Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
+                out = Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
             case RefVal(r):
                 if r not in ctx.refs:
                     raise CheckError(UNBOUND_VARIABLE, f"unknown reference {r!r}", t.loc, rule="ref")
                 e = ctx.refs[r]
-                return ResT(e.kind, e.ident, e.payload), Usage(refs={r}), t
+                out = ResT(e.kind, e.ident, e.payload), Usage(refs={r}), t
             case _:
                 raise CheckError(MISMATCH, f"cannot infer a type for {t!r}", t.loc, rule="infer")
+        if (record := self.record) is not None:
+            record[id(t)] = None if id(t) in record else (t, None, out[0], out[1])
+        return out
 
     def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
         match t:
@@ -528,11 +589,11 @@ class Checker:
                 ctx2 = ctx.bind(p, LinearEntry(expected.dom))
                 ub, eb = self.check(ctx2, body, expected.cod)
                 ub = self._pop_linear(ub, p, expected.dom, t.loc)
-                return ub, S._rebuild(t, param=p, body=eb, ann=expected.dom)
+                out = ub, S._rebuild(t, param=p, body=eb, ann=expected.dom)
             case Pair(l, r) if isinstance(expected, Prod):
                 ul, el = self.check(ctx, l, expected.left)
                 ur, er = self.check(ctx, r, expected.right)
-                return ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
+                out = ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case Promote(body):
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"promotion given non-box type {expected!r}", t.loc, rule="promotion")
@@ -545,57 +606,57 @@ class Checker:
                     )
                 ub, eb = self.check(ctx, body, expected.body)
                 ub = ctx_scale(expected.grade, ub, t.loc)
-                return ub, S._rebuild(t, body=eb, grade=expected.grade)
+                out = ub, S._rebuild(t, body=eb, grade=expected.grade)
             case Share(body):
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"share produces a box, but {expected!r} was expected", t.loc, rule="share")
                 ub, eb = self.check(ctx, body, Amp(STAR, expected.body))
-                return ub, S._rebuild(t, body=eb, grade=expected.grade)
+                out = ub, S._rebuild(t, body=eb, grade=expected.grade)
             case Pack(i, body) if isinstance(expected, ExistsT):
                 if not ctx.has_name(i):
                     raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
                 inner = type_subst_names(expected.body, {expected.binder: i})
                 ub, eb = self.check(ctx, body, inner)
                 ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
-                return ub, S._rebuild(t, body=eb)
+                out = ub, S._rebuild(t, body=eb)
             case LetPair():
-                _, u, e = self._recalled(ctx, t, expected, self._let_pair)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._let_pair)[1:]
             case LetUnit():
-                _, u, e = self._recalled(ctx, t, expected, self._let_unit)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._let_unit)[1:]
             case LetBox():
-                _, u, e = self._recalled(ctx, t, expected, self._let_box)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._let_box)[1:]
             case Unpack():
-                _, u, e = self._recalled(ctx, t, expected, self._unpack)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._unpack)[1:]
             case WithBorrow():
-                _, u, e = self._recalled(ctx, t, expected, self._with_borrow)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._with_borrow)[1:]
             case Clone():
-                _, u, e = self._recalled(ctx, t, expected, self._clone)
-                return u, e
+                out = self._recalled(ctx, t, expected, self._clone)[1:]
             case App():
                 ty, u, e = self._infer_app(ctx, t, expected)
                 if not _arg_type_fits(ty, expected):
                     raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="app")
-                return u, e
+                out = u, e
             case Uniq(body, perm) if isinstance(expected, Amp):
                 if not perm_expr_eq(perm, expected.perm):
                     raise CheckError(MISMATCH, f"wrapper permission {perm} does not match {expected.perm}", t.loc, rule="nec")
                 ub, eb = self.check(ctx, body, expected.body)
-                return ub, S._rebuild(t, body=eb)
+                out = ub, S._rebuild(t, body=eb)
             case Unborrow(body):
                 if not (isinstance(expected, Amp) and isinstance(expected.perm, Permission) and expected.perm.is_star):
                     raise CheckError(MISMATCH, f"unborrow produces an owned value, but {expected!r} was expected", t.loc, rule="unborrow")
                 ub, eb = self.check(ctx, body, Amp(WHOLE, expected.body))
-                return ub, S._rebuild(t, body=eb)
+                out = ub, S._rebuild(t, body=eb)
             case _:
                 ty, u, e = self.infer(ctx, t)
                 if not _arg_type_fits(ty, expected):
                     raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="check")
+                # the judgment of this call replaces the one infer recorded on t
+                if (record := self.record) is not None and record[id(t)] is not None:
+                    record[id(t)] = (t, expected, expected, u)
                 return u, e
+        if (record := self.record) is not None:
+            record[id(t)] = None if id(t) in record else (t, expected, expected, out[0])
+        return out
 
     # -- composite rules ------------------------------------------------------
 

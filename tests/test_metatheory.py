@@ -16,7 +16,7 @@ from gradebor.metatheory import (
 )
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
-    Abs, App, Box, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pair,
+    Abs, App, Box, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pack, Pair,
     Prim, Prod, RefVal, Split, Uniq, UnitT, UnitVal, Var, FloatLit, WithBorrow,
 )
 from gradebor.typecheck import CheckError, Checker, Ctx, GradedEntry, RefEntry, TypingMemo, runtime_ctx
@@ -500,6 +500,44 @@ def preservation_against_oracle(trace, main_type, ring, s, monkeypatch):
     return outcomes
 
 
+def _golden():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("golden", Path(__file__).resolve().parent.parent / "scripts" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GOLDEN = _golden()
+
+
+def checked(source):
+    from gradebor.typecheck import check_program
+
+    return check_program(parse_program(source, "generated.grb"))
+
+
+def stepped_trace(cp):
+    """The configurations a run at grade one passes through, one
+    `Machine.step` at a time, up to a value or the first step that fails."""
+    from gradebor.machine import Trace
+
+    heap, t, machine = Heap(), cp.main_term, Machine(cp.ring)
+    rules, configs = [], [(t, heap.snapshot())]
+    while True:
+        try:
+            stepped = machine.step(heap, t, cp.ring.one)
+        except EvalError:
+            break
+        if stepped is None:
+            break
+        t, rule = stepped
+        rules.append(rule)
+        configs.append((t, heap.snapshot()))
+    return Trace(cp.ring.one, rules, configs, len(rules))
+
+
 @pytest.mark.parametrize("mutate", [False, True])
 def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
     from gradebor.generator import generate_programs
@@ -508,14 +546,22 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
     from gradebor.typecheck import check_program
 
     cases = [(load(name), None) for name in ACCEPTED]
+    cases += [(checked(GOLDEN.chain_source(100)), None), (checked(GOLDEN.ladder_source(20)), None)]
     for prog in generate_programs(17, count=300):
         cp = check_program(prog)
         cases.append((cp, None))
         if not mutate and cp.ring is not INTERVAL and not _uses_resources(cp.main_term):
             cases.append((cp, cp.ring.literal(2)))
+    traces = []
     for cp, s in cases:
         s = s or cp.ring.one
         _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, s)
+        traces.append((trace, cp, s))
+    # both pass the checker but go wrong when run; the second gets stuck
+    for source in (GOLDEN.PROMO_BETA_REF, GOLDEN.PROMO_BETA_ARRAY):
+        cp = checked(source)
+        traces.append((stepped_trace(cp), cp, cp.ring.one))
+    for trace, cp, s in traces:
         memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, s, monkeypatch)
         assert memoized == oracle
 
@@ -566,6 +612,32 @@ def test_memo_tells_contexts_apart_by_reference_entries():
         else:
             with pytest.raises(CheckError, match="expects an array reference"):
                 checker.check(ctx, t, UnitT())
+
+
+def test_checker_records_the_outermost_judgment_and_forgets_a_node_judged_twice():
+    one = NatLit(1)  # one node at two positions
+    unit = UnitVal()
+    checker = Checker(RING)
+    checker.record = {}
+    checker.check(Ctx(RING, lenient_names=True), Pair(Pair(one, one), unit), Prod(Prod(NatT(), NatT()), UnitT()))
+    assert checker.record[id(one)] is None
+    # check falls back to infer on the unit; the outer call's judgment wins
+    assert checker.record[id(unit)][:3] == (unit, UnitT(), UnitT())
+
+
+def test_checker_that_keeps_its_names_raises_before_drawing_one(monkeypatch):
+    import itertools
+
+    from gradebor import syntax
+
+    monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
+    t = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
+    clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
+    checker = Checker(RING)
+    checker.draw_names = False
+    with pytest.raises(CheckError, match="binder 'y' would be renamed"):
+        checker.check(clash, t, UnitT())
+    assert next(syntax._fresh_counter) == 1 and checker.renames == 0
 
 
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
@@ -622,3 +694,102 @@ def test_preservation_reports_exactly_the_corrupted_step(corrupt, failure):
     found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
     assert [v.step for v in found] == [k]
     assert found[0].message.startswith(failure.format(x=x))
+
+
+# -- preservation types only the subtree a step replaced ---------------------------
+
+
+def chain_trace(writes):
+    cp = checked(GOLDEN.chain_source(writes))
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    return cp, trace
+
+
+# Four writes on an array next to a reference cell the term already holds.
+WRITES_BESIDE_A_CELL = """#semiring nat-leq
+
+main : (exists j . * (Ref j Float)) * (exists i . * (Array i Float));
+main = unpack <j, r> = newRef 1.5 in
+       unpack <i, a> = newArray 4 in
+       (pack <j, r>, pack <i, writeArray (writeArray (writeArray (writeArray a 0 1.0) 1 2.0) 2 3.0) 3 4.0>);
+"""
+
+
+def _corrupt_off_path_literal(configs, k):
+    # the outermost write stores a Nat: it now differs from its counterpart
+    # in configuration k - 1 in two children, the value and the array
+    term, heap = configs[k]
+    outer = term.right.body
+    configs[k] = (Pair(term.left, Pack(term.right.ident, App(outer.fn, NatLit(3)))), heap)
+
+
+def _corrupt_stored_reference_type(configs, k):
+    # the cell the left component holds now stores a Nat: only the runtime
+    # context tells configuration k apart from k - 1 there
+    from gradebor.machine import RefRes
+
+    heap = configs[k][1]
+    (ident,) = [i for i, res in heap.resources.items() if not res.is_array]
+    heap.resources[ident] = RefRes(NatLit(3), NatT())
+
+
+@pytest.mark.parametrize(
+    "corrupt, failure",
+    [
+        (_corrupt_off_path_literal, "re-inference failed: [Mismatch] writeArray value must be a Float, got Nat"),
+        (_corrupt_stored_reference_type, "re-inference failed: [Mismatch] "),
+    ],
+)
+def test_preservation_reports_exactly_the_corrupted_step_of_a_write(corrupt, failure):
+    from gradebor.metatheory import _same_ctx
+
+    cp = checked(WRITES_BESIDE_A_CELL)
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    configs = trace.configurations()
+    k = 8
+    # configurations k - 1 to k + 1 are writes in one runtime context, so
+    # uncorrupted, k and k + 1 reuse the judgments of the one before
+    assert trace.steps[k - 2 : k + 1] == [f"congPairR/congPack/{'appR/appR/appL/' * n}writeArray" for n in (3, 2, 1)]
+    rts = [runtime_ctx(heap, cp.ring) for _, heap in configs[k - 1 : k + 2]]
+    assert _same_ctx(rts[0], rts[1]) and _same_ctx(rts[1], rts[2])
+    assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    corrupt(configs, k)
+    found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
+    assert [v.step for v in found] == [k]
+    assert found[0].message.startswith(failure)
+
+
+def test_preservation_reports_the_promoted_allocator_a_beta_redex_hid():
+    # the box's body is a beta-redex when checked, and `newRef x.1` after one step
+    cp = checked(GOLDEN.PROMO_BETA_REF)
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
+    failure = "re-inference failed: [PromotionOfAllocator] cannot promote a resource allocator"
+    assert [(v.step, v.message) for v in found] == [(1, failure), (2, failure)]
+
+
+def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
+    # counted calls, not time: how many configurations are typed from their
+    # root, and how many primitive applications are typed in all
+    counts = {}
+    for writes in (50, 100):
+        cp, trace = chain_trace(writes)
+        roots = {id(term) for term, _ in trace.configurations()}
+        calls = {"root": 0, "prim": 0}
+        check, prim_app = Checker.check, Checker._prim_app
+
+        def counted_check(self, ctx, t, expected):
+            calls["root"] += id(t) in roots
+            return check(self, ctx, t, expected)
+
+        def counted_prim_app(self, *args):
+            calls["prim"] += 1
+            return prim_app(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(Checker, "check", counted_check)
+            m.setattr(Checker, "_prim_app", counted_prim_app)
+            assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+        counts[writes] = calls
+    assert counts[50]["root"] <= 4 and counts[100]["root"] <= 4, counts
+    assert counts[100]["prim"] <= 2.2 * counts[50]["prim"], counts

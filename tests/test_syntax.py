@@ -529,11 +529,16 @@ def old_refs_of(t):
             return out
 
 
-def old_subst(t, x, s):
+def old_subst(t, x, s, cut=True):
+    """With `cut`, a subterm in which no variable of env occurs free is
+    returned as it is, as `subst` does; without it, every binder that would
+    capture a free variable of s is renamed."""
     fv_s = old_free_vars(s)
     rebuild = syntax._rebuild
 
     def go(t, env):
+        if cut and env.keys().isdisjoint(old_free_vars(t)):
+            return t
         match t:
             case Var(n):
                 return env.get(n, t)
@@ -679,8 +684,10 @@ def _check_term_walkers(t: Term) -> None:
         old, old_next = _drawn(old_subst, t, x, _clash(bound))
         assert _same(new, old) and new_next == old_next
         assert (new is t) == (old is t)
-    # substituting for an absent variable renames every binder
-    assert alpha_eq(t, new) == old_alpha_eq(t, new)
+        uncut, _ = _drawn(old_subst, t, x, _clash(bound), False)
+        assert alpha_eq(strip_meta(new), strip_meta(uncut))
+    # substituting for an absent variable without the cut renames every binder
+    assert alpha_eq(t, uncut) == old_alpha_eq(t, uncut)
     stripped = strip_meta(t)
     assert alpha_eq(stripped, t) == old_alpha_eq(stripped, t)
     env = {n: n + "'" for n in sorted(fv | bound)}
