@@ -197,8 +197,8 @@ def _cut_off(
     subtree the step replaced. Every node on that walk is typed in `rt`
     itself. The new subtree is typed in the mode the old one was; if its
     type and usage are the old ones, every ancestor keeps its judgment, the
-    root included. With `keep`, the new subtree's judgments and the
-    ancestors' judgments, copied to their new nodes, are added to `prev`'s.
+    root included. With `keep`, the ancestors' judgments move to their new
+    nodes in `prev`'s judgments, and the new subtree's are added.
     """
     old, usage, judgments = prev
     new = term
@@ -238,8 +238,9 @@ def _cut_off(
     if ty2 != ty or used2 != used:
         return None
     if keep:
+        # the old path is gone from the term: move its judgments over
         for po, pn in path:
-            if (judged := judgments.get(id(po))) is not None:
+            if (judged := judgments.pop(id(po), None)) is not None:
                 judgments[id(pn)] = (pn, *judged[1:])
         judgments.update(record)
     return usage
