@@ -142,12 +142,6 @@ class NatInterval(Semiring):
 
     name = "interval"
 
-    def _check(self, a):
-        lo, hi = a
-        if not (0 <= lo <= hi):
-            raise BadGrade(f"malformed interval {lo}..{hi}")
-        return a
-
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
 

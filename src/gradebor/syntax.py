@@ -1,7 +1,8 @@
 """Abstract syntax for terms and types, with substitution and structural queries.
 
-Bound identifiers are compared up to alpha-equivalence: the `==` on terms and
-types renames binders on the fly, so alpha-equivalent trees compare equal.
+Bound identifiers are compared up to alpha-equivalence: the `==` on types
+renames binders on the fly, so alpha-equivalent types compare equal. Terms
+compare and hash by identity; `alpha_eq` compares them up to renaming.
 Runtime-only forms (wrapped uniques, unborrow, resource references) live in
 the same tree but are never produced by the parser.
 
@@ -66,8 +67,8 @@ class PermVar:
 PermExpr = Union[Permission, PermVar]
 
 # Every Type and Term node class: equality and hashing come from the base
-# class (alpha-equivalence), and so does repr (the surface syntax), which a
-# generated dataclass repr would otherwise shadow.
+# class (alpha-equivalence for types, identity for terms), and so does repr
+# (the surface syntax), which a generated dataclass repr would otherwise shadow.
 _node = dataclass(frozen=True, eq=False, repr=False)
 
 
@@ -152,11 +153,6 @@ class Forall(Type):
 
     binders: tuple[tuple[str, str], ...]  # (var, kind) with kind "Permission" | "Name"
     body: Type
-
-
-def star_of(body: Type) -> Amp:
-    """The unique type *A, i.e. the borrow modality at star."""
-    return Amp(STAR, body)
 
 
 def perm_expr_eq(a: PermExpr, b: PermExpr) -> bool:
@@ -299,15 +295,6 @@ class Term:
     # The stored results of free_vars, refs_of and bound_names (see the module
     # docstring). Unannotated: get_type_hints would evaluate them per class.
     _free = _refs = _bound = None
-
-    def __eq__(self, other):
-        return isinstance(other, Term) and alpha_eq(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(self.__class__.__name__)
 
     def __repr__(self):
         from .parser import print_term

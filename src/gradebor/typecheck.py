@@ -115,8 +115,8 @@ class Ctx:
         return self.lenient_names or ident in self.names or ident in self.name_vars
 
 
-def _is_structural(ty: Type) -> bool:
-    # numeric base types may be duplicated and discarded freely
+def _discardable(ty: Type) -> bool:
+    # a numeric binder may go unused; every use is still linear
     return isinstance(ty, (NatT, FloatT))
 
 
@@ -124,14 +124,14 @@ def _is_structural(ty: Type) -> bool:
 class Usage:
     """Per-variable synthesized usage plus referenced names and references."""
 
-    linear: dict[str, bool] = field(default_factory=dict)  # var -> structural?
+    linear: set[str] = field(default_factory=set)
     graded: dict[str, Grade] = field(default_factory=dict)
     names: set[str] = field(default_factory=set)
     refs: set[str] = field(default_factory=set)
 
     def without(self, *names: str) -> "Usage":
         return Usage(
-            {k: v for k, v in self.linear.items() if k not in names},
+            self.linear - set(names),
             {k: v for k, v in self.graded.items() if k not in names},
             set(self.names) - set(names),
             set(self.refs),
@@ -139,29 +139,24 @@ class Usage:
 
 
 def ctx_add(u1: Usage, u2: Usage, loc: Optional[Loc] = None) -> Usage:
-    linear = dict(u1.linear)
-    for x, structural in u2.linear.items():
-        if x in linear and not (structural and linear[x]):
-            raise CheckError(LINEAR_REUSE, f"linear variable {x!r} used more than once", loc, rule="context-add")
-        linear[x] = structural and linear.get(x, True)
+    if reused := u1.linear & u2.linear:
+        raise CheckError(LINEAR_REUSE, f"linear variable {min(reused)!r} used more than once", loc, rule="context-add")
     graded = dict(u1.graded)
     for x, g in u2.graded.items():
         graded[x] = grade_add(graded[x], g) if x in graded else g
-    return Usage(linear, graded, u1.names | u2.names, u1.refs | u2.refs)
+    return Usage(u1.linear | u2.linear, graded, u1.names | u2.names, u1.refs | u2.refs)
 
 
 def ctx_scale(r: Grade, u: Usage, loc: Optional[Loc] = None) -> Usage:
-    hard = [x for x, structural in u.linear.items() if not structural]
-    if hard:
+    if u.linear:
         raise CheckError(
             LINEAR_UNDER_PROMOTION,
-            f"cannot scale a context with linear assumptions ({', '.join(sorted(hard))})",
+            f"cannot scale a context with linear assumptions ({', '.join(sorted(u.linear))})",
             loc,
             rule="promotion",
         )
     graded = {x: grade_mul(r, g) for x, g in u.graded.items()}
-    # structural uses survive scaling unchanged; names and refs are preserved
-    return Usage(dict(u.linear), graded, set(u.names), set(u.refs))
+    return Usage(set(), graded, set(u.names), set(u.refs))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +440,7 @@ class Checker:
             case Var(n):
                 entry = ctx.vars.get(n)
                 if isinstance(entry, LinearEntry):
-                    out = entry.ty, Usage(linear={n: _is_structural(entry.ty)}), t
+                    out = entry.ty, Usage(linear={n}), t
                 elif entry is not None:
                     out = entry.ty, Usage(graded={n: self.ring.one}), t
                 elif n in self.globals:
@@ -982,9 +977,7 @@ class Checker:
     # -- binder bookkeeping ---------------------------------------------------
 
     def _pop_linear(self, u: Usage, x: str, ty: Type, loc) -> Usage:
-        if x in u.linear:
-            return u.without(x)
-        if _is_structural(ty):
+        if x in u.linear or _discardable(ty):
             return u.without(x)
         raise CheckError(LINEAR_UNUSED, f"linear variable {x!r} is never used", loc, rule="linear")
 

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from gradebor.parser import parse_program, parse_term, print_term
 from gradebor.syntax import (
     Abs, App, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
     Promote, RefVal, Share, Split, Term, Unborrow, Uniq, UnitVal, Unpack, Var,
-    Prod, UnitT, FloatT, NatT,
+    Prod, UnitT, FloatT, NatT, alpha_eq,
 )
 from gradebor.typecheck import check_program
 
@@ -62,7 +64,7 @@ def test_share_zeroes_the_reference():
     heap = seeded_heap()
     t2, rule = machine().step(heap, Share(Uniq(RefVal("ref1"), STAR), RING.literal(2)), one())
     assert rule == "share"
-    assert t2 == Promote(RefVal("ref1"), RING.literal(2))
+    assert alpha_eq(t2, Promote(RefVal("ref1"), RING.literal(2)))
     assert heap.refs["ref1"].perm == 0
     assert "id1" in heap.resources  # the resource itself is preserved
 
@@ -83,7 +85,7 @@ def test_unborrow_restores_ownership():
     heap = Heap()
     t2, rule = machine().step(heap, Unborrow(Uniq(UnitVal(), frac_perm(1))), one())
     assert rule == "unborrowBorrow"
-    assert t2 == Uniq(UnitVal(), STAR)
+    assert alpha_eq(t2, Uniq(UnitVal(), STAR))
     assert not heap.vars and not heap.refs
 
 
@@ -93,7 +95,7 @@ def test_var_rule_decrements():
     heap = Heap()
     heap.vars["y"] = VarCell(RING.literal(2), UnitVal(), UnitT())
     t2, rule = machine().step(heap, Var("y"), one())
-    assert rule == "var" and t2 == UnitVal()
+    assert rule == "var" and alpha_eq(t2, UnitVal())
     assert heap.vars["y"].grade == RING.literal(1)
 
 
@@ -129,13 +131,13 @@ def test_worked_example_replay():
         "congPairL/var",
         "congPairR/var",
     ]
-    assert v == Pair(Pair(UnitVal(), UnitVal()), UnitVal())
+    assert alpha_eq(v, Pair(Pair(UnitVal(), UnitVal()), UnitVal()))
     assert trace.final_heap.vars["y"].grade == RING.zero
 
 
 def test_eval_of_value_is_a_zero_length_trace():
     v, trace = machine().eval(Heap(), UnitVal(), one())
-    assert v == UnitVal()
+    assert alpha_eq(v, UnitVal())
     assert trace.steps == []
 
 
@@ -151,7 +153,7 @@ def test_determinism():
     cp = check_program(parse_program(src))
     v1, t1 = machine().eval(Heap(), cp.main_term, one())
     v2, t2 = machine().eval(Heap(), cp.main_term, one())
-    assert v1 == v2
+    assert alpha_eq(v1, v2)
     assert t1.steps == t2.steps
 
 
@@ -207,7 +209,7 @@ def test_heap_copy_nested_refs():
     fragment, theta, new_ids = heap_copy(sub)
     assert set(theta) == {"ref1", "ref2"}
     inner = fragment.resources[theta and fragment.refs[theta["ref2"]].ident]
-    assert inner.value == Uniq(RefVal(theta["ref1"]), STAR)
+    assert alpha_eq(inner.value, Uniq(RefVal(theta["ref1"]), STAR))
 
 
 def test_heap_copy_empty():
@@ -232,7 +234,7 @@ def test_read_write_delete_array_steps():
         "       let (v, a2) = readArray (writeArray a 0 4.5) 0 in deleteArray a2;"
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
-    assert v == UnitVal()
+    assert alpha_eq(v, UnitVal())
     rules = [rule.split("/")[-1] for rule in trace.steps]
     assert "newArray" in rules and "writeArray" in rules and "readArray" in rules and "deleteArray" in rules
     assert not trace.final_heap.refs and not trace.final_heap.resources
@@ -245,7 +247,7 @@ def test_swap_and_delete_ref():
         "       let (old, r2) = swapRef r 2.5 in deleteRef r2;"
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
-    assert v == FloatLit(2.5)
+    assert alpha_eq(v, FloatLit(2.5))
 
 
 def test_trace_jsonl_schema():
@@ -413,7 +415,7 @@ def test_multi_identifier_clone():
         "          (deleteRef x, deleteRef y)) (share (pull (r, g)));"
     ))
     v, trace = machine().eval(Heap(), cp.main_term, one())
-    assert v == Pair(FloatLit(1.0), FloatLit(2.0))
+    assert alpha_eq(v, Pair(FloatLit(1.0), FloatLit(2.0)))
     rules = {r for rule in trace.steps for r in rule.split("/")}
     assert "copyBeta" in rules
     # the shared originals remain at permission zero, the copies were consumed
@@ -544,7 +546,7 @@ def test_deep_write_chain_runs_without_recursion():
         t = App(App(App(Prim("writeArray"), t), NatLit(k % 4)), FloatLit(float(k)))
     heap = seeded_heap()
     v, trace = machine().eval(heap, t, one(), record=False)
-    assert v == Uniq(RefVal("ref1"), STAR)
+    assert alpha_eq(v, Uniq(RefVal("ref1"), STAR))
     assert trace.step_count == 2000
     assert heap.resources["id1"].items == {0: 1996.0, 1: 1997.0, 2: 1998.0, 3: 1999.0}
 
@@ -680,32 +682,16 @@ def test_collection_keeps_zeros_reached_only_through_frames_values_and_reference
     assert _collection_oracle(RING, term, RING.zero, monkeypatch) is not None
 
 
-def ladder_source(rungs):
-    """The split/join reborrow ladder of `scripts/golden.py`."""
-    rng = random.Random(7)
-    body = "let (x0, y0) = split b in\n"
-    for k in range(1, rungs + 1):
-        x, y = f"x{k - 1}", f"y{k - 1}"
-        if rng.random() < 0.5:
-            x = f"observe {x}"
-        else:
-            y = f"observe {y}"
-        pair = f"({y}, {x})" if rng.random() < 0.5 else f"({x}, {y})"
-        body += f"  let (x{k}, y{k}) = split (join {pair}) in\n"
-    body += f"  join (x{rungs}, y{rungs})"
-    return (
-        "#semiring nat-leq\n\n"
-        "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
-        "observe = \\w -> w;\n\n"
-        "ladder : forall {i : Name} . * (Ref i Float) -o * (Ref i Float);\n"
-        f"ladder = \\c -> withBorrow (\\b -> {body}) c;\n\n"
-        "main : exists i . * (Ref i Float);\n"
-        "main = unpack <i, c> = newRef 1.5 in pack <i, ladder c>;\n"
-    )
+def _golden():
+    spec = importlib.util.spec_from_file_location("golden", Path(__file__).resolve().parent.parent / "scripts" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_ladder_heap_stays_the_same_size_as_the_ladder_grows():
     largest = []
+    ladder_source = _golden().ladder_source
     for rungs in (10, 20, 40):
         cp = check_program(parse_program(ladder_source(rungs)))
         heap = Heap()
@@ -733,7 +719,8 @@ def test_starting_heap_variables_survive_at_grade_zero():
 def test_step_does_not_collect():
     t = App(Abs("x", UnitVal(), UnitT()), UnitVal())
     heap = Heap()
-    assert machine().step(heap, t, RING.zero) == (UnitVal(), "beta")
+    t2, rule = machine().step(heap, t, RING.zero)
+    assert alpha_eq(t2, UnitVal()) and rule == "beta"
     assert [c.grade for c in heap.vars.values()] == [RING.zero]
     heap = Heap()
     machine().eval(heap, t, RING.zero, record=False)
@@ -760,7 +747,7 @@ def test_read_then_swap_returns_the_box_at_its_lowered_grade():
 
     cp = check_program(parse_program(READ_SWAP))
     v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-    assert v == Pair(FloatLit(1.5), Pair(FloatLit(2.5), Promote(FloatLit(1.5), cp.ring.one)))
+    assert alpha_eq(v, Pair(FloatLit(1.5), Pair(FloatLit(2.5), Promote(FloatLit(1.5), cp.ring.one))))
     assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []
 
 

@@ -15,7 +15,7 @@ from gradebor.syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
     LetBox, LetPair, LetUnit, NameT, NatLit, NatT, Loc, Pack, Pair, PermVar,
     PRIMITIVES, Prim, Prod, Promote, Pull, Push, RefVal, ResT, Share, Split,
-    Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
+    Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow, alpha_eq,
 )
 
 from test_syntax import random_user_term
@@ -211,29 +211,29 @@ def test_parser_never_produces_runtime_forms():
         parse_term("#ref1")
     # `unborrow` is not surface syntax: it reads as an ordinary variable
     t = parse_term("unborrow t")
-    assert t == App(Var("unborrow"), Var("t"))
+    assert alpha_eq(t, App(Var("unborrow"), Var("t")))
     assert not isinstance(t, Unborrow)
 
 
 def test_comments_and_whitespace():
     prog = parse_program("-- a comment\nmain : Unit; -- trailing\nmain = ();\n")
-    assert prog.main.body == UnitVal()
+    assert alpha_eq(prog.main.body, UnitVal())
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 def test_roundtrip_random_terms(seed):
     rng = random.Random(seed)
     t = random_user_term(rng, 4)
-    assert parse_term(print_term(t)) == t
+    assert alpha_eq(parse_term(print_term(t)), t)
 
 
 def test_roundtrip_annotated_forms():
     src = r"let [x] : (Unit [2]) = [()] in (x, x)"
-    assert parse_term(print_term(parse_term(src))) == parse_term(src)
+    assert alpha_eq(parse_term(print_term(parse_term(src))), parse_term(src))
     src = r"\x : & 1 (Ref i Float) -> x"
-    assert parse_term(print_term(parse_term(src))) == parse_term(src)
+    assert alpha_eq(parse_term(print_term(parse_term(src))), parse_term(src))
     src = r"let *c = clone b as <j, k> in (c, c)"
-    assert parse_term(print_term(parse_term(src))) == parse_term(src)
+    assert alpha_eq(parse_term(print_term(parse_term(src))), parse_term(src))
 
 
 def test_program_print_roundtrip():
@@ -249,7 +249,7 @@ main = let () = () in ();
     assert [d.name for d in again.definitions] == [d.name for d in prog.definitions]
     for a, b in zip(again.definitions, prog.definitions):
         assert a.signature == b.signature
-        assert a.body == b.body
+        assert alpha_eq(a.body, b.body)
 
 
 def test_eof_after_a_trailing_comment_is_past_it():
@@ -260,7 +260,7 @@ def test_eof_after_a_trailing_comment_is_past_it():
 
 
 def test_numerals_are_decimal_digits_of_any_script():
-    assert parse_term("٣٤") == parse_term("34")
+    assert alpha_eq(parse_term("٣٤"), parse_term("34"))
     with pytest.raises(SyntaxError_) as exc:
         parse_term("f 1²")
     assert str(exc.value) == "1:4: unexpected character '²'"
@@ -312,7 +312,7 @@ def test_a_200_write_chain_parses():
     t, writes = prog.main.body.body.body, 0
     while isinstance(t, App):
         t, writes = t.fn.fn.arg, writes + 1
-    assert writes == 200 and t == Var("a")
+    assert writes == 200 and alpha_eq(t, Var("a"))
 
 
 # ---------------------------------------------------------------------------

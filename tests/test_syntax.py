@@ -47,10 +47,10 @@ def test_refs_of():
 
 def test_subst_examples():
     v = UnitVal()
-    assert subst(parse_term("(x, y)"), "x", v) == parse_term("((), y)")
-    assert subst(parse_term(r"\x -> x"), "x", v) == parse_term(r"\x -> x")
+    assert alpha_eq(subst(parse_term("(x, y)"), "x", v), parse_term("((), y)"))
+    assert alpha_eq(subst(parse_term(r"\x -> x"), "x", v), parse_term(r"\x -> x"))
     t = subst(WithBorrow(Var("f"), Var("x")), "x", Uniq(Var("v")))
-    assert t == WithBorrow(Var("f"), Uniq(Var("v")))
+    assert alpha_eq(t, WithBorrow(Var("f"), Uniq(Var("v"))))
 
 
 def test_subst_avoids_capture():
@@ -64,10 +64,10 @@ def test_subst_avoids_capture():
 
 def test_rename_refs():
     theta = {"ref1": "ref9"}
-    assert rename_refs(theta, Pair(RefVal("ref1"), RefVal("ref1"))) == Pair(RefVal("ref9"), RefVal("ref9"))
+    assert alpha_eq(rename_refs(theta, Pair(RefVal("ref1"), RefVal("ref1"))), Pair(RefVal("ref9"), RefVal("ref9")))
     t = parse_term(r"\x -> x")
-    assert rename_refs({}, t) == t
-    assert rename_refs(theta, t) == t
+    assert alpha_eq(rename_refs({}, t), t)
+    assert alpha_eq(rename_refs(theta, t), t)
 
 
 def test_is_value_examples():
@@ -82,14 +82,14 @@ def test_is_value_examples():
 
 
 def test_alpha_equivalence():
-    assert parse_term(r"\x -> x") == parse_term(r"\y -> y")
-    assert parse_term("let (a, b) = p in (a, b)") == parse_term("let (c, d) = p in (c, d)")
-    assert parse_term(r"\x -> y") != parse_term(r"\x -> x")
-    assert parse_term("unpack <i, x> = t in pack <i, x>") == parse_term("unpack <j, z> = t in pack <j, z>")
+    assert alpha_eq(parse_term(r"\x -> x"), parse_term(r"\y -> y"))
+    assert alpha_eq(parse_term("let (a, b) = p in (a, b)"), parse_term("let (c, d) = p in (c, d)"))
+    assert not alpha_eq(parse_term(r"\x -> y"), parse_term(r"\x -> x"))
+    assert alpha_eq(parse_term("unpack <i, x> = t in pack <i, x>"), parse_term("unpack <j, z> = t in pack <j, z>"))
 
 
 def test_alpha_distinguishes_permissions():
-    assert Uniq(UnitVal(), STAR) != Uniq(UnitVal(), frac_perm(1))
+    assert not alpha_eq(Uniq(UnitVal(), STAR), Uniq(UnitVal(), frac_perm(1)))
 
 
 def random_user_term(rng: random.Random, depth: int) -> Term:
@@ -234,11 +234,11 @@ def test_map_children_identity_returns_the_same_node():
 
 def test_map_children_rebuilds_changed_nodes():
     t = Pair(Var("x"), UnitVal())
-    out = map_children(t, lambda c: Var("y") if c == Var("x") else c)
-    assert out == Pair(Var("y"), UnitVal())
+    out = map_children(t, lambda c: Var("y") if alpha_eq(c, Var("x")) else c)
+    assert alpha_eq(out, Pair(Var("y"), UnitVal()))
     assert out.right is t.right
     annotated = Abs("x", Var("x"), syntax.UnitT())
-    assert map_children(annotated, lambda c: c, lambda ty: None) == Abs("x", Var("x"))
+    assert alpha_eq(map_children(annotated, lambda c: c, lambda ty: None), Abs("x", Var("x")))
 
 
 def test_subst_keeps_the_subtrees_it_does_not_change():
@@ -246,7 +246,7 @@ def test_subst_keeps_the_subtrees_it_does_not_change():
     # abstraction that does not mention x, come back as the same objects
     t = parse_term(r"let (a, b) = (x, ()) in let () = b in (\w -> w) a")
     out = subst(t, "x", Var("z"))
-    assert out == parse_term(r"let (a, b) = (z, ()) in let () = b in (\w -> w) a")
+    assert alpha_eq(out, parse_term(r"let (a, b) = (z, ()) in let () = b in (\w -> w) a"))
     assert out.body is t.body
     assert out.rhs.right is t.rhs.right
     assert subst(t, "q", Var("z")) is t

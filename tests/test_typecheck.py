@@ -33,18 +33,19 @@ def test_ctx_add_grades_sum():
 
 def test_ctx_add_linear_clash():
     with pytest.raises(CheckError) as e:
-        ctx_add(Usage(linear={"x": False}), Usage(linear={"x": False}))
+        ctx_add(Usage(linear={"x"}), Usage(linear={"x"}))
     assert e.value.kind == "LinearReuse"
 
 
 def test_ctx_add_unit():
-    u = ctx_add(Usage(), Usage(linear={"x": False}))
-    assert u.linear == {"x": False}
+    u = ctx_add(Usage(), Usage(linear={"x"}))
+    assert u.linear == {"x"}
 
 
-def test_ctx_add_structural_vars_merge():
-    u = ctx_add(Usage(linear={"v": True}), Usage(linear={"v": True}))
-    assert u.linear == {"v": True}
+def test_ctx_add_names_the_smallest_reused_variable():
+    with pytest.raises(CheckError) as e:
+        ctx_add(Usage(linear={"v", "b", "a"}), Usage(linear={"v", "b", "c"}))
+    assert e.value.kind == "LinearReuse" and "'b'" in e.value.msg
 
 
 def test_ctx_scale():
@@ -52,7 +53,7 @@ def test_ctx_scale():
     assert u.graded["y"] == g(2)
     assert ctx_scale(g(3), Usage()).graded == {}
     with pytest.raises(CheckError) as e:
-        ctx_scale(g(3), Usage(linear={"x": False}))
+        ctx_scale(g(3), Usage(linear={"x"}))
     assert e.value.kind == "LinearUnderPromotion"
 
 
@@ -118,11 +119,15 @@ def test_unused_linear_variable():
     assert e.value.kind == "LinearUnused"
 
 
-def test_floats_are_discardable_and_duplicable():
+def test_floats_are_discardable_but_not_duplicable():
     usage, _ = Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> ()"), parse_type("Float -o Unit"))
     assert not usage.linear
-    usage, _ = Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> (x, x)"), parse_type("Float -o (Float * Float)"))
-    assert not usage.linear
+    with pytest.raises(CheckError) as e:
+        Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> (x, x)"), parse_type("Float -o (Float * Float)"))
+    assert e.value.kind == "LinearReuse"
+    with pytest.raises(CheckError) as e:
+        Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> [x]"), parse_type("Float -o (Float [2])"))
+    assert e.value.kind == "LinearUnderPromotion"
 
 
 def test_grade_exceeded_under_discrete_ordering():
