@@ -77,7 +77,7 @@ def heap_compat(
         if s_x == zero:
             continue
         entry = ctx.vars.get(x)
-        want_ty = entry.ty if entry is not None else (cell.ty if cell.ty is not None else None)
+        want_ty = entry.ty if entry is not None else cell.ty
         try:
             ty, usage, _ = checker.infer_shared(rt, cell.value)
         except CheckError as e:
@@ -639,14 +639,18 @@ def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResul
     def write_fn(idx: int, val: float) -> Term:
         return Abs("w", App(App(App(Prim("writeArray"), Var("w")), NatLit(idx)), FloatLit(val)))
 
+    def law(name: str, lhs: Term, rhs: Term, heap) -> None:
+        # one case of the law `name`, numbered by the loop's current `i`
+        result.cases += 1
+        rep = check_equational(lhs, rhs, heap, ring, fuel)
+        if not rep.equal:
+            result.failures.append(f"case {i}: {name} law: {rep.violations[0] if rep.violations else rep.right}")
+
     for i in range(cases):
         # law 1: borrowing with the identity is a no-op
         heap, ref = _seeded_array_heap(rng, Fraction(1))
         owner = Uniq(RefVal(ref), STAR)
-        result.cases += 1
-        rep = check_equational(WithBorrow(Abs("x", Var("x")), owner), owner, heap, ring, fuel)
-        if not rep.equal:
-            result.failures.append(f"case {i}: unit law: {rep.violations[0] if rep.violations else rep.right}")
+        law("unit", WithBorrow(Abs("x", Var("x")), owner), owner, heap)
 
         # law 2: borrowing twice composes
         heap, ref = _seeded_array_heap(rng, Fraction(1))
@@ -655,20 +659,14 @@ def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResul
         g = write_fn(rng.randrange(0, 3), round(rng.uniform(0, 9), 2))
         composed = WithBorrow(Abs("x", App(f, App(g, Var("x")))), owner)
         sequenced = WithBorrow(f, WithBorrow(g, owner))
-        result.cases += 1
-        rep = check_equational(composed, sequenced, heap, ring, fuel)
-        if not rep.equal:
-            result.failures.append(f"case {i}: composition law: {rep.violations[0] if rep.violations else rep.right}")
+        law("composition", composed, sequenced, heap)
 
         # law 3: split then join is the identity (exact, no tolerance)
         frac = Permission(Fraction(1, 2 ** rng.randrange(0, 4)))
         heap, ref = _seeded_array_heap(rng, frac.frac)
         borrow = Uniq(RefVal(ref), frac)
         roundtrip = LetPair("x", "y", Split(borrow), Join(Pair(Var("x"), Var("y"))))
-        result.cases += 1
-        rep = check_equational(roundtrip, borrow, heap, ring, fuel)
-        if not rep.equal:
-            result.failures.append(f"case {i}: split/join law: {rep.violations[0] if rep.violations else rep.right}")
+        law("split/join", roundtrip, borrow, heap)
 
         # law 4: join then split restores the pair
         frac = Permission(Fraction(1, 2 ** rng.randrange(1, 4)))
@@ -678,10 +676,7 @@ def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResul
         heap.refs["ref2"] = RefCell(frac.frac, "id1")
         heap.counter = 2
         u1, u2 = Uniq(RefVal("ref1"), frac), Uniq(RefVal("ref2"), frac)
-        result.cases += 1
-        rep = check_equational(Split(Join(Pair(u1, u2))), Pair(u1, u2), heap, ring, fuel)
-        if not rep.equal:
-            result.failures.append(f"case {i}: join/split law: {rep.violations[0] if rep.violations else rep.right}")
+        law("join/split", Split(Join(Pair(u1, u2))), Pair(u1, u2), heap)
     return result
 
 

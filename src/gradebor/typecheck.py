@@ -6,6 +6,11 @@ rules compare against declared grades, and an elaborated copy of the term in
 which binder annotations and box grades have been filled in (the machine
 needs those to run). Top-level definitions other than main must be closed
 values and are inlined into use sites during elaboration.
+
+Each construct has one rule body, which `infer` calls with no expected type
+and `check` with its own: `Checker._abs` (also for beta-redexes and borrowing
+functions), `_promote` (the checker's only `resource_allocator` test), `_pack`,
+and the binding forms' methods, found in `_BINDING_RULES`.
 """
 
 from __future__ import annotations
@@ -120,6 +125,16 @@ def _discardable(ty: Type) -> bool:
     return isinstance(ty, (NatT, FloatT))
 
 
+def _owned(ty: Type) -> bool:
+    """Whether ty is `* t`; a permission variable is never `*`."""
+    return isinstance(ty, Amp) and isinstance(ty.perm, Permission) and ty.perm.is_star
+
+
+def _whole(ty: Type) -> bool:
+    """Whether ty is `& 1 t`; a permission variable is never `1`."""
+    return isinstance(ty, Amp) and isinstance(ty.perm, Permission) and ty.perm == WHOLE
+
+
 @dataclass
 class Usage:
     """Per-variable synthesized usage plus referenced names and references."""
@@ -189,8 +204,8 @@ def resource_allocator(t: Term) -> bool:
 # context: replacing such a child by a term with the same judgment leaves the
 # parent's judgment unchanged (the replacement lemma). App is decided in
 # `transparent_child`. Never transparent: binder bodies, which are typed in a
-# larger context; Abs; and the bodies of Promote and Share, whose rules also
-# test `resource_allocator` on the syntax.
+# larger context; Abs; the body of Promote, whose rule also tests
+# `resource_allocator` on the syntax; and the body of Share.
 _TRANSPARENT: dict[type, tuple[str, ...]] = {
     Pair: ("left", "right"),
     **{cls: ("body",) for cls in (Uniq, Pack, Unborrow, Split, Join, Push, Pull)},
@@ -408,15 +423,15 @@ class Checker:
         return i2, tuple(S.subst_names(b, {i: i2}) for b in bodies)
 
     def _recalled(self, ctx: Ctx, t: Term, expected: Optional[Type], rule) -> tuple[Type, Usage, Term]:
-        """`rule(ctx, t, expected)`, looked up in the memo when there is one."""
+        """`rule(self, ctx, t, expected)`, looked up in the memo when there is one."""
         memo = self.memo
         if memo is None:
-            return rule(ctx, t, expected)
+            return rule(self, ctx, t, expected)
         key = memo.key(ctx, t, expected)
         if key is not None and (hit := memo.judgments.get(key)) is not None:
             return hit[1]
         renames = self.renames
-        out = rule(ctx, t, expected)
+        out = rule(self, ctx, t, expected)
         if key is not None and self.renames == renames:
             memo.judgments[key] = (t, out)
         return out
@@ -433,7 +448,7 @@ class Checker:
     def infer_shared(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
         """`infer`, looked up in the memo first: for a term that recurs
         unchanged, such as a value stored in the heap."""
-        return self._recalled(ctx, t, None, lambda ctx, t, _: self.infer(ctx, t))
+        return self._recalled(ctx, t, None, Checker._synth)
 
     def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
         match t:
@@ -458,42 +473,23 @@ class Checker:
                 tl, ul, el = self.infer(ctx, l)
                 tr, ur, er = self.infer(ctx, r)
                 out = Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
-            case Abs(p, body, ann):
+            case Abs(_, _, ann):
                 if ann is None:
                     raise CheckError(MISMATCH, "cannot infer the type of an unannotated function", t.loc, rule="abs")
                 self._check_wf(ann, ctx, t.loc)
-                p, (body,) = self._freshen_var(p, ctx, body)
-                ctx2 = ctx.bind(p, LinearEntry(ann))
-                tb, ub, eb = self.infer(ctx2, body)
-                ub = self._pop_linear(ub, p, ann, t.loc)
-                out = Fun(ann, tb), ub, S._rebuild(t, param=p, body=eb)
+                tb, ub, e = self._abs(ctx, t, ann, None, t.loc)
+                out = Fun(ann, tb), ub, e
             case App():
                 out = self._infer_app(ctx, t)
-            case LetPair():
-                out = self._recalled(ctx, t, None, self._let_pair)
-            case LetUnit():
-                out = self._recalled(ctx, t, None, self._let_unit)
-            case Promote(body, grade):
+            case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
+                out = self._recalled(ctx, t, None, rule)
+            case Promote(_, grade):
                 if grade is None:
                     raise CheckError(MISMATCH, "cannot infer the grade of a promotion; annotate the binding", t.loc, rule="promotion")
                 # elaborated boxes record their grade, so runtime terms re-infer
-                if resource_allocator(body):
-                    raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
-                tb, ub, eb = self.infer(ctx, body)
-                ub = ctx_scale(grade, ub, t.loc)
-                out = Box(grade, tb), ub, S._rebuild(t, body=eb)
-            case LetBox():
-                out = self._recalled(ctx, t, None, self._let_box)
-            case Pack(i, body):
-                if not ctx.has_name(i):
-                    raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
-                tb, ub, eb = self.infer(ctx, body)
-                ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
-                out = ExistsT(i, tb), ub, S._rebuild(t, body=eb)
-            case Unpack():
-                out = self._recalled(ctx, t, None, self._unpack)
-            case WithBorrow():
-                out = self._recalled(ctx, t, None, self._with_borrow)
+                out = self._promote(ctx, t, grade, None)
+            case Pack():
+                out = self._pack(ctx, t, None)
             case Split(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not isinstance(tb, Amp):
@@ -548,8 +544,6 @@ class Checker:
                 out = Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
             case Share():
                 raise CheckError(MISMATCH, "cannot infer the grade of share; annotate the use site", t.loc, rule="share")
-            case Clone():
-                out = self._recalled(ctx, t, None, self._clone)
             case Prim(name):
                 if name != "newArray":
                     raise CheckError(MISMATCH, f"primitive {name} must be applied to its resource argument", t.loc, rule="prim")
@@ -559,7 +553,7 @@ class Checker:
                 out = Amp(perm, tb), ub, S._rebuild(t, body=eb)
             case Unborrow(body):
                 tb, ub, eb = self.infer(ctx, body)
-                if not (isinstance(tb, Amp) and isinstance(tb.perm, Permission) and tb.perm == WHOLE):
+                if not _whole(tb):
                     raise CheckError(MISMATCH, f"unborrow expects a whole borrow, got {tb!r}", t.loc, rule="unborrow")
                 out = Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
             case RefVal(r):
@@ -575,57 +569,29 @@ class Checker:
 
     def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
         match t:
-            case Abs(p, body, ann):
+            case Abs(_, _, ann):
                 if not isinstance(expected, Fun):
                     raise CheckError(MISMATCH, f"function given non-function type {expected!r}", t.loc, rule="abs")
                 if ann is not None and not type_alpha_eq(ann, expected.dom):
                     raise CheckError(MISMATCH, f"annotation {ann!r} conflicts with expected domain {expected.dom!r}", t.loc, rule="abs")
-                p, (body,) = self._freshen_var(p, ctx, body)
-                ctx2 = ctx.bind(p, LinearEntry(expected.dom))
-                ub, eb = self.check(ctx2, body, expected.cod)
-                ub = self._pop_linear(ub, p, expected.dom, t.loc)
-                out = ub, S._rebuild(t, param=p, body=eb, ann=expected.dom)
+                out = self._abs(ctx, t, expected.dom, expected.cod, t.loc)[1:]
             case Pair(l, r) if isinstance(expected, Prod):
                 ul, el = self.check(ctx, l, expected.left)
                 ur, er = self.check(ctx, r, expected.right)
                 out = ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
-            case Promote(body):
+            case Promote():
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"promotion given non-box type {expected!r}", t.loc, rule="promotion")
-                if resource_allocator(body):
-                    raise CheckError(
-                        PROMOTION_OF_ALLOCATOR,
-                        "cannot promote a resource allocator",
-                        t.loc,
-                        rule="promotion",
-                    )
-                ub, eb = self.check(ctx, body, expected.body)
-                ub = ctx_scale(expected.grade, ub, t.loc)
-                out = ub, S._rebuild(t, body=eb, grade=expected.grade)
+                out = self._promote(ctx, t, expected.grade, expected.body)[1:]
             case Share(body):
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"share produces a box, but {expected!r} was expected", t.loc, rule="share")
                 ub, eb = self.check(ctx, body, Amp(STAR, expected.body))
                 out = ub, S._rebuild(t, body=eb, grade=expected.grade)
-            case Pack(i, body) if isinstance(expected, ExistsT):
-                if not ctx.has_name(i):
-                    raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
-                inner = type_subst_names(expected.body, {expected.binder: i})
-                ub, eb = self.check(ctx, body, inner)
-                ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
-                out = ub, S._rebuild(t, body=eb)
-            case LetPair():
-                out = self._recalled(ctx, t, expected, self._let_pair)[1:]
-            case LetUnit():
-                out = self._recalled(ctx, t, expected, self._let_unit)[1:]
-            case LetBox():
-                out = self._recalled(ctx, t, expected, self._let_box)[1:]
-            case Unpack():
-                out = self._recalled(ctx, t, expected, self._unpack)[1:]
-            case WithBorrow():
-                out = self._recalled(ctx, t, expected, self._with_borrow)[1:]
-            case Clone():
-                out = self._recalled(ctx, t, expected, self._clone)[1:]
+            case Pack(i) if isinstance(expected, ExistsT):
+                out = self._pack(ctx, t, type_subst_names(expected.body, {expected.binder: i}))[1:]
+            case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
+                out = self._recalled(ctx, t, expected, rule)[1:]
             case App():
                 ty, u, e = self._infer_app(ctx, t, expected)
                 if not _arg_type_fits(ty, expected):
@@ -637,7 +603,7 @@ class Checker:
                 ub, eb = self.check(ctx, body, expected.body)
                 out = ub, S._rebuild(t, body=eb)
             case Unborrow(body):
-                if not (isinstance(expected, Amp) and isinstance(expected.perm, Permission) and expected.perm.is_star):
+                if not _owned(expected):
                     raise CheckError(MISMATCH, f"unborrow produces an owned value, but {expected!r} was expected", t.loc, rule="unborrow")
                 ub, eb = self.check(ctx, body, Amp(WHOLE, expected.body))
                 out = ub, S._rebuild(t, body=eb)
@@ -664,15 +630,8 @@ class Checker:
             # beta-redex: learn the argument type first
             if fn.ann is not None:
                 self._check_wf(fn.ann, ctx, t.loc)
-                ua, ea = self.check(ctx, arg, fn.ann)
-                ta = fn.ann
-            else:
-                ta, ua, ea = self.infer(ctx, arg)
-            param, (fbody,) = self._freshen_var(fn.param, ctx, fn.body)
-            ctx2 = ctx.bind(param, LinearEntry(ta))
-            tb, ub, eb = self._synth(ctx2, fbody, expected)
-            ub = self._pop_linear(ub, param, ta, t.loc)
-            efn = S._rebuild(fn, param=param, body=eb, ann=ta)
+            ta, ua, ea = self._synth(ctx, arg, fn.ann)
+            tb, ub, efn = self._abs(ctx, fn, ta, expected, t.loc)
             return tb, ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
         tf, uf, ef = self.infer(ctx, fn)
         if isinstance(tf, Forall):
@@ -713,28 +672,23 @@ class Checker:
         arity = S.PRIMITIVES[name]
         if len(args) > arity:
             raise CheckError(MISMATCH, f"{name} applied to too many arguments", t.loc, rule=name)
+        payload = None
+        if name == "newRef" and isinstance(expected, ExistsT):
+            # the expected existential fixes the payload type, so the stored
+            # value (newRef's only argument) may be checked rather than inferred
+            inner = expected.body
+            if (
+                _owned(inner)
+                and isinstance(inner.body, ResT)
+                and inner.body.kind == "Ref"
+                and expected.binder not in type_free_names(inner.body.payload)
+            ):
+                payload = inner.body.payload
         usage = Usage()
         elabs: list[Term] = []
         tys: list[Type] = []
-        for i, a in enumerate(args):
-            if name == "newRef" and i == 0 and isinstance(expected, ExistsT):
-                # the expected existential fixes the payload type, so the
-                # stored value may be checked rather than inferred
-                inner = expected.body
-                if (
-                    isinstance(inner, Amp)
-                    and isinstance(inner.perm, Permission)
-                    and inner.perm.is_star
-                    and isinstance(inner.body, ResT)
-                    and inner.body.kind == "Ref"
-                    and expected.binder not in type_free_names(inner.body.payload)
-                ):
-                    ua, ea = self.check(ctx, a, inner.body.payload)
-                    usage = ctx_add(usage, ua, t.loc)
-                    elabs.append(ea)
-                    tys.append(inner.body.payload)
-                    continue
-            ta, ua, ea = self.infer(ctx, a)
+        for a in args:
+            ta, ua, ea = self._synth(ctx, a, payload)
             usage = ctx_add(usage, ua, t.loc)
             elabs.append(ea)
             tys.append(ta)
@@ -747,7 +701,10 @@ class Checker:
         return ty, usage, out
 
     def _prim_result_type(self, name: str, args: list[Type], loc) -> Type:
-        """The type of `name` applied to arguments of types `args`, at most its arity."""
+        """The type of `name` applied to arguments of types `args`: at most its
+        arity, and at least one unless `name` is newArray."""
+        if name not in S.PRIMITIVES:
+            raise CheckError(MISMATCH, f"unknown primitive {name}", loc, rule="prim")
         n = len(args)
         if name == "newArray":
             if n >= 1 and not type_alpha_eq(args[0], NatT()):
@@ -755,83 +712,61 @@ class Checker:
             result = ExistsT("id", Amp(STAR, ResT("Array", "id", FloatT())))
             return result if n == 1 else Fun(NatT(), result)
         if name == "newRef":
-            if n == 0:
-                raise CheckError(MISMATCH, "newRef must be applied to its initial value", loc, rule=name)
             return ExistsT("id", Amp(STAR, ResT("Ref", "id", args[0])))
-        if name in ("readArray", "writeArray", "deleteArray"):
-            if n == 0:
-                raise CheckError(MISMATCH, f"{name} must be applied to its array argument", loc, rule=name)
-            ta = args[0]
-            if not (isinstance(ta, Amp) and isinstance(ta.body, ResT) and ta.body.kind == "Array"):
-                raise CheckError(MISMATCH, f"{name} expects an array reference, got {ta!r}", loc, rule=name)
-            p, res = ta.perm, ta.body
-            if name == "readArray":
-                if n >= 2 and not type_alpha_eq(args[1], NatT()):
-                    raise CheckError(MISMATCH, f"readArray index must be a Nat, got {args[1]!r}", loc, rule=name)
-                result = Prod(FloatT(), Amp(p, res))
-                return result if n == 2 else Fun(NatT(), result)
-            if name == "writeArray":
-                if not (isinstance(p, Permission) and G.perm_is_writable(p)):
-                    raise CheckError(
-                        PERMISSION_NOT_WRITABLE,
-                        f"writing requires permission 1 or *, found {p}",
-                        loc,
-                        rule=name,
-                    )
-                if n >= 2 and not type_alpha_eq(args[1], NatT()):
-                    raise CheckError(MISMATCH, f"writeArray index must be a Nat, got {args[1]!r}", loc, rule=name)
-                if n >= 3 and not type_alpha_eq(args[2], FloatT()):
-                    raise CheckError(MISMATCH, f"writeArray value must be a Float, got {args[2]!r}", loc, rule=name)
-                result = Amp(p, res)
-                if n == 3:
-                    return result
-                rest = Fun(FloatT(), result)
-                return rest if n == 2 else Fun(NatT(), rest)
-            # deleteArray
-            if not (isinstance(p, Permission) and p.is_star):
+        # the array and reference primitives take the resource first
+        kind, what = ("Array", "an array reference") if name.endswith("Array") else ("Ref", "a Ref")
+        ta = args[0]
+        if not (isinstance(ta, Amp) and isinstance(ta.body, ResT) and ta.body.kind == kind):
+            raise CheckError(MISMATCH, f"{name} expects {what}, got {ta!r}", loc, rule=name)
+        p, res = ta.perm, ta.body
+        if name in ("writeArray", "swapRef") and not (isinstance(p, Permission) and G.perm_is_writable(p)):
+            verb = "writing" if name == "writeArray" else "swapping"
+            raise CheckError(PERMISSION_NOT_WRITABLE, f"{verb} requires permission 1 or *, found {p}", loc, rule=name)
+        if name == "readArray":
+            if n >= 2 and not type_alpha_eq(args[1], NatT()):
+                raise CheckError(MISMATCH, f"readArray index must be a Nat, got {args[1]!r}", loc, rule=name)
+            result = Prod(FloatT(), Amp(p, res))
+            return result if n == 2 else Fun(NatT(), result)
+        if name == "writeArray":
+            if n >= 2 and not type_alpha_eq(args[1], NatT()):
+                raise CheckError(MISMATCH, f"writeArray index must be a Nat, got {args[1]!r}", loc, rule=name)
+            if n >= 3 and not type_alpha_eq(args[2], FloatT()):
+                raise CheckError(MISMATCH, f"writeArray value must be a Float, got {args[2]!r}", loc, rule=name)
+            result = Amp(p, res)
+            if n == 3:
+                return result
+            rest = Fun(FloatT(), result)
+            return rest if n == 2 else Fun(NatT(), rest)
+        if name == "deleteArray":
+            if not _owned(ta):
                 raise CheckError(MISMATCH, f"deleteArray consumes a uniquely owned array, found permission {p}", loc, rule=name)
             return UnitT()
-        if name in ("readRef", "swapRef", "deleteRef"):
-            if n == 0:
-                raise CheckError(MISMATCH, f"{name} must be applied to its reference argument", loc, rule=name)
-            ta = args[0]
-            if not (isinstance(ta, Amp) and isinstance(ta.body, ResT) and ta.body.kind == "Ref"):
-                raise CheckError(MISMATCH, f"{name} expects a Ref, got {ta!r}", loc, rule=name)
-            p, res = ta.perm, ta.body
-            if name == "readRef":
-                if not isinstance(res.payload, Box):
-                    raise CheckError(
-                        MISMATCH,
-                        f"readRef needs a graded payload to account for the extra use, got {res.payload!r}",
-                        loc,
-                        rule=name,
-                    )
-                lowered = G.grade_minus_one(res.payload.grade)
-                if lowered is None:
-                    raise CheckError(
-                        GRADE_EXCEEDED,
-                        f"readRef needs payload grade at least 1, found {res.payload.grade}",
-                        loc,
-                        rule=name,
-                    )
-                return Prod(res.payload.body, Amp(p, ResT("Ref", res.ident, Box(lowered, res.payload.body))))
-            if name == "swapRef":
-                if not (isinstance(p, Permission) and G.perm_is_writable(p)):
-                    raise CheckError(
-                        PERMISSION_NOT_WRITABLE,
-                        f"swapping requires permission 1 or *, found {p}",
-                        loc,
-                        rule=name,
-                    )
-                if n >= 2 and not type_alpha_eq(args[1], res.payload):
-                    raise CheckError(MISMATCH, f"swapRef value must have type {res.payload!r}, got {args[1]!r}", loc, rule=name)
-                result = Prod(res.payload, Amp(p, res))
-                return result if n == 2 else Fun(res.payload, result)
-            # deleteRef
-            if not (isinstance(p, Permission) and p.is_star):
-                raise CheckError(MISMATCH, f"deleteRef consumes a uniquely owned reference, found permission {p}", loc, rule=name)
-            return res.payload
-        raise CheckError(MISMATCH, f"unknown primitive {name}", loc, rule="prim")
+        if name == "readRef":
+            if not isinstance(res.payload, Box):
+                raise CheckError(
+                    MISMATCH,
+                    f"readRef needs a graded payload to account for the extra use, got {res.payload!r}",
+                    loc,
+                    rule=name,
+                )
+            lowered = G.grade_minus_one(res.payload.grade)
+            if lowered is None:
+                raise CheckError(
+                    GRADE_EXCEEDED,
+                    f"readRef needs payload grade at least 1, found {res.payload.grade}",
+                    loc,
+                    rule=name,
+                )
+            return Prod(res.payload.body, Amp(p, ResT("Ref", res.ident, Box(lowered, res.payload.body))))
+        if name == "swapRef":
+            if n >= 2 and not type_alpha_eq(args[1], res.payload):
+                raise CheckError(MISMATCH, f"swapRef value must have type {res.payload!r}, got {args[1]!r}", loc, rule=name)
+            result = Prod(res.payload, Amp(p, res))
+            return result if n == 2 else Fun(res.payload, result)
+        # deleteRef
+        if not _owned(ta):
+            raise CheckError(MISMATCH, f"deleteRef consumes a uniquely owned reference, found permission {p}", loc, rule=name)
+        return res.payload
 
     def _let_pair(self, ctx: Ctx, t: LetPair, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         tr, ur, er = self.infer(ctx, t.rhs)
@@ -862,12 +797,9 @@ class Checker:
             self._check_wf(ann, ctx, t.loc)
             if not isinstance(ann, Box):
                 raise CheckError(MISMATCH, f"let [x] annotation {ann!r} is not a box type", t.loc, rule="box-elim")
-            ur, er = self.check(ctx, t.rhs, ann)
-            tr = ann
-        else:
-            tr, ur, er = self.infer(ctx, t.rhs)
-            if not isinstance(tr, Box):
-                raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
+        tr, ur, er = self._synth(ctx, t.rhs, ann)
+        if not isinstance(tr, Box):
+            raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
         x, (body,) = self._freshen_var(t.binder, ctx, t.body)
         ctx2 = ctx.bind(x, GradedEntry(tr.body, tr.grade))
         tb, ub, eb = self._synth(ctx2, body, expected)
@@ -891,52 +823,32 @@ class Checker:
 
     def _with_borrow(self, ctx: Ctx, t: WithBorrow, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         ta, ua, ea = self.infer(ctx, t.arg)
-        if not (isinstance(ta, Amp) and isinstance(ta.perm, Permission) and ta.perm.is_star):
+        if not _owned(ta):
             raise CheckError(MISMATCH, f"withBorrow needs a uniquely owned value, got {ta!r}", t.loc, rule="withBorrow")
+        if expected is not None and not _owned(expected):
+            raise CheckError(MISMATCH, f"withBorrow produces an owned value, but {expected!r} was expected", t.loc, rule="withBorrow")
         inner = ta.body
-        out_body: Optional[Type] = None
-        if expected is not None:
-            if not (isinstance(expected, Amp) and isinstance(expected.perm, Permission) and expected.perm.is_star):
-                raise CheckError(MISMATCH, f"withBorrow produces an owned value, but {expected!r} was expected", t.loc, rule="withBorrow")
-            out_body = expected.body
+        dom = Amp(WHOLE, inner)
+        cod = None if expected is None else Amp(WHOLE, expected.body)
         fn = t.fn
         if isinstance(fn, Abs) and fn.ann is None:
-            param, (fbody,) = self._freshen_var(fn.param, ctx, fn.body)
-            ctx2 = ctx.bind(param, LinearEntry(Amp(WHOLE, inner)))
-            if out_body is not None:
-                ub, eb = self.check(ctx2, fbody, Amp(WHOLE, out_body))
-                tb = Amp(WHOLE, out_body)
-            else:
-                tb, ub, eb = self.infer(ctx2, fbody)
-                if not (isinstance(tb, Amp) and isinstance(tb.perm, Permission) and tb.perm == WHOLE):
-                    raise CheckError(MISMATCH, f"the borrowing function must return a whole borrow, got {tb!r}", t.loc, rule="withBorrow")
-            ub = self._pop_linear(ub, param, Amp(WHOLE, inner), t.loc)
-            efn = S._rebuild(fn, param=param, body=eb, ann=Amp(WHOLE, inner))
+            tb, ub, efn = self._abs(ctx, fn, dom, cod, t.loc, borrowing=True)
             return Amp(STAR, tb.body), ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
         tf, uf, ef = self.infer(ctx, fn)
         if isinstance(tf, Forall):
-            want = Fun(Amp(WHOLE, inner), Amp(WHOLE, out_body) if out_body is not None else Amp(WHOLE, inner))
             bindable = {v for v, _ in tf.binders}
             sol: dict = {}
-            if not unify(tf.body, want, bindable, sol) or len(sol) < len(bindable):
+            if not unify(tf.body, Fun(dom, dom if cod is None else cod), bindable, sol) or len(sol) < len(bindable):
                 raise CheckError(MISMATCH, f"cannot instantiate {tf!r} as a borrowing function", t.loc, rule="withBorrow")
             binders = tf.binders
             tf = apply_solution(tf.body, binders, sol)
             ef = apply_solution_term(ef, binders, sol)
-        if not (
-            isinstance(tf, Fun)
-            and isinstance(tf.dom, Amp)
-            and isinstance(tf.cod, Amp)
-            and isinstance(tf.dom.perm, Permission)
-            and isinstance(tf.cod.perm, Permission)
-            and tf.dom.perm == WHOLE
-            and tf.cod.perm == WHOLE
-        ):
+        if not (isinstance(tf, Fun) and _whole(tf.dom) and _whole(tf.cod)):
             raise CheckError(MISMATCH, f"withBorrow needs a function between whole borrows, got {tf!r}", t.loc, rule="withBorrow")
         if not type_alpha_eq(tf.dom.body, inner):
             raise CheckError(MISMATCH, f"borrowing function domain {tf.dom.body!r} does not match {inner!r}", t.loc, rule="withBorrow")
-        if out_body is not None and not type_alpha_eq(tf.cod.body, out_body):
-            raise CheckError(MISMATCH, f"borrowing function returns {tf.cod.body!r}, expected {out_body!r}", t.loc, rule="withBorrow")
+        if cod is not None and not type_alpha_eq(tf.cod.body, cod.body):
+            raise CheckError(MISMATCH, f"borrowing function returns {tf.cod.body!r}, expected {cod.body!r}", t.loc, rule="withBorrow")
         return Amp(STAR, tf.cod.body), ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
 
     def _clone(self, ctx: Ctx, t: Clone, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
@@ -974,6 +886,40 @@ class Checker:
             t, binder=binder, idents=tuple(idents), rhs=er, body=eb, bann=fresh_ty, old_idents=tuple(old_ids)
         )
 
+    # -- rules shared by infer and check ---------------------------------------
+
+    def _abs(
+        self, ctx: Ctx, fn: Abs, dom: Type, cod: Optional[Type], loc, borrowing: bool = False
+    ) -> tuple[Type, Usage, Abs]:
+        """The abstraction rule at domain `dom`: the body's type, synthesized
+        against `cod` when it is given, its usage without the parameter, and
+        the elaborated abstraction. An unused parameter is reported at `loc`.
+        A borrowing function must return a whole borrow."""
+        param, (body,) = self._freshen_var(fn.param, ctx, fn.body)
+        tb, ub, eb = self._synth(ctx.bind(param, LinearEntry(dom)), body, cod)
+        if borrowing and not _whole(tb):
+            raise CheckError(MISMATCH, f"the borrowing function must return a whole borrow, got {tb!r}", loc, rule="withBorrow")
+        ub = self._pop_linear(ub, param, dom, loc)
+        return tb, ub, S._rebuild(fn, param=param, body=eb, ann=dom)
+
+    def _promote(self, ctx: Ctx, t: Promote, grade: Grade, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        """The promotion rule at `grade`, with the body checked against
+        `expected` when it is given."""
+        if resource_allocator(t.body):
+            raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
+        tb, ub, eb = self._synth(ctx, t.body, expected)
+        return Box(grade, tb), ctx_scale(grade, ub, t.loc), S._rebuild(t, body=eb, grade=grade)
+
+    def _pack(self, ctx: Ctx, t: Pack, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
+        """The pack rule, with the body checked against `expected` (the
+        existential's body at the packed identifier) when it is given."""
+        i = t.ident
+        if not ctx.has_name(i):
+            raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
+        tb, ub, eb = self._synth(ctx, t.body, expected)
+        ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
+        return ExistsT(i, tb), ub, S._rebuild(t, body=eb)
+
     # -- binder bookkeeping ---------------------------------------------------
 
     def _pop_linear(self, u: Usage, x: str, ty: Type, loc) -> Usage:
@@ -1007,6 +953,18 @@ class Checker:
             if p not in ctx.perm_vars:
                 raise CheckError(UNBOUND_VARIABLE, f"unknown permission variable {p!r} in type {ty!r}", loc, rule="type")
         _check_array_payloads(ty, loc)
+
+
+# The binding forms. Each rule types its right-hand side and synthesizes its
+# body against the expected type, or None when inferring.
+_BINDING_RULES = {
+    LetPair: Checker._let_pair,
+    LetUnit: Checker._let_unit,
+    LetBox: Checker._let_box,
+    Unpack: Checker._unpack,
+    WithBorrow: Checker._with_borrow,
+    Clone: Checker._clone,
+}
 
 
 def _check_array_payloads(ty: Type, loc) -> None:

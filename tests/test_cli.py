@@ -162,7 +162,8 @@ def test_trace_into_a_closed_pipe_is_an_io_error(tmp_path):
     # writing when the reader goes away after one line
     assert proc.stdout.readline().startswith(b'{"step": 0')
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert b"Traceback" not in err
 

@@ -149,7 +149,7 @@ def test_fuel_exhaustion():
 
 
 def test_determinism():
-    src = open("src/gradebor/corpus/persimmon.grb").read()
+    src = Path("src/gradebor/corpus/persimmon.grb").read_text(encoding="utf-8")
     cp = check_program(parse_program(src))
     v1, t1 = machine().eval(Heap(), cp.main_term, one())
     v2, t2 = machine().eval(Heap(), cp.main_term, one())
@@ -158,7 +158,7 @@ def test_determinism():
 
 
 def test_freshness_of_introduced_names():
-    src = open("src/gradebor/corpus/amethyst.grb").read()
+    src = Path("src/gradebor/corpus/amethyst.grb").read_text(encoding="utf-8")
     cp = check_program(parse_program(src))
     _, trace = machine().eval(Heap(), cp.main_term, one())
     configs = trace.configurations()
@@ -171,7 +171,7 @@ def test_freshness_of_introduced_names():
 def test_configuration_invariant_refs_in_heap():
     from gradebor.syntax import free_vars, refs_of
 
-    src = open("src/gradebor/corpus/indigo_seq.grb").read()
+    src = Path("src/gradebor/corpus/indigo_seq.grb").read_text(encoding="utf-8")
     cp = check_program(parse_program(src))
     _, trace = machine().eval(Heap(), cp.main_term, one())
     for post_term, post_heap in trace.configurations()[1:]:
@@ -253,7 +253,7 @@ def test_swap_and_delete_ref():
 def test_trace_jsonl_schema():
     import json
 
-    cp = check_program(parse_program(open("src/gradebor/corpus/persimmon.grb").read()))
+    cp = check_program(parse_program(Path("src/gradebor/corpus/persimmon.grb").read_text(encoding="utf-8")))
     _, trace = machine().eval(Heap(), cp.main_term, one())
     lines = trace.to_jsonl().splitlines()
     for line in lines[:-1]:
@@ -287,7 +287,7 @@ def test_trace_jsonl_matches_the_oracle_on_the_corpus():
     checked = 0
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
-            cp = check_program(parse_program(open(path).read(), path))
+            cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
         _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
@@ -375,7 +375,7 @@ def test_rule_names_are_from_the_closed_set():
     import glob
 
     for path in glob.glob("src/gradebor/corpus/*.grb"):
-        src = open(path).read()
+        src = Path(path).read_text(encoding="utf-8")
         try:
             cp = check_program(parse_program(src))
         except Exception:
@@ -508,7 +508,7 @@ def test_recorded_and_unrecorded_runs_agree_on_the_corpus(monkeypatch):
 
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
-            cp = check_program(parse_program(open(path).read(), path))
+            cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
         _runs_agree(cp, monkeypatch)
@@ -644,7 +644,7 @@ def test_collection_drops_exactly_the_unreachable_zeros_on_the_corpus(mutate, mo
     checked = 0
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
-            cp = check_program(parse_program(open(path).read(), path))
+            cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
         _collection_agrees(cp, cp.ring.one, mutate, monkeypatch)
@@ -761,7 +761,7 @@ def _checked_programs():
 
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
-            yield path, check_program(parse_program(open(path).read(), path))
+            yield path, check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
     yield "read_swap", check_program(parse_program(READ_SWAP))

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from gradebor.grades import NAT, NAT_LEQ, frac_perm
 from gradebor.parser import parse_program, parse_term, parse_type
-from gradebor.syntax import Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Prod, ResT, UnitT, Var
+from gradebor.syntax import (
+    Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, PermVar, Prod, ResT, Unborrow, UnitT, Var,
+)
 from gradebor.typecheck import (
     CheckError, Checker, Ctx, GradedEntry, LinearEntry, Usage, _check_array_payloads,
     _names_in_order, check_program, ctx_add, ctx_scale, resource_allocator,
@@ -200,6 +202,105 @@ def test_abstract_permission_rejects_write_and_split():
     with pytest.raises(CheckError) as e:
         check_program(parse_program(src))
     assert e.value.kind == "StarNotDivisible"
+
+
+# Each rejection with its exact rendering: the kind, the message and the node
+# it is reported at. Between them they reach the abstraction rule from each of
+# its four callers, both modes of pack and promotion, the shape test of the
+# array primitives, and every ownership test at a permission variable `p`,
+# which is neither `*` nor `1`.
+_NO_MAIN = "\nmain : Unit; main = ();"
+_PERM_P = "f : forall {p : Permission, i : Name} . "
+REJECTIONS = [
+    (  # an annotated abstraction, inferred
+        "main : Unit -o Unit;\nmain = let (f, u) = (\\x : Unit -> (), ()) in let () = u in f;",
+        "t.grb:2:22: [LinearUnused] linear variable 'x' is never used",
+    ),
+    (  # an abstraction, checked
+        "main : Unit -o Unit;\nmain = \\x -> ();",
+        "t.grb:2:8: [LinearUnused] linear variable 'x' is never used",
+    ),
+    (  # a beta-redex reports at the application
+        "main : Unit;\nmain = (\\x -> ()) ();",
+        "t.grb:2:9: [LinearUnused] linear variable 'x' is never used",
+    ),
+    (  # an unannotated borrowing function reports at the withBorrow
+        "f : forall {i : Name} . * (Array i Float) -o & 1 (Array i Float) -o * (Array i Float);\n"
+        "f = \\a -> \\c -> withBorrow (\\b -> c) a;" + _NO_MAIN,
+        "t.grb:2:17: [LinearUnused] linear variable 'b' is never used",
+    ),
+    (  # the result is tested before the unused parameter
+        "f : forall {i : Name} . * (Array i Float) -o Unit;\n"
+        "f = \\a -> let (r, u) = (withBorrow (\\b -> ()) a, ()) in r;" + _NO_MAIN,
+        "t.grb:2:25: [Mismatch] the borrowing function must return a whole borrow, got Unit",
+    ),
+    (
+        "main : Unit;\nmain = let (p, u) = (pack <k, ()>, ()) in u;",
+        "t.grb:2:22: [UnboundVariable] unknown identifier 'k' in pack",
+    ),
+    (
+        "main : exists i . Unit;\nmain = pack <k, ()>;",
+        "t.grb:2:8: [UnboundVariable] unknown identifier 'k' in pack",
+    ),
+    (
+        "main : (exists i . * (Ref i Float)) [1];\nmain = [newRef 1.5];",
+        "t.grb:2:8: [PromotionOfAllocator] cannot promote a resource allocator",
+    ),
+    (
+        "main : Unit;\nmain = readArray () 0;",
+        "t.grb:2:8: [Mismatch] readArray expects an array reference, got Unit",
+    ),
+    (
+        _PERM_P + "& p (Array i Float) -o Unit;\nf = \\a -> deleteArray a;" + _NO_MAIN,
+        "t.grb:2:11: [Mismatch] deleteArray consumes a uniquely owned array, found permission p",
+    ),
+    (
+        _PERM_P + "& p (Array i Float) -o & p (Array i Float);\nf = \\a -> writeArray a 0 1.0;" + _NO_MAIN,
+        "t.grb:2:11: [PermissionNotWritable] writing requires permission 1 or *, found p",
+    ),
+    (
+        _PERM_P + "& p (Ref i Float) -o (Float * & p (Ref i Float));\nf = \\a -> swapRef a 1.0;" + _NO_MAIN,
+        "t.grb:2:11: [PermissionNotWritable] swapping requires permission 1 or *, found p",
+    ),
+    (
+        _PERM_P + "& p (Ref i Float) -o Float;\nf = \\a -> deleteRef a;" + _NO_MAIN,
+        "t.grb:2:11: [Mismatch] deleteRef consumes a uniquely owned reference, found permission p",
+    ),
+    (
+        _PERM_P + "& p (Ref i Float) -o * (Ref i Float);\nf = \\a -> withBorrow (\\b -> b) a;" + _NO_MAIN,
+        "t.grb:2:11: [Mismatch] withBorrow needs a uniquely owned value, got & p Ref i Float",
+    ),
+    (
+        _PERM_P + "* (Ref i Float) -o & p (Ref i Float);\nf = \\a -> withBorrow (\\b -> b) a;" + _NO_MAIN,
+        "t.grb:2:11: [Mismatch] withBorrow produces an owned value, but & p Ref i Float was expected",
+    ),
+    (  # newRef checks its payload only against an owned result
+        "f : forall {p : Permission} . Unit -o exists i . & p (Ref i Float);\n"
+        "f = \\u -> let () = u in newRef 1.0;" + _NO_MAIN,
+        "t.grb:2:25: [Mismatch] expected exists i . & p Ref i Float but found exists id . * Ref id Float",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, rendered", REJECTIONS)
+def test_rejection_renders_exactly(src, rendered):
+    with pytest.raises(CheckError) as e:
+        check_program(parse_program(src, "t.grb"))
+    assert e.value.render("t.grb") == rendered
+
+
+def test_unborrow_at_a_permission_variable_is_rejected():
+    # unborrow is a runtime form, so it is built here rather than parsed
+    borrowed = Amp(PermVar("p"), ResT("Ref", "i", FloatT()))
+    ctx = Ctx(ring(), {"a": LinearEntry(borrowed)}, names=frozenset({"i"}), perm_vars=frozenset({"p"}))
+    with pytest.raises(CheckError) as e:
+        Checker(ring()).infer(ctx, Unborrow(Var("a")))
+    assert e.value.render("t.grb") == "t.grb: [Mismatch] unborrow expects a whole borrow, got & p Ref i Float"
+    with pytest.raises(CheckError) as e:
+        Checker(ring()).check(ctx, Unborrow(Var("a")), borrowed)
+    assert e.value.render("t.grb") == (
+        "t.grb: [Mismatch] unborrow produces an owned value, but & p Ref i Float was expected"
+    )
 
 
 # -- the resource-allocator predicate -------------------------------------------
