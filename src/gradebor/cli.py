@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -47,14 +48,26 @@ class SystemExit2(Exception):
     pass
 
 
+@contextmanager
+def _depth_guard():
+    """Report a check, run or trace replay that overflows the interpreter's
+    stack as the parser reports its own overflow. The checker spends more
+    frames per nesting level than the parser, so a program that parses can
+    still be too deep to check."""
+    try:
+        yield
+    except RecursionError:
+        raise SyntaxError_("expression nested too deeply", None) from None
+
+
 def cmd_check(args) -> int:
     results = []
     worst = EXIT_OK
     for path in args.files:
         entry = {"file": path, "defs": [], "errors": []}
         try:
-            prog = _load(path, args.semiring)
-            cp = check_program(prog)
+            with _depth_guard():
+                cp = check_program(_load(path, args.semiring))
             for name, ty in cp.def_types.items():
                 entry["defs"].append({"name": name, "type": print_type(ty)})
         except SystemExit2 as e:
@@ -84,11 +97,9 @@ def cmd_check(args) -> int:
 
 
 def _check_and_run(path, semiring, fuel, record):
-    prog = _load(path, semiring)
-    cp = check_program(prog)
-    machine = Machine(cp.ring)
-    heap = Heap()
-    value, trace = machine.eval(heap, cp.main_term, cp.ring.one, fuel, record)
+    with _depth_guard():
+        cp = check_program(_load(path, semiring))
+        value, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one, fuel, record)
     return cp, value, trace
 
 
@@ -139,7 +150,11 @@ def cmd_trace(args) -> int:
     except _RUN_ERRORS as e:
         return _run_failed(args.file, e)
     print(trace.to_jsonl())
-    violations = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
+    try:
+        with _depth_guard():
+            violations = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
+    except SyntaxError_ as e:
+        return _run_failed(args.file, e)
     for v in violations:
         print(str(v), file=sys.stderr)
     return EXIT_META if violations else EXIT_OK

@@ -24,6 +24,11 @@ the depth of the term. Only a recording run plugs the contractum back
 through the frames to build the whole term, and builds the rule path from
 the frames.
 
+Each rule is stated once. `_CONGRUENCES` names each evaluation position by
+its child field; the plug that fills it is derived at import from
+`syntax._FIELDS`, so no field order is restated here. The five binding
+rules bind through `_bind`.
+
 After every contraction, `eval` drops each variable that the run bound,
 whose grade is exactly zero and that nothing reaches, as the usage-aware
 semantics of Choudhury et al. (POPL 2021) discards 0-graded bindings: such
@@ -47,7 +52,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
-from .grades import Grade, Permission, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
+from .grades import Grade, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
 from . import grades as G
 from . import syntax as S
 from .parser import print_term, print_type
@@ -168,18 +173,6 @@ def _entry_json(name: str, cell) -> dict:
     return {"sort": "res", "name": name, "value": cell.show()}
 
 
-def _entry_key(name: str, cell) -> tuple:
-    """Everything `_entry_json` reads of an entry, with terms and types by
-    identity: while those objects live, equal keys give equal records."""
-    if type(cell) is VarCell:
-        return ("var", name, cell.grade, id(cell.value), id(cell.ty))
-    if type(cell) is RefCell:
-        return ("ref", name, cell.perm, cell.ident)
-    if cell.is_array:
-        return ("res", name, cell.show())
-    return ("res", name, id(cell.value), id(cell.ty))
-
-
 def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
     """Deep-copy a reference-closed heap fragment with fresh names.
 
@@ -187,26 +180,18 @@ def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
     identifiers in the order their originals appear in `sub.resources`.
     New references carry the whole permission.
     """
-    counter = sub.counter
+    fragment = Heap(counter=sub.counter)
+    ident_map = {ident: fragment.fresh_ident() for ident in sub.resources}
     theta: dict[str, str] = {}
-    ident_map: dict[str, str] = {}
-    new_ids: list[str] = []
-    fragment = Heap(counter=counter)
-    for ident in sub.resources:
-        counter += 1
-        ident_map[ident] = f"id{counter}"
-        new_ids.append(ident_map[ident])
     for ref, cell in sub.refs.items():
         if cell.ident not in ident_map:
             raise MissingResource(f"reference {ref} points outside the copied fragment")
-        counter += 1
-        theta[ref] = f"ref{counter}"
+        theta[ref] = fragment.fresh_ref()
     for ident, res in sub.resources.items():
         if res.is_array:
             fragment.resources[ident_map[ident]] = ArrRes(dict(res.items))
         else:
-            inner_refs = refs_of(res.value)
-            missing = inner_refs - set(theta)
+            missing = refs_of(res.value) - theta.keys()
             if missing:
                 raise MissingResource(f"copied value mentions uncopied references: {sorted(missing)}")
             fragment.resources[ident_map[ident]] = RefRes(
@@ -215,8 +200,7 @@ def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
             )
     for ref, cell in sub.refs.items():
         fragment.refs[theta[ref]] = RefCell(Fraction(1), ident_map[cell.ident])
-    fragment.counter = counter
-    return fragment, theta, new_ids
+    return fragment, theta, list(ident_map.values())
 
 
 # ---------------------------------------------------------------------------
@@ -268,33 +252,16 @@ class Trace:
 
         A step line is `{"step", "rule", "grade", "term", "heap"}` for the
         configuration after the step; the last line is `{"step", "value",
-        "heap"}`; "heap" is `Heap.to_json()`. Snapshots share the stored
-        value and type objects of entries a step left alone, so one memo for
-        the whole trace, keyed by `_entry_key`, encodes each distinct entry
-        once. It holds each entry's cell, so no object whose `id` is in a key
-        is freed, and no `id` reused, while the memo lives. A line is the
-        `json.dumps` of its other fields with the encoded entries spliced in
-        as `"heap": [e1, e2, ...]`, the separators `json.dumps` itself
-        writes, so every line is byte-identical to dumping the whole dict.
+        "heap"}`; "heap" is `Heap.to_json()`. Each line is the `json.dumps`
+        of its whole record.
         """
-        memo: dict[tuple, tuple[str, object]] = {}
-
-        def line(fields: dict, heap: Heap) -> str:
-            entries = []
-            for name, cell in heap.cells():
-                key = _entry_key(name, cell)
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = (json.dumps(_entry_json(name, cell)), cell)
-                entries.append(hit[0])
-            return f'{json.dumps(fields)[:-1]}, "heap": [{", ".join(entries)}]}}'
-
         grade = str(self.grade)
         lines = [
-            line({"step": k, "rule": rule, "grade": grade, "term": print_term(term)}, heap)
+            json.dumps({"step": k, "rule": rule, "grade": grade, "term": print_term(term), "heap": heap.to_json()})
             for k, (rule, (term, heap)) in enumerate(zip(self.steps, self.configs[1:]))
         ]
-        lines.append(line({"step": len(self.steps), "value": print_term(self.final_term)}, self.final_heap))
+        final = {"step": len(self.steps), "value": print_term(self.final_term), "heap": self.final_heap.to_json()}
+        lines.append(json.dumps(final))
         return "\n".join(lines)
 
 
@@ -302,37 +269,41 @@ class Trace:
 # Evaluation contexts
 
 # The evaluation positions of each congruence rule, in the order the machine
-# tries them: (child field, congruence name in rule paths, plug), where
-# plug(node, t) rebuilds node with t in that position.
-_CONGRUENCES: dict[type, tuple[tuple[str, str, Callable[[Term, Term], Term]], ...]] = {
-    App: (
-        ("fn", "appR", lambda p, t: App(t, p.arg, p.loc)),
-        ("arg", "appL", lambda p, t: App(p.fn, t, p.loc)),
-    ),
-    Pair: (
-        ("left", "congPairL", lambda p, t: Pair(t, p.right, p.loc)),
-        ("right", "congPairR", lambda p, t: Pair(p.left, t, p.loc)),
-    ),
-    LetPair: (("rhs", "congPairElim", lambda p, t: LetPair(p.left, p.right, t, p.body, p.lann, p.rann, p.loc)),),
-    LetUnit: (("rhs", "congUnitElim", lambda p, t: LetUnit(t, p.body, p.loc)),),
-    Promote: (("body", "congPromotion", lambda p, t: Promote(t, p.grade, p.loc)),),
-    LetBox: (("rhs", "congBoxElim", lambda p, t: LetBox(p.binder, t, p.body, p.ann, p.loc)),),
-    Pack: (("body", "congPack", lambda p, t: Pack(p.ident, t, p.loc)),),
-    Unpack: (("rhs", "congUnpack", lambda p, t: Unpack(p.ident, p.binder, t, p.body, p.bann, p.loc)),),
-    WithBorrow: (
-        ("fn", "congWithBorrowL", lambda p, t: WithBorrow(t, p.arg, p.loc)),
-        ("arg", "congWithBorrowR", lambda p, t: WithBorrow(p.fn, t, p.loc)),
-    ),
-    Unborrow: (("body", "congUnborrow", lambda p, t: Unborrow(t, p.loc)),),
-    Share: (("body", "congShare", lambda p, t: Share(t, p.grade, p.loc)),),
-    Clone: (
-        ("rhs", "congClone",
-         lambda p, t: Clone(p.binder, p.idents, t, p.body, p.bann, p.old_idents, p.loc)),
-    ),
-    Split: (("body", "congSplit", lambda p, t: Split(t, p.loc)),),
-    Join: (("body", "congJoin", lambda p, t: Join(t, p.loc)),),
-    Push: (("body", "congPush", lambda p, t: Push(t, p.loc)),),
-    Pull: (("body", "congPull", lambda p, t: Pull(t, p.loc)),),
+# tries them: (child field, congruence name in rule paths).
+_CONGRUENCES: dict[type, tuple[tuple[str, str], ...]] = {
+    App: (("fn", "appR"), ("arg", "appL")),
+    Pair: (("left", "congPairL"), ("right", "congPairR")),
+    LetPair: (("rhs", "congPairElim"),),
+    LetUnit: (("rhs", "congUnitElim"),),
+    Promote: (("body", "congPromotion"),),
+    LetBox: (("rhs", "congBoxElim"),),
+    Pack: (("body", "congPack"),),
+    Unpack: (("rhs", "congUnpack"),),
+    WithBorrow: (("fn", "congWithBorrowL"), ("arg", "congWithBorrowR")),
+    Unborrow: (("body", "congUnborrow"),),
+    Share: (("body", "congShare"),),
+    Clone: (("rhs", "congClone"),),
+    Split: (("body", "congSplit"),),
+    Join: (("body", "congJoin"),),
+    Push: (("body", "congPush"),),
+    Pull: (("body", "congPull"),),
+}
+
+
+def _plugger(cls: type, hole: str) -> Callable[[Term, Term], Term]:
+    """plug(p, t): p, of class cls, rebuilt with t in the field `hole`.
+
+    The constructor call is generated from the class's fields, as
+    `dataclasses` generates `__init__`, so it costs what a hand-written call
+    does: a recorded run plugs through every frame at every step."""
+    args = ", ".join("t" if n == hole else f"p.{n}" for n in S._FIELDS[cls])
+    code = compile(f"lambda p, t: cls({args})", f"<plug {cls.__name__}.{hole}>", "eval")
+    return eval(code, {"cls": cls})
+
+
+# Each position's plug, indexed as in _CONGRUENCES.
+_PLUGS: dict[type, tuple[Callable[[Term, Term], Term], ...]] = {
+    cls: tuple(_plugger(cls, hole) for hole, _ in positions) for cls, positions in _CONGRUENCES.items()
 }
 
 # Terms that are values once every evaluation position holds a value.
@@ -346,7 +317,7 @@ Frame = tuple[Term, int, Grade]
 def _plug(frames: list[Frame], t: Term) -> Term:
     """The whole term: t plugged into the hole of the context `frames`."""
     for parent, i, _ in reversed(frames):
-        t = _CONGRUENCES[type(parent)][i][2](parent, t)
+        t = _PLUGS[type(parent)][i](parent, t)
     return t
 
 
@@ -455,7 +426,7 @@ class Machine:
                 if not frames:
                     return t, s, False
                 parent, i, s = frames.pop()
-                t, start = _CONGRUENCES[type(parent)][i][2](parent, t), i + 1
+                t, start = _PLUGS[type(parent)][i](parent, t), i + 1
 
     # -- contraction ------------------------------------------------------------
 
@@ -479,18 +450,14 @@ class Machine:
                 if spine is not None:
                     return self._prim_step(heap, t, *spine)
                 if isinstance(t.fn, Abs):
-                    fresh = heap.fresh_var(t.fn.param)
-                    heap.vars[fresh] = VarCell(s, t.arg, t.fn.ann)
-                    return subst(t.fn.body, t.fn.param, Var(fresh)), "beta"
+                    return _bind(heap, t.fn.param, s, t.arg, t.fn.ann, t.fn.body), "beta"
                 raise StuckTerm(f"cannot apply {t.fn!r}")
 
             case LetPair(x, y, rhs, body):
                 if not isinstance(rhs, Pair):
                     raise StuckTerm(f"let (x, y) scrutinee is not a pair: {rhs!r}")
-                fx, fy = heap.fresh_var(x), heap.fresh_var(y)
-                heap.vars[fx] = VarCell(s, rhs.left, t.lann)
-                heap.vars[fy] = VarCell(s, rhs.right, t.rann)
-                return subst(subst(body, x, Var(fx)), y, Var(fy)), "pairBeta"
+                body = _bind(heap, x, s, rhs.left, t.lann, body)
+                return _bind(heap, y, s, rhs.right, t.rann, body), "pairBeta"
 
             case LetUnit(rhs, body):
                 if not isinstance(rhs, UnitVal):
@@ -505,18 +472,14 @@ class Machine:
                     r = ann.grade
                 if r is None:
                     r = self.ring.one
-                fx = heap.fresh_var(x)
-                heap.vars[fx] = VarCell(grade_mul(s, r), rhs.body, ann.body if ann is not None else None)
-                return subst(body, x, Var(fx)), "betaBox"
+                ty = ann.body if ann is not None else None
+                return _bind(heap, x, grade_mul(s, r), rhs.body, ty, body), "betaBox"
 
             case Unpack(i, x, rhs, body):
                 if not isinstance(rhs, Pack):
                     raise StuckTerm(f"unpack scrutinee is not packed: {rhs!r}")
-                fx = heap.fresh_var(x)
                 ty = S.type_subst_names(t.bann, {i: rhs.ident}) if t.bann is not None else None
-                heap.vars[fx] = VarCell(s, rhs.body, ty)
-                body2 = subst_names(body, {i: rhs.ident})
-                return subst(body2, x, Var(fx)), "existentialBeta"
+                return _bind(heap, x, s, rhs.body, ty, subst_names(body, {i: rhs.ident})), "existentialBeta"
 
             case WithBorrow(fn, arg):
                 if not isinstance(fn, Abs):
@@ -587,20 +550,14 @@ class Machine:
     # -- resource primitives ----------------------------------------------------
 
     def _prim_step(self, heap: Heap, t: App, name: str, args: list[Term]) -> tuple[Term, str]:
-        if name == "newArray":
+        if name == "newArray" or name == "newRef":
             ident = heap.fresh_ident()
             ref = heap.fresh_ref()
-            heap.resources[ident] = ArrRes()
+            # a newRef cell stores the payload type that elaboration put on
+            # the head, or None
+            heap.resources[ident] = ArrRes() if name == "newArray" else RefRes(args[0], t.fn.ann)
             heap.refs[ref] = RefCell(Fraction(1), ident)
-            return Pack(ident, Uniq(RefVal(ref), STAR)), "newArray"
-        if name == "newRef":
-            (v,) = args
-            ident = heap.fresh_ident()
-            ref = heap.fresh_ref()
-            # the payload type that elaboration put on the head, or None
-            heap.resources[ident] = RefRes(v, t.fn.ann)
-            heap.refs[ref] = RefCell(Fraction(1), ident)
-            return Pack(ident, Uniq(RefVal(ref), STAR)), "newRef"
+            return Pack(ident, Uniq(RefVal(ref), STAR)), name
 
         u = args[0]
         if not (isinstance(u, Uniq) and isinstance(u.body, RefVal)):
@@ -621,10 +578,10 @@ class Machine:
             val = _float_arg(args[2], name)
             arr_write(res, idx, val)
             return u, "writeArray"
-        if name == "deleteArray":
+        if name == "deleteArray" or name == "deleteRef":
             del heap.refs[ref]
             del heap.resources[cell.ident]
-            return UnitVal(), "deleteArray"
+            return (UnitVal() if name == "deleteArray" else res.value), name
         if name == "readRef":
             box = res.value
             if not isinstance(box, Promote):
@@ -645,10 +602,6 @@ class Machine:
             old = res.value
             res.value = args[1]
             return Pair(old, u), "swapRef"
-        if name == "deleteRef":
-            del heap.refs[ref]
-            del heap.resources[cell.ident]
-            return res.value, "deleteRef"
         raise StuckTerm(f"unknown primitive {name}")
 
     # -- split/join on nested values ---------------------------------------------
@@ -724,7 +677,7 @@ class Machine:
         heap.counter = fragment.counter
         heap.resources.update(fragment.resources)
         heap.refs.update(fragment.refs)
-        ident_map = {old: new for old, new in zip(idents, new_ids)}
+        ident_map = dict(zip(idents, new_ids))
         # surface identifiers map onto the fresh copies of the payload type's
         # identifiers; unelaborated terms fall back to discovery order
         olds = t.old_idents if t.old_idents is not None else tuple(idents)
@@ -738,14 +691,16 @@ class Machine:
                 # a type-level identifier with no reachable resource in the
                 # value (e.g. only mentioned by a stored function's domain)
                 name_env[surf] = heap.fresh_ident()
-        copied = Uniq(rename_refs(theta, w), STAR)
-        fx = heap.fresh_var(t.binder)
-        ty = t.bann
-        if ty is not None:
-            ty = S.type_subst_names(ty, name_env)
-        heap.vars[fx] = VarCell(s, copied, ty)
-        body = subst_names(t.body, name_env)
-        return subst(body, t.binder, Var(fx))
+        ty = S.type_subst_names(t.bann, name_env) if t.bann is not None else None
+        return _bind(heap, t.binder, s, Uniq(rename_refs(theta, w), STAR), ty, subst_names(t.body, name_env))
+
+
+def _bind(heap: Heap, x: str, grade: Grade, value: Term, ty: Optional[Type], body: Term) -> Term:
+    """Bind a fresh variable for x to value at grade, of type ty, in the
+    heap; returns body with the fresh variable substituted for x."""
+    fresh = heap.fresh_var(x)
+    heap.vars[fresh] = VarCell(grade, value, ty)
+    return subst(body, x, Var(fresh))
 
 
 def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:
@@ -780,16 +735,10 @@ def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:
 
 
 def _ref_order(t: Term) -> list[str]:
-    match t:
-        case RefVal(r):
-            return [r]
-        case _:
-            out: list[str] = []
-            for c in S.children(t):
-                for r in _ref_order(c):
-                    if r not in out:
-                        out.append(r)
-            return out
+    """The references of t, each once, in depth-first order."""
+    if type(t) is RefVal:
+        return [t.ref]
+    return list(dict.fromkeys(r for c in S.children(t) for r in _ref_order(c)))
 
 
 def _nat_arg(t: Term, name: str) -> int:

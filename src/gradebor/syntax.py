@@ -155,14 +155,6 @@ class Forall(Type):
     body: Type
 
 
-def perm_expr_eq(a: PermExpr, b: PermExpr) -> bool:
-    if isinstance(a, PermVar) and isinstance(b, PermVar):
-        return a.name == b.name
-    if isinstance(a, Permission) and isinstance(b, Permission):
-        return a == b
-    return False
-
-
 def _child_fields(cls: type, hints: dict, sort) -> tuple[str, ...]:
     """The fields of a node class annotated `sort`, in order; `hints` are the
     class's evaluated annotations, from one `get_type_hints(cls)`."""
@@ -184,7 +176,12 @@ def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
         if a.grade != b.grade:
             return False
     elif cls is Amp:
-        if not perm_expr_eq(a.perm, b.perm):
+        pa, pb = a.perm, b.perm
+        if type(pa) is PermVar:
+            pa = env_a.get(pa.name, pa)
+        if type(pb) is PermVar:
+            pb = env_b.get(pb.name, pb)
+        if pa != pb:
             return False
     elif cls is ResT or cls is NameT:
         if cls is ResT and a.kind != b.kind:

@@ -27,7 +27,7 @@ from .syntax import (
     PermVar, Prim, Prod, Promote, Pull, Push, RefVal, ResT, Share, Split,
     Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
     free_vars, type_alpha_eq, type_free_names, type_free_perm_vars,
-    type_subst_names, type_subst_perms, perm_expr_eq,
+    type_subst_names, type_subst_perms,
 )
 
 # TypeError kinds; every rejection names the violated rule via CheckError.rule.
@@ -241,51 +241,43 @@ def _arg_type_fits(actual: Type, expected: Type) -> bool:
     return type_alpha_eq(actual, expected)
 
 
+def _solve(sol: dict, v: str, value) -> bool:
+    """Bind v to value in sol, or check the value it is already bound to."""
+    return sol.setdefault(v, value) == value
+
+
 def unify(pattern: Type, concrete: Type, bindable: set[str], sol: dict) -> bool:
     """One-way unification binding quantified permission/name variables."""
-    match (pattern, concrete):
-        case (Fun(d1, c1), Fun(d2, c2)):
-            return unify(d1, d2, bindable, sol) and unify(c1, c2, bindable, sol)
-        case (Prod(l1, r1), Prod(l2, r2)):
-            return unify(l1, l2, bindable, sol) and unify(r1, r2, bindable, sol)
-        case (UnitT(), UnitT()) | (NatT(), NatT()) | (FloatT(), FloatT()):
-            return True
-        case (Box(g1, t1), Box(g2, t2)):
-            return g1 == g2 and unify(t1, t2, bindable, sol)
-        case (Amp(p1, t1), Amp(p2, t2)):
-            if isinstance(p1, PermVar) and p1.name in bindable:
-                if p1.name in sol:
-                    if not perm_expr_eq(sol[p1.name], p2):
-                        return False
-                else:
-                    sol[p1.name] = p2
-                return unify(t1, t2, bindable, sol)
-            return perm_expr_eq(p1, p2) and unify(t1, t2, bindable, sol)
-        case (ExistsT(i1, t1), ExistsT(i2, t2)):
-            # rename to a common fresh marker so binders do not interfere
-            mark = f"!u{len(sol)}"
-            return unify(type_subst_names(t1, {i1: mark}), type_subst_names(t2, {i2: mark}), bindable, sol)
-        case (ResT(k1, i1, t1), ResT(k2, i2, t2)):
-            if k1 != k2:
-                return False
-            if i1 in bindable:
-                if i1 in sol:
-                    if sol[i1] != i2:
-                        return False
-                else:
-                    sol[i1] = i2
-            elif i1 != i2:
-                return False
-            return unify(t1, t2, bindable, sol)
-        case (NameT(i1), NameT(i2)):
-            if i1 in bindable:
-                if i1 in sol and sol[i1] != i2:
-                    return False
-                sol[i1] = i2
-                return True
-            return i1 == i2
-        case _:
+    cls = type(pattern)
+    if type(concrete) is not cls:
+        return False
+    if cls is Box:
+        if pattern.grade != concrete.grade:
             return False
+    elif cls is Amp:
+        p, q = pattern.perm, concrete.perm
+        if not (_solve(sol, p.name, q) if type(p) is PermVar and p.name in bindable else p == q):
+            return False
+    elif cls is ResT or cls is NameT:
+        if cls is ResT and pattern.kind != concrete.kind:
+            return False
+        i, j = pattern.ident, concrete.ident
+        if not (_solve(sol, i, j) if i in bindable else i == j):
+            return False
+    elif cls is ExistsT:
+        # rename to a common fresh marker so binders do not interfere
+        mark = f"!u{len(sol)}"
+        return unify(
+            type_subst_names(pattern.body, {pattern.binder: mark}),
+            type_subst_names(concrete.body, {concrete.binder: mark}),
+            bindable, sol,
+        )
+    elif cls is Forall:
+        return False  # a nested quantifier never unifies
+    for n in S._TYPE_CHILDREN[cls]:
+        if not unify(getattr(pattern, n), getattr(concrete, n), bindable, sol):
+            return False
+    return True
 
 
 def apply_solution(ty: Type, binders: tuple[tuple[str, str], ...], sol: dict) -> Type:
@@ -534,7 +526,7 @@ class Checker:
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
                     raise CheckError(MISMATCH, f"pull expects a pair of borrows, got {tb!r}", t.loc, rule="pull")
-                if not perm_expr_eq(tb.left.perm, tb.right.perm):
+                if tb.left.perm != tb.right.perm:
                     raise CheckError(
                         MISMATCH,
                         "pull requires both components at the same permission",
@@ -598,7 +590,7 @@ class Checker:
                     raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="app")
                 out = u, e
             case Uniq(body, perm) if isinstance(expected, Amp):
-                if not perm_expr_eq(perm, expected.perm):
+                if perm != expected.perm:
                     raise CheckError(MISMATCH, f"wrapper permission {perm} does not match {expected.perm}", t.loc, rule="nec")
                 ub, eb = self.check(ctx, body, expected.body)
                 out = ub, S._rebuild(t, body=eb)

@@ -237,3 +237,34 @@ def test_deep_chains_run_and_trace(tmp_path, writes):
     assert trace.returncode == 0 and "Traceback" not in trace.stderr
     last = json.loads(trace.stdout.splitlines()[-1])
     assert last["step"] == json.loads(run.stdout)["steps"] == writes + 3
+
+
+@pytest.mark.parametrize("depth", [200, 300])
+def test_let_chains_too_deep_to_check_are_one_line_syntax_errors(tmp_path, depth):
+    # the parser takes both chains; the checker spends more frames per let
+    # than the parser and overflows on the deeper one
+    (tmp_path / "lets.grb").write_text("main : Unit;\nmain = " + "let () = () in " * depth + "();\n")
+    for command in ("check", "run", "trace"):
+        proc = _cli(command, "lets.grb", cwd=tmp_path)
+        assert "Traceback" not in proc.stdout + proc.stderr
+        if depth == 200:
+            assert proc.returncode == 0 and proc.stderr == ""
+            continue
+        assert proc.returncode == 1
+        # check reports on stdout, run and trace on stderr
+        report, rest = (proc.stdout, proc.stderr) if command == "check" else (proc.stderr, proc.stdout)
+        assert report == "lets.grb: [SyntaxError] expression nested too deeply\n" and rest == ""
+
+
+def test_trace_replay_too_deep_is_a_syntax_error(monkeypatch, capsys):
+    import gradebor.cli as cli
+
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check_trace", overflow)
+    path = str(CORPUS / "persimmon.grb")
+    assert main(["trace", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith('{"step": 0')
+    assert captured.err == f"{path}: [SyntaxError] expression nested too deeply\n"

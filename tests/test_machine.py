@@ -815,3 +815,24 @@ def test_the_machine_does_not_import_the_typechecker():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
             assert not any("typecheck" in n for n in names), ast.dump(node)
+
+
+def test_each_plug_fills_its_position_and_keeps_every_other_field():
+    from gradebor import machine as M
+
+    checked = set()
+    for cls, positions in M._CONGRUENCES.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        for i, position in enumerate(positions):
+            hole = position[0]
+            # every field a distinct object, so a field the plug dropped or
+            # moved cannot pass for another one
+            node = cls(*[object() for _ in names])
+            child = object()
+            out = M._plug([(node, i, one())], child)
+            assert type(out) is cls and getattr(out, hole) is child, (cls.__name__, hole)
+            for n in names:
+                if n != hole:
+                    assert getattr(out, n) is getattr(node, n), (cls.__name__, hole, n)
+                    checked.add(n)
+    assert {"loc", "old_idents", "lann", "rann", "bann", "ann"} <= checked

@@ -92,6 +92,18 @@ def test_alpha_distinguishes_permissions():
     assert not alpha_eq(Uniq(UnitVal(), STAR), Uniq(UnitVal(), frac_perm(1)))
 
 
+def test_type_alpha_eq_renames_permission_binders():
+    def observe(p, i):
+        return parse_type(f"forall {{{p} : Permission, {i} : Name}} . & {p} (Ref {i} Float) -o & {p} (Ref {i} Float)")
+
+    assert observe("p", "i") == observe("q", "j") == observe("p", "j") == observe("q", "i")
+    # binders match by position, and a free permission variable only equals itself
+    swap = "forall {p : Permission, q : Permission} . & p Unit -o & q Unit"
+    assert parse_type(swap) != parse_type(swap.replace("p : Permission, q", "q : Permission, p"))
+    assert parse_type("& p Unit") == parse_type("& p Unit") != parse_type("& q Unit")
+    assert parse_type("forall {p : Permission} . & p Unit") != parse_type("forall {q : Permission} . & p Unit")
+
+
 def random_user_term(rng: random.Random, depth: int) -> Term:
     if depth <= 0:
         return rng.choice(
@@ -278,7 +290,10 @@ def old_type_alpha_eq(a, b, env_a=None, env_b=None):
         case (Box(g1, t1), Box(g2, t2)):
             return g1 == g2 and old_type_alpha_eq(t1, t2, env_a, env_b)
         case (Amp(p1, t1), Amp(p2, t2)):
-            return syntax.perm_expr_eq(p1, p2) and old_type_alpha_eq(t1, t2, env_a, env_b)
+            # a permission variable is looked up through the binder environments
+            q1 = env_a.get(p1.name, p1) if isinstance(p1, PermVar) else p1
+            q2 = env_b.get(p2.name, p2) if isinstance(p2, PermVar) else p2
+            return q1 == q2 and old_type_alpha_eq(t1, t2, env_a, env_b)
         case (ExistsT(i1, t1), ExistsT(i2, t2)):
             mark = object()
             return old_type_alpha_eq(t1, t2, {**env_a, i1: mark}, {**env_b, i2: mark})

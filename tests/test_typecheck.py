@@ -521,3 +521,15 @@ def test_type_walkers_take_one_frame_per_tree_level():
     _check_array_payloads(ty, None)
     with pytest.raises(CheckError):
         _check_array_payloads(Fun(ty, ResT("Array", "i", NatT())), None)
+
+
+def test_polymorphic_argument_checks_whatever_its_binders_are_named():
+    for p, i in (("p", "i"), ("q", "j"), ("p", "j"), ("q", "i")):
+        ty = f"forall {{{p} : Permission, {i} : Name}} . & {p} (Ref {i} Float) -o & {p} (Ref {i} Float)"
+        cp = check_program(parse_program(
+            "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
+            "observe = \\w -> w;\n"
+            "main : exists i . * (Ref i Float);\n"
+            f"main = unpack <i, c> = newRef 1.5 in pack <i, withBorrow (\\b -> (\\g : ({ty}) -> g b) observe) c>;\n"
+        ))
+        assert str(cp.main_type) == "exists i . * Ref i Float"
