@@ -12,7 +12,8 @@ again (`read_swap`), all generated here, `corpus --format json`, and `props --se
 500` with and without `--mutate-split`. `check` plus `trace` meet a promoted
 `newRef` hidden behind a beta-redex (`promo_beta_ref`), and `check` plus
 `run` meet `alloc_promo_bad` with its `newArray` hidden the same way
-(`promo_beta_array`): both pass `check` and fail at run time (exit 4).
+(`promo_beta_array`): promotion reads the body's type, so both exit 1 at
+`check`.
 `check` plus `trace` also meet a polymorphic function argument whose
 binders are named apart from the function it is given (`poly_arg`): it
 passes `check`, and `trace` exits 4 at re-inference.
@@ -92,8 +93,8 @@ READ_SWAP = (
 )
 
 
-# The PromotionOfAllocator test reads the syntax of a box's body, so a
-# beta-redex hides an allocation from it.
+# An allocation behind a beta-redex: the box's body still has a `*` type,
+# so the checker rejects both with PromotionOfAllocator at the box.
 PROMO_BETA_REF = (
     "main : (exists i . * (Ref i Float)) [1];\n"
     "main = [(\\x : Float -> newRef x) 1.5];\n"

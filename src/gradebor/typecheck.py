@@ -9,8 +9,9 @@ values and are inlined into use sites during elaboration.
 
 Each construct has one rule body, which `infer` calls with no expected type
 and `check` with its own: `Checker._abs` (also for beta-redexes and borrowing
-functions), `_promote` (the checker's only `resource_allocator` test), `_pack`,
-and the binding forms' methods, found in `_BINDING_RULES`.
+functions), `_promote`, `_pack`, and the binding forms' methods, found in
+`_BINDING_RULES`. Promotion is decided by the body's type: a box may not hold
+a `*` value outside a function type, wherever the allocation is hidden.
 """
 
 from __future__ import annotations
@@ -130,6 +131,15 @@ def _owned(ty: Type) -> bool:
     return isinstance(ty, Amp) and isinstance(ty.perm, Permission) and ty.perm.is_star
 
 
+def _holds_owned(ty: Type) -> bool:
+    """Whether ty holds a `*` value outside a function type."""
+    if _owned(ty):
+        return True
+    if type(ty) in (Fun, Forall):
+        return False
+    return any(_holds_owned(getattr(ty, n)) for n in S._TYPE_CHILDREN[type(ty)])
+
+
 def _whole(ty: Type) -> bool:
     """Whether ty is `& 1 t`; a permission variable is never `1`."""
     return isinstance(ty, Amp) and isinstance(ty.perm, Permission) and ty.perm == WHOLE
@@ -175,28 +185,6 @@ def ctx_scale(r: Grade, u: Usage, loc: Optional[Loc] = None) -> Usage:
 
 
 # ---------------------------------------------------------------------------
-# The resource-allocator predicate
-
-
-def resource_allocator(t: Term) -> bool:
-    """Whether newArray/newRef occurs in reduction position.
-
-    Abstractions never count regardless of body, since reduction does not
-    go under a lambda; the bare allocation primitives count, and every
-    other compound form is the disjunction over its immediate subterms.
-    """
-    match t:
-        case Var() | NatLit() | FloatLit() | UnitVal() | RefVal():
-            return False
-        case Abs():
-            return False
-        case Prim(name):
-            return name in ("newArray", "newRef")
-        case _:
-            return any(resource_allocator(c) for c in S.children(t))
-
-
-# ---------------------------------------------------------------------------
 # Transparent child positions
 
 # The child positions whose rule reads the child only through the type and
@@ -204,11 +192,10 @@ def resource_allocator(t: Term) -> bool:
 # context: replacing such a child by a term with the same judgment leaves the
 # parent's judgment unchanged (the replacement lemma). App is decided in
 # `transparent_child`. Never transparent: binder bodies, which are typed in a
-# larger context; Abs; the body of Promote, whose rule also tests
-# `resource_allocator` on the syntax; and the body of Share.
+# larger context; Abs; and the body of Share.
 _TRANSPARENT: dict[type, tuple[str, ...]] = {
     Pair: ("left", "right"),
-    **{cls: ("body",) for cls in (Uniq, Pack, Unborrow, Split, Join, Push, Pull)},
+    **{cls: ("body",) for cls in (Uniq, Pack, Promote, Unborrow, Split, Join, Push, Pull)},
     **{cls: ("rhs",) for cls in (LetPair, LetUnit, LetBox, Unpack)},
 }
 
@@ -896,11 +883,14 @@ class Checker:
 
     def _promote(self, ctx: Ctx, t: Promote, grade: Grade, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         """The promotion rule at `grade`, with the body checked against
-        `expected` when it is given."""
-        if resource_allocator(t.body):
-            raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
+        `expected` when it is given. The body's type may not hold an owned
+        value: every use of the box would get the same unique resource. A
+        linear variable in the body is reported first."""
         tb, ub, eb = self._synth(ctx, t.body, expected)
-        return Box(grade, tb), ctx_scale(grade, ub, t.loc), S._rebuild(t, body=eb, grade=grade)
+        scaled = ctx_scale(grade, ub, t.loc)
+        if _holds_owned(tb):
+            raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
+        return Box(grade, tb), scaled, S._rebuild(t, body=eb, grade=grade)
 
     def _pack(self, ctx: Ctx, t: Pack, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         """The pack rule, with the body checked against `expected` (the
@@ -1027,8 +1017,6 @@ def check_program(prog) -> CheckedProgram:
         else:
             if not S.is_value(d.body):
                 raise CheckError(MISMATCH, f"definition {d.name!r} must be a value", d.loc, rule="def")
-            if resource_allocator(d.body):
-                raise CheckError(PROMOTION_OF_ALLOCATOR, f"definition {d.name!r} allocates resources", d.loc, rule="def")
             checker.globals[d.name] = GlobalDef(sig, elab)
         def_types[d.name] = sig
     if main_entry is None:

@@ -519,26 +519,6 @@ def checked(source):
     return check_program(parse_program(source, "generated.grb"))
 
 
-def stepped_trace(cp):
-    """The configurations a run at grade one passes through, one
-    `Machine.step` at a time, up to a value or the first step that fails."""
-    from gradebor.machine import Trace
-
-    heap, t, machine = Heap(), cp.main_term, Machine(cp.ring)
-    rules, configs = [], [(t, heap.snapshot())]
-    while True:
-        try:
-            stepped = machine.step(heap, t, cp.ring.one)
-        except EvalError:
-            break
-        if stepped is None:
-            break
-        t, rule = stepped
-        rules.append(rule)
-        configs.append((t, heap.snapshot()))
-    return Trace(cp.ring.one, rules, configs, len(rules))
-
-
 @pytest.mark.parametrize("mutate", [False, True])
 def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
     from gradebor.generator import generate_programs
@@ -558,13 +538,16 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
         s = s or cp.ring.one
         _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, s)
         traces.append((trace, cp, s))
-    # both pass the checker but go wrong when run; the second gets stuck
-    for source in (GOLDEN.PROMO_BETA_REF, GOLDEN.PROMO_BETA_ARRAY):
-        cp = checked(source)
-        traces.append((stepped_trace(cp), cp, cp.ring.one))
     for trace, cp, s in traces:
         memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, s, monkeypatch)
         assert memoized == oracle
+    # traces that fail preservation at one write, in the term and in the heap
+    for corrupt in (_corrupt_off_path_literal, _corrupt_stored_reference_type):
+        cp = checked(WRITES_BESIDE_A_CELL)
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        corrupt(trace.configurations(), 8)
+        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one, monkeypatch)
+        assert memoized == oracle and oracle[0]
 
 
 def test_memo_draws_the_fresh_names_the_oracle_draws(monkeypatch):
@@ -760,13 +743,26 @@ def test_preservation_reports_exactly_the_corrupted_step_of_a_write(corrupt, fai
     assert found[0].message.startswith(failure)
 
 
-def test_preservation_reports_the_promoted_allocator_a_beta_redex_hid():
-    # the box's body is a beta-redex when checked, and `newRef x.1` after one step
-    cp = checked(GOLDEN.PROMO_BETA_REF)
+def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(monkeypatch):
+    # a box's rule reads its body only through the body's judgment, so each
+    # step inside it keeps the root's judgment
+    from gradebor import metatheory
+
+    cp = checked("main : Float [2];\nmain = [let () = () in let () = () in let () = () in 1.5];")
     _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-    found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
-    failure = "re-inference failed: [PromotionOfAllocator] cannot promote a resource allocator"
-    assert [(v.step, v.message) for v in found] == [(1, failure), (2, failure)]
+    assert len(trace.steps) == 3
+    reused = []
+    cut_off = metatheory._cut_off
+
+    def counted_cut_off(*args):
+        usage = cut_off(*args)
+        reused.append(usage is not None)
+        return usage
+
+    monkeypatch.setattr(metatheory, "_cut_off", counted_cut_off)
+    memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one, monkeypatch)
+    assert reused == [True] * 3
+    assert memoized == oracle == ([], 0)
 
 
 def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
