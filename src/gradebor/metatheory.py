@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 from .grades import Grade, Semiring, grade_add, grade_mul, grade_residual
 from . import syntax as S
-from .syntax import Amp, App, ExistsT, Pack, Pair, Permission, Term, Type, Uniq, refs_of
+from .syntax import Amp, App, ExistsT, Pack, Pair, Permission, Term, Type, Uniq
 from .machine import Heap, Machine, EvalError, Trace
 from .typecheck import (
     Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, runtime_ctx, transparent_child,
@@ -201,22 +202,24 @@ def _cut_off(
     nodes in `prev`'s judgments, and the new subtree's are added.
     """
     old, usage, judgments = prev
-    new = term
-    if old is new:
+    if old is term:
         return usage
-    path = []
-    while (name := _replaced_child(old, new)) is not None:
-        path.append((old, new))
-        old, new = getattr(old, name), getattr(new, name)
-    if not path:
+    path = _diff_path(old, term)
+    # cut the walk at its first link not transparent in both nodes
+    for cut, (po, pn, name) in enumerate(path):
+        if name is None or not (transparent_child(po, name) and transparent_child(pn, name)):
+            break
+    if cut == 0:
         return None
+    old, new, _ = path[cut]
+    path = path[:cut]
     # A spine link carries no judgment of its own, and a function position
     # reached from two applications of which only one is a primitive spine
     # is typed by two different rules. Below an argument step the function
     # chains are shared, so this test at the last step covers the whole walk.
-    parent = path[-1][0]
+    parent, new_parent, _ = path[-1]
     if type(parent) is App and parent.fn is old and not (
-        S.prim_spine(parent) is None and S.prim_spine(path[-1][1]) is None
+        S.prim_spine(parent) is None and S.prim_spine(new_parent) is None
     ):
         return None
     entry = judgments.get(id(old))
@@ -239,39 +242,52 @@ def _cut_off(
         return None
     if keep:
         # the old path is gone from the term: move its judgments over
-        for po, pn in path:
+        for po, pn, _ in path:
             if (judged := judgments.pop(id(po), None)) is not None:
                 judgments[id(pn)] = (pn, *judged[1:])
         judgments.update(record)
     return usage
 
 
-# The fields of each term class other than its child terms and `loc`.
-_DATA_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(n for n in S._FIELDS[cls] if n not in shape.terms and n != "loc") for cls, shape in S._SHAPES.items()
-}
+def _data_getter(cls: type):
+    """A getter of the fields of `cls` other than its child terms and `loc`,
+    giving a tuple for two fields or more; None when there are none."""
+    terms = S._SHAPES[cls].terms
+    data = [n for n in S._FIELDS[cls] if n not in terms and n != "loc"]
+    return attrgetter(*data) if data else None
 
 
-def _replaced_child(old: Term, new: Term) -> Optional[str]:
-    """The one child in which `new` differs from `old` by identity, when the
-    two nodes have one class and equal data and the child's position is
-    transparent in both; None otherwise."""
-    cls = type(old)
-    if type(new) is not cls:
-        return None
-    for n in _DATA_FIELDS[cls]:
-        a, b = getattr(old, n), getattr(new, n)
-        if a is not b and a != b:
-            return None
-    name = None
-    for n in S._SHAPES[cls].terms:
-        if getattr(old, n) is not getattr(new, n):
-            if name is not None:
-                return None
-            name = n
-    if name is None or not (transparent_child(old, name) and transparent_child(new, name)):
-        return None
-    return name
+# For each term class: its child fields and its data getter; None for a
+# class without child terms.
+_PARTS = {cls: (shape.terms, _data_getter(cls)) if shape.terms else None for cls, shape in S._SHAPES.items()}
+
+
+def _diff_path(old: Term, new: Term) -> list[tuple[Term, Term, Optional[str]]]:
+    """The walk from the roots `old` and `new` to the deepest subtree in which
+    they differ, one `(old node, new node, child)` per level.
+
+    The walk descends while the two nodes have one class and equal data and
+    differ by identity in exactly one child, which is the level's `child`,
+    so every other child of a level is shared by the two terms. The last
+    level's `child` is None."""
+    path = []
+    while True:
+        cls = type(old)
+        step = None
+        if type(new) is cls and (parts := _PARTS[cls]) is not None:
+            names, data = parts
+            if data is None or (a := data(old)) is (b := data(new)) or a == b:
+                for n in names:
+                    if (a := getattr(old, n)) is not (b := getattr(new, n)):
+                        if step is not None:
+                            step = None
+                            break
+                        step = n, a, b
+        if step is None:
+            path.append((old, new, None))
+            return path
+        path.append((old, new, step[0]))
+        _, old, new = step
 
 
 def check_progress(trace: Trace) -> list[Violation]:
@@ -292,9 +308,15 @@ def reachable_refs(term: Term, heap: Heap) -> set[str]:
     them in the term, so the permission totals of the borrow-safety lemma
     must chase heap variables.
     """
-    out = set(refs_of(term))
+    return _chase(S.refs_of(term), S.free_vars(term), heap)
+
+
+def _chase(refs: set[str], free: set[str], heap: Heap) -> set[str]:
+    """The references `refs` and those of the heap values that the variables
+    `free` reach, transitively."""
+    out = set(refs)
     seen: set[str] = set()
-    todo = list(S.free_vars(term))
+    todo = list(free)
     while todo:
         x = todo.pop()
         if x in seen:
@@ -303,7 +325,7 @@ def reachable_refs(term: Term, heap: Heap) -> set[str]:
         cell = heap.vars.get(x)
         if cell is None:
             continue
-        out |= refs_of(cell.value)
+        out |= S.refs_of(cell.value)
         todo.extend(S.free_vars(cell.value))
     return out
 
@@ -365,15 +387,46 @@ def check_borrow_safety(trace: Trace) -> list[Violation]:
     """`check_borrow_safety_step` on every step of a recorded trace.
 
     Step k leads from configuration k to configuration k + 1, so
-    reachability is computed once per configuration. Everything is still
-    computed from the recorded terms and heaps.
+    reachability is computed once per configuration, from the recorded terms
+    and heaps alone. A term's references and free variables are each the
+    previous term's when the step kept them (`_root_sets`), so a step deep
+    in a term costs a walk to its redex, not a set per node on the way; the
+    heap chase is done on every configuration.
     """
     configs = trace.configurations()
-    reach = [reachable_refs(term, heap) for term, heap in configs]
+    term, heap = configs[0]
+    refs, free = S.refs_of(term), S.free_vars(term)
+    reach = _chase(refs, free, heap)
     out: list[Violation] = []
-    for k in range(len(configs) - 1):
-        out.extend(_conservation(reach[k], configs[k][1], reach[k + 1], configs[k + 1][1], k))
+    for k, (post_term, post_heap) in enumerate(configs[1:]):
+        refs, free = _root_sets(term, refs, free, post_term)
+        post_reach = _chase(refs, free, post_heap)
+        out.extend(_conservation(reach, heap, post_reach, post_heap, k))
+        term, heap, reach = post_term, post_heap, post_reach
     return out
+
+
+def _root_sets(old: Term, refs: set[str], free: set[str], new: Term) -> tuple[set[str], set[str]]:
+    """The references and free variables of `new`, each taken from those of
+    `old`, `refs` and `free`, when the step from `old` kept it.
+
+    A node's sets depend only on its class and data (binders and name
+    identifiers among them) and on its children's sets. So where the two
+    terms differ in one subtree, along a walk of nodes that agree in class
+    and data (`_diff_path`), each root set equals the old one when the two
+    subtrees' sets are equal.
+    """
+    if old is new:
+        return refs, free
+    o, n, _ = _diff_path(old, new)[-1]
+    if o is old:
+        # the roots differ in class or data, or in two children: the old
+        # root's sets need not be stored on its nodes, so compare nothing
+        return S.refs_of(new), S.free_vars(new)
+    return (
+        refs if S.refs_of(o) == S.refs_of(n) else S.refs_of(new),
+        free if S.free_vars(o) == S.free_vars(n) else S.free_vars(new),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -302,17 +302,69 @@ def naive_borrow_safety(trace):
 @pytest.mark.parametrize("mutate", [False, True])
 def test_borrow_safety_agrees_with_naive_oracle(mutate):
     from gradebor.generator import generate_programs
+    from gradebor.metatheory import _uses_resources
+    from gradebor.grades import INTERVAL
     from gradebor.typecheck import check_program
 
-    programs = [load(name) for name in ACCEPTED]
-    programs += [check_program(prog) for prog in generate_programs(13, count=150)]
+    cases = [(load(name), None) for name in ACCEPTED]
+    cases += [(checked(GOLDEN.chain_source(30)), None), (checked(GOLDEN.ladder_source(10)), None)]
+    for prog in generate_programs(13, count=150):
+        cp = check_program(prog)
+        cases.append((cp, None))
+        if cp.ring is not INTERVAL and not _uses_resources(cp.main_term):
+            cases.append((cp, cp.ring.literal(2)))
     flagged = 0
-    for cp in programs:
-        _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, cp.ring.one)
+    for cp, s in cases:
+        _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, s or cp.ring.one)
         found = check_borrow_safety(trace)
         assert found == naive_borrow_safety(trace)
         flagged += bool(found)
     assert (flagged > 0) == mutate
+
+
+def _one_step_trace(pre_term, post_term, post_vars, post_refs):
+    """A hand-built trace of one step: array id1 is held whole through ref1
+    before it, and the step adds the heap bindings and references given."""
+    from gradebor.machine import Trace
+
+    heaps = []
+    for extra_vars, extra_refs in (({}, {}), (post_vars, post_refs)):
+        heap = Heap()
+        heap.resources["id1"] = ArrRes()
+        heap.refs["ref1"] = RefCell(Fraction(1), "id1")
+        heap.refs.update(extra_refs)
+        heap.vars.update(extra_vars)
+        heaps.append(heap)
+    return Trace(RING.one, ["none"], [(pre_term, heaps[0]), (post_term, heaps[1])], 1)
+
+
+# Each step replaces one subtree whose references or free variables change,
+# or sits below a node whose data changes, so the previous root's sets must
+# not be kept: the half-permission reference ref2 on id1 becomes reachable
+# only through the new sets, and makes the total 3/2.
+@pytest.mark.parametrize(
+    "case",
+    ["new free variable, same references", "new reference, same free variables", "new pack name"],
+)
+def test_borrow_safety_recomputes_the_sets_a_step_changed(case):
+    half = {"ref2": RefCell(Fraction(1, 2), "id1")}
+    held = Uniq(RefVal("ref2"), frac_perm(1, 2))
+    if case == "new free variable, same references":
+        pre = Pair(Uniq(RefVal("ref1"), STAR), UnitVal())
+        post = Pair(pre.left, Var("y"))
+        trace = _one_step_trace(pre, post, {"y": VarCell(RING.one, held, None)}, half)
+    elif case == "new reference, same free variables":
+        pre = Pair(Uniq(RefVal("ref1"), STAR), UnitVal())
+        post = Pair(pre.left, held)
+        trace = _one_step_trace(pre, post, {}, half)
+    else:
+        # the two pack bodies are distinct nodes with equal (empty) sets
+        pre = Pair(Uniq(RefVal("ref1"), STAR), Pack("i", UnitVal()))
+        post = Pair(pre.left, Pack("j", UnitVal()))
+        trace = _one_step_trace(pre, post, {"j": VarCell(RING.one, held, None)}, half)
+    found = check_borrow_safety(trace)
+    assert [str(v) for v in found] == ["borrow-safety at step 0: resource id1: permission total went from 1 to 3/2"]
+    assert found == naive_borrow_safety(trace)
 
 
 def test_reachable_refs_follows_heap_variables():
@@ -790,3 +842,29 @@ def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
         counts[writes] = calls
     assert counts[50]["root"] <= 4 and counts[100]["root"] <= 4, counts
     assert counts[100]["prim"] <= 2.2 * counts[50]["prim"], counts
+
+
+def test_borrow_safety_work_on_a_write_chain_grows_linearly(monkeypatch):
+    # counted calls, not time, of the two set walks, recursive calls
+    # included; at most 100 writes, as the counting wrapper doubles the
+    # walks' stack frames
+    from gradebor import syntax
+
+    counts = {}
+    for writes in (50, 100):
+        _, trace = chain_trace(writes)
+        calls = [0]
+
+        def counted(walk):
+            def walk_counted(t):
+                calls[0] += 1
+                return walk(t)
+
+            return walk_counted
+
+        with monkeypatch.context() as m:
+            m.setattr(syntax, "refs_of", counted(syntax.refs_of))
+            m.setattr(syntax, "free_vars", counted(syntax.free_vars))
+            assert check_borrow_safety(trace) == []
+        counts[writes] = calls[0]
+    assert counts[100] <= 2.2 * counts[50], counts
