@@ -4,10 +4,11 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload write_chain --seeds 201-210
 
-Pair i runs `perfbench/run.py --workload W --seed S_i --seconds 20 --trace 0`
-once in each checkout, one process at a time; the parent goes first in even
-pairs and the change first in odd ones, so a drift in the host's speed does
-not favour one side. For every end-to-end metric of the change's
+Each pair runs `perfbench/run.py --workload W --seed S --seconds R --trace 0`
+once in each checkout, one process at a time, with R the `run_seconds` of the
+change's `BENCHMARK.json`; the parent goes first in pairs 1, 3, 5, ... and the
+change first in pairs 2, 4, 6, ..., so a drift in the host's speed does not
+favour one side. For every end-to-end metric of the change's
 `BENCHMARK.json` the script prints each pair's two values, each side's median
 and quartiles, and the pairs the change wins (better by the metric's
 direction). The claim gate of a speed-up is: at least 9 wins in 10 pairs, and
@@ -58,7 +59,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="a range such as 201-210, or a comma-separated list")
-    p.add_argument("--seconds", type=float, default=20)
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in sides}
     for i, seed in enumerate(seeds(args.seeds)):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        got = {side: run(sides[side], args.workload, seed, args.seconds) for side in order}
+        got = {side: run(sides[side], args.workload, seed, spec["run_seconds"]) for side in order}
         for side in sides:
             for m in higher:
                 values[side][m].append(got[side][m])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional
 
 from .grades import Grade, Semiring, grade_add, grade_mul, grade_residual
@@ -204,15 +203,10 @@ def _cut_off(
     old, usage, judgments = prev
     if old is term:
         return usage
-    path = _diff_path(old, term)
-    # cut the walk at its first link not transparent in both nodes
-    for cut, (po, pn, name) in enumerate(path):
-        if name is None or not (transparent_child(po, name) and transparent_child(pn, name)):
-            break
-    if cut == 0:
+    path = _diff_path(old, term, transparent_child)
+    old, new, _ = path.pop()
+    if not path:
         return None
-    old, new, _ = path[cut]
-    path = path[:cut]
     # A spine link carries no judgment of its own, and a function position
     # reached from two applications of which only one is a primitive spine
     # is typed by two different rules. Below an argument step the function
@@ -249,41 +243,37 @@ def _cut_off(
     return usage
 
 
-def _data_getter(cls: type):
-    """A getter of the fields of `cls` other than its child terms and `loc`,
-    giving a tuple for two fields or more; None when there are none."""
-    terms = S._SHAPES[cls].terms
-    data = [n for n in S._FIELDS[cls] if n not in terms and n != "loc"]
-    return attrgetter(*data) if data else None
+# The fields of each term class other than its child terms and `loc`.
+_DATA_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(n for n in S._FIELDS[cls] if n not in shape.terms and n != "loc") for cls, shape in S._SHAPES.items()
+}
 
 
-# For each term class: its child fields and its data getter; None for a
-# class without child terms.
-_PARTS = {cls: (shape.terms, _data_getter(cls)) if shape.terms else None for cls, shape in S._SHAPES.items()}
-
-
-def _diff_path(old: Term, new: Term) -> list[tuple[Term, Term, Optional[str]]]:
+def _diff_path(old: Term, new: Term, through=None) -> list[tuple[Term, Term, Optional[str]]]:
     """The walk from the roots `old` and `new` to the deepest subtree in which
     they differ, one `(old node, new node, child)` per level.
 
     The walk descends while the two nodes have one class and equal data and
     differ by identity in exactly one child, which is the level's `child`,
-    so every other child of a level is shared by the two terms. The last
-    level's `child` is None."""
+    so every other child of a level is shared by the two terms. With
+    `through`, it also stops at a level whose child `through(node, child)`
+    refuses in either node. The last level's `child` is None."""
     path = []
     while True:
         cls = type(old)
         step = None
-        if type(new) is cls and (parts := _PARTS[cls]) is not None:
-            names, data = parts
-            if data is None or (a := data(old)) is (b := data(new)) or a == b:
-                for n in names:
+        if type(new) is cls:
+            for n in _DATA_FIELDS[cls]:
+                if (a := getattr(old, n)) is not (b := getattr(new, n)) and a != b:
+                    break
+            else:
+                for n in S._SHAPES[cls].terms:
                     if (a := getattr(old, n)) is not (b := getattr(new, n)):
                         if step is not None:
                             step = None
                             break
                         step = n, a, b
-        if step is None:
+        if step is None or (through is not None and not (through(old, step[0]) and through(new, step[0]))):
             path.append((old, new, None))
             return path
         path.append((old, new, step[0]))
