@@ -22,9 +22,8 @@ passes `check`, and `trace` exits 4 at re-inference.
 meets the type error and three lexical edge cases: a non-decimal digit
 (`²`), 1000 nested parentheses, and a syntax error at the end of a file
 that ends in a comment. `check` and `run` also
-meet a file that is not UTF-8 (exit 2). Each run is a fresh
-interpreter, because gradebor's fresh-name counter is process-wide and shows
-in the output.
+meet a file that is not UTF-8 (exit 2). Each run is a fresh interpreter,
+because what is recorded is the CLI process: its output and exit status.
 
 Run it in two checkouts and compare with `diff -r` to check that a change
 leaves every output byte-identical.

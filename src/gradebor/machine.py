@@ -40,8 +40,8 @@ variables it meets. The roots come from the frames, never from the whole
 term, which only a recording run builds: the same pass runs in both modes,
 and it stores no free-variable set on the nodes that plugging creates.
 Variables of the heap passed to `eval`, variables of nonzero grade,
-references and resources are never dropped. Fresh names come from a
-process-wide counter, so a dropped name is never bound again.
+references and resources are never dropped. Variables are named from a
+per-run counter on the heap, so a dropped name is never bound again.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .parser import print_term, print_type
 from .syntax import (
     Abs, App, Clone, FloatLit, Join, LetBox, LetPair, LetUnit, NatLit, Pack,
     Pair, Prim, Promote, Pull, Push, RefVal, Share, Split, Term, Type, Unborrow,
-    Uniq, UnitVal, Unpack, Var, WithBorrow, free_vars, fresh_name, is_value,
+    Uniq, UnitVal, Unpack, Var, WithBorrow, free_vars, is_value,
     prim_spine, refs_of, rename_refs, subst, subst_names,
 )
 
@@ -123,7 +123,8 @@ class Heap:
     vars: dict[str, VarCell] = field(default_factory=dict)
     refs: dict[str, RefCell] = field(default_factory=dict)
     resources: dict[str, object] = field(default_factory=dict)
-    counter: int = 0
+    counter: int = 0  # numbers references and identifiers
+    var_counter: int = 0  # numbers variables
 
     def fresh_ref(self) -> str:
         self.counter += 1
@@ -134,7 +135,11 @@ class Heap:
         return f"id{self.counter}"
 
     def fresh_var(self, base: str) -> str:
-        return fresh_name(base, set(self.vars))
+        base = base.split(".")[0] or "x"
+        while True:
+            self.var_counter += 1
+            if (cand := f"{base}.{self.var_counter}") not in self.vars:
+                return cand
 
     def snapshot(self) -> "Heap":
         return Heap(
@@ -145,6 +150,7 @@ class Heap:
                 for i, c in self.resources.items()
             },
             self.counter,
+            self.var_counter,
         )
 
     def names(self) -> set[str]:

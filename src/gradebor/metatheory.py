@@ -8,16 +8,24 @@ All permission arithmetic is exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .grades import Grade, Semiring, grade_add, grade_mul, grade_residual
+from .generator import constructors_used, generate_program
+from .grades import (
+    Grade, INTERVAL, NAT, NAT_LEQ, STAR, Semiring, grade_add, grade_leq, grade_mul, grade_residual, perm_add,
+    perm_half,
+)
 from . import syntax as S
-from .syntax import Amp, App, ExistsT, Pack, Pair, Permission, Term, Type, Uniq
-from .machine import Heap, Machine, EvalError, Trace
+from .syntax import (
+    Abs, Amp, App, ExistsT, FloatLit, Join, LetPair, NatLit, Pack, Pair, Permission, Prim, RefVal, Split, Term,
+    Type, Uniq, Var, WithBorrow,
+)
+from .machine import ArrRes, Heap, Machine, EvalError, RefCell, Trace
 from .typecheck import (
-    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, runtime_ctx, transparent_child,
+    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, check_program, runtime_ctx, transparent_child,
 )
 
 
@@ -141,13 +149,12 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     reused when the terms differ in one subtree whose judgment is unchanged
     (`_cut_off`). Judgments are recorded only for a configuration whose
     runtime context has the same variables, references and names as the next
-    one's, and only kept from a check that renamed no binder; the subtree
-    check draws no fresh name either (`Checker.draw_names`). So this
-    function draws exactly the fresh names full checks would. Every other
-    configuration is checked in full, with one `TypingMemo` for the whole
-    trace: a judgment on a let, unpack, clone or withBorrow node, or on a
-    stored value, that an earlier configuration made under the same relevant
-    context is looked up, not recomputed.
+    one's. Every other configuration is checked in full, with one
+    `TypingMemo` for the whole trace: a judgment on a let, unpack, clone or
+    withBorrow node, or on a stored value, that an earlier configuration made
+    under the same relevant context is looked up, not recomputed. A binder
+    renamed on the way takes a name fixed by the check's input, so the
+    violations do not depend on what ran before.
     """
     out: list[Violation] = []
     checker = Checker(ring, memo=TypingMemo())
@@ -162,7 +169,6 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
             prev = (term, usage, prev[2]) if keep else None
         else:
             prev = None
-            renames = checker.renames
             checker.record = {} if keep else None
             try:
                 usage, _ = checker.check(rt, term, main_type)
@@ -171,7 +177,7 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
                 continue
             finally:
                 judgments, checker.record = checker.record, None
-            if keep and checker.renames == renames:
+            if keep:
                 prev = (term, usage, judgments)
         judgment = heap_compat(heap, _demand_ctx(rt, usage, s), ring, rt, checker)
         if not judgment.accepted:
@@ -221,7 +227,7 @@ def _cut_off(
         return None
     _, expected, ty, used = entry
     record = {} if keep else None
-    checker.record, checker.draw_names = record, False
+    checker.record = record
     try:
         if expected is None:
             ty2, used2, _ = checker.infer(rt, new)
@@ -231,7 +237,7 @@ def _cut_off(
     except CheckError:
         return None
     finally:
-        checker.record, checker.draw_names = None, True
+        checker.record = None
     if ty2 != ty or used2 != used:
         return None
     if keep:
@@ -613,12 +619,6 @@ def run_generated_suites(seed: int, cases: int, size: int = 6, mutate_split: boo
     Grade 1 is always exercised; pure programs under the natural-number
     instances are additionally replayed at grade 2.
     """
-    import random
-
-    from .generator import generate_program
-    from .typecheck import check_program
-    from .grades import INTERVAL
-
     rng = random.Random(seed)
     suites = {
         name: SuiteResult(name, 0)
@@ -651,15 +651,11 @@ def run_generated_suites(seed: int, cases: int, size: int = 6, mutate_split: boo
 
 
 def _uses_resources(t: Term) -> bool:
-    from .generator import constructors_used
-
     used = constructors_used(t)
     return any(c.startswith("Prim:") for c in used)
 
 
 def _seeded_array_heap(rng, perm: Fraction) -> tuple[Heap, str]:
-    from .machine import ArrRes, RefCell
-
     heap = Heap()
     heap.resources["id1"] = ArrRes({k: round(rng.uniform(-4.0, 4.0), 2) for k in range(rng.randrange(0, 4))})
     heap.refs["ref1"] = RefCell(perm, "id1")
@@ -670,11 +666,6 @@ def _seeded_array_heap(rng, perm: Fraction) -> tuple[Heap, str]:
 def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResult:
     """The borrowing laws: identity, composition, and the split/join
     isomorphism, instantiated over randomly seeded resources."""
-    import random
-
-    from .grades import NAT_LEQ, Permission, STAR
-    from .syntax import Abs, App, FloatLit, Join, LetPair, NatLit, Pair, Prim, RefVal, Split, Var, WithBorrow
-
     ring = NAT_LEQ
     rng = random.Random(seed)
     result = SuiteResult("equational", 0)
@@ -714,8 +705,6 @@ def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResul
         # law 4: join then split restores the pair
         frac = Permission(Fraction(1, 2 ** rng.randrange(1, 4)))
         heap, _ = _seeded_array_heap(rng, frac.frac)
-        from .machine import RefCell
-
         heap.refs["ref2"] = RefCell(frac.frac, "id1")
         heap.counter = 2
         u1, u2 = Uniq(RefVal("ref1"), frac), Uniq(RefVal("ref2"), frac)
@@ -726,10 +715,6 @@ def run_equational_suite(seed: int, cases: int, fuel: int = 10000) -> SuiteResul
 def run_algebra_suite(seed: int, cases: int) -> SuiteResult:
     """Semiring axioms and monotonicity for every shipped instance, plus the
     exact split/add identity for fractional permissions."""
-    import random
-
-    from .grades import Grade, NAT, NAT_LEQ, INTERVAL, Permission, grade_add, grade_leq, grade_mul, perm_add, perm_half
-
     rng = random.Random(seed)
     result = SuiteResult("algebra", 0)
 

@@ -34,7 +34,6 @@ variables all come from it, so no caller may mutate it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Union, get_type_hints
 
@@ -675,15 +674,39 @@ def bound_names(t: Term) -> set[str]:
     return out
 
 
-_fresh_counter = itertools.count(1)
-
-
 def fresh_name(base: str, avoid: set[str]) -> str:
+    """The first `base.N`, N = 1, 2, ..., not in `avoid`: fresh relative to
+    the names in scope, so a name depends only on its caller's input."""
     base = base.split(".")[0] or "x"
-    while True:
-        cand = f"{base}.{next(_fresh_counter)}"
-        if cand not in avoid:
-            return cand
+    n = 1
+    while (cand := f"{base}.{n}") in avoid:
+        n += 1
+    return cand
+
+
+def names_in(t: Term) -> set[str]:
+    """Every variable and name identifier t mentions, free or bound, its
+    annotations' (quantifier binders included) and `Clone.old_idents` too:
+    the names a binder renamed over t must avoid, since `subst_names` does
+    not avoid capture."""
+    out = free_vars(t) | bound_names(t)
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if (shape := _SHAPES.get(cls)) is not None:
+            stack += [v for n in shape.terms + shape.types if (v := getattr(node, n)) is not None]
+            if cls is Clone:
+                out.update(node.old_idents or ())
+            continue
+        if cls is ResT or cls is NameT:
+            out.add(node.ident)
+        elif cls is ExistsT:
+            out.add(node.binder)
+        elif cls is Forall:
+            out.update(v for v, _ in node.binders)
+        stack += [getattr(node, n) for n in _TYPE_CHILDREN[cls]]
+    return out
 
 
 def _rebuild(node, **changes):
@@ -718,13 +741,13 @@ def _subst(t: Term, env: dict[str, Term], fv_s: set[str]) -> Term:
     for n in shape.binds:
         old = getattr(t, n)
         if type(old) is str:
-            new, inner = _avoid(old, inner, fv_s)
+            new, inner = _avoid(old, inner, fv_s, t)
             if n == "ident" and new != old:
                 names[old] = new
         else:
             renamed = []
             for i in old:
-                i2, inner = _avoid(i, inner, fv_s)
+                i2, inner = _avoid(i, inner, fv_s, t)
                 renamed.append(i2)
                 if i2 != i:
                     names[i] = i2
@@ -743,12 +766,13 @@ def _subst(t: Term, env: dict[str, Term], fv_s: set[str]) -> Term:
     return _rebuild(t, **changes) if changes else t
 
 
-def _avoid(binder: str, env: dict[str, Term], avoid: set[str]):
-    """env under `binder`, and the name the binder takes there: a fresh one
-    when the binder is in `avoid`."""
+def _avoid(binder: str, env: dict[str, Term], avoid: set[str], t: Term):
+    """env under `binder`, a binder of the node t, and the name the binder
+    takes there: when the binder is in `avoid`, one that no name of t or of
+    env's terms can capture or be captured by."""
     env = {k: v for k, v in env.items() if k != binder}
     if binder in avoid:
-        nb = fresh_name(binder, avoid | set(env))
+        nb = fresh_name(binder, avoid.union(env, names_in(t), *map(free_vars, env.values())))
         env[binder] = Var(nb)
         return nb, env
     return binder, env

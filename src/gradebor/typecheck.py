@@ -347,23 +347,21 @@ class Checker:
 
     With a `TypingMemo`, judgments on let, unpack, clone and withBorrow nodes,
     and on terms passed to `infer_shared`, are looked up before they are
-    computed. Failures are never stored, nor is a judgment whose computation
-    renamed a binder, so a lookup draws exactly the fresh names the
-    computation would have drawn: none.
+    computed. Failures are never stored. A stored judgment may come from a
+    computation that renamed an inner binder, so its elaborated term fits the
+    context it was computed in; every user of a memo discards the elaborated
+    term.
 
     While `record` is a dict, every `infer` and `check` call that succeeds
     stores its judgment there under `id(t)`: `(t, expected, type, usage)`,
     with `expected` None when inferring and the type the expected one when
     checking. The outermost call on a node wins (`check` falling back to
     `infer` on the same node), and a node judged by two separate calls, as a
-    node shared by two positions is, maps to None. With `draw_names` off, a
-    binder that would be renamed raises a CheckError before it draws a fresh
-    name.
+    node shared by two positions is, maps to None.
     """
 
-    # Class-level defaults, so that a checker that never records carries neither.
+    # A class-level default, so that a checker that never records carries none.
     record: Optional[dict] = None
-    draw_names = True
 
     def __init__(
         self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None, memo: Optional[TypingMemo] = None
@@ -371,34 +369,21 @@ class Checker:
         self.ring = ring
         self.globals = globals_ or {}
         self.memo = memo
-        self.renames = 0  # binders renamed so far, each drawing fresh names
 
     # Binders that shadow an in-scope variable (or identifier) are renamed on
     # the fly, so contexts never bind a name twice; the elaborated term keeps
-    # the fresh names.
-
-    def _renaming(self, binder: str) -> None:
-        """Count one binder rename; with `draw_names` off, raise before any
-        fresh name is drawn."""
-        if not self.draw_names:
-            raise CheckError(MISMATCH, f"binder {binder!r} would be renamed", rule="rename")
-        self.renames += 1
+    # the fresh names, which avoid the context and every name of the bodies.
 
     def _freshen_var(self, x: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if x not in ctx.vars:
             return x, bodies
-        self._renaming(x)
-        avoid = set(ctx.vars)
-        for b in bodies:
-            avoid |= free_vars(b)
-        x2 = S.fresh_name(x, avoid)
+        x2 = S.fresh_name(x, set(ctx.vars).union(*map(S.names_in, bodies)))
         return x2, tuple(S.subst(b, x, Var(x2)) for b in bodies)
 
     def _freshen_name(self, i: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
         if i not in ctx.names and i not in ctx.name_vars:
             return i, bodies
-        self._renaming(i)
-        i2 = S.fresh_name(i, set(ctx.names) | set(ctx.name_vars))
+        i2 = S.fresh_name(i, set(ctx.names).union(ctx.name_vars, *map(S.names_in, bodies)))
         return i2, tuple(S.subst_names(b, {i: i2}) for b in bodies)
 
     def _recalled(self, ctx: Ctx, t: Term, expected: Optional[Type], rule) -> tuple[Type, Usage, Term]:
@@ -409,9 +394,8 @@ class Checker:
         key = memo.key(ctx, t, expected)
         if key is not None and (hit := memo.judgments.get(key)) is not None:
             return hit[1]
-        renames = self.renames
         out = rule(self, ctx, t, expected)
-        if key is not None and self.renames == renames:
+        if key is not None:
             memo.judgments[key] = (t, out)
         return out
 

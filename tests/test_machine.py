@@ -484,24 +484,21 @@ def test_split_join_heap_duality():
 # -- refocusing: recorded and unrecorded runs agree ----------------------------------
 
 
-def _runs_agree(cp, monkeypatch):
-    """Run main recorded and unrecorded from the same fresh-name state."""
-    import itertools
+def _runs_agree(cp):
+    """Run main recorded and unrecorded."""
     import json
 
-    from gradebor import syntax
     from gradebor.parser import print_term
 
     outcomes = []
     for record in (True, False):
-        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
         v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one, record=record)
         assert len(trace.steps) == (trace.step_count if record else 0)
         outcomes.append((print_term(v), json.dumps(trace.final_heap.to_json()), trace.step_count))
     assert outcomes[0] == outcomes[1]
 
 
-def test_recorded_and_unrecorded_runs_agree_on_the_corpus(monkeypatch):
+def test_recorded_and_unrecorded_runs_agree_on_the_corpus():
     import glob
 
     from gradebor.typecheck import CheckError
@@ -511,14 +508,14 @@ def test_recorded_and_unrecorded_runs_agree_on_the_corpus(monkeypatch):
             cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
-        _runs_agree(cp, monkeypatch)
+        _runs_agree(cp)
 
 
-def test_recorded_and_unrecorded_runs_agree_on_generated_programs(monkeypatch):
+def test_recorded_and_unrecorded_runs_agree_on_generated_programs():
     from gradebor.generator import generate_programs
 
     for prog in generate_programs(11, count=300):
-        _runs_agree(check_program(prog), monkeypatch)
+        _runs_agree(check_program(prog))
 
 
 def test_write_chain_rule_paths():
@@ -594,19 +591,16 @@ def _without(heap, dead):
 
 def _collection_oracle(ring, term, s, monkeypatch, mutate=False):
     """Run term from an empty heap, so that the run binds every variable,
-    with collection and with `_collect` a no-op, from the same fresh-name
-    start, and check each collected heap against the oracle. Returns the
-    collected and uncollected traces, or None when all three runs failed
-    with the same error."""
-    import itertools
+    with collection and with `_collect` a no-op, and check each collected
+    heap against the oracle. Returns the collected and uncollected traces,
+    or None when all three runs failed with the same error."""
     import json
 
-    from gradebor import machine as M, syntax
+    from gradebor import machine as M
 
     collect = M._collect
     runs = {}
     for mode, record in (("collected", True), ("uncollected", True), ("unrecorded", False)):
-        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(10**6))
         monkeypatch.setattr(M, "_collect", (lambda *_: None) if mode == "uncollected" else collect)
         try:
             runs[mode] = Machine(ring, mutate_split=mutate).eval(Heap(), term, s, record=record)[1]
@@ -674,11 +668,11 @@ def test_collection_drops_exactly_the_unreachable_zeros_on_generated_programs(mu
     App(Abs("b", App(Abs("r", Pair(App(Abs("u", Var("u")), UnitVal()), Var("r"))),
                      App(Prim("newRef"), Promote(Abs("z", Var("b")))))), UnitVal()),
     # the frame's let binds the name the step gives u, so nothing reaches u
-    LetPair("u.1000000", "q", Pair(App(Abs("u", UnitVal()), UnitVal()), UnitVal()), Var("u.1000000")),
+    LetPair("u.1", "q", Pair(App(Abs("u", UnitVal()), UnitVal()), UnitVal()), Var("u.1")),
 ])
 def test_collection_keeps_zeros_reached_only_through_frames_values_and_references(term, monkeypatch):
-    # at grade 0 every variable is bound at grade 0; the oracle's counter
-    # starts at 10**6, which fixes the names the run binds
+    # at grade 0 every variable is bound at grade 0; a run names its first
+    # variable u.1
     assert _collection_oracle(RING, term, RING.zero, monkeypatch) is not None
 
 
@@ -836,3 +830,23 @@ def test_each_plug_fills_its_position_and_keeps_every_other_field():
                     assert getattr(out, n) is getattr(node, n), (cls.__name__, hole, n)
                     checked.add(n)
     assert {"loc", "old_idents", "lann", "rann", "bann", "ann"} <= checked
+
+
+def test_a_program_traced_twice_in_one_process_gives_the_same_bytes():
+    source = _golden().ladder_source(20)
+    traces = []
+    for _ in range(2):
+        cp = check_program(parse_program(source))
+        traces.append(Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)[1].to_jsonl())
+    assert traces[0] == traces[1]
+
+
+def test_a_run_renames_a_binder_that_elaboration_named_like_a_heap_variable():
+    # elaboration renames the inner x to x.1, the name the run gives the outer x
+    from gradebor.metatheory import check_trace
+
+    cp = check_program(parse_program("main : Nat * Nat;\nmain = let (x, y) = (1, 2) in let (x, z) = (y, x) in (x, z);\n"))
+    assert cp.main_term.body.left == "x.1"
+    v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    assert print_term(v) == "(2, 1)"
+    assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []

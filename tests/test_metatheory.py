@@ -539,18 +539,9 @@ def oracle_preservation(trace, main_type, ring, s):
     return found
 
 
-def preservation_against_oracle(trace, main_type, ring, s, monkeypatch):
-    """Both checkers from the same fresh-name state: (violations, names drawn) each."""
-    import itertools
-
-    from gradebor import syntax
-
-    outcomes = []
-    for check in (check_preservation, oracle_preservation):
-        monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
-        found = check(trace, main_type, ring, s)
-        outcomes.append((found, next(syntax._fresh_counter) - 1))
-    return outcomes
+def preservation_against_oracle(trace, main_type, ring, s):
+    """The violations of both checkers."""
+    return [check(trace, main_type, ring, s) for check in (check_preservation, oracle_preservation)]
 
 
 def _golden():
@@ -572,7 +563,7 @@ def checked(source):
 
 
 @pytest.mark.parametrize("mutate", [False, True])
-def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
+def test_memoized_preservation_agrees_with_fresh_checkers(mutate):
     from gradebor.generator import generate_programs
     from gradebor.metatheory import _uses_resources
     from gradebor.grades import INTERVAL
@@ -591,26 +582,38 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate, monkeypatch):
         _, trace = Machine(cp.ring, mutate_split=mutate).eval(Heap(), cp.main_term, s)
         traces.append((trace, cp, s))
     for trace, cp, s in traces:
-        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, s, monkeypatch)
+        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, s)
         assert memoized == oracle
     # traces that fail preservation at one write, in the term and in the heap
     for corrupt in (_corrupt_off_path_literal, _corrupt_stored_reference_type):
         cp = checked(WRITES_BESIDE_A_CELL)
         _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
         corrupt(trace.configurations(), 8)
-        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one, monkeypatch)
-        assert memoized == oracle and oracle[0]
+        memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one)
+        assert memoized == oracle and oracle
 
 
-def test_memo_draws_the_fresh_names_the_oracle_draws(monkeypatch):
+def test_memo_draws_the_fresh_names_the_oracle_draws():
     # the inner let binds y, which the heap also binds, so every
-    # configuration before the let reduces renames it and draws a name
+    # configuration before the let reduces renames it
     heap = Heap()
     heap.vars["y"] = VarCell(RING.one, UnitVal(), UnitT())
     inner = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
     _, trace = Machine(RING).eval(heap, LetUnit(Var("y"), inner), RING.one)
-    memoized, oracle = preservation_against_oracle(trace, UnitT(), RING, RING.one, monkeypatch)
-    assert memoized == oracle == ([], 3)
+    memoized, oracle = preservation_against_oracle(trace, UnitT(), RING, RING.one)
+    assert memoized == oracle == []
+
+
+def test_preservation_checked_twice_on_one_trace_finds_the_same_violations():
+    # the inner let's binder is renamed in every configuration before it reduces
+    heap = Heap()
+    heap.vars["y"] = VarCell(RING.one, UnitVal(), UnitT())
+    inner = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
+    _, trace = Machine(RING).eval(heap, LetUnit(Var("y"), inner), RING.one)
+    for main_type in (UnitT(), NatT()):
+        first = check_preservation(trace, main_type, RING, RING.one)
+        assert check_preservation(trace, main_type, RING, RING.one) == first
+        assert bool(first) == (main_type == NatT())
 
 
 def test_memo_renames_a_binder_that_clashes_with_a_later_context():
@@ -621,7 +624,7 @@ def test_memo_renames_a_binder_that_clashes_with_a_later_context():
     assert elab.right == "y"
     clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
     _, elab = checker.check(clash, t, UnitT())
-    assert elab.right != "y" and checker.renames == 1
+    assert elab.right == "y.1"
 
 
 def test_memo_tells_contexts_apart_by_free_variable_entries():
@@ -659,21 +662,6 @@ def test_checker_records_the_outermost_judgment_and_forgets_a_node_judged_twice(
     assert checker.record[id(one)] is None
     # check falls back to infer on the unit; the outer call's judgment wins
     assert checker.record[id(unit)][:3] == (unit, UnitT(), UnitT())
-
-
-def test_checker_that_keeps_its_names_raises_before_drawing_one(monkeypatch):
-    import itertools
-
-    from gradebor import syntax
-
-    monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(1))
-    t = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
-    clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
-    checker = Checker(RING)
-    checker.draw_names = False
-    with pytest.raises(CheckError, match="binder 'y' would be renamed"):
-        checker.check(clash, t, UnitT())
-    assert next(syntax._fresh_counter) == 1 and checker.renames == 0
 
 
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
@@ -812,9 +800,9 @@ def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(monkeypatch)
         return usage
 
     monkeypatch.setattr(metatheory, "_cut_off", counted_cut_off)
-    memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one, monkeypatch)
+    memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one)
     assert reused == [True] * 3
-    assert memoized == oracle == ([], 0)
+    assert memoized == oracle == []
 
 
 def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):

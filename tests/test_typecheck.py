@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gradebor.grades import NAT, NAT_LEQ, frac_perm
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
-    Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, PermVar, Prod, ResT, Unborrow, UnitT, Var,
+    Abs, Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
+    Unpack, Var,
 )
 from gradebor.typecheck import (
     CheckError, Checker, Ctx, GradedEntry, LinearEntry, Usage, _check_array_payloads,
@@ -560,3 +561,15 @@ def test_polymorphic_argument_checks_whatever_its_binders_are_named():
             f"main = unpack <i, c> = newRef 1.5 in pack <i, withBorrow (\\b -> (\\g : ({ty}) -> g b) observe) c>;\n"
         ))
         assert str(cp.main_type) == "exists i . * Ref i Float"
+
+
+def test_a_renamed_name_binder_avoids_every_name_of_its_bodies():
+    # i.1, the first name fresh for i, is bound in one body and mentioned by an
+    # annotation in the other; `subst_names` would capture or merge either
+    ctx = Ctx(NAT_LEQ, names=frozenset({"i"}))
+    bound = Unpack("i.1", "c", Var("r"), Pack("i", Var("c")))
+    i2, (b,) = Checker(NAT_LEQ)._freshen_name("i", ctx, bound)
+    assert i2 not in ("i", "i.1") and b.ident == "i.1" and b.body.ident == i2
+    annotated = Abs("u", Pack("i", Var("u")), ResT("Ref", "i.1", FloatT()))
+    i2, (a,) = Checker(NAT_LEQ)._freshen_name("i", ctx, annotated)
+    assert i2 not in ("i", "i.1") and a.body.ident == i2 and a.ann.ident == "i.1"
