@@ -11,18 +11,21 @@ for a term that was never elaborated). Each `readRef` lowers the grade of
 that type and of the stored box by one, as the checker's rule does, and
 `swapRef` keeps the type, which the checker requires the new value to
 have. A recording `eval` returns a `Trace` that holds each configuration
-once, a term and a heap snapshot, plus the rule path of each step; a run
-that does not record keeps only its step count and final configuration.
+once, plus the rule path of each step; a run that does not record keeps
+only its step count and final configuration.
 
 Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
 BRICS RS-04-26) instead of searching for each redex from the root: the
-machine keeps the evaluation context as a stack of frames, contracts the
+machine keeps the evaluation context as a chain of frames, contracts the
 redex in its hole, and searches on from the contractum, leaving frames
 whose node has become a value and entering the next position that holds a
 non-value. A step then costs the distance between consecutive redexes, not
-the depth of the term. Only a recording run plugs the contractum back
-through the frames to build the whole term, and builds the rule path from
-the frames.
+the depth of the term. The frames are persistent, each linked to the one
+around it (Huet, "The Zipper", JFP 1997), so a recording run stores a
+configuration as its innermost frame, the term in the hole and a heap
+snapshot (`Config`), and consecutive configurations share every frame above
+the point where they differ. No run plugs the contractum back into a whole
+term at every step; a recording run builds the rule path from the frames.
 
 Each rule is stated once. `_CONGRUENCES` names each evaluation position by
 its child field; the plug that fills it is derived at import from
@@ -37,8 +40,7 @@ on it discharges it anyway. The roots are the free variables of the
 contractum, of every frame node's children other than the hole, and of
 every stored reference value; reach then closes over the values of the
 variables it meets. The roots come from the frames, never from the whole
-term, which only a recording run builds: the same pass runs in both modes,
-and it stores no free-variable set on the nodes that plugging creates.
+term, which no run builds: the same pass runs in both modes.
 Variables of the heap passed to `eval`, variables of nonzero grade,
 references and resources are never dropped. Variables are named from a
 per-run counter on the heap, so a dropped name is never bound again.
@@ -50,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .grades import Grade, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
 from . import grades as G
@@ -227,31 +229,58 @@ def arr_write(a: ArrRes, n: int, v: float) -> ArrRes:
 # Steps and traces
 
 
+class Config(NamedTuple):
+    """A configuration: the term `hole` in the hole of the evaluation context
+    whose innermost frame is `frame`, and the heap. With `frame` None, `hole`
+    is the whole term."""
+
+    frame: Optional["Frame"]
+    hole: Term
+    heap: Heap
+
+    def term(self) -> Term:
+        """The whole term, built anew on every call."""
+        return plug(self.frame, self.hole)
+
+
 @dataclass
 class Trace:
     """A run at grade `grade`: the rule path of each recorded step, the
     configurations, and how many steps the run took.
 
     A recorded run keeps every configuration once, the initial one first:
-    step k leads from configuration k to configuration k + 1. A run that
-    did not record has no steps and one configuration, its value and live
-    heap."""
+    step k leads from configuration k to configuration k + 1. Configuration
+    0 holds the first redex in its context, and configuration k + 1 the
+    contractum of step k in the context of its redex, so consecutive
+    configurations share the frames above the point where the step and the
+    search for the next redex changed the term (see `Config`). A trace built
+    by hand from `(term, heap)` pairs holds each term whole, in an empty
+    context. A run that did not record has no steps and one configuration,
+    its value and live heap."""
 
     grade: Grade
     steps: list[str]
-    configs: list[tuple[Term, Heap]]
+    configs: list[Config]
     step_count: int
+    _whole: Optional[list[tuple[Term, Heap]]] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.configs = [c if type(c) is Config else Config(None, *c) for c in self.configs]
 
     def configurations(self) -> list[tuple[Term, Heap]]:
-        return self.configs
+        """Every configuration as its whole term and heap; the terms are
+        built on the first call and kept."""
+        if self._whole is None:
+            self._whole = [(c.term(), c.heap) for c in self.configs]
+        return self._whole
 
     @property
     def final_term(self) -> Term:
-        return self.configs[-1][0]
+        return self.configs[-1].term()
 
     @property
     def final_heap(self) -> Heap:
-        return self.configs[-1][1]
+        return self.configs[-1].heap
 
     def to_jsonl(self) -> str:
         """One JSON object per step, then one for the final configuration.
@@ -259,12 +288,13 @@ class Trace:
         A step line is `{"step", "rule", "grade", "term", "heap"}` for the
         configuration after the step; the last line is `{"step", "value",
         "heap"}`; "heap" is `Heap.to_json()`. Each line is the `json.dumps`
-        of its whole record.
+        of its whole record. A line's term is built for that line and kept
+        by none.
         """
         grade = str(self.grade)
         lines = [
-            json.dumps({"step": k, "rule": rule, "grade": grade, "term": print_term(term), "heap": heap.to_json()})
-            for k, (rule, (term, heap)) in enumerate(zip(self.steps, self.configs[1:]))
+            json.dumps({"step": k, "rule": rule, "grade": grade, "term": print_term(c.term()), "heap": c.heap.to_json()})
+            for k, (rule, c) in enumerate(zip(self.steps, self.configs[1:]))
         ]
         final = {"step": len(self.steps), "value": print_term(self.final_term), "heap": self.final_heap.to_json()}
         lines.append(json.dumps(final))
@@ -301,7 +331,7 @@ def _plugger(cls: type, hole: str) -> Callable[[Term, Term], Term]:
 
     The constructor call is generated from the class's fields, as
     `dataclasses` generates `__init__`, so it costs what a hand-written call
-    does: a recorded run plugs through every frame at every step."""
+    does: `Trace.to_jsonl` plugs through every frame of every configuration."""
     args = ", ".join("t" if n == hole else f"p.{n}" for n in S._FIELDS[cls])
     code = compile(f"lambda p, t: cls({args})", f"<plug {cls.__name__}.{hole}>", "eval")
     return eval(code, {"cls": cls})
@@ -315,21 +345,64 @@ _PLUGS: dict[type, tuple[Callable[[Term, Term], Term], ...]] = {
 # Terms that are values once every evaluation position holds a value.
 _VALUE_FORMERS = (Pair, Promote, Pack, Abs, UnitVal, NatLit, FloatLit, Prim, RefVal)
 
-# One evaluation-context frame: the node whose evaluation position is the
-# hole, the position's index in _CONGRUENCES, and the grade at the node.
-Frame = tuple[Term, int, Grade]
+
+class Frame:
+    """One frame of an evaluation context, linked to the frame around it.
+
+    `node` is the term whose evaluation position `pos` (an index into its
+    class's `_CONGRUENCES`) is the hole; its other children are those of
+    every configuration that holds the frame, while its child in the hole is
+    the one it had when the search entered it. `grade` is the grade at the
+    node, `parent` the enclosing frame (None at the root) and `depth` the
+    number of frames from the root to this one. A frame is never changed once
+    built.
+    """
+
+    __slots__ = ("node", "pos", "grade", "parent", "depth")
+
+    def __init__(self, node: Term, pos: int, grade: Grade, parent: Optional["Frame"]):
+        self.node, self.pos, self.grade, self.parent = node, pos, grade, parent
+        self.depth = parent.depth + 1 if parent is not None else 1
+
+    @property
+    def hole(self) -> str:
+        """The child field of `node` that is the hole."""
+        return _CONGRUENCES[type(self.node)][self.pos][0]
+
+    def plug(self, t: Term) -> Term:
+        """`node` rebuilt with t in the hole."""
+        return _PLUGS[type(self.node)][self.pos](self.node, t)
 
 
-def _plug(frames: list[Frame], t: Term) -> Term:
-    """The whole term: t plugged into the hole of the context `frames`."""
-    for parent, i, _ in reversed(frames):
-        t = _PLUGS[type(parent)][i](parent, t)
+def plug(frame: Optional[Frame], t: Term, stop: Optional[Frame] = None) -> Term:
+    """t plugged into the hole of `frame` and on through the frames around
+    it, up to `stop` (not included): the term in the hole of `stop`, or the
+    whole term when `stop` is None."""
+    while frame is not stop:
+        t = _PLUGS[type(frame.node)][frame.pos](frame.node, t)
+        frame = frame.parent
     return t
 
 
-def _rule(frames: list[Frame], leaf: str) -> str:
-    """The rule path: the congruences down to the hole, then the leaf rule."""
-    return "/".join([_CONGRUENCES[type(parent)][i][1] for parent, i, _ in frames] + [leaf])
+def shared_frame(a: Optional[Frame], b: Optional[Frame]) -> Optional[Frame]:
+    """The deepest frame of both the context ending at `a` and the one ending
+    at `b`, None when they share none; found by walking up from both, so it
+    costs the number of frames that either context does not share."""
+    while a is not b:
+        if a is None or (b is not None and b.depth > a.depth):
+            a, b = b, a
+        a = a.parent
+    return a
+
+
+def _rule(frame: Optional[Frame], leaf: str) -> str:
+    """The rule path: the congruences from the root down to the hole of
+    `frame`, then the leaf rule."""
+    names = [leaf]
+    while frame is not None:
+        names.append(_CONGRUENCES[type(frame.node)][frame.pos][1])
+        frame = frame.parent
+    return "/".join(reversed(names))
 
 
 class Machine:
@@ -351,24 +424,22 @@ class Machine:
 
         Unlike `eval`, a step collects nothing: every variable it binds
         stays in the heap, whatever its grade."""
-        frames: list[Frame] = []
-        redex, g, found = self._refocus(t, s, frames)
+        redex, g, frame, found = self._refocus(t, s, None)
         if not found:
             return None
         c, leaf = self._contract(heap, redex, g)
-        return _plug(frames, c), _rule(frames, leaf)
+        return plug(frame, c), _rule(frame, leaf)
 
     def eval(self, heap: Heap, t: Term, s: Grade, fuel: int = 10000, record: bool = True) -> tuple[Term, Trace]:
         """Reduce t at grade s to a value, in place on heap, dropping the
         unreachable grade-0 variables the run bound after every step (see
         the module docstring)."""
-        frames: list[Frame] = []
         rules: list[str] = []
-        configs = [(t, heap.snapshot())] if record else []
         own = set(heap.vars)  # the caller's variables, never dropped
         zeros: set[str] = set()  # variables the run bound that hold grade 0
         zero = self.ring.zero
-        redex, g, found = self._refocus(t, s, frames)
+        redex, g, frame, found = self._refocus(t, s, None)
+        configs = [Config(frame, redex, heap.snapshot())] if record else []
         k = 0
         while found:
             if fuel <= 0:
@@ -383,29 +454,29 @@ class Machine:
                 changed.append(redex.name)
             zeros.update(x for x in changed if x not in own and heap.vars[x].grade == zero)
             if zeros:
-                _collect(heap, frames, c, zeros)
+                _collect(heap, frame, c, zeros)
             if record:
-                t = _plug(frames, c)
-                rules.append(_rule(frames, leaf))
-                configs.append((t, heap.snapshot()))
-            redex, g, found = self._refocus(c, g, frames)
+                rules.append(_rule(frame, leaf))
+                configs.append(Config(frame, c, heap.snapshot()))
+            redex, g, frame, found = self._refocus(c, g, frame)
             k += 1
         if not record:
             return redex, Trace(s, rules, [(redex, heap)], k)
-        return t, Trace(s, rules, configs, k)
+        trace = Trace(s, rules, configs, k)
+        return trace.final_term, trace
 
     # -- finding the redex ------------------------------------------------------
 
-    def _refocus(self, t: Term, s: Grade, frames: list[Frame]) -> tuple[Term, Grade, bool]:
-        """Find the next redex, starting at t, at grade s, in the hole of `frames`.
+    def _refocus(self, t: Term, s: Grade, frame: Optional[Frame]) -> tuple[Term, Grade, Optional[Frame], bool]:
+        """Find the next redex, starting at t, at grade s, in the hole of `frame`.
 
         The search enters the first evaluation position of t that holds a
         non-value, pushing a frame. When every position holds a value, t is
         either the redex or a value; a value is plugged into the innermost
         frame, which is popped, and the search goes on at that frame's node
         from the position after its hole. Returns (redex, grade at the redex,
-        True), or, once no frame is left and the whole term is a value,
-        (value, grade, False).
+        its innermost frame, True), or, once no frame is left and the whole
+        term is a value, (value, grade, None, False).
         """
         start = 0
         while True:
@@ -414,12 +485,12 @@ class Machine:
             if spine is not None:
                 name, args = spine
                 if len(args) == S.PRIMITIVES[name] and all(is_value(a) for a in args):
-                    return t, s, True
+                    return t, s, frame, True
             positions = _CONGRUENCES.get(cls, ())
             for i in range(start, len(positions)):
                 child = getattr(t, positions[i][0])
                 if not is_value(child):
-                    frames.append((t, i, s))
+                    frame = Frame(t, i, s, frame)
                     if cls is Promote:
                         s = grade_mul(s, t.grade if t.grade is not None else self.ring.one)
                     t, start = child, 0
@@ -428,11 +499,11 @@ class Machine:
                 # every evaluation position holds a value: a partial primitive
                 # application is a value, and so is a value former
                 if not (spine is not None or isinstance(t, _VALUE_FORMERS) or (cls is Uniq and is_value(t.body))):
-                    return t, s, True
-                if not frames:
-                    return t, s, False
-                parent, i, s = frames.pop()
-                t, start = _PLUGS[type(parent)][i](parent, t), i + 1
+                    return t, s, frame, True
+                if frame is None:
+                    return t, s, None, False
+                t, start, s = frame.plug(t), frame.pos + 1, frame.grade
+                frame = frame.parent
 
     # -- contraction ------------------------------------------------------------
 
@@ -709,9 +780,10 @@ def _bind(heap: Heap, x: str, grade: Grade, value: Term, ty: Optional[Type], bod
     return subst(body, x, Var(fresh))
 
 
-def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:
+def _collect(heap: Heap, frame: Optional[Frame], c: Term, zeros: set[str]) -> None:
     """Drop from the heap, and from `zeros`, each variable of `zeros` that
-    nothing reaches from the term `c` plugged into `frames`.
+    nothing reaches from the term `c` plugged into the context ending at
+    `frame`.
 
     The roots are the free variables of c, of each frame node's children
     other than the hole (a body's less the node's binders, which never
@@ -720,13 +792,15 @@ def _collect(heap: Heap, frames: list[Frame], c: Term, zeros: set[str]) -> None:
     """
     cells = heap.vars
     roots = [free_vars(c)]
-    for node, i, _ in frames:
+    while frame is not None:
+        node = frame.node
         shape = S._SHAPES[type(node)]
-        hole = _CONGRUENCES[type(node)][i][0]
+        hole = frame.hole
         for n in shape.terms:
             if n != hole:
                 fv = free_vars(getattr(node, n))
                 roots.append(fv.difference(S._bound_by(node, shape.binds)) if n == "body" and shape.binds else fv)
+        frame = frame.parent
     roots.extend(free_vars(res.value) for res in heap.resources.values() if not res.is_array)
     todo = [x for fv in roots for x in fv if x in cells]
     reached: set[str] = set()

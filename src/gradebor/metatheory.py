@@ -23,7 +23,7 @@ from .syntax import (
     Abs, Amp, App, ExistsT, FloatLit, Join, LetPair, NatLit, Pack, Pair, Permission, Prim, RefVal, Split, Term,
     Type, Uniq, Var, WithBorrow,
 )
-from .machine import ArrRes, Heap, Machine, EvalError, RefCell, Trace
+from .machine import ArrRes, Config, Frame, Heap, Machine, EvalError, RefCell, Trace, plug, shared_frame
 from .typecheck import (
     Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, check_program, runtime_ctx, transparent_child,
 )
@@ -143,32 +143,35 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     The ambient context is empty, so compatibility is checked against the
     synthesized usage scaled by the reduction grade, on every configuration.
 
-    A step rebuilds only the path from the root to its redex, so most of a
-    configuration's term is the previous one's, node for node. Where the
-    previous configuration's judgments were recorded, the root usage is
-    reused when the terms differ in one subtree whose judgment is unchanged
-    (`_cut_off`). Judgments are recorded only for a configuration whose
-    runtime context has the same variables, references and names as the next
-    one's. Every other configuration is checked in full, with one
-    `TypingMemo` for the whole trace: a judgment on a let, unpack, clone or
-    withBorrow node, or on a stored value, that an earlier configuration made
-    under the same relevant context is looked up, not recomputed. A binder
-    renamed on the way takes a name fixed by the check's input, so the
-    violations do not depend on what ran before.
+    Consecutive configurations of a recorded run share the frames of their
+    evaluation contexts above the point where they differ, so their terms
+    differ only in the hole of the deepest shared frame. Where the previous
+    configuration's judgments were recorded, the root usage is reused when
+    the judgment of that hole is unchanged (`_cut_off`). Judgments are
+    recorded, one for the term in the hole of each frame, only for a
+    configuration whose runtime context has the same variables, references
+    and names as the next one's. Every other configuration is checked in
+    full, with one `TypingMemo` for the whole trace: a judgment on a let,
+    unpack, clone or withBorrow node, or on a stored value, that an earlier
+    configuration made under the same relevant context is looked up, not
+    recomputed. A binder renamed on the way takes a name fixed by the
+    check's input, so the violations do not depend on what ran before.
     """
     out: list[Violation] = []
     checker = Checker(ring, memo=TypingMemo())
-    configs = trace.configurations()
-    rts = [runtime_ctx(heap, ring) for _, heap in configs]
-    prev: Optional[tuple[Term, Usage, dict]] = None  # the last term, its root usage and its judgments
-    for k, (term, heap) in enumerate(configs):
+    configs = trace.configs
+    rts = [runtime_ctx(c.heap, ring) for c in configs]
+    opaque: dict[Optional[Frame], Optional[Frame]] = {None: None}  # see _opaque
+    prev: Optional[tuple[Config, Usage, dict]] = None  # the last configuration, its root usage and judgments
+    for k, config in enumerate(configs):
         rt = rts[k]
         keep = k + 1 < len(rts) and _same_ctx(rt, rts[k + 1])
-        usage = _cut_off(checker, prev, term, rt, keep) if prev is not None else None
+        usage = _cut_off(checker, prev, config, rt, keep, opaque) if prev is not None else None
         if usage is not None:
-            prev = (term, usage, prev[2]) if keep else None
+            prev = (config, usage, prev[2]) if keep else None
         else:
             prev = None
+            term, holes = _filled(config.frame, config.hole, None)
             checker.record = {} if keep else None
             try:
                 usage, _ = checker.check(rt, term, main_type)
@@ -176,10 +179,10 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
                 out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
                 continue
             finally:
-                judgments, checker.record = checker.record, None
+                record, checker.record = checker.record, None
             if keep:
-                prev = (term, usage, judgments)
-        judgment = heap_compat(heap, _demand_ctx(rt, usage, s), ring, rt, checker)
+                prev = (config, usage, _judged(holes, record))
+        judgment = heap_compat(config.heap, _demand_ctx(rt, usage, s), ring, rt, checker)
         if not judgment.accepted:
             out.append(Violation("preservation", k, f"heap compatibility failed: {judgment.failure}"))
     return out
@@ -190,50 +193,112 @@ def _same_ctx(a: Ctx, b: Ctx) -> bool:
     return a.vars == b.vars and a.refs == b.refs and a.names == b.names
 
 
-def _cut_off(
-    checker: Checker, prev: tuple[Term, Usage, dict], term: Term, rt: Ctx, keep: bool
-) -> Optional[Usage]:
-    """The root usage of `term`, taken from the previous configuration when
-    that is sound; None when `term` needs a full check.
+def _filled(frame: Optional[Frame], t: Term, stop: Optional[Frame]) -> tuple[Term, list[tuple[Frame, Term]]]:
+    """t plugged into the frames from `frame` up to `stop` (not included), as
+    `plug` does, with the term in the hole of each of those frames."""
+    holes = []
+    while frame is not stop:
+        holes.append((frame, t))
+        t = frame.plug(t)
+        frame = frame.parent
+    return t, holes
 
-    `prev` is the previous term, its root usage and its judgments, recorded
-    in a runtime context equal to `rt`. Walking both terms from the root,
-    while the nodes agree in class and data and differ in exactly one child,
-    at a transparent position of both (`transparent_child`), finds the
-    subtree the step replaced. Every node on that walk is typed in `rt`
-    itself. The new subtree is typed in the mode the old one was; if its
-    type and usage are the old ones, every ancestor keeps its judgment, the
-    root included. With `keep`, the ancestors' judgments move to their new
-    nodes in `prev`'s judgments, and the new subtree's are added.
+
+def _judged(holes: list[tuple[Frame, Term]], record: dict) -> dict[Frame, Optional[tuple]]:
+    """The recorded judgment `(expected, type, usage)` of the term in the hole
+    of each frame; None for a term with no judgment of its own."""
+    return {frame: (j[1:] if (j := record.get(id(t))) is not None else None) for frame, t in holes}
+
+
+def _opaque(frame: Optional[Frame], cache: dict[Optional[Frame], Optional[Frame]]) -> Optional[Frame]:
+    """The frame nearest the root, from the root down to `frame`, whose
+    node's rule reads the child in its hole otherwise than through that
+    child's judgment (`transparent_child`); None when there is none. Cached
+    per frame in `cache`.
+
+    A frame's node holds in its hole the child the search entered, a
+    non-value, and in every configuration but the ones that end at the frame
+    its hole holds a node of a congruence form: no `transparent_child` test
+    tells those two apart. The hole of a configuration's innermost frame may
+    hold any term, so `_cut_off` tests that frame's link on the nodes it
+    builds."""
+    todo = []
+    while frame not in cache:
+        todo.append(frame)
+        frame = frame.parent
+    found = cache[frame]
+    for frame in reversed(todo):
+        if found is None and not transparent_child(frame.node, frame.hole):
+            found = frame
+        cache[frame] = found
+    return found
+
+
+def _cut_off(
+    checker: Checker, prev: tuple[Config, Usage, dict], config: Config, rt: Ctx, keep: bool,
+    opaque: dict[Optional[Frame], Optional[Frame]],
+) -> Optional[Usage]:
+    """The root usage of `config`'s term, taken from the previous
+    configuration when that is sound; None when the term needs a full check.
+
+    `prev` is the previous configuration, its root usage and the judgments of
+    the terms in the holes of its frames, recorded in a runtime context equal
+    to `rt`. The two terms differ only in the hole of their deepest shared
+    frame (`shared_frame`). The subterms are re-typed in the hole of the
+    deepest shared frame whose links from the root down to its hole are all
+    transparent (`_opaque`), and only the two subterms there are built. Every
+    ancestor reads that hole only through its judgment, so the new subterm
+    is typed in the mode the old one was, in `rt` itself: if its type and
+    usage are the old ones, every ancestor keeps its judgment, the root
+    included. With `keep`, the judgments of the frames below that frame are
+    set in `prev`'s; the frames above it keep theirs.
     """
     old, usage, judgments = prev
-    if old is term:
+    if old.frame is config.frame and old.hole is config.hole:
         return usage
-    path = _diff_path(old, term, transparent_child)
-    old, new, _ = path.pop()
-    if not path:
+    cut = shared_frame(old.frame, config.frame)
+    if cut is None:
         return None
+    above = _opaque(cut.parent, opaque)
+    if above is not None:
+        cut = above.parent
+        if cut is None:
+            return None
+    old_sub = plug(old.frame, old.hole, cut)
+    new_sub, holes = _filled(config.frame, config.hole, cut)
+    # The link at the cut is judged on the two parents themselves: in the
+    # innermost frame of either configuration the hole may hold a value,
+    # such as the abstraction of a beta-redex. Above it, every link is
+    # transparent.
+    while True:
+        hole = cut.hole
+        parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
+        if transparent_child(parent, hole) and transparent_child(new_parent, hole):
+            break
+        holes.append((cut, new_sub))
+        old_sub, new_sub, cut = parent, new_parent, cut.parent
+        if cut is None:
+            return None
     # A spine link carries no judgment of its own, and a function position
     # reached from two applications of which only one is a primitive spine
-    # is typed by two different rules. Below an argument step the function
-    # chains are shared, so this test at the last step covers the whole walk.
-    parent, new_parent, _ = path[-1]
-    if type(parent) is App and parent.fn is old and not (
+    # is typed by two different rules. Above an argument link the function
+    # chains are shared, so this test at the last link covers the whole walk.
+    if hole == "fn" and type(parent) is App and not (
         S.prim_spine(parent) is None and S.prim_spine(new_parent) is None
     ):
         return None
-    entry = judgments.get(id(old))
+    entry = judgments.get(cut)
     if entry is None:
         return None
-    _, expected, ty, used = entry
+    expected, ty, used = entry
     record = {} if keep else None
     checker.record = record
     try:
         if expected is None:
-            ty2, used2, _ = checker.infer(rt, new)
+            ty2, used2, _ = checker.infer(rt, new_sub)
         else:
             ty2 = expected
-            used2, _ = checker.check(rt, new, expected)
+            used2, _ = checker.check(rt, new_sub, expected)
     except CheckError:
         return None
     finally:
@@ -241,49 +306,8 @@ def _cut_off(
     if ty2 != ty or used2 != used:
         return None
     if keep:
-        # the old path is gone from the term: move its judgments over
-        for po, pn, _ in path:
-            if (judged := judgments.pop(id(po), None)) is not None:
-                judgments[id(pn)] = (pn, *judged[1:])
-        judgments.update(record)
+        judgments.update(_judged(holes, record))
     return usage
-
-
-# The fields of each term class other than its child terms and `loc`.
-_DATA_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(n for n in S._FIELDS[cls] if n not in shape.terms and n != "loc") for cls, shape in S._SHAPES.items()
-}
-
-
-def _diff_path(old: Term, new: Term, through=None) -> list[tuple[Term, Term, Optional[str]]]:
-    """The walk from the roots `old` and `new` to the deepest subtree in which
-    they differ, one `(old node, new node, child)` per level.
-
-    The walk descends while the two nodes have one class and equal data and
-    differ by identity in exactly one child, which is the level's `child`,
-    so every other child of a level is shared by the two terms. With
-    `through`, it also stops at a level whose child `through(node, child)`
-    refuses in either node. The last level's `child` is None."""
-    path = []
-    while True:
-        cls = type(old)
-        step = None
-        if type(new) is cls:
-            for n in _DATA_FIELDS[cls]:
-                if (a := getattr(old, n)) is not (b := getattr(new, n)) and a != b:
-                    break
-            else:
-                for n in S._SHAPES[cls].terms:
-                    if (a := getattr(old, n)) is not (b := getattr(new, n)):
-                        if step is not None:
-                            step = None
-                            break
-                        step = n, a, b
-        if step is None or (through is not None and not (through(old, step[0]) and through(new, step[0]))):
-            path.append((old, new, None))
-            return path
-        path.append((old, new, step[0]))
-        _, old, new = step
 
 
 def check_progress(trace: Trace) -> list[Violation]:
@@ -383,46 +407,50 @@ def check_borrow_safety(trace: Trace) -> list[Violation]:
     """`check_borrow_safety_step` on every step of a recorded trace.
 
     Step k leads from configuration k to configuration k + 1, so
-    reachability is computed once per configuration, from the recorded terms
-    and heaps alone. A term's references and free variables are each the
-    previous term's when the step kept them (`_root_sets`), so a step deep
-    in a term costs a walk to its redex, not a set per node on the way; the
-    heap chase is done on every configuration.
+    reachability is computed once per configuration, from the recorded
+    configurations alone. A term's references and free variables are each
+    the previous term's when the step kept them (`_root_sets`), so a step
+    deep in a term costs the frames that the two configurations do not
+    share, not a walk from the root; the heap chase is done on every
+    configuration.
     """
-    configs = trace.configurations()
-    term, heap = configs[0]
+    configs = trace.configs
+    pre = configs[0]
+    term = pre.term()
     refs, free = S.refs_of(term), S.free_vars(term)
-    reach = _chase(refs, free, heap)
+    reach = _chase(refs, free, pre.heap)
     out: list[Violation] = []
-    for k, (post_term, post_heap) in enumerate(configs[1:]):
-        refs, free = _root_sets(term, refs, free, post_term)
-        post_reach = _chase(refs, free, post_heap)
-        out.extend(_conservation(reach, heap, post_reach, post_heap, k))
-        term, heap, reach = post_term, post_heap, post_reach
+    for k, post in enumerate(configs[1:]):
+        refs, free = _root_sets(pre, refs, free, post)
+        post_reach = _chase(refs, free, post.heap)
+        out.extend(_conservation(reach, pre.heap, post_reach, post.heap, k))
+        pre, reach = post, post_reach
     return out
 
 
-def _root_sets(old: Term, refs: set[str], free: set[str], new: Term) -> tuple[set[str], set[str]]:
-    """The references and free variables of `new`, each taken from those of
-    `old`, `refs` and `free`, when the step from `old` kept it.
+def _root_sets(old: Config, refs: set[str], free: set[str], new: Config) -> tuple[set[str], set[str]]:
+    """The references and free variables of `new`'s term, each taken from
+    those of `old`'s, `refs` and `free`, when the step from `old` kept it.
 
-    A node's sets depend only on its class and data (binders and name
-    identifiers among them) and on its children's sets. So where the two
-    terms differ in one subtree, along a walk of nodes that agree in class
-    and data (`_diff_path`), each root set equals the old one when the two
-    subtrees' sets are equal.
+    The two terms differ only in the hole of their deepest shared frame
+    (`shared_frame`). A node's sets depend only on its class and data
+    (binders and name identifiers among them) and on its children's sets, so
+    each root set equals the old one when the two subterms in that hole have
+    equal sets.
     """
-    if old is new:
+    if old.frame is new.frame and old.hole is new.hole:
         return refs, free
-    o, n, _ = _diff_path(old, new)[-1]
-    if o is old:
-        # the roots differ in class or data, or in two children: the old
-        # root's sets need not be stored on its nodes, so compare nothing
-        return S.refs_of(new), S.free_vars(new)
-    return (
-        refs if S.refs_of(o) == S.refs_of(n) else S.refs_of(new),
-        free if S.free_vars(o) == S.free_vars(n) else S.free_vars(new),
-    )
+    top = shared_frame(old.frame, new.frame)
+    new_sub = plug(new.frame, new.hole, top)
+    if top is None:
+        return S.refs_of(new_sub), S.free_vars(new_sub)
+    old_sub = plug(old.frame, old.hole, top)
+    same_refs = S.refs_of(old_sub) == S.refs_of(new_sub)
+    same_free = S.free_vars(old_sub) == S.free_vars(new_sub)
+    if same_refs and same_free:
+        return refs, free
+    whole = plug(top, new_sub)
+    return refs if same_refs else S.refs_of(whole), free if same_free else S.free_vars(whole)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +475,8 @@ def check_uniqueness(trace: Trace, final_type: Type) -> list[Violation]:
     if not uniqueness_applicable(final_type):
         return []
     out: list[Violation] = []
-    configs = trace.configurations()
-    (t0, h0), (v, hf) = configs[0], configs[-1]
+    first = trace.configs[0]
+    t0, h0, v, hf = first.term(), first.heap, trace.final_term, trace.final_heap
 
     pre_sums = _perm_sums(reachable_refs(t0, h0), h0)
     for ident, total in pre_sums.items():

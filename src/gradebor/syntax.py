@@ -23,13 +23,14 @@ class's child term fields, type annotation fields and binder fields;
 `children` lists a node's subterms and `map_children` rebuilds a node from
 mapped subterms; they serve the shallower walkers that take a function.
 
-Nodes are immutable, so `free_vars`, `refs_of` and `bound_names` compute
-their answer for a node with child terms once and store it on the node
-(through `object.__setattr__`, as the dataclasses are frozen; writing to
-`__dict__` would give every such node a dict of its own); a leaf stores
-nothing and gets a fresh set on every call. A stored set is shared by every
-caller that asks about that node, and by the node's ancestors whose free
-variables all come from it, so no caller may mutate it.
+Nodes are immutable by convention: the node classes are plain dataclasses,
+since a frozen one costs nearly three times as much to build, and no code
+assigns a field of a node once it is built. So `free_vars`, `refs_of` and
+`bound_names` compute their answer for a node with child terms once and
+store it on the node; a leaf stores nothing and gets a fresh set on every
+call. A stored set is shared by every caller that asks about that node, and
+by the node's ancestors whose free variables all come from it, so no caller
+may mutate it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ PermExpr = Union[Permission, PermVar]
 # Every Type and Term node class: equality and hashing come from the base
 # class (alpha-equivalence for types, identity for terms), and so does repr
 # (the surface syntax), which a generated dataclass repr would otherwise shadow.
-_node = dataclass(frozen=True, eq=False, repr=False)
+_node = dataclass(eq=False, repr=False)
 
 
 class Type:
@@ -230,7 +231,8 @@ def type_free_perm_vars(ty: Type) -> set[str]:
 
 
 def type_subst_names(ty: Type, env: dict[str, str]) -> Type:
-    """Rename free Name identifiers of a type."""
+    """Rename free Name identifiers of a type, renaming each binder that
+    would capture one of env's new names (see `_unclash`)."""
     if not env:
         return ty
     cls = type(ty)
@@ -239,10 +241,15 @@ def type_subst_names(ty: Type, env: dict[str, str]) -> Type:
         if ty.ident in env:
             changes["ident"] = env[ty.ident]
     elif cls is ExistsT:
-        env = {k: v for k, v in env.items() if k != ty.binder}
+        env, (binder,) = _unclash({k: v for k, v in env.items() if k != ty.binder}, (ty.binder,), ty)
+        if binder != ty.binder:
+            changes["binder"] = binder
     elif cls is Forall:
-        bound = {v for v, k in ty.binders if k == "Name"}
-        env = {k: v for k, v in env.items() if k not in bound}
+        bound = tuple(v for v, k in ty.binders if k == "Name")
+        env, renamed = _unclash({k: v for k, v in env.items() if k not in bound}, bound, ty)
+        if renamed != bound:
+            names = dict(zip(bound, renamed))
+            changes["binders"] = tuple((names.get(v, v) if k == "Name" else v, k) for v, k in ty.binders)
     for n in _TYPE_CHILDREN[cls]:
         old = getattr(ty, n)
         new = type_subst_names(old, env)
@@ -640,7 +647,7 @@ def free_vars(t: Term) -> set[str]:
     if out is None:
         out = set()
     if shape.terms:
-        object.__setattr__(t, "_free", out)
+        t._free = out
     return out
 
 
@@ -656,7 +663,7 @@ def refs_of(t: Term) -> set[str]:
     for n in terms:
         out |= refs_of(getattr(t, n))
     if terms:
-        object.__setattr__(t, "_refs", out)
+        t._refs = out
     return out
 
 
@@ -670,7 +677,7 @@ def bound_names(t: Term) -> set[str]:
     for n in shape.terms:
         out |= bound_names(getattr(t, n))
     if shape.terms:
-        object.__setattr__(t, "_bound", out)
+        t._bound = out
     return out
 
 
@@ -684,12 +691,11 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return cand
 
 
-def names_in(t: Term) -> set[str]:
-    """Every variable and name identifier t mentions, free or bound, its
-    annotations' (quantifier binders included) and `Clone.old_idents` too:
-    the names a binder renamed over t must avoid, since `subst_names` does
-    not avoid capture."""
-    out = free_vars(t) | bound_names(t)
+def names_in(t: Union[Term, Type]) -> set[str]:
+    """Every variable and name identifier the term or type t mentions, free or
+    bound, its annotations' (quantifier binders included) and
+    `Clone.old_idents` too: the names a binder renamed over t must avoid."""
+    out = free_vars(t) | bound_names(t) if isinstance(t, Term) else set()
     stack: list = [t]
     while stack:
         node = stack.pop()
@@ -779,7 +785,9 @@ def _avoid(binder: str, env: dict[str, Term], avoid: set[str], t: Term):
 
 
 def subst_names(t: Term, env: dict[str, str]) -> Term:
-    """Rename free name identifiers in a term (and in its type annotations)."""
+    """Rename free name identifiers in a term (and in its type annotations),
+    renaming each name binder that would capture one of env's new names (see
+    `_unclash`), as `subst` renames a binder."""
     if not env:
         return t
     cls = type(t)
@@ -788,9 +796,13 @@ def subst_names(t: Term, env: dict[str, str]) -> Term:
     if cls is Pack:
         changes["ident"] = env.get(t.ident, t.ident)
     elif cls is Unpack:
-        inner = {k: v for k, v in env.items() if k != t.ident}
+        inner, (ident,) = _unclash({k: v for k, v in env.items() if k != t.ident}, (t.ident,), t)
+        if ident != t.ident:
+            changes["ident"] = ident
     elif cls is Clone:
-        inner = {k: v for k, v in env.items() if k not in t.idents}
+        inner, idents = _unclash({k: v for k, v in env.items() if k not in t.idents}, t.idents, t)
+        if idents != t.idents:
+            changes["idents"] = idents
         if t.old_idents:
             changes["old_idents"] = tuple(env.get(i, i) for i in t.old_idents)
     shape = _SHAPES[cls]
@@ -807,6 +819,24 @@ def subst_names(t: Term, env: dict[str, str]) -> Term:
             if new is not old:
                 changes[n] = new
     return _rebuild(t, **changes) if changes else t
+
+
+def _unclash(env: dict[str, str], binders: tuple[str, ...], node) -> tuple[dict[str, str], tuple[str, ...]]:
+    """env under the name binders `binders` of `node`, a term or a type, and
+    the names the binders take there. A binder that is one of env's new names
+    would capture it where env renames a name of node, so it takes a name
+    that no name of node or env can capture or be captured by."""
+    new = set(env.values())
+    if new.isdisjoint(binders) or env.keys().isdisjoint(names := names_in(node)):
+        return env, binders
+    avoid = names | new | env.keys()
+    env, out = dict(env), []
+    for b in binders:
+        if b in new:
+            env[b] = b = fresh_name(b, avoid)
+            avoid.add(b)
+        out.append(b)
+    return env, tuple(out)
 
 
 def rename_refs(theta: dict[str, str], t: Term) -> Term:

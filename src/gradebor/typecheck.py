@@ -24,7 +24,7 @@ from .grades import Grade, Permission, Semiring, STAR, WHOLE, grade_add, grade_l
 from . import syntax as S
 from .syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
-    LetBox, LetPair, LetUnit, Loc, NameT, NatLit, NatT, Pack, Pair, PermExpr,
+    LetBox, LetPair, LetUnit, Loc, NameT, NatLit, NatT, Pack, Pair,
     PermVar, Prim, Prod, Promote, Pull, Push, RefVal, ResT, Share, Split,
     Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
     free_vars, type_alpha_eq, type_free_names, type_free_perm_vars,

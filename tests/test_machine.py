@@ -279,7 +279,23 @@ def jsonl_oracle(trace):
     return lines
 
 
-def test_trace_jsonl_matches_the_oracle_on_the_corpus():
+def _trace_agrees(cp, s):
+    """A recorded run's configurations print the terms that a `Machine.step`
+    loop from the same program reaches, its rule paths are the loop's, and
+    its JSONL is the oracle's."""
+    m = Machine(cp.ring)
+    _, trace = m.eval(Heap(), cp.main_term, s)
+    heap, t, terms, rules = Heap(), cp.main_term, [print_term(cp.main_term)], []
+    while (stepped := m.step(heap, t, s)) is not None:
+        t, rule = stepped
+        terms.append(print_term(t))
+        rules.append(rule)
+    assert [print_term(term) for term, _ in trace.configurations()] == terms
+    assert trace.steps == rules
+    assert trace.to_jsonl().split("\n") == jsonl_oracle(trace)
+
+
+def test_trace_matches_a_step_loop_on_the_corpus():
     import glob
 
     from gradebor.typecheck import CheckError
@@ -290,26 +306,31 @@ def test_trace_jsonl_matches_the_oracle_on_the_corpus():
             cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
         except CheckError:
             continue
-        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-        assert trace.to_jsonl().split("\n") == jsonl_oracle(trace), path
+        _trace_agrees(cp, cp.ring.one)
         checked += 1
     assert checked >= 9
 
 
-def test_trace_jsonl_matches_the_oracle_on_generated_programs():
+def test_trace_matches_a_step_loop_on_generated_programs():
     import random
 
     from gradebor.generator import constructors_used, generate_program
 
     rng = random.Random(61)
-    for i in range(200):
+    for i in range(300):
         cp = check_program(generate_program(rng, 6 if i % 4 else 3))
         grades = [cp.ring.one]
         if cp.ring is not INTERVAL and not any(c.startswith("Prim:") for c in constructors_used(cp.main_term)):
             grades.append(cp.ring.literal(2))
         for s in grades:
-            _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, s)
-            assert trace.to_jsonl().split("\n") == jsonl_oracle(trace), (i, str(s))
+            _trace_agrees(cp, s)
+
+
+def test_trace_matches_a_step_loop_on_the_chain_and_the_ladder():
+    golden = _golden()
+    for source in (golden.chain_source(100), golden.ladder_source(20)):
+        cp = check_program(parse_program(source))
+        _trace_agrees(cp, cp.ring.one)
 
 
 def hand_trace(heaps, term=UnitVal()):
@@ -823,7 +844,7 @@ def test_each_plug_fills_its_position_and_keeps_every_other_field():
             # moved cannot pass for another one
             node = cls(*[object() for _ in names])
             child = object()
-            out = M._plug([(node, i, one())], child)
+            out = M.Frame(node, i, one(), None).plug(child)
             assert type(out) is cls and getattr(out, hole) is child, (cls.__name__, hole)
             for n in names:
                 if n != hole:
@@ -849,4 +870,24 @@ def test_a_run_renames_a_binder_that_elaboration_named_like_a_heap_variable():
     assert cp.main_term.body.left == "x.1"
     v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
     assert print_term(v) == "(2, 1)"
+    assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []
+
+
+@pytest.mark.parametrize("name", ["id2", "id3", "id4", "id5"])
+def test_a_clone_renames_no_name_under_a_binder_spelled_like_its_copy(name):
+    # the clone's copy of id1 is named id3 by the heap, and the clone renames
+    # j to it under the unpack's binder, which must not capture it
+    from gradebor.metatheory import check_trace
+
+    cp = check_program(parse_program(
+        "main : Float * Float;\n"
+        "main = unpack <i, r> = newRef 7.25 in\n"
+        "       (\\bx : ((Ref i Float) [1]) ->\n"
+        "          let *c = clone bx as <j> in\n"
+        f"          unpack <{name}, d> = newRef 1.0 in\n"
+        "          ((\\z : * (Ref j Float) -> deleteRef z) c, deleteRef d)) (share r);\n"
+    ))
+    v, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    assert print_term(v) == "(7.25, 1.0)"
+    assert any("id3" in heap.resources for _, heap in trace.configurations())
     assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []

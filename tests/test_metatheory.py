@@ -588,7 +588,7 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate):
     for corrupt in (_corrupt_off_path_literal, _corrupt_stored_reference_type):
         cp = checked(WRITES_BESIDE_A_CELL)
         _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-        corrupt(trace.configurations(), 8)
+        corrupt(trace, 8)
         memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one)
         assert memoized == oracle and oracle
 
@@ -681,6 +681,25 @@ def test_preservation_tells_heaps_apart_by_a_variable_grade():
     ]
 
 
+def test_preservation_retypes_a_hole_whose_usage_changed():
+    # two configurations share the frame of a pair's right component, and
+    # the second's hole reads y, which the heap holds at grade 0: the first
+    # configuration's root usage does not demand y
+    from gradebor.machine import Config, Frame, Trace
+
+    heaps = []
+    for _ in range(2):
+        heap = Heap()
+        heap.vars["y"] = VarCell(RING.zero, UnitVal(), UnitT())
+        heaps.append(heap)
+    frame = Frame(Pair(UnitVal(), LetUnit(UnitVal(), UnitVal())), 1, RING.one, None)
+    trace = Trace(RING.one, ["none"], [Config(frame, UnitVal(), heaps[0]), Config(frame, Var("y"), heaps[1])], 1)
+    found = check_preservation(trace, Prod(UnitT(), UnitT()), RING, RING.one)
+    assert [(v.step, v.message) for v in found] == [
+        (1, "heap compatibility failed: variable 'y': demand 1 exceeds heap grade 0")
+    ]
+
+
 def _corrupt_stored_grade(cell):
     cell.grade = RING.zero
 
@@ -739,20 +758,29 @@ main = unpack <j, r> = newRef 1.5 in
 """
 
 
-def _corrupt_off_path_literal(configs, k):
-    # the outermost write stores a Nat: it now differs from its counterpart
-    # in configuration k - 1 in two children, the value and the array
-    term, heap = configs[k]
-    outer = term.right.body
-    configs[k] = (Pair(term.left, Pack(term.right.ident, App(outer.fn, NatLit(3)))), heap)
+def _corrupt_off_path_literal(trace, k):
+    # the outermost write stores a Nat: configuration k gets a frame of its
+    # own for that write, and new frames below it, while configurations
+    # k - 1 and k + 1 keep the frame they share
+    from gradebor.machine import Config, Frame
+
+    frame, hole, heap = trace.configs[k]
+    below = []
+    while type(frame.parent.node) is not Pack:
+        below.append(frame)
+        frame = frame.parent
+    outer = Frame(App(frame.node.fn, NatLit(3)), frame.pos, frame.grade, frame.parent)
+    for f in reversed(below):
+        outer = Frame(f.node, f.pos, f.grade, outer)
+    trace.configs[k] = Config(outer, hole, heap)
 
 
-def _corrupt_stored_reference_type(configs, k):
+def _corrupt_stored_reference_type(trace, k):
     # the cell the left component holds now stores a Nat: only the runtime
     # context tells configuration k apart from k - 1 there
     from gradebor.machine import RefRes
 
-    heap = configs[k][1]
+    heap = trace.configs[k].heap
     (ident,) = [i for i, res in heap.resources.items() if not res.is_array]
     heap.resources[ident] = RefRes(NatLit(3), NatT())
 
@@ -769,15 +797,14 @@ def test_preservation_reports_exactly_the_corrupted_step_of_a_write(corrupt, fai
 
     cp = checked(WRITES_BESIDE_A_CELL)
     _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-    configs = trace.configurations()
     k = 8
     # configurations k - 1 to k + 1 are writes in one runtime context, so
     # uncorrupted, k and k + 1 reuse the judgments of the one before
     assert trace.steps[k - 2 : k + 1] == [f"congPairR/congPack/{'appR/appR/appL/' * n}writeArray" for n in (3, 2, 1)]
-    rts = [runtime_ctx(heap, cp.ring) for _, heap in configs[k - 1 : k + 2]]
+    rts = [runtime_ctx(c.heap, cp.ring) for c in trace.configs[k - 1 : k + 2]]
     assert _same_ctx(rts[0], rts[1]) and _same_ctx(rts[1], rts[2])
     assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
-    corrupt(configs, k)
+    corrupt(trace, k)
     found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
     assert [v.step for v in found] == [k]
     assert found[0].message.startswith(failure)
@@ -807,29 +834,44 @@ def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(monkeypatch)
 
 def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
     # counted calls, not time: how many configurations are typed from their
-    # root, and how many primitive applications are typed in all
+    # root, how many primitive applications are typed in all, and how many
+    # links are tested for transparency
+    from gradebor import metatheory
+
     counts = {}
     for writes in (50, 100):
         cp, trace = chain_trace(writes)
-        roots = {id(term) for term, _ in trace.configurations()}
-        calls = {"root": 0, "prim": 0}
-        check, prim_app = Checker.check, Checker._prim_app
+        calls = {"root": 0, "prim": 0, "transparent": 0}
+        check, prim_app, transparent = Checker.check, Checker._prim_app, metatheory.transparent_child
+        depth = [0]
 
         def counted_check(self, ctx, t, expected):
-            calls["root"] += id(t) in roots
-            return check(self, ctx, t, expected)
+            # a check of a whole configuration is the outermost one, against
+            # the main type
+            calls["root"] += depth[0] == 0 and expected is cp.main_type
+            depth[0] += 1
+            try:
+                return check(self, ctx, t, expected)
+            finally:
+                depth[0] -= 1
 
         def counted_prim_app(self, *args):
             calls["prim"] += 1
             return prim_app(self, *args)
 
+        def counted_transparent(*args):
+            calls["transparent"] += 1
+            return transparent(*args)
+
         with monkeypatch.context() as m:
             m.setattr(Checker, "check", counted_check)
             m.setattr(Checker, "_prim_app", counted_prim_app)
+            m.setattr(metatheory, "transparent_child", counted_transparent)
             assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
         counts[writes] = calls
-    assert counts[50]["root"] <= 4 and counts[100]["root"] <= 4, counts
+    assert 1 <= counts[50]["root"] <= 4 and 1 <= counts[100]["root"] <= 4, counts
     assert counts[100]["prim"] <= 2.2 * counts[50]["prim"], counts
+    assert counts[100]["transparent"] <= 2.2 * counts[50]["transparent"], counts
 
 
 def test_borrow_safety_work_on_a_write_chain_grows_linearly(monkeypatch):

@@ -62,6 +62,18 @@ def test_subst_avoids_capture():
     assert free_vars(out) == {"y"}
 
 
+def test_subst_names_avoids_capture():
+    # renaming j to i under binders named i must rename the binders
+    t = Unpack("i", "x", Var("r"), Pair(Pack("j", Var("x")), Pack("i", UnitVal())), ResT("Ref", "i", FloatT()))
+    out = subst_names(t, {"j": "i"})
+    assert out.ident not in ("i", "j")
+    assert alpha_eq(out, Unpack("k", "x", Var("r"), Pair(Pack("i", Var("x")), Pack("k", UnitVal())), ResT("Ref", "k", FloatT())))
+    ty = ExistsT("i", Prod(ResT("Ref", "j", FloatT()), ResT("Array", "i", FloatT())))
+    assert type_subst_names(ty, {"j": "i"}) == ExistsT("k", Prod(ResT("Ref", "i", FloatT()), ResT("Array", "k", FloatT())))
+    ty = Forall((("p", "Permission"), ("i", "Name")), Prod(NameT("j"), NameT("i")))
+    assert type_subst_names(ty, {"j": "i"}) == Forall((("p", "Permission"), ("k", "Name")), Prod(NameT("i"), NameT("k")))
+
+
 def test_rename_refs():
     theta = {"ref1": "ref9"}
     assert alpha_eq(rename_refs(theta, Pair(RefVal("ref1"), RefVal("ref1"))), Pair(RefVal("ref9"), RefVal("ref9")))
@@ -860,3 +872,38 @@ def test_stored_sets_equal_the_uncached_walkers_after_a_checked_run(mutate):
                 assert free_vars(t) == old_free_vars(t)
                 assert refs_of(t) == old_refs_of(t)
                 assert bound_names(t) == old_bound_names(t)
+
+
+# The node classes are plain dataclasses: what stands in for `frozen` is that
+# no code assigns a field of a node once it is built.
+_STORED_SETS = ("_free", "_refs", "_bound")
+
+
+def _set_once(self, name, value):
+    if name in self.__dict__ and name not in _STORED_SETS:
+        raise AttributeError(f"{type(self).__name__}.{name} assigned after it was built")
+    object.__setattr__(self, name, value)
+
+
+def test_no_code_assigns_a_field_of_a_built_node(monkeypatch):
+    from gradebor.metatheory import run_generated_suites
+
+    monkeypatch.setattr(Term, "__setattr__", _set_once)
+    monkeypatch.setattr(Type, "__setattr__", _set_once)
+    with pytest.raises(AttributeError, match="Var.name"):
+        Var("x").name = "y"
+    with pytest.raises(AttributeError, match="Box.grade"):
+        Box(None, UnitT()).grade = None
+    corpus = Path(__file__).resolve().parent.parent / "src" / "gradebor" / "corpus"
+    checked = 0
+    for path in sorted(corpus.glob("*.grb")):
+        try:
+            cp = check_program(parse_program(path.read_text(), str(path)))
+        except CheckError:
+            continue
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == [], path
+        checked += 1
+    assert checked >= 9
+    # check, eval and every trace checker on 100 `props` programs
+    assert all(not suite.failures for suite in run_generated_suites(42, 100))
