@@ -145,9 +145,11 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
 
     Consecutive configurations of a recorded run share the frames of their
     evaluation contexts above the point where they differ, so their terms
-    differ only in the hole of the deepest shared frame. Where the previous
-    configuration's judgments were recorded, the root usage is reused when
-    the judgment of that hole is unchanged (`_cut_off`). Judgments are
+    differ only in the hole of the deepest shared frame. Every evaluation
+    position is read through its child's judgment, except a function read
+    syntactically, so where the previous configuration's judgments were
+    recorded, the root usage is reused when the judgment of that hole is
+    unchanged (`_cut_off`). Judgments are
     recorded, one for the term in the hole of each frame, only for a
     configuration whose runtime context has the same variables, references
     and names as the next one's. Every other configuration is checked in
@@ -161,12 +163,11 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     checker = Checker(ring, memo=TypingMemo())
     configs = trace.configs
     rts = [runtime_ctx(c.heap, ring) for c in configs]
-    opaque: dict[Optional[Frame], Optional[Frame]] = {None: None}  # see _opaque
     prev: Optional[tuple[Config, Usage, dict]] = None  # the last configuration, its root usage and judgments
     for k, config in enumerate(configs):
         rt = rts[k]
         keep = k + 1 < len(rts) and _same_ctx(rt, rts[k + 1])
-        usage = _cut_off(checker, prev, config, rt, keep, opaque) if prev is not None else None
+        usage = _cut_off(checker, prev, config, rt, keep) if prev is not None else None
         if usage is not None:
             prev = (config, usage, prev[2]) if keep else None
         else:
@@ -210,33 +211,8 @@ def _judged(holes: list[tuple[Frame, Term]], record: dict) -> dict[Frame, Option
     return {frame: (j[1:] if (j := record.get(id(t))) is not None else None) for frame, t in holes}
 
 
-def _opaque(frame: Optional[Frame], cache: dict[Optional[Frame], Optional[Frame]]) -> Optional[Frame]:
-    """The frame nearest the root, from the root down to `frame`, whose
-    node's rule reads the child in its hole otherwise than through that
-    child's judgment (`transparent_child`); None when there is none. Cached
-    per frame in `cache`.
-
-    A frame's node holds in its hole the child the search entered, a
-    non-value, and in every configuration but the ones that end at the frame
-    its hole holds a node of a congruence form: no `transparent_child` test
-    tells those two apart. The hole of a configuration's innermost frame may
-    hold any term, so `_cut_off` tests that frame's link on the nodes it
-    builds."""
-    todo = []
-    while frame not in cache:
-        todo.append(frame)
-        frame = frame.parent
-    found = cache[frame]
-    for frame in reversed(todo):
-        if found is None and not transparent_child(frame.node, frame.hole):
-            found = frame
-        cache[frame] = found
-    return found
-
-
 def _cut_off(
-    checker: Checker, prev: tuple[Config, Usage, dict], config: Config, rt: Ctx, keep: bool,
-    opaque: dict[Optional[Frame], Optional[Frame]],
+    checker: Checker, prev: tuple[Config, Usage, dict], config: Config, rt: Ctx, keep: bool
 ) -> Optional[Usage]:
     """The root usage of `config`'s term, taken from the previous
     configuration when that is sound; None when the term needs a full check.
@@ -244,14 +220,15 @@ def _cut_off(
     `prev` is the previous configuration, its root usage and the judgments of
     the terms in the holes of its frames, recorded in a runtime context equal
     to `rt`. The two terms differ only in the hole of their deepest shared
-    frame (`shared_frame`). The subterms are re-typed in the hole of the
-    deepest shared frame whose links from the root down to its hole are all
-    transparent (`_opaque`), and only the two subterms there are built. Every
-    ancestor reads that hole only through its judgment, so the new subterm
-    is typed in the mode the old one was, in `rt` itself: if its type and
-    usage are the old ones, every ancestor keeps its judgment, the root
-    included. With `keep`, the judgments of the frames below that frame are
-    set in `prev`'s; the frames above it keep theirs.
+    frame (`shared_frame`), and only the two subterms there are built. Every
+    evaluation position is read by its parent's rule through its child's
+    judgment alone, except a function that the beta-redex or primitive-spine
+    rule reads syntactically (`transparent_child`); there the cut moves up
+    one frame. So the new subterm is typed in the mode the old one was, in
+    `rt` itself: if its type and usage are the old ones, every ancestor keeps
+    its judgment, the root included (the replacement lemma). With `keep`, the
+    judgments of the frames below the cut are set in `prev`'s; the frames
+    above it keep theirs.
     """
     old, usage, judgments = prev
     if old.frame is config.frame and old.hole is config.hole:
@@ -259,30 +236,25 @@ def _cut_off(
     cut = shared_frame(old.frame, config.frame)
     if cut is None:
         return None
-    above = _opaque(cut.parent, opaque)
-    if above is not None:
-        cut = above.parent
-        if cut is None:
-            return None
     old_sub = plug(old.frame, old.hole, cut)
     new_sub, holes = _filled(config.frame, config.hole, cut)
+    parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
     # The link at the cut is judged on the two parents themselves: in the
     # innermost frame of either configuration the hole may hold a value,
-    # such as the abstraction of a beta-redex. Above it, every link is
-    # transparent.
-    while True:
-        hole = cut.hole
-        parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
-        if transparent_child(parent, hole) and transparent_child(new_parent, hole):
-            break
+    # such as the abstraction of a beta-redex. One frame up, the hole holds
+    # that application or withBorrow, which its parent reads through its
+    # judgment.
+    if not (transparent_child(parent, cut.hole) and transparent_child(new_parent, cut.hole)):
         holes.append((cut, new_sub))
         old_sub, new_sub, cut = parent, new_parent, cut.parent
         if cut is None:
             return None
+        parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
+    hole = cut.hole
     # A spine link carries no judgment of its own, and a function position
     # reached from two applications of which only one is a primitive spine
     # is typed by two different rules. Above an argument link the function
-    # chains are shared, so this test at the last link covers the whole walk.
+    # chains are shared, so this test at the cut covers every link above it.
     if hole == "fn" and type(parent) is App and not (
         S.prim_spine(parent) is None and S.prim_spine(new_parent) is None
     ):

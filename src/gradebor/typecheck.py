@@ -185,36 +185,6 @@ def ctx_scale(r: Grade, u: Usage, loc: Optional[Loc] = None) -> Usage:
 
 
 # ---------------------------------------------------------------------------
-# Transparent child positions
-
-# The child positions whose rule reads the child only through the type and
-# usage of one `infer` or `check` call on it, made in the parent's own
-# context: replacing such a child by a term with the same judgment leaves the
-# parent's judgment unchanged (the replacement lemma). App is decided in
-# `transparent_child`. Never transparent: binder bodies, which are typed in a
-# larger context; Abs; and the body of Share.
-_TRANSPARENT: dict[type, tuple[str, ...]] = {
-    Pair: ("left", "right"),
-    **{cls: ("body",) for cls in (Uniq, Pack, Promote, Unborrow, Split, Join, Push, Pull)},
-    **{cls: ("rhs",) for cls in (LetPair, LetUnit, LetBox, Unpack)},
-}
-
-
-def transparent_child(t: Term, name: str) -> bool:
-    """Whether t's rule reads its child `name` only through judgments on it.
-
-    For an application these are the argument, and the function unless it
-    is an abstraction (the beta-redex rule reads that syntactically) or a
-    primitive head. So the links of a primitive spine are transparent: the
-    spine's rule walks them down to the arguments, which it types, without
-    typing the links themselves.
-    """
-    if type(t) is App:
-        return name == "arg" or type(t.fn) not in (Abs, Prim)
-    return name in _TRANSPARENT.get(type(t), ())
-
-
-# ---------------------------------------------------------------------------
 # Type utilities
 
 
@@ -919,6 +889,19 @@ class Checker:
             if p not in ctx.perm_vars:
                 raise CheckError(UNBOUND_VARIABLE, f"unknown permission variable {p!r} in type {ty!r}", loc, rule="type")
         _check_array_payloads(ty, loc)
+
+
+def transparent_child(t: Term, name: str) -> bool:
+    """Whether t's rule reads its child `name` only through one `infer` or
+    `check` call on it, made in t's own context.
+
+    Every evaluation position that holds a non-value is read so, except the
+    function of an application or withBorrow that is an abstraction or a
+    primitive: the beta-redex and primitive-spine rules read that one
+    syntactically. A link of a primitive spine holds an application, so it
+    passes this test; the spine's rule types no link of its own.
+    """
+    return name != "fn" or type(t.fn) not in (Abs, Prim)
 
 
 # The binding forms. Each rule types its right-hand side and synthesizes its

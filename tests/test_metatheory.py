@@ -16,8 +16,8 @@ from gradebor.metatheory import (
 )
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
-    Abs, App, Box, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pack, Pair,
-    Prim, Prod, RefVal, Split, Uniq, UnitT, UnitVal, Var, FloatLit, WithBorrow, alpha_eq,
+    Abs, App, Box, Clone, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pack, Pair,
+    Prim, Prod, Promote, RefVal, Share, Split, Uniq, UnitT, UnitVal, Var, FloatLit, WithBorrow, alpha_eq,
 )
 from gradebor.typecheck import CheckError, Checker, Ctx, GradedEntry, RefEntry, TypingMemo, runtime_ctx
 
@@ -571,6 +571,7 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate):
 
     cases = [(load(name), None) for name in ACCEPTED]
     cases += [(checked(GOLDEN.chain_source(100)), None), (checked(GOLDEN.ladder_source(20)), None)]
+    cases += [(checked(source), None) for name, (_, source) in STEPS_INSIDE.items() if name != "box"]
     for prog in generate_programs(17, count=300):
         cp = check_program(prog)
         cases.append((cp, None))
@@ -810,26 +811,89 @@ def test_preservation_reports_exactly_the_corrupted_step_of_a_write(corrupt, fai
     assert found[0].message.startswith(failure)
 
 
-def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(monkeypatch):
-    # a box's rule reads its body only through the body's judgment, so each
-    # step inside it keeps the root's judgment
+# A chain of three unit lets steps inside a box, a share, a clone's
+# scrutinee and a withBorrow's argument: each enclosing rule reads the
+# chain only through its judgment.
+UNIT_LETS = "let () = () in let () = () in let () = () in "
+STEPS_INSIDE = {
+    "box": (Promote, "main : Float [2];\nmain = [%s1.5];" % UNIT_LETS),
+    "share": (Share, """#semiring nat-leq
+main : Float;
+main = unpack <i, r> = newRef 7.25 in
+       (\\bx : ((Ref i Float) [1]) -> let *c = clone bx as <j> in deleteRef c) (share (%sr));
+""" % UNIT_LETS),
+    "clone": (Clone, """#semiring nat-leq
+main : Float;
+main = unpack <i, r> = newRef 7.25 in
+       (\\bx : ((Ref i Float) [1]) -> let *c = clone (%sbx) as <j> in deleteRef c) (share r);
+""" % UNIT_LETS),
+    "withBorrow": (WithBorrow, """#semiring nat-leq
+main : exists i . * (Ref i Float);
+main = unpack <i, c> = newRef 2.5 in
+       pack <i, withBorrow (\\b -> b) (%sc)>;
+""" % UNIT_LETS),
+}
+
+
+@pytest.mark.parametrize("case", STEPS_INSIDE)
+def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(case, monkeypatch):
+    # the configurations the second and third unit-let steps produce keep
+    # the enclosing node's judgment: no node of its class is typed there
     from gradebor import metatheory
 
-    cp = checked("main : Float [2];\nmain = [let () = () in let () = () in let () = () in 1.5];")
+    cls, source = STEPS_INSIDE[case]
+    cp = checked(source)
     _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-    assert len(trace.steps) == 3
-    reused = []
-    cut_off = metatheory._cut_off
+    lets = [k for k, step in enumerate(trace.steps) if step.endswith("unitBeta")]
+    assert len(lets) == 3
+    typed = [0]  # per configuration, counted until its heap check
+    infer, check, compat = Checker.infer, Checker.check, metatheory.heap_compat
 
-    def counted_cut_off(*args):
-        usage = cut_off(*args)
-        reused.append(usage is not None)
-        return usage
+    def counted_infer(self, ctx, t):
+        typed[-1] += type(t) is cls
+        return infer(self, ctx, t)
 
-    monkeypatch.setattr(metatheory, "_cut_off", counted_cut_off)
+    def counted_check(self, ctx, t, expected):
+        typed[-1] += type(t) is cls
+        return check(self, ctx, t, expected)
+
+    def counted_compat(*args):
+        judgment = compat(*args)
+        typed.append(0)
+        return judgment
+
+    monkeypatch.setattr(Checker, "infer", counted_infer)
+    monkeypatch.setattr(Checker, "check", counted_check)
+    monkeypatch.setattr(metatheory, "heap_compat", counted_compat)
+    assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    monkeypatch.undo()
+    assert len(typed) == len(trace.configs) + 1
+    assert [typed[k + 1] for k in lets[1:]] == [0, 0], typed
     memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one)
-    assert reused == [True] * 3
     assert memoized == oracle == []
+
+
+def test_preservation_retypes_a_beta_redex_whose_function_stepped_to_an_abstraction():
+    # two configurations share the frame of an application's function; the
+    # first holds a let around an abstraction, which the generic rule types
+    # as Unit -o Unit [1], a fit for Unit [2]; the second holds the
+    # abstraction itself, whose beta rule checks the box at grade 2, more
+    # than the heap's x
+    from gradebor.machine import Config, Frame, Trace
+
+    heaps = []
+    for _ in range(2):
+        heap = Heap()
+        heap.vars["x"] = VarCell(RING.one, UnitVal(), UnitT())
+        heaps.append(heap)
+    fn = Abs("w", LetUnit(Var("w"), Promote(Var("x"), RING.one)), UnitT())
+    hole = LetUnit(UnitVal(), fn)
+    frame = Frame(App(hole, UnitVal()), 0, RING.one, None)
+    trace = Trace(RING.one, ["none"], [Config(frame, hole, heaps[0]), Config(frame, fn, heaps[1])], 1)
+    found = check_preservation(trace, Box(RING.literal(2), UnitT()), RING, RING.one)
+    assert [(v.step, v.message) for v in found] == [
+        (1, "heap compatibility failed: variable 'x': demand 2 exceeds heap grade 1")
+    ]
 
 
 def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):

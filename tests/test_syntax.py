@@ -556,6 +556,38 @@ def old_refs_of(t):
             return out
 
 
+def old_type_names(ty):
+    """Every name identifier and quantifier binder written in ty."""
+    match ty:
+        case Fun(d, c) | Prod(d, c):
+            return old_type_names(d) | old_type_names(c)
+        case Box(_, t) | Amp(_, t):
+            return old_type_names(t)
+        case ExistsT(i, t):
+            return {i} | old_type_names(t)
+        case ResT(_, i, t):
+            return {i} | old_type_names(t)
+        case NameT(i):
+            return {i}
+        case Forall(bs, t):
+            return {v for v, _ in bs} | old_type_names(t)
+        case _:
+            return set()
+
+
+def old_names_in(t):
+    """Every variable and name identifier of t, free or bound, with those of
+    its annotations and `Clone.old_idents`: what a binder renamed over t avoids."""
+    out = old_free_vars(t) | old_bound_names(t)
+    for n in _nodes(t):
+        for f in dataclasses.fields(n):
+            if isinstance(v := getattr(n, f.name), Type):
+                out |= old_type_names(v)
+        if isinstance(n, Clone):
+            out.update(n.old_idents or ())
+    return out
+
+
 def old_subst(t, x, s, cut=True):
     """With `cut`, a subterm in which no variable of env occurs free is
     returned as it is, as `subst` does; without it, every binder that would
@@ -570,27 +602,27 @@ def old_subst(t, x, s, cut=True):
             case Var(n):
                 return env.get(n, t)
             case Abs(p, body, _):
-                p2, env2 = _avoid(p, env, fv_s)
+                p2, env2 = _avoid(p, env, fv_s, t)
                 return rebuild(t, param=p2, body=go(body, env2))
             case LetPair(l, r, rhs, body):
-                l2, env2 = _avoid(l, env, fv_s)
-                r2, env3 = _avoid(r, env2, fv_s)
+                l2, env2 = _avoid(l, env, fv_s, t)
+                r2, env3 = _avoid(r, env2, fv_s, t)
                 return rebuild(t, left=l2, right=r2, rhs=go(rhs, env), body=go(body, env3))
             case LetBox(b, rhs, body):
-                b2, env2 = _avoid(b, env, fv_s)
+                b2, env2 = _avoid(b, env, fv_s, t)
                 return rebuild(t, binder=b2, rhs=go(rhs, env), body=go(body, env2))
             case Unpack(i, b, rhs, body):
-                i2, env2 = _avoid(i, env, fv_s)
-                b2, env3 = _avoid(b, env2, fv_s)
+                i2, env2 = _avoid(i, env, fv_s, t)
+                b2, env3 = _avoid(b, env2, fv_s, t)
                 body, bann = renamed_names(body, t.bann, {i: i2} if i2 != i else {})
                 return rebuild(t, ident=i2, binder=b2, rhs=go(rhs, env), body=go(body, env3), bann=bann)
             case Clone(b, ids, rhs, body):
                 env2 = env
                 ids2 = []
                 for i in ids:
-                    i2, env2 = _avoid(i, env2, fv_s)
+                    i2, env2 = _avoid(i, env2, fv_s, t)
                     ids2.append(i2)
-                b2, env3 = _avoid(b, env2, fv_s)
+                b2, env3 = _avoid(b, env2, fv_s, t)
                 body, bann = renamed_names(body, t.bann, {i: i2 for i, i2 in zip(ids, ids2) if i2 != i})
                 ids2 = ids if list(ids) == ids2 else tuple(ids2)
                 return rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3), bann=bann)
@@ -603,10 +635,10 @@ def old_subst(t, x, s, cut=True):
             return body, bann
         return old_subst_names(body, names), bann and old_type_subst_names(bann, names)
 
-    def _avoid(binder, env, avoid):
+    def _avoid(binder, env, avoid, t):
         env = {k: v for k, v in env.items() if k != binder}
         if binder in avoid:
-            nb = syntax.fresh_name(binder, avoid | set(env))
+            nb = syntax.fresh_name(binder, avoid.union(env, old_names_in(t), *map(old_free_vars, env.values())))
             env[binder] = Var(nb)
             return nb, env
         return binder, env
