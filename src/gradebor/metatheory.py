@@ -25,7 +25,8 @@ from .syntax import (
 )
 from .machine import ArrRes, Config, Frame, Heap, Machine, EvalError, RefCell, Trace, plug, shared_frame
 from .typecheck import (
-    Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, check_program, runtime_ctx, transparent_child,
+    MISMATCH, Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, check_program, ctx_add, ctx_scale,
+    runtime_ctx, transparent_child,
 )
 
 
@@ -143,143 +144,155 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     The ambient context is empty, so compatibility is checked against the
     synthesized usage scaled by the reduction grade, on every configuration.
 
-    Consecutive configurations of a recorded run share the frames of their
-    evaluation contexts above the point where they differ, so their terms
-    differ only in the hole of the deepest shared frame. Every evaluation
-    position is read through its child's judgment, except a function read
-    syntactically, so where the previous configuration's judgments were
-    recorded, the root usage is reused when the judgment of that hole is
-    unchanged (`_cut_off`). Judgments are
-    recorded, one for the term in the hole of each frame, only for a
-    configuration whose runtime context has the same variables, references
-    and names as the next one's. Every other configuration is checked in
-    full, with one `TypingMemo` for the whole trace: a judgment on a let,
-    unpack, clone or withBorrow node, or on a stored value, that an earlier
-    configuration made under the same relevant context is looked up, not
-    recomputed. A binder renamed on the way takes a name fixed by the
-    check's input, so the violations do not depend on what ran before.
+    The usage comes from the graded substitution lemma (see `Checker`): if
+    Γ, z :[A]_r ⊢ C[z] : B and Δ ⊢ t : A, then Γ + r·Δ ⊢ C[t] : B. Each frame
+    is judged once (`_judge`), as `(expected, A, U, r)`: its hole's type A,
+    checked against when `expected` is A and inferred when it is None, and
+    the usage U and grade r of the context around the hole; the root, the
+    frame None, as `(B, B, ∅, 1)`. A configuration's usage is U + r·U(hole).
+    A judgment reads the types of variables and references, which a heap
+    variable keeps from its binding on. A step that changes one drops every
+    judgment, and that configuration is checked in full, as is one whose
+    hole's type is not A, whose judgment cannot be built, or whose U names a
+    variable or reference that the heap no longer holds.
     """
     out: list[Violation] = []
     checker = Checker(ring, memo=TypingMemo())
-    configs = trace.configs
-    rts = [runtime_ctx(c.heap, ring) for c in configs]
-    prev: Optional[tuple[Config, Usage, dict]] = None  # the last configuration, its root usage and judgments
-    for k, config in enumerate(configs):
-        rt = rts[k]
-        keep = k + 1 < len(rts) and _same_ctx(rt, rts[k + 1])
-        usage = _cut_off(checker, prev, config, rt, keep) if prev is not None else None
-        if usage is not None:
-            prev = (config, usage, prev[2]) if keep else None
+    root = (main_type, main_type, Usage(), ring.one)
+    judged: dict[Optional[Frame], tuple] = {None: root}
+    rts = [runtime_ctx(c.heap, ring) for c in trace.configs]
+    for k, (config, rt) in enumerate(zip(trace.configs, rts)):
+        if k and _retyped(rts[k - 1], rt):
+            judged = {None: root}
+            usage = None
         else:
-            prev = None
-            term, holes = _filled(config.frame, config.hole, None)
-            checker.record = {} if keep else None
+            usage = _root_usage(checker, judged, config, rt)
+        if usage is None:
             try:
-                usage, _ = checker.check(rt, term, main_type)
+                usage, _ = checker.check(rt, config.term(), main_type)
             except CheckError as e:
                 out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
                 continue
-            finally:
-                record, checker.record = checker.record, None
-            if keep:
-                prev = (config, usage, _judged(holes, record))
         judgment = heap_compat(config.heap, _demand_ctx(rt, usage, s), ring, rt, checker)
         if not judgment.accepted:
             out.append(Violation("preservation", k, f"heap compatibility failed: {judgment.failure}"))
     return out
 
 
-def _same_ctx(a: Ctx, b: Ctx) -> bool:
-    """Whether two runtime contexts agree in everything a judgment reads."""
-    return a.vars == b.vars and a.refs == b.refs and a.names == b.names
+def _retyped(old: Ctx, new: Ctx) -> bool:
+    """Whether a variable or reference that both runtime contexts hold has
+    another type in `new`."""
+    return any(x in new.vars and new.vars[x].ty != e.ty for x, e in old.vars.items()) or any(
+        r in new.refs and new.refs[r] != e for r, e in old.refs.items()
+    )
 
 
-def _filled(frame: Optional[Frame], t: Term, stop: Optional[Frame]) -> tuple[Term, list[tuple[Frame, Term]]]:
-    """t plugged into the frames from `frame` up to `stop` (not included), as
-    `plug` does, with the term in the hole of each of those frames."""
-    holes = []
-    while frame is not stop:
-        holes.append((frame, t))
-        t = frame.plug(t)
-        frame = frame.parent
-    return t, holes
+def _cut(frame: Optional[Frame], t: Term) -> tuple[Optional[Frame], Term]:
+    """The innermost frame, from `frame` up, whose node's rule reads its hole
+    through one `infer` or `check` call (`transparent_child`), or None, the
+    root; and the term in its hole: t plugged into the frames below it."""
+    while frame is not None and not transparent_child(node := frame.plug(t), frame.hole):
+        t, frame = node, frame.parent
+    return frame, t
 
 
-def _judged(holes: list[tuple[Frame, Term]], record: dict) -> dict[Frame, Optional[tuple]]:
-    """The recorded judgment `(expected, type, usage)` of the term in the hole
-    of each frame; None for a term with no judgment of its own."""
-    return {frame: (j[1:] if (j := record.get(id(t))) is not None else None) for frame, t in holes}
-
-
-def _cut_off(
-    checker: Checker, prev: tuple[Config, Usage, dict], config: Config, rt: Ctx, keep: bool
-) -> Optional[Usage]:
-    """The root usage of `config`'s term, taken from the previous
-    configuration when that is sound; None when the term needs a full check.
-
-    `prev` is the previous configuration, its root usage and the judgments of
-    the terms in the holes of its frames, recorded in a runtime context equal
-    to `rt`. The two terms differ only in the hole of their deepest shared
-    frame (`shared_frame`), and only the two subterms there are built. Every
-    evaluation position is read by its parent's rule through its child's
-    judgment alone, except a function that the beta-redex or primitive-spine
-    rule reads syntactically (`transparent_child`); there the cut moves up
-    one frame. So the new subterm is typed in the mode the old one was, in
-    `rt` itself: if its type and usage are the old ones, every ancestor keeps
-    its judgment, the root included (the replacement lemma). With `keep`, the
-    judgments of the frames below the cut are set in `prev`'s; the frames
-    above it keep theirs.
-    """
-    old, usage, judgments = prev
-    if old.frame is config.frame and old.hole is config.hole:
-        return usage
-    cut = shared_frame(old.frame, config.frame)
-    if cut is None:
-        return None
-    old_sub = plug(old.frame, old.hole, cut)
-    new_sub, holes = _filled(config.frame, config.hole, cut)
-    parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
-    # The link at the cut is judged on the two parents themselves: in the
-    # innermost frame of either configuration the hole may hold a value,
-    # such as the abstraction of a beta-redex. One frame up, the hole holds
-    # that application or withBorrow, which its parent reads through its
-    # judgment.
-    if not (transparent_child(parent, cut.hole) and transparent_child(new_parent, cut.hole)):
-        holes.append((cut, new_sub))
-        old_sub, new_sub, cut = parent, new_parent, cut.parent
-        if cut is None:
-            return None
-        parent, new_parent = cut.plug(old_sub), cut.plug(new_sub)
-    hole = cut.hole
-    # A spine link carries no judgment of its own, and a function position
-    # reached from two applications of which only one is a primitive spine
-    # is typed by two different rules. Above an argument link the function
-    # chains are shared, so this test at the cut covers every link above it.
-    if hole == "fn" and type(parent) is App and not (
-        S.prim_spine(parent) is None and S.prim_spine(new_parent) is None
-    ):
-        return None
-    entry = judgments.get(cut)
-    if entry is None:
-        return None
-    expected, ty, used = entry
-    record = {} if keep else None
-    checker.record = record
+def _root_usage(checker: Checker, judged: dict, config: Config, rt: Ctx) -> Optional[Usage]:
+    """The usage of `config`'s term, from its hole and the judgment of the
+    frame above it (`_cut`), judged here if it has none; None when the term
+    must be checked in full."""
+    frame, hole = _cut(config.frame, config.hole)
     try:
-        if expected is None:
-            ty2, used2, _ = checker.infer(rt, new_sub)
-        else:
-            ty2 = expected
-            used2, _ = checker.check(rt, new_sub, expected)
+        if frame not in judged:
+            _judge(checker, judged, frame, hole, rt)
+        expected, ty, used, r = judged[frame]
+        if not (used.refs <= rt.refs.keys() and used.graded.keys() | used.linear <= rt.vars.keys()):
+            return None  # the context reads a name that left the heap
+        hole_ty, hole_used, _ = checker._synth(rt, hole, expected)
+        return ctx_add(used, ctx_scale(r, hole_used)) if hole_ty == ty else None
     except CheckError:
         return None
-    finally:
-        checker.record = None
-    if ty2 != ty or used2 != used:
-        return None
-    if keep:
-        judgments.update(_judged(holes, record))
-    return usage
+
+
+def _judge(checker: Checker, judged: dict, frame: Frame, hole: Term, rt: Ctx) -> None:
+    """Judge `frame`, with `hole` in its hole, and the frames above it that
+    have none, top down, in `rt`. The node between a frame's hole and the
+    hole of the frame above, with a fresh z in its own hole, is typed as the
+    judgment above says that hole is; z has the type its rule checks it
+    against, or else the one the term in the hole infers (`_HoleTypes`)."""
+    z = Var(S.fresh_name("z", rt.vars))
+    frames, nodes = [], []
+    while frame not in judged:
+        frames.append(frame)
+        frame, node = _cut(frame.parent, frame.plug(z))
+        nodes.append(node)
+    hole_types = _HoleTypes(checker, rt, z, hole, nodes)
+    expected, ty, used, r = judged[frame]
+    for i in reversed(range(len(nodes))):
+        node_ty, node_used, read = hole_types.type_node(i, expected)
+        if node_ty != ty:
+            raise CheckError(MISMATCH, f"the node has type {node_ty!r}, its context expects {ty!r}")
+        used = ctx_add(used, ctx_scale(r, node_used.without(z.name)))
+        r = grade_mul(r, node_used.graded[z.name])
+        expected, ty = read, read if read is not None else hole_types(i)
+        judged[frames[i]] = (expected, ty, used, r)
+
+
+class _HoleTypes:
+    """The type that the term in the hole of each of `_judge`'s frames
+    infers, found bottom up, from `hole`, when first asked for. `inferred`
+    keeps, bottom up, the hole's inference and then each node's, with z of
+    the type below, or None where one fails."""
+
+    def __init__(self, checker: Checker, rt: Ctx, z: Var, hole: Term, nodes: list[Term]):
+        self.checker, self.rt, self.z, self.hole, self.nodes = checker, rt, z, hole, nodes
+        self.inferred: list[Optional[tuple]] = []
+
+    def __call__(self, i: int) -> Type:
+        while (j := len(self.inferred)) <= i:
+            try:
+                self.inferred.append(self.type_node(j - 1, None) if j else self.checker.infer(self.rt, self.hole))
+            except CheckError:
+                self.inferred.append(None)
+        if self.inferred[i] is None:
+            raise CheckError(MISMATCH, "the term in the hole has no type")
+        return self.inferred[i][0]
+
+    def type_node(self, i: int, expected: Optional[Type]) -> tuple[Type, Usage, Optional[Type]]:
+        """The i-th node typed against `expected`, or inferred when None (from
+        `inferred` if there): its type, usage and `_HoleProbe.read`."""
+        if expected is None and i + 1 < len(self.inferred):
+            self(i + 1)  # raises where that inference failed
+            return self.inferred[i + 1]
+        probe = _HoleProbe(self, i)
+        ty, used, _ = probe._synth(self.rt, self.nodes[i], expected)
+        return ty, used, probe.read
+
+
+class _HoleProbe(Checker):
+    """A checker for the i-th node of `types`, with their variable z in its
+    hole. It keeps the type that the node's rule checks z against in `read`;
+    where the rule infers z instead, z has the type `types(i)` and `read`
+    stays None. Subterms without z go to the trace's checker, so only the
+    path down to the hole is typed here."""
+
+    def __init__(self, types: _HoleTypes, i: int):
+        super().__init__(types.checker.ring)
+        self.checker, self.z, self.types, self.i, self.read = types.checker, types.z, types, i, None
+
+    def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
+        if t is self.z:
+            return self.types(self.i), Usage(graded={t.name: self.ring.one}), t
+        if self.z.name in S.free_vars(t):
+            return super().infer(ctx, t)
+        return self.checker.infer(ctx, t)
+
+    def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
+        if t is self.z:
+            self.read = expected
+            return Usage(graded={t.name: self.ring.one}), t
+        if self.z.name in S.free_vars(t):
+            return super().check(ctx, t, expected)
+        return self.checker.check(ctx, t, expected)
 
 
 def check_progress(trace: Trace) -> list[Violation]:

@@ -277,10 +277,8 @@ class TypingMemo:
     Every hit returns the same stored result, so callers must not mutate it.
 
     A memo hit is keyed on one node, so it cannot help a node that a step
-    has just rebuilt. `check_preservation` therefore uses the memo only for
-    the configurations it checks in full; in between it types only the
-    subtree a step replaced, against the judgments a Checker records (see
-    `Checker`).
+    has just rebuilt: `metatheory.check_preservation` types each of those
+    once per frame, with a fresh variable in its hole (see `Checker`).
     """
 
     def __init__(self) -> None:
@@ -315,23 +313,20 @@ class GlobalDef:
 class Checker:
     """Bidirectional checking with usage synthesis.
 
+    Every rule adds and scales its children's usages, so the graded
+    substitution lemma holds (Orchard, Liepelt & Eades, "Quantitative program
+    reasoning with graded modal types", ICFP 2019; Atkey, "Syntax and
+    semantics of quantitative type theory", LICS 2018): if Γ, z :[A]_r ⊢
+    C[z] : B and Δ ⊢ t : A, then Γ + r·Δ ⊢ C[t] : B, where C reads z as it
+    would read t, through one `infer` or `check` call (`transparent_child`).
+
     With a `TypingMemo`, judgments on let, unpack, clone and withBorrow nodes,
     and on terms passed to `infer_shared`, are looked up before they are
     computed. Failures are never stored. A stored judgment may come from a
     computation that renamed an inner binder, so its elaborated term fits the
     context it was computed in; every user of a memo discards the elaborated
     term.
-
-    While `record` is a dict, every `infer` and `check` call that succeeds
-    stores its judgment there under `id(t)`: `(t, expected, type, usage)`,
-    with `expected` None when inferring and the type the expected one when
-    checking. The outermost call on a node wins (`check` falling back to
-    `infer` on the same node), and a node judged by two separate calls, as a
-    node shared by two positions is, maps to None.
     """
-
-    # A class-level default, so that a checker that never records carries none.
-    record: Optional[dict] = None
 
     def __init__(
         self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None, memo: Optional[TypingMemo] = None
@@ -388,41 +383,41 @@ class Checker:
             case Var(n):
                 entry = ctx.vars.get(n)
                 if isinstance(entry, LinearEntry):
-                    out = entry.ty, Usage(linear={n}), t
+                    return entry.ty, Usage(linear={n}), t
                 elif entry is not None:
-                    out = entry.ty, Usage(graded={n: self.ring.one}), t
+                    return entry.ty, Usage(graded={n: self.ring.one}), t
                 elif n in self.globals:
                     g = self.globals[n]
-                    out = g.signature, Usage(), g.body
+                    return g.signature, Usage(), g.body
                 else:
                     raise CheckError(UNBOUND_VARIABLE, f"unbound variable {n!r}", t.loc, rule="var")
             case NatLit():
-                out = NatT(), Usage(), t
+                return NatT(), Usage(), t
             case FloatLit():
-                out = FloatT(), Usage(), t
+                return FloatT(), Usage(), t
             case UnitVal():
-                out = UnitT(), Usage(), t
+                return UnitT(), Usage(), t
             case Pair(l, r):
                 tl, ul, el = self.infer(ctx, l)
                 tr, ur, er = self.infer(ctx, r)
-                out = Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
+                return Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case Abs(_, _, ann):
                 if ann is None:
                     raise CheckError(MISMATCH, "cannot infer the type of an unannotated function", t.loc, rule="abs")
                 self._check_wf(ann, ctx, t.loc)
                 tb, ub, e = self._abs(ctx, t, ann, None, t.loc)
-                out = Fun(ann, tb), ub, e
+                return Fun(ann, tb), ub, e
             case App():
-                out = self._infer_app(ctx, t)
+                return self._infer_app(ctx, t)
             case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
-                out = self._recalled(ctx, t, None, rule)
+                return self._recalled(ctx, t, None, rule)
             case Promote(_, grade):
                 if grade is None:
                     raise CheckError(MISMATCH, "cannot infer the grade of a promotion; annotate the binding", t.loc, rule="promotion")
                 # elaborated boxes record their grade, so runtime terms re-infer
-                out = self._promote(ctx, t, grade, None)
+                return self._promote(ctx, t, grade, None)
             case Pack():
-                out = self._pack(ctx, t, None)
+                return self._pack(ctx, t, None)
             case Split(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not isinstance(tb, Amp):
@@ -436,7 +431,7 @@ class Checker:
                         rule="split",
                     )
                 half = G.perm_half(p)
-                out = Prod(Amp(half, tb.body), Amp(half, tb.body)), ub, S._rebuild(t, body=eb)
+                return Prod(Amp(half, tb.body), Amp(half, tb.body)), ub, S._rebuild(t, body=eb)
             case Join(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
@@ -457,12 +452,12 @@ class Checker:
                     raise CheckError(STAR_NOT_ADDABLE, str(e), t.loc, rule="join")
                 except G.PermissionOverflow as e:
                     raise CheckError(PERMISSION_OVERFLOW, str(e), t.loc, rule="join")
-                out = Amp(total, tb.left.body), ub, S._rebuild(t, body=eb)
+                return Amp(total, tb.left.body), ub, S._rebuild(t, body=eb)
             case Push(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Amp) and isinstance(tb.body, Prod)):
                     raise CheckError(MISMATCH, f"push expects a borrowed product, got {tb!r}", t.loc, rule="push")
-                out = Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), ub, S._rebuild(t, body=eb)
+                return Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), ub, S._rebuild(t, body=eb)
             case Pull(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
@@ -474,31 +469,28 @@ class Checker:
                         t.loc,
                         rule="pull",
                     )
-                out = Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
+                return Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
             case Share():
                 raise CheckError(MISMATCH, "cannot infer the grade of share; annotate the use site", t.loc, rule="share")
             case Prim(name):
                 if name != "newArray":
                     raise CheckError(MISMATCH, f"primitive {name} must be applied to its resource argument", t.loc, rule="prim")
-                out = self._prim_result_type("newArray", [], t.loc), Usage(), t
+                return self._prim_result_type("newArray", [], t.loc), Usage(), t
             case Uniq(body, perm):
                 tb, ub, eb = self.infer(ctx, body)
-                out = Amp(perm, tb), ub, S._rebuild(t, body=eb)
+                return Amp(perm, tb), ub, S._rebuild(t, body=eb)
             case Unborrow(body):
                 tb, ub, eb = self.infer(ctx, body)
                 if not _whole(tb):
                     raise CheckError(MISMATCH, f"unborrow expects a whole borrow, got {tb!r}", t.loc, rule="unborrow")
-                out = Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
+                return Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
             case RefVal(r):
                 if r not in ctx.refs:
                     raise CheckError(UNBOUND_VARIABLE, f"unknown reference {r!r}", t.loc, rule="ref")
                 e = ctx.refs[r]
-                out = ResT(e.kind, e.ident, e.payload), Usage(refs={r}), t
+                return ResT(e.kind, e.ident, e.payload), Usage(refs={r}), t
             case _:
                 raise CheckError(MISMATCH, f"cannot infer a type for {t!r}", t.loc, rule="infer")
-        if (record := self.record) is not None:
-            record[id(t)] = None if id(t) in record else (t, None, out[0], out[1])
-        return out
 
     def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
         match t:
@@ -507,50 +499,44 @@ class Checker:
                     raise CheckError(MISMATCH, f"function given non-function type {expected!r}", t.loc, rule="abs")
                 if ann is not None and not type_alpha_eq(ann, expected.dom):
                     raise CheckError(MISMATCH, f"annotation {ann!r} conflicts with expected domain {expected.dom!r}", t.loc, rule="abs")
-                out = self._abs(ctx, t, expected.dom, expected.cod, t.loc)[1:]
+                return self._abs(ctx, t, expected.dom, expected.cod, t.loc)[1:]
             case Pair(l, r) if isinstance(expected, Prod):
                 ul, el = self.check(ctx, l, expected.left)
                 ur, er = self.check(ctx, r, expected.right)
-                out = ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
+                return ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case Promote():
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"promotion given non-box type {expected!r}", t.loc, rule="promotion")
-                out = self._promote(ctx, t, expected.grade, expected.body)[1:]
+                return self._promote(ctx, t, expected.grade, expected.body)[1:]
             case Share(body):
                 if not isinstance(expected, Box):
                     raise CheckError(MISMATCH, f"share produces a box, but {expected!r} was expected", t.loc, rule="share")
                 ub, eb = self.check(ctx, body, Amp(STAR, expected.body))
-                out = ub, S._rebuild(t, body=eb, grade=expected.grade)
+                return ub, S._rebuild(t, body=eb, grade=expected.grade)
             case Pack(i) if isinstance(expected, ExistsT):
-                out = self._pack(ctx, t, type_subst_names(expected.body, {expected.binder: i}))[1:]
+                return self._pack(ctx, t, type_subst_names(expected.body, {expected.binder: i}))[1:]
             case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
-                out = self._recalled(ctx, t, expected, rule)[1:]
+                return self._recalled(ctx, t, expected, rule)[1:]
             case App():
                 ty, u, e = self._infer_app(ctx, t, expected)
                 if not _arg_type_fits(ty, expected):
                     raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="app")
-                out = u, e
+                return u, e
             case Uniq(body, perm) if isinstance(expected, Amp):
                 if perm != expected.perm:
                     raise CheckError(MISMATCH, f"wrapper permission {perm} does not match {expected.perm}", t.loc, rule="nec")
                 ub, eb = self.check(ctx, body, expected.body)
-                out = ub, S._rebuild(t, body=eb)
+                return ub, S._rebuild(t, body=eb)
             case Unborrow(body):
                 if not _owned(expected):
                     raise CheckError(MISMATCH, f"unborrow produces an owned value, but {expected!r} was expected", t.loc, rule="unborrow")
                 ub, eb = self.check(ctx, body, Amp(WHOLE, expected.body))
-                out = ub, S._rebuild(t, body=eb)
+                return ub, S._rebuild(t, body=eb)
             case _:
                 ty, u, e = self.infer(ctx, t)
                 if not _arg_type_fits(ty, expected):
                     raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="check")
-                # the judgment of this call replaces the one infer recorded on t
-                if (record := self.record) is not None and record[id(t)] is not None:
-                    record[id(t)] = (t, expected, expected, u)
                 return u, e
-        if (record := self.record) is not None:
-            record[id(t)] = None if id(t) in record else (t, expected, expected, out[0])
-        return out
 
     # -- composite rules ------------------------------------------------------
 
@@ -895,13 +881,13 @@ def transparent_child(t: Term, name: str) -> bool:
     """Whether t's rule reads its child `name` only through one `infer` or
     `check` call on it, made in t's own context.
 
-    Every evaluation position that holds a non-value is read so, except the
-    function of an application or withBorrow that is an abstraction or a
-    primitive: the beta-redex and primitive-spine rules read that one
-    syntactically. A link of a primitive spine holds an application, so it
-    passes this test; the spine's rule types no link of its own.
+    Every evaluation position is read so, except the function of an
+    application or withBorrow that is an abstraction or a primitive, and the
+    function of an application that is a link of a primitive spine: the
+    beta-redex and primitive-spine rules read those syntactically. An
+    argument of a spine is read by the rule of the spine's outermost link.
     """
-    return name != "fn" or type(t.fn) not in (Abs, Prim)
+    return name != "fn" or not (type(t.fn) in (Abs, Prim) or (type(t) is App and S.prim_spine(t) is not None))
 
 
 # The binding forms. Each rule types its right-hand side and synthesizes its

@@ -570,7 +570,8 @@ def test_memoized_preservation_agrees_with_fresh_checkers(mutate):
     from gradebor.typecheck import check_program
 
     cases = [(load(name), None) for name in ACCEPTED]
-    cases += [(checked(GOLDEN.chain_source(100)), None), (checked(GOLDEN.ladder_source(20)), None)]
+    cases += [(checked(GOLDEN.chain_source(100)), None)]
+    cases += [(checked(GOLDEN.ladder_source(rungs)), None) for rungs in (20, 40)]
     cases += [(checked(source), None) for name, (_, source) in STEPS_INSIDE.items() if name != "box"]
     for prog in generate_programs(17, count=300):
         cp = check_program(prog)
@@ -652,17 +653,6 @@ def test_memo_tells_contexts_apart_by_reference_entries():
         else:
             with pytest.raises(CheckError, match="expects an array reference"):
                 checker.check(ctx, t, UnitT())
-
-
-def test_checker_records_the_outermost_judgment_and_forgets_a_node_judged_twice():
-    one = NatLit(1)  # one node at two positions
-    unit = UnitVal()
-    checker = Checker(RING)
-    checker.record = {}
-    checker.check(Ctx(RING, lenient_names=True), Pair(Pair(one, one), unit), Prod(Prod(NatT(), NatT()), UnitT()))
-    assert checker.record[id(one)] is None
-    # check falls back to infer on the unit; the outer call's judgment wins
-    assert checker.record[id(unit)][:3] == (unit, UnitT(), UnitT())
 
 
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
@@ -759,6 +749,13 @@ main = unpack <j, r> = newRef 1.5 in
 """
 
 
+def _frame_of(frame, cls):
+    """The innermost frame, from `frame` up, whose node is of class cls."""
+    while frame is not None and type(frame.node) is not cls:
+        frame = frame.parent
+    return frame
+
+
 def _corrupt_off_path_literal(trace, k):
     # the outermost write stores a Nat: configuration k gets a frame of its
     # own for that write, and new frames below it, while configurations
@@ -794,16 +791,14 @@ def _corrupt_stored_reference_type(trace, k):
     ],
 )
 def test_preservation_reports_exactly_the_corrupted_step_of_a_write(corrupt, failure):
-    from gradebor.metatheory import _same_ctx
-
     cp = checked(WRITES_BESIDE_A_CELL)
     _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
     k = 8
-    # configurations k - 1 to k + 1 are writes in one runtime context, so
-    # uncorrupted, k and k + 1 reuse the judgments of the one before
+    # configurations k - 1 to k + 1 are writes below one frame, the pack's,
+    # so uncorrupted, k and k + 1 reuse the judgments of the one before
     assert trace.steps[k - 2 : k + 1] == [f"congPairR/congPack/{'appR/appR/appL/' * n}writeArray" for n in (3, 2, 1)]
-    rts = [runtime_ctx(c.heap, cp.ring) for c in trace.configs[k - 1 : k + 2]]
-    assert _same_ctx(rts[0], rts[1]) and _same_ctx(rts[1], rts[2])
+    packs = [_frame_of(c.frame, Pack) for c in trace.configs[k - 1 : k + 2]]
+    assert packs[0] is not None and packs[0] is packs[1] is packs[2]
     assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
     corrupt(trace, k)
     found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
@@ -896,6 +891,33 @@ def test_preservation_retypes_a_beta_redex_whose_function_stepped_to_an_abstract
     ]
 
 
+@pytest.mark.parametrize("gone", ["ref", "var"])
+def test_preservation_checks_a_context_that_reads_a_name_the_step_freed(gone):
+    # two configurations share the frame of a pair's left component; its
+    # right component reads ref1 (or x), which the second heap no longer
+    # holds, as a machine that freed a resource or dropped a binding too
+    # early would leave it
+    from gradebor.machine import Config, Frame, Trace
+    from gradebor.syntax import ResT
+
+    heaps = []
+    for keep in (True, False):
+        heap = Heap()
+        if keep and gone == "ref":
+            heap.resources["id1"] = ArrRes()
+            heap.refs["ref1"] = RefCell(Fraction(1), "id1")
+        if keep and gone == "var":
+            heap.vars["x"] = VarCell(RING.one, UnitVal(), UnitT())
+        heaps.append(heap)
+    right, right_type = (RefVal("ref1"), ResT("Array", "id1", FloatT())) if gone == "ref" else (Var("x"), UnitT())
+    hole = LetUnit(UnitVal(), UnitVal())
+    frame = Frame(Pair(hole, right), 0, RING.one, None)
+    trace = Trace(RING.one, ["none"], [Config(frame, hole, heaps[0]), Config(frame, UnitVal(), heaps[1])], 1)
+    memoized, oracle = preservation_against_oracle(trace, Prod(UnitT(), right_type), RING, RING.one)
+    assert memoized == oracle
+    assert [v.step for v in oracle] == [1] and "re-inference failed" in oracle[0].message
+
+
 def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
     # counted calls, not time: how many configurations are typed from their
     # root, how many primitive applications are typed in all, and how many
@@ -936,6 +958,80 @@ def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
     assert 1 <= counts[50]["root"] <= 4 and 1 <= counts[100]["root"] <= 4, counts
     assert counts[100]["prim"] <= 2.2 * counts[50]["prim"], counts
     assert counts[100]["transparent"] <= 2.2 * counts[50]["transparent"], counts
+
+
+def test_preservation_work_on_a_split_ladder_grows_linearly(monkeypatch):
+    # counted calls, not time: how many configurations or top frames are
+    # typed from their root, and how many nodes are typed in all
+    counts = {}
+    for rungs in (20, 40):
+        cp = checked(GOLDEN.ladder_source(rungs))
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        calls = {"root": 0, "typed": 0}
+        infer, check = Checker.infer, Checker.check
+        depth = [0]
+
+        def counted(typing, expected=None):
+            calls["root"] += depth[0] == 0 and expected is cp.main_type
+            calls["typed"] += 1
+            depth[0] += 1
+            try:
+                return typing()
+            finally:
+                depth[0] -= 1
+
+        def counted_infer(self, ctx, t):
+            return counted(lambda: infer(self, ctx, t))
+
+        def counted_check(self, ctx, t, expected):
+            return counted(lambda: check(self, ctx, t, expected), expected)
+
+        with monkeypatch.context() as m:
+            m.setattr(Checker, "infer", counted_infer)
+            m.setattr(Checker, "check", counted_check)
+            assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+        counts[rungs] = calls
+    assert 1 <= counts[20]["root"] <= 4 and 1 <= counts[40]["root"] <= 4, counts
+    assert counts[40]["typed"] <= 2.2 * counts[20]["typed"], counts
+
+
+def test_a_heap_variable_keeps_the_type_it_was_bound_at():
+    # preservation keeps a frame's judgment while the variables it reads
+    # keep their types
+    from gradebor.generator import generate_programs
+    from gradebor.typecheck import check_program
+
+    programs = [load(name) for name in ACCEPTED]
+    programs += [checked(GOLDEN.chain_source(100)), checked(GOLDEN.ladder_source(20))]
+    programs += [check_program(prog) for prog in generate_programs(17, count=300)]
+    bound = 0
+    for cp in programs:
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        types = {}
+        for config in trace.configs:
+            for x, cell in config.heap.vars.items():
+                assert types.setdefault(x, cell.ty) == cell.ty, (x, types[x], cell.ty)
+        bound += len(types)
+    assert bound > 1000
+
+
+def test_preservation_types_a_primitive_spine_by_its_own_rule():
+    # swapRef's spine needs the new value at the payload's type exactly; a
+    # generic application would accept the box at a smaller grade
+    from gradebor.machine import RefRes
+
+    heap = Heap()
+    payload = Box(RING.literal(2), FloatT())
+    heap.resources["id1"] = RefRes(Promote(FloatLit(1.5), RING.literal(2)), payload)
+    heap.refs["ref1"] = RefCell(Fraction(1), "id1")
+    heap.counter = 1
+    ref = LetUnit(UnitVal(), Uniq(RefVal("ref1"), STAR))
+    term = App(App(Prim("swapRef"), ref), Promote(FloatLit(2.5), RING.one))
+    _, trace = Machine(RING).eval(heap, term, RING.one)
+    main_type = Prod(payload, parse_type("* (Ref id1 (Float [2]))"))
+    memoized, oracle = preservation_against_oracle(trace, main_type, RING, RING.one)
+    assert memoized == oracle
+    assert oracle[0].step == 0 and "swapRef value must have type" in oracle[0].message
 
 
 def test_borrow_safety_work_on_a_write_chain_grows_linearly(monkeypatch):
