@@ -4,8 +4,12 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload write_chain --seeds 201-210
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds R --trace 0`
-once in each checkout, one process at a time, with R the `run_seconds` of the
+At start each checkout is copied once into a temporary directory, without
+`.git`, `perfbench/out` or caches, and every pair runs from those copies:
+gate records that an earlier run left in `perfbench/out` cannot fail a run,
+and an edit made to a checkout while pairs run reaches none of them. Each
+pair runs `perfbench/run.py --workload W --seed S --seconds R --trace 0`
+once in each copy, one process at a time, with R the `run_seconds` of the
 change's `BENCHMARK.json`; the parent goes first in pairs 1, 3, 5, ... and the
 change first in pairs 2, 4, 6, ..., so a drift in the host's speed does not
 favour one side. For every end-to-end metric of the change's
@@ -20,10 +24,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# Left out of a checkout's copy: version control, caches, and the records
+# earlier benchmark runs wrote.
+_SKIPPED = {".git", "__pycache__", ".pytest_cache", ".hypothesis"}
 
 
 def seeds(spec: str) -> list[int]:
@@ -32,6 +42,18 @@ def seeds(spec: str) -> list[int]:
         lo, hi = spec.split("-")
         return list(range(int(lo), int(hi) + 1))
     return [int(s) for s in spec.split(",")]
+
+
+def copy_checkout(checkout: Path, into: Path) -> Path:
+    """A copy of `checkout` at `into`, without `.git`, `perfbench/out` or caches."""
+    out = (checkout / "perfbench").resolve()
+
+    def skipped(directory: str, names: list[str]) -> set[str]:
+        here = Path(directory).resolve()
+        return {n for n in names if n in _SKIPPED or (here == out and n == "out")}
+
+    shutil.copytree(checkout, into, ignore=skipped)
+    return into
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -63,16 +85,17 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    sides = {"parent": args.parent, "change": args.change}
-    values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in sides}
-    for i, seed in enumerate(seeds(args.seeds)):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        got = {side: run(sides[side], args.workload, seed, spec["run_seconds"]) for side in order}
-        for side in sides:
-            for m in higher:
-                values[side][m].append(got[side][m])
-        cells = "  ".join(f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}" for m in higher)
-        print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
+    values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in ("parent", "change")}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        sides = {side: copy_checkout(getattr(args, side), Path(tmp) / side) for side in values}
+        for i, seed in enumerate(seeds(args.seeds)):
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            got = {side: run(sides[side], args.workload, seed, spec["run_seconds"]) for side in order}
+            for side in sides:
+                for m in higher:
+                    values[side][m].append(got[side][m])
+            cells = "  ".join(f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}" for m in higher)
+            print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
 
     for m, up in higher.items():
         parent, change = values["parent"][m], values["change"][m]

@@ -214,7 +214,7 @@ def cmd_corpus(args) -> int:
                     matched = False
                     detail = f"metatheory: {found[0]}"
                 else:
-                    detail = f"{len(trace.steps)} steps -> {print_term(value)}"
+                    detail = f"{trace.step_count} steps -> {print_term(value)}"
             except EvalError as e:
                 matched = False
                 detail = f"evaluation failed: {e}"

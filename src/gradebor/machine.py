@@ -2,8 +2,8 @@
 
 Configurations pair a three-sorted heap (variables, permission-annotated
 references, resources) with a term under reduction. `step` applies exactly
-one rule; the recorded rule name is the chain of congruences down to the
-leaf, joined with '/'.
+one rule; its rule path is the chain of congruences down to the leaf rule,
+joined with '/'.
 
 The machine reduces and records; it never types a term. A `newRef` cell
 stores the payload type that elaboration put on its head (`Prim.ann`, None
@@ -11,7 +11,7 @@ for a term that was never elaborated). Each `readRef` lowers the grade of
 that type and of the stored box by one, as the checker's rule does, and
 `swapRef` keeps the type, which the checker requires the new value to
 have. A recording `eval` returns a `Trace` that holds each configuration
-once, plus the rule path of each step; a run that does not record keeps
+once, plus the leaf rule of each step; a run that does not record keeps
 only its step count and final configuration.
 
 Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
@@ -25,7 +25,9 @@ around it (Huet, "The Zipper", JFP 1997), so a recording run stores a
 configuration as its innermost frame, the term in the hole and a heap
 snapshot (`Config`), and consecutive configurations share every frame above
 the point where they differ. No run plugs the contractum back into a whole
-term at every step; a recording run builds the rule path from the frames.
+term at every step. A step's rule path is read from the frames of its
+configuration when asked for, and `Trace.to_jsonl` prints each frame once
+per context it enters, not once per line.
 
 Each rule is stated once. `_CONGRUENCES` names each evaluation position by
 its child field; the plug that fills it is derived at import from
@@ -49,6 +51,7 @@ per-run counter on the heap, so a dropped name is never bound again.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -57,7 +60,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .grades import Grade, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
 from . import grades as G
 from . import syntax as S
-from .parser import print_term, print_type
+from .parser import print_around, print_term, print_type
 from .syntax import (
     Abs, App, Clone, FloatLit, Join, LetBox, LetPair, LetUnit, NatLit, Pack,
     Pair, Prim, Promote, Pull, Push, RefVal, Share, Split, Term, Type, Unborrow,
@@ -245,7 +248,7 @@ class Config(NamedTuple):
 
 @dataclass
 class Trace:
-    """A run at grade `grade`: the rule path of each recorded step, the
+    """A run at grade `grade`: the leaf rule of each recorded step, the
     configurations, and how many steps the run took.
 
     A recorded run keeps every configuration once, the initial one first:
@@ -253,19 +256,26 @@ class Trace:
     0 holds the first redex in its context, and configuration k + 1 the
     contractum of step k in the context of its redex, so consecutive
     configurations share the frames above the point where the step and the
-    search for the next redex changed the term (see `Config`). A trace built
-    by hand from `(term, heap)` pairs holds each term whole, in an empty
-    context. A run that did not record has no steps and one configuration,
-    its value and live heap."""
+    search for the next redex changed the term (see `Config`). Step k's rule
+    path is the congruences of that context, read from
+    `configs[k + 1].frame`, then `leaves[k]`; `steps` joins it when read. A
+    trace built by hand from `(term, heap)` pairs holds each term whole, in
+    an empty context, so each of its paths is its leaf. A run that did not
+    record has no steps and one configuration, its value and live heap."""
 
     grade: Grade
-    steps: list[str]
+    leaves: list[str]
     configs: list[Config]
     step_count: int
     _whole: Optional[list[tuple[Term, Heap]]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.configs = [c if type(c) is Config else Config(None, *c) for c in self.configs]
+
+    @property
+    def steps(self) -> "RulePaths":
+        """The rule path of each recorded step, joined when read."""
+        return RulePaths(self)
 
     def configurations(self) -> list[tuple[Term, Heap]]:
         """Every configuration as its whole term and heap; the terms are
@@ -288,17 +298,84 @@ class Trace:
         A step line is `{"step", "rule", "grade", "term", "heap"}` for the
         configuration after the step; the last line is `{"step", "value",
         "heap"}`; "heap" is `Heap.to_json()`. Each line is the `json.dumps`
-        of its whole record. A line's term is built for that line and kept
-        by none.
+        of its whole record. No line's term is built: `_printed` prints each
+        frame of a context once and each hole in its place.
         """
         grade = str(self.grade)
-        lines = [
-            json.dumps({"step": k, "rule": rule, "grade": grade, "term": print_term(c.term()), "heap": c.heap.to_json()})
-            for k, (rule, c) in enumerate(zip(self.steps, self.configs[1:]))
-        ]
-        final = {"step": len(self.steps), "value": print_term(self.final_term), "heap": self.final_heap.to_json()}
+        printed = _printed(self.configs)
+        # configuration 0 opens the first context; with no step, it is the final one
+        term, _ = next(printed)
+        lines = []
+        for k, (leaf, c, (term, congruences)) in enumerate(zip(self.leaves, self.configs[1:], printed)):
+            rule = "/".join([*congruences, leaf])
+            lines.append(json.dumps({"step": k, "rule": rule, "grade": grade, "term": term, "heap": c.heap.to_json()}))
+        final = {"step": len(self.leaves), "value": term, "heap": self.final_heap.to_json()}
         lines.append(json.dumps(final))
         return "\n".join(lines)
+
+
+class RulePaths(Sequence):
+    """The rule paths of a trace's steps, each joined from its frames when
+    read. The length is the number of leaves; no path is built for it."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.leaves)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = range(len(self))[k]
+        return _rule(self._trace.configs[k + 1].frame, self._trace.leaves[k])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, RulePaths)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _printed(configs: list[Config]) -> Iterator[tuple[str, list[str]]]:
+    """Each configuration's whole term as `print_term` prints it, and the
+    congruence names of its context from the root.
+
+    The contexts' frames are kept on a stack, each printed once, by
+    `print_around`, as the text on either side of its hole; a frame is
+    printed at the precedence of its parent's hole, 0 at the root. For each
+    configuration the stack is cut back to the frame it shares with the
+    previous one and the new frames are pushed; a line is then the left
+    texts, the hole printed at its position's precedence, and the right
+    texts. The state is the current context's frames, never every frame of
+    the trace. The yielded name list is the stack's, valid until the next
+    configuration is read."""
+    lefts: list[str] = []
+    rights: list[str] = []  # innermost last
+    precs: list[int] = []  # each hole's precedence
+    names: list[str] = []
+    previous: Optional[Frame] = None
+    for c in configs:
+        shared = shared_frame(previous, c.frame)
+        kept = shared.depth if shared is not None else 0
+        del lefts[kept:], rights[kept:], precs[kept:], names[kept:]
+        new = []
+        f = c.frame
+        while f is not shared:
+            new.append(f)
+            f = f.parent
+        for f in reversed(new):
+            hole, name = _CONGRUENCES[type(f.node)][f.pos]
+            left, right, prec = print_around(f.node, hole, precs[-1] if precs else 0)
+            lefts.append(left)
+            rights.append(right)
+            precs.append(prec)
+            names.append(name)
+        previous = c.frame
+        hole = print_term(c.hole, precs[-1] if precs else 0)
+        yield "".join([*lefts, hole, *reversed(rights)]), names
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +408,7 @@ def _plugger(cls: type, hole: str) -> Callable[[Term, Term], Term]:
 
     The constructor call is generated from the class's fields, as
     `dataclasses` generates `__init__`, so it costs what a hand-written call
-    does: `Trace.to_jsonl` plugs through every frame of every configuration."""
+    does: `_refocus` plugs every value it leaves into its frame."""
     args = ", ".join("t" if n == hole else f"p.{n}" for n in S._FIELDS[cls])
     code = compile(f"lambda p, t: cls({args})", f"<plug {cls.__name__}.{hole}>", "eval")
     return eval(code, {"cls": cls})
@@ -434,7 +511,7 @@ class Machine:
         """Reduce t at grade s to a value, in place on heap, dropping the
         unreachable grade-0 variables the run bound after every step (see
         the module docstring)."""
-        rules: list[str] = []
+        leaves: list[str] = []
         own = set(heap.vars)  # the caller's variables, never dropped
         zeros: set[str] = set()  # variables the run bound that hold grade 0
         zero = self.ring.zero
@@ -456,13 +533,13 @@ class Machine:
             if zeros:
                 _collect(heap, frame, c, zeros)
             if record:
-                rules.append(_rule(frame, leaf))
+                leaves.append(leaf)
                 configs.append(Config(frame, c, heap.snapshot()))
             redex, g, frame, found = self._refocus(c, g, frame)
             k += 1
         if not record:
-            return redex, Trace(s, rules, [(redex, heap)], k)
-        trace = Trace(s, rules, configs, k)
+            return redex, Trace(s, leaves, [(redex, heap)], k)
+        trace = Trace(s, leaves, configs, k)
         return trace.final_term, trace
 
     # -- finding the redex ------------------------------------------------------

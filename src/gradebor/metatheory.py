@@ -298,7 +298,7 @@ class _HoleProbe(Checker):
 def check_progress(trace: Trace) -> list[Violation]:
     """On a completed trace, progress amounts to ending in a value."""
     if not S.is_value(trace.final_term):
-        return [Violation("progress", len(trace.steps), f"run ended on a non-value: {trace.final_term!r}")]
+        return [Violation("progress", trace.step_count, f"run ended on a non-value: {trace.final_term!r}")]
     return []
 
 

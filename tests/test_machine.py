@@ -333,6 +333,73 @@ def test_trace_matches_a_step_loop_on_the_chain_and_the_ladder():
         _trace_agrees(cp, cp.ring.one)
 
 
+def test_frame_lines_equal_the_plugged_terms_at_every_position():
+    import json
+
+    from gradebor.machine import _CONGRUENCES, Config, Frame, _rule, plug
+    from gradebor.parser import print_around
+    from gradebor.syntax import Join, LetUnit, Pull, Push, WithBorrow
+
+    w = App(Var("f"), Var("a"))
+    nodes = [
+        App(w, w), Pair(w, w), LetPair("x", "y", w, w), LetUnit(w, w), Promote(w), LetBox("x", w, w),
+        Pack("i", w), Unpack("i", "x", w, w), WithBorrow(w, w), Unborrow(w), Share(w),
+        Clone("x", ("i",), w, w), Split(w), Join(w), Push(w), Pull(w),
+    ]
+    assert {type(node) for node in nodes} == set(_CONGRUENCES)
+    # never parenthesized; parenthesized at atom precedence; at application
+    # precedence and above
+    holes = [Var("h"), App(Var("g"), Var("h")), LetUnit(Var("u"), Var("h"))]
+    # a context that prints its hole at atom precedence
+    outer = Frame(App(Var("k"), w), 1, one(), None)
+    configs = [Config(None, UnitVal(), Heap())]
+    for node in nodes:
+        for pos, (hole, _) in enumerate(_CONGRUENCES[type(node)]):
+            _, _, prec = print_around(node, hole, 0)
+            assert any(print_term(t, prec) != print_term(t) for t in holes) == (prec > 0)
+            for parent in (None, outer):
+                frame = Frame(node, pos, one(), parent)
+                configs += [Config(frame, t, Heap()) for t in holes]
+    leaves = [f"leaf{k}" for k in range(len(configs) - 1)]
+    trace = Trace(one(), leaves, configs, len(leaves))
+    lines = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    for k, (leaf, c) in enumerate(zip(leaves, configs[1:])):
+        assert lines[k]["term"] == print_term(plug(c.frame, c.hole))
+        assert lines[k]["rule"] == trace.steps[k] == _rule(c.frame, leaf)
+    assert lines[-1]["value"] == print_term(trace.final_term)
+
+
+def test_recorded_bytes_per_step_do_not_grow_on_the_chain():
+    import gc
+    import tracemalloc
+
+    per_step = {}
+    for writes in (50, 200):
+        cp = check_program(parse_program(_golden().chain_source(writes)))
+        # a full collection empties the interpreter's free lists, whose
+        # objects tracemalloc would not see allocated
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+            gc.collect()
+            per_step[writes] = tracemalloc.get_traced_memory()[0] / trace.step_count
+        finally:
+            tracemalloc.stop()
+    assert per_step[200] <= 1.1 * per_step[50]
+
+
+def test_a_recorded_run_keeps_leaf_rules_and_reads_paths_from_the_frames():
+    cp = check_program(parse_program(_golden().chain_source(3)))
+    _, trace = machine().eval(Heap(), cp.main_term, one())
+    assert trace.leaves == ["newArray", "existentialBeta", "var", "writeArray", "writeArray", "writeArray"]
+    assert len(trace.steps) == trace.step_count == 6
+    assert trace.steps[-2:] == ["congPack/appR/appR/appL/writeArray", "congPack/writeArray"]
+    assert trace.steps[-1] == trace.steps[5] == "congPack/writeArray"
+    with pytest.raises(IndexError):
+        trace.steps[6]
+
+
 def hand_trace(heaps, term=UnitVal()):
     """A trace whose printed configurations hold `term` and the given heaps
     in turn: one step into each heap, the last of which is also the final one."""
