@@ -18,13 +18,24 @@ and quartiles, and the pairs the change wins (better by the metric's
 direction). The claim gate of a speed-up is: at least 9 wins in 10 pairs, and
 medians that differ by more than the parent's interquartile spread. Exits 1
 if any run fails or reports `"correct": false`.
+
+The copies carry no `__pycache__`, so when `PYTHONDONTWRITEBYTECODE=1` is
+set every set-up in a run compiles `src/gradebor` from source, and `setup_s`
+follows the size of the source more than the work done at start-up.
+
+On SIGTERM the script stops the running benchmark, together with the probes
+it started, and leaves through the `with` block, so both copies are removed;
+it exits with status 143 (128 plus the signal number). Ctrl-C does the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -60,11 +71,20 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, f
     """One benchmark run; its end-to-end metric values by name."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    # The run leads its own process group, so stopping this script stops the
+    # run and the probes it starts.
+    with subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            raise
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if child.returncode == 0 and lines else None
     if result is None or not result["correct"]:
-        sys.exit(f"bench_pairs: {checkout} seed {seed} failed:\n{done.stderr.strip()}")
+        sys.exit(f"bench_pairs: {checkout} seed {seed} failed:\n{stderr.strip()}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -73,6 +93,10 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4)
     return q1, statistics.median(xs), q3
+
+
+def _terminated(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def main(argv=None) -> int:
@@ -86,6 +110,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in ("parent", "change")}
+    signal.signal(signal.SIGTERM, _terminated)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {side: copy_checkout(getattr(args, side), Path(tmp) / side) for side in values}
         for i, seed in enumerate(seeds(args.seeds)):

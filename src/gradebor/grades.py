@@ -7,7 +7,8 @@ ownership (star) or an exact rational fraction in (0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -232,38 +233,79 @@ def grade_minus_one(g: Grade) -> Optional[Grade]:
     return grade_residual(g, g.ring.one)
 
 
-@dataclass(frozen=True)
 class Permission:
     """Star (unique ownership) or an exact fraction in (0, 1].
 
     The fraction is stored as an arbitrary-precision rational in lowest
     terms; zero is not representable here (heap annotations, which admit
     zero, are plain Fractions on the interpreter side).
+
+    There is one object per value (hash-consing: Filliâtre & Conchon,
+    "Type-safe modular hash-consing", ML Workshop 2006): `Permission(f)`
+    returns the object already made for a value equal to f while that object
+    is alive, so equality tests identity first. Each value computes its hash
+    and text once and keeps the results of `perm_half`, `perm_add` (with
+    the last addend) and `perm_is_writable`, so a repeated split or join is a
+    lookup; errors are never kept, so they are raised on every call. The
+    intern table holds its objects weakly and a value holds at most its half
+    and one sum, so repeating an operation keeps nothing more. Values are
+    immutable, as they are shared.
     """
 
-    frac: Optional[Fraction] = None  # None encodes star
+    __slots__ = ("frac", "is_star", "writable", "_hash", "_text", "_half", "_addend", "_sum", "__weakref__")
 
-    def __post_init__(self):
-        if self.frac is not None:
-            if not isinstance(self.frac, Fraction):
-                object.__setattr__(self, "frac", Fraction(self.frac))
-            if not (0 < self.frac <= 1):
-                raise BadPermission(f"fraction {self.frac} outside (0, 1]")
+    def __new__(cls, frac: Optional[Fraction] = None) -> Permission:
+        if frac is not None and not isinstance(frac, Fraction):
+            frac = Fraction(frac)
+        self = _INTERNED.get(frac)
+        if self is not None:
+            return self
+        if frac is not None and not (0 < frac <= 1):
+            raise BadPermission(f"fraction {frac} outside (0, 1]")
+        self = object.__new__(cls)
+        if frac is None:
+            text = "*"
+        elif frac.denominator == 1:
+            text = str(frac.numerator)
+        else:
+            text = f"{frac.numerator}/{frac.denominator}"
+        fields = {
+            "frac": frac, "is_star": frac is None, "writable": frac is None or frac == 1,
+            "_hash": hash(frac), "_text": text, "_half": None, "_addend": None, "_sum": None,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        _INTERNED[frac] = self
+        return self
 
-    @property
-    def is_star(self) -> bool:
-        return self.frac is None
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Permission:
+            return NotImplemented
+        return self.frac == other.frac
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Permission, (self.frac,)
 
     def __str__(self) -> str:
-        if self.is_star:
-            return "*"
-        if self.frac.denominator == 1:
-            return str(self.frac.numerator)
-        return f"{self.frac.numerator}/{self.frac.denominator}"
+        return self._text
 
     def __repr__(self) -> str:
-        return f"Permission({self})"
+        return f"Permission({self._text})"
 
+
+# The live permissions by value (None for star).
+_INTERNED: weakref.WeakValueDictionary[Optional[Fraction], Permission] = weakref.WeakValueDictionary()
 
 STAR = Permission(None)
 WHOLE = Permission(Fraction(1))
@@ -274,19 +316,28 @@ def frac_perm(num: int, den: int = 1) -> Permission:
 
 
 def perm_half(p: Permission) -> Permission:
-    if p.is_star:
-        raise StarNotDivisible("the star permission cannot be split")
-    return Permission(p.frac / 2)
+    half = p._half
+    if half is None:
+        if p.is_star:
+            raise StarNotDivisible("the star permission cannot be split")
+        half = Permission(p.frac / 2)
+        object.__setattr__(p, "_half", half)
+    return half
 
 
 def perm_add(p: Permission, q: Permission) -> Permission:
+    if q is p._addend:
+        return p._sum
     if p.is_star or q.is_star:
         raise StarNotAddable("the star permission cannot be joined")
     total = p.frac + q.frac
     if total > 1:
         raise PermissionOverflow(f"joined permissions sum to {total} > 1")
-    return Permission(total)
+    out = Permission(total)
+    object.__setattr__(p, "_addend", q)
+    object.__setattr__(p, "_sum", out)
+    return out
 
 
 def perm_is_writable(p: Permission) -> bool:
-    return p.is_star or p.frac == 1
+    return p.writable

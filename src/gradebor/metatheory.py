@@ -202,23 +202,26 @@ def _root_usage(checker: Checker, judged: dict, config: Config, rt: Ctx) -> Opti
     must be checked in full."""
     frame, hole = _cut(config.frame, config.hole)
     try:
-        if frame not in judged:
-            _judge(checker, judged, frame, hole, rt)
+        inferred = _judge(checker, judged, frame, hole, rt) if frame not in judged else None
         expected, ty, used, r = judged[frame]
         if not (used.refs <= rt.refs.keys() and used.graded.keys() | used.linear <= rt.vars.keys()):
             return None  # the context reads a name that left the heap
-        hole_ty, hole_used, _ = checker._synth(rt, hole, expected)
+        if expected is None and inferred is not None:
+            hole_ty, hole_used, _ = inferred
+        else:
+            hole_ty, hole_used, _ = checker._synth(rt, hole, expected)
         return ctx_add(used, ctx_scale(r, hole_used)) if hole_ty == ty else None
     except CheckError:
         return None
 
 
-def _judge(checker: Checker, judged: dict, frame: Frame, hole: Term, rt: Ctx) -> None:
+def _judge(checker: Checker, judged: dict, frame: Frame, hole: Term, rt: Ctx) -> Optional[tuple]:
     """Judge `frame`, with `hole` in its hole, and the frames above it that
     have none, top down, in `rt`. The node between a frame's hole and the
     hole of the frame above, with a fresh z in its own hole, is typed as the
     judgment above says that hole is; z has the type its rule checks it
-    against, or else the one the term in the hole infers (`_HoleTypes`)."""
+    against, or else the one the term in the hole infers (`_HoleTypes`).
+    Returns `hole`'s inference when judging made one, else None."""
     z = Var(S.fresh_name("z", rt.vars))
     frames, nodes = [], []
     while frame not in judged:
@@ -235,6 +238,7 @@ def _judge(checker: Checker, judged: dict, frame: Frame, hole: Term, rt: Ctx) ->
         r = grade_mul(r, node_used.graded[z.name])
         expected, ty = read, read if read is not None else hole_types(i)
         judged[frames[i]] = (expected, ty, used, r)
+    return hole_types.inferred[0] if hole_types.inferred else None
 
 
 class _HoleTypes:
@@ -336,12 +340,15 @@ def _chase(refs: set[str], free: set[str], heap: Heap) -> set[str]:
 
 
 def _perm_sums(reachable: set[str], heap: Heap) -> dict[str, Fraction]:
+    """The permission total of each resource that `reachable` touches. Totals
+    are compared with the ints 0 and 1, which `Fraction` compares exactly."""
     sums: dict[str, Fraction] = {}
     for ref in reachable:
         cell = heap.refs.get(ref)
         if cell is None:
             continue
-        sums[cell.ident] = sums.get(cell.ident, Fraction(0)) + cell.perm
+        total = sums.get(cell.ident)
+        sums[cell.ident] = cell.perm if total is None else total + cell.perm
     return sums
 
 
@@ -361,9 +368,9 @@ def _conservation(
     pre = _perm_sums(pre_reach, pre_heap)
     post = _perm_sums(post_reach, post_heap)
     for ident in pre_heap.resources:
-        if pre.get(ident, Fraction(0)) == 1:
-            after = post.get(ident, Fraction(0))
-            if after not in (Fraction(0), Fraction(1)):
+        if pre.get(ident, 0) == 1:
+            after = post.get(ident, 0)
+            if after != 0 and after != 1:
                 out.append(
                     Violation(
                         "borrow-safety",
@@ -376,7 +383,7 @@ def _conservation(
             continue
         touching = [r for r in post_reach if post_heap.refs.get(r) and post_heap.refs[r].ident == ident]
         if touching:
-            total = sum((post_heap.refs[r].perm for r in touching), Fraction(0))
+            total = sum(post_heap.refs[r].perm for r in touching)
             if total != 1:
                 out.append(
                     Violation(

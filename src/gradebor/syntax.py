@@ -862,18 +862,19 @@ def prim_spine(t: Term) -> Optional[tuple[str, list[Term]]]:
 
 
 def is_value(t: Term) -> bool:
-    """Whether t is a normal form under the machine's reduction rules."""
+    """Whether t is a normal form under the machine's reduction rules.
+
+    The cases are tested in measured-frequency order (RefVal, Uniq, Pair and
+    App lead on `props`). The order changes only speed: the term classes are
+    disjoint, so each term meets the same case in any order.
+    """
     match t:
-        case Pair(l, r):
-            return is_value(l) and is_value(r)
-        case UnitVal() | Abs() | NatLit() | FloatLit() | Prim() | RefVal():
+        case RefVal():
             return True
-        case Promote(b, _):
-            return is_value(b)
-        case Pack(_, b):
-            return is_value(b)
         case Uniq(b, _):
             return is_value(b)
+        case Pair(l, r):
+            return is_value(l) and is_value(r)
         case App():
             spine = prim_spine(t)
             if spine is None:
@@ -881,6 +882,12 @@ def is_value(t: Term) -> bool:
             name, args = spine
             arity = PRIMITIVES.get(name)
             return arity is not None and len(args) < arity and all(is_value(a) for a in args)
+        case FloatLit() | NatLit() | Abs() | UnitVal() | Prim():
+            return True
+        case Promote(b, _):
+            return is_value(b)
+        case Pack(_, b):
+            return is_value(b)
         case _:
             # unborrow t always reduces once its body does, so it is not a value
             return False

@@ -139,3 +139,87 @@ def test_half_add_roundtrip_exact(num, den):
     assert perm_add(perm_half(f), perm_half(f)) == f
     h = perm_half(f)
     assert 0 < h.frac <= 1
+
+
+# The permission kernel: one object per value, with its arithmetic kept.
+
+# (n, d) with 1 <= n <= d, so n/d is in (0, 1]; not reduced, as a source may write it
+num_dens = st.tuples(st.integers(min_value=1, max_value=512), st.integers(min_value=1, max_value=512)).map(
+    lambda nd: (min(nd), max(nd))
+)
+unit_fractions = num_dens.map(lambda nd: Fraction(*nd))
+
+
+@given(unit_fractions, unit_fractions)
+def test_half_and_add_equal_fraction_arithmetic_on_every_call(f, g):
+    p, q = Permission(f), Permission(g)
+    for _ in range(3):
+        half = perm_half(p)
+        assert type(half.frac) is Fraction and half.frac == f / 2
+        if f + g <= 1:
+            total = perm_add(p, q)
+            assert type(total.frac) is Fraction and total.frac == f + g
+        else:
+            with pytest.raises(G.PermissionOverflow):
+                perm_add(p, q)
+        assert perm_is_writable(p) == (f == 1)
+
+
+@given(num_dens)
+def test_parsed_and_computed_permissions_are_one_object(nd):
+    from gradebor.parser import parse_type
+    from gradebor.syntax import Amp, UnitT, type_alpha_eq
+
+    f = Fraction(*nd)
+    parsed = parse_type(f"& {nd[0]}/{nd[1]} Unit")
+    half = perm_half(Permission(f))
+    computed = perm_add(half, half)
+    assert parsed.perm is computed
+    assert parsed.perm == computed and hash(parsed.perm) == hash(computed) and str(parsed.perm) == str(computed)
+    assert type_alpha_eq(parsed, Amp(computed, UnitT())) and parsed == Amp(computed, UnitT())
+    assert type_alpha_eq(parse_type(f"& {half} Unit"), Amp(half, UnitT()))
+
+
+def test_equal_fractions_give_one_permission():
+    assert Permission(Fraction(1, 2)) == Permission(Fraction(2, 4))
+    assert Permission(Fraction(1, 2)) is Permission(Fraction(2, 4)) is frac_perm(3, 6)
+    assert Permission(None) is STAR and Permission(1) is G.WHOLE
+
+
+@given(unit_fractions)
+def test_errors_are_raised_on_every_call(f):
+    p = Permission(f)
+    over = Permission(1 - f / 2) if f < 1 else p
+    for _ in range(3):
+        with pytest.raises(G.StarNotDivisible):
+            perm_half(STAR)
+        with pytest.raises(G.StarNotAddable):
+            perm_add(STAR, p)
+        with pytest.raises(G.StarNotAddable):
+            perm_add(p, STAR)
+        if f < 1:
+            assert perm_add(p, Permission(1 - f)) is G.WHOLE  # kept with p
+        with pytest.raises(G.PermissionOverflow):
+            perm_add(p, over)
+        with pytest.raises(G.BadPermission):
+            Permission(1 + f)
+
+
+def test_the_intern_table_keeps_no_dead_permission():
+    import gc
+
+    p = Permission(Fraction(1, 999983))
+    assert G._INTERNED.get(Fraction(1, 999983)) is p
+    del p
+    gc.collect()
+    assert Fraction(1, 999983) not in G._INTERNED
+
+
+def test_permissions_are_immutable_and_copy_as_themselves():
+    import copy
+    import pickle
+
+    p = frac_perm(1, 4)
+    with pytest.raises(AttributeError):
+        p.frac = Fraction(1, 2)
+    assert copy.deepcopy(p) is p and pickle.loads(pickle.dumps(p)) is p

@@ -995,6 +995,42 @@ def test_preservation_work_on_a_split_ladder_grows_linearly(monkeypatch):
     assert counts[40]["typed"] <= 2.2 * counts[20]["typed"], counts
 
 
+def test_preservation_infers_each_judged_hole_once(monkeypatch):
+    # a frame judgment that infers the term in its hole hands that inference
+    # to the configuration's usage, which would otherwise infer it again
+    from gradebor import metatheory
+
+    cp = checked(GOLDEN.ladder_source(20))
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    judge, root_usage, infer = metatheory._judge, metatheory._root_usage, Checker.infer
+    holes, inferences = [], []  # the hole judged in this configuration; its inferences per judgment
+
+    def recorded_judge(checker, judged, frame, hole, rt):
+        holes.append(hole)
+        return judge(checker, judged, frame, hole, rt)
+
+    def recorded_root_usage(checker, judged, config, rt):
+        holes.clear()
+        inferences.append(0)
+        try:
+            return root_usage(checker, judged, config, rt)
+        finally:
+            if not holes:
+                inferences.pop()
+
+    def counted_infer(self, ctx, t):
+        if holes and t is holes[0]:
+            inferences[-1] += 1
+        return infer(self, ctx, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(metatheory, "_judge", recorded_judge)
+        m.setattr(metatheory, "_root_usage", recorded_root_usage)
+        m.setattr(Checker, "infer", counted_infer)
+        assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    assert len(inferences) >= 20 and max(inferences) == 1, inferences
+
+
 def test_a_heap_variable_keeps_the_type_it_was_bound_at():
     # preservation keeps a frame's judgment while the variables it reads
     # keep their types
