@@ -14,10 +14,18 @@ change's `BENCHMARK.json`; the parent goes first in pairs 1, 3, 5, ... and the
 change first in pairs 2, 4, 6, ..., so a drift in the host's speed does not
 favour one side. For every end-to-end metric of the change's
 `BENCHMARK.json` the script prints each pair's two values, each side's median
-and quartiles, and the pairs the change wins (better by the metric's
-direction). The claim gate of a speed-up is: at least 9 wins in 10 pairs, and
-medians that differ by more than the parent's interquartile spread. Exits 1
-if any run fails or reports `"correct": false`.
+and quartiles, the pairs the change wins (better by the metric's direction),
+and whether the change passes two gates (`gates`):
+
+- the claim gate of a speed-up: the change wins at least 9 pairs in 10, and
+  its median is better than the parent's by more than the parent's
+  interquartile spread;
+- the no-regression gate: the change's median is not worse than the
+  parent's by more than the metric's `bound`, a fraction of the parent's
+  median.
+
+Exits 1 if any run fails or reports `"correct": false`; a failed gate does
+not change the exit status.
 
 The copies carry no `__pycache__`, so when `PYTHONDONTWRITEBYTECODE=1` is
 set every set-up in a run compiles `src/gradebor` from source, and `setup_s`
@@ -41,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 # Left out of a checkout's copy: version control, caches, and the records
 # earlier benchmark runs wrote.
@@ -95,6 +104,24 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(xs), q3
 
 
+class Gates(NamedTuple):
+    wins: int
+    claim: bool
+    no_regression: bool
+
+
+def gates(parent: list[float], change: list[float], higher: bool, bound: float) -> Gates:
+    """The pairs the change wins and its two gates, for one metric measured
+    in pairs (`parent[i]` against `change[i]`); `higher` tells whether a
+    higher value is better. A tie is no win."""
+    wins = sum((c > a) if higher else (c < a) for a, c in zip(parent, change))
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles(parent), quartiles(change)
+    gain = cmed - pmed if higher else pmed - cmed
+    claim = 10 * wins >= 9 * len(parent) and gain > pq3 - pq1
+    no_regression = -gain <= bound * pmed
+    return Gates(wins, claim, no_regression)
+
+
 def _terminated(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -108,7 +135,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    higher = {name: m["better"] == "higher" for name, m in metrics.items()}
     values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in ("parent", "change")}
     signal.signal(signal.SIGTERM, _terminated)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -124,13 +152,16 @@ def main(argv=None) -> int:
 
     for m, up in higher.items():
         parent, change = values["parent"][m], values["change"][m]
-        wins = sum((c > a) if up else (c < a) for a, c in zip(parent, change))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+        bound = metrics[m]["bound"]
+        g = gates(parent, change, up, bound)
         print(f"{m} ({'higher' if up else 'lower'} is better): "
               f"parent median {pmed:.6g} [q1 {pq1:.6g}, q3 {pq3:.6g}], "
               f"change median {cmed:.6g} [q1 {cq1:.6g}, q3 {cq3:.6g}], "
-              f"change/parent {cmed / pmed:.3f}, change wins {wins} of {len(parent)}, "
-              f"median gap {abs(cmed - pmed):.6g} vs parent spread {pq3 - pq1:.6g}")
+              f"change/parent {cmed / pmed:.3f}, change wins {g.wins} of {len(parent)}, "
+              f"median gap {abs(cmed - pmed):.6g} vs parent spread {pq3 - pq1:.6g}; "
+              f"claim gate {'pass' if g.claim else 'fail'}, "
+              f"no-regression gate (bound {bound:g}) {'pass' if g.no_regression else 'fail'}")
     return 0
 
 

@@ -2,17 +2,27 @@
 
 Programs are `.grb` files: an optional `#semiring` pragma, then definitions
 separated by `;`, each definition being a signature `name : Type` and a body
-`name = term`. Comments run from `--` to end of line.
+`name = term`. Comments run from `--` to end of line, on the pragma's line
+too.
+
+The front end makes no Python object per token. `lex` scans the source with
+one regex and returns parallel lists: the token texts, their offsets and
+their kinds. The parser reads them by position, and makes a `Loc` only for
+a node or an error that keeps one, from the token's offset and the offsets
+at which the source's lines start.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Optional
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter
+from typing import Callable, Optional
 
 from .grades import SEMIRINGS, NAT_LEQ, GradeError, Permission, Semiring, STAR
 from . import syntax as S
@@ -72,67 +82,60 @@ KEYWORDS = {
 
 SYMBOLS = ["-o", "->", "..", "(", ")", "[", "]", "{", "}", "<", ">", ",", ";", ":", "=", "\\", "*", "&", "/", "."]
 
-
-class Token(NamedTuple):
-    kind: str  # ident, nat, float, prim, keyword, symbol, eof
-    text: str
-    line: int
-    col: int
-
-    @property
-    def loc(self) -> Loc:
-        return Loc(self.line, self.col)
-
-
-# One pattern per token: whitespace and comments to skip, then exactly one of
-# float, nat, word, symbol (in `SYMBOLS` order), a stray character, or the end
-# of the input. The skip never backtracks: each of its alternatives consumes
-# a character, and after the longest skip one of the alternatives that
-# follow always matches (`.` takes anything but the newlines it skipped).
+# One match per token: the whitespace and comments before it, then its text:
+# a word, a symbol (in `SYMBOLS` order), a float, a nat, a stray character,
+# or the empty text at the end of the input. The alternatives other than
+# float and nat differ in their first character, so their order changes only
+# speed, and words, the most frequent, come first. The skip never
+# backtracks: after the longest skip one of the alternatives that follow
+# always matches (`.` takes anything but the newlines it skipped). Every
+# text but the one at the end is nonempty.
+_SKIP = r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*"
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:(\d+\.\d+)|(\d+)|([^\W\d][\w']*)|(" + "|".join(map(re.escape, SYMBOLS)) + r")|(.)|\Z)"
+    r"(" + _SKIP + r")"
+    r"([^\W\d][\w']*|" + "|".join(map(re.escape, SYMBOLS)) + r"|\d+\.\d+|\d+|.|\Z)"
 )
-_FLOAT, _NAT, _WORD, _SYMBOL, _STRAY = 1, 2, 3, 4, 5
-_WORD_KINDS = {**{k: "keyword" for k in KEYWORDS}, **{p: "prim" for p in S.PRIMITIVES}}
 
 
-def lex(source: str) -> list[Token]:
-    """Tokens of `source`, ending in eof, each with its 1-based line and column.
+class _Kinds(dict):
+    """Token kinds by text: each symbol, keyword and primitive, and eof for
+    the empty text. Any other text is told by its first character: a decimal
+    digit begins a nat or a float, a letter or `_` an ident, and anything
+    else is stray (a stray character, or a word that begins with a digit
+    that is not decimal, such as '²')."""
+
+    def __missing__(self, text: str) -> str:
+        c = text[0]
+        if c.isdecimal():
+            return "float" if "." in text else "nat"
+        return "ident" if c.isalpha() or c == "_" else "stray"
+
+
+_KINDS = _Kinds({
+    "": "eof", **dict.fromkeys(SYMBOLS, "symbol"), **dict.fromkeys(KEYWORDS, "keyword"),
+    **dict.fromkeys(S.PRIMITIVES, "prim"),
+})
+
+
+def lex(source: str, start: int = 0) -> tuple[list[str], list[int], list[str]]:
+    """The tokens of `source` from offset `start`, as three parallel lists:
+    their texts, their offsets in `source` and their kinds (ident, nat,
+    float, prim, keyword, symbol, stray, eof). The lists end in two eofs,
+    each at the end of the input.
 
     Numbers are decimal digits (`str.isdecimal`); a word starts with a letter
-    or `_` and continues with letters, digits, `_` and `'`.
+    or `_` and continues with letters, digits, `_` and `'`. No object is made
+    per token but its text: one regex scan yields each token's text with the
+    skip before it, and the offsets are the running sums of their lengths.
     """
-    toks: list[Token] = []
-    append = toks.append
-    line, line_start, done = 1, 0, 0
-    for m in _TOKEN.finditer(source):
-        group = m.lastindex
-        start = m.start(group) if group else m.end()
-        if start != done:
-            newlines = source.count("\n", done, start)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", done, start) + 1
-        done = m.end()
-        col = start - line_start + 1
-        if group == _SYMBOL:
-            append(Token("symbol", m[group], line, col))
-        elif group == _WORD:
-            text = m[group]
-            if not (text[0].isalpha() or text[0] == "_"):  # a non-decimal digit such as '²'
-                raise SyntaxError_(f"unexpected character {text[0]!r}", Loc(line, col))
-            append(Token(_WORD_KINDS.get(text, "ident"), text, line, col))
-        elif group == _NAT:
-            append(Token("nat", m[group], line, col))
-        elif group == _FLOAT:
-            append(Token("float", m[group], line, col))
-        elif group == _STRAY:
-            raise SyntaxError_(f"unexpected character {m[group]!r}", Loc(line, col))
-        else:
-            append(Token("eof", "", line, col))
-            break
-    return toks
+    pairs = _TOKEN.findall(source, start)
+    # The scan ends with an empty match at the end of the input, and with a
+    # second one when a skip ends the input.
+    if len(pairs) < 2 or pairs[-2][1]:
+        pairs.append(("", ""))
+    texts = list(map(itemgetter(1), pairs))
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=start))[1::2]
+    return texts, offsets, list(map(_KINDS.__getitem__, texts))
 
 
 # ---------------------------------------------------------------------------
@@ -146,52 +149,73 @@ _BASE_TYPES = {"Unit": UnitT, "Nat": NatT, "Float": FloatT}
 
 
 class Parser:
-    """Recursive descent over the tokens of `lex`.
+    """Recursive descent over the tokens of `lex`, read by position.
 
-    The token list gets a second eof, so the parser may step past the first
-    (only `expect_kind("eof")` does) and still read a token. Symbol and
-    keyword texts never occur as the text of another kind of token, so `at`
-    and `expect` test them by text alone; `at_kind` and `expect_kind` test
-    the other kinds.
+    A token is its index into the lists that `lex` returns: `peek`, `next`,
+    `expect` and `expect_kind` return one, `texts[t]` and `kinds[t]` read it,
+    and `loc(t)` makes its `Loc` for a node or error that keeps one. The
+    lists end in a second eof, so the parser may step past the first (only
+    `expect_kind("eof")` does) and still read a token. Symbol and keyword
+    texts never occur as the text of another kind of token, so `at` and
+    `expect` test them by text alone; `at_kind` and `expect_kind` test the
+    other kinds.
+
+    The whole source is lexed before parsing starts, so a stray character is
+    reported before any parse error. `peek` and `next` are calls, not
+    inline reads, though they only read and step `pos`: the token at which a
+    deep parse overflows the stack, where `nested too deeply` is reported,
+    depends on the calls each nesting level makes before it consumes a token.
     """
 
-    def __init__(self, tokens: list[Token], ring: Semiring):
-        self.toks = tokens + tokens[-1:]
+    def __init__(self, source: str, ring: Semiring, start: int = 0):
+        self.texts, self.offsets, self.kinds = lex(source, start)
+        # offset of each line's first character, then one past the end
+        self.line_starts = list(accumulate(map(add, map(len, source.split("\n")), repeat(1)), initial=0))
         self.pos = 0
         self.ring = ring
+        if "stray" in self.kinds:
+            t = self.kinds.index("stray")
+            raise SyntaxError_(f"unexpected character {self.texts[t][0]!r}", self.loc(t))
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def loc(self, t: int) -> Loc:
+        """The 1-based line and column of token t; columns count characters."""
+        offset = self.offsets[t]
+        line = bisect_right(self.line_starts, offset)
+        return Loc(line, offset - self.line_starts[line - 1] + 1)
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
+    def peek(self) -> int:
+        return self.pos
+
+    def next(self) -> int:
+        t = self.pos
+        self.pos = t + 1
         return t
 
     def at(self, text: str) -> bool:
         """Whether the current token is the symbol or keyword `text`."""
-        return self.toks[self.pos].text == text
+        return self.texts[self.pos] == text
 
     def at_kind(self, kind: str) -> bool:
         """Whether the current token is of kind `kind`."""
-        return self.toks[self.pos].kind == kind
+        return self.kinds[self.pos] == kind
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> int:
         """Consume the symbol or keyword `text`."""
-        t = self.toks[self.pos]
-        if t.text != text:
-            raise SyntaxError_(f"expected {text!r}, found {t.text!r}", t.loc)
+        t = self.pos
+        if self.texts[t] != text:
+            raise SyntaxError_(f"expected {text!r}, found {self.texts[t]!r}", self.loc(t))
         return self.next()
 
-    def expect_kind(self, kind: str) -> Token:
+    def expect_kind(self, kind: str) -> int:
         """Consume a token of kind `kind`."""
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            raise SyntaxError_(f"expected {kind!r}, found {t.text!r}", t.loc)
+        t = self.pos
+        if self.kinds[t] != kind:
+            raise SyntaxError_(f"expected {kind!r}, found {self.texts[t]!r}", self.loc(t))
         return self.next()
 
-    def ident(self) -> Token:
-        return self.expect_kind("ident")
+    def ident(self) -> str:
+        """Consume an ident and return its text."""
+        return self.texts[self.expect_kind("ident")]
 
     @contextmanager
     def depth_guard(self):
@@ -199,7 +223,7 @@ class Parser:
         try:
             yield
         except RecursionError:
-            raise SyntaxError_("expression nested too deeply", self.peek().loc) from None
+            raise SyntaxError_("expression nested too deeply", self.loc(self.pos)) from None
 
     # -- types --------------------------------------------------------------
 
@@ -214,12 +238,12 @@ class Parser:
         self.expect("{")
         binders: list[tuple[str, str]] = []
         while True:
-            v = self.ident().text
+            v = self.ident()
             self.expect(":")
             kt = self.peek()
-            if kt.text not in ("Permission", "Name"):
-                raise SyntaxError_("expected kind Permission or Name", kt.loc)
-            kind = self.next().text
+            if self.texts[kt] not in ("Permission", "Name"):
+                raise SyntaxError_("expected kind Permission or Name", self.loc(kt))
+            kind = self.texts[self.next()]
             binders.append((v, kind))
             if self.at(","):
                 self.next()
@@ -247,7 +271,7 @@ class Parser:
         return left
 
     def _parse_prefix(self) -> Type:
-        text = self.peek().text
+        text = self.texts[self.peek()]
         if text == "&":
             self.next()
             p = self.parse_perm()
@@ -257,12 +281,12 @@ class Parser:
             return Amp(STAR, self._parse_prefix())
         if text == "exists":
             self.next()
-            binder = self.ident().text
+            binder = self.ident()
             self.expect(".")
             return ExistsT(binder, self.parse_type())
         if text == "Array" or text == "Ref":
             self.next()
-            ident = self.ident().text
+            ident = self.ident()
             payload = self._parse_postfix()
             return ResT(text, ident, payload)
         return self._parse_postfix()
@@ -278,26 +302,28 @@ class Parser:
 
     def _parse_atom_type(self) -> Type:
         t = self.peek()
-        base = _BASE_TYPES.get(t.text)
+        text = self.texts[t]
+        base = _BASE_TYPES.get(text)
         if base is not None:
             self.next()
             return base()
-        if t.text == "(":
+        if text == "(":
             self.next()
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if t.kind == "ident":
+        if self.kinds[t] == "ident":
             self.next()
-            return NameT(t.text)
-        raise SyntaxError_(f"expected a type, found {t.text!r}", t.loc)
+            return NameT(text)
+        raise SyntaxError_(f"expected a type, found {text!r}", self.loc(t))
 
     def parse_perm(self) -> S.PermExpr:
         t = self.peek()
         if self.at("*"):
             self.next()
             return STAR
-        if t.kind == "nat":
+        kind = self.kinds[t]
+        if kind == "nat":
             num = self.nat()
             if self.at("/"):
                 self.next()
@@ -305,14 +331,14 @@ class Parser:
                 try:
                     return Permission(Fraction(num, den))
                 except (ZeroDivisionError, GradeError):
-                    raise SyntaxError_(f"permission {num}/{den} is not a fraction in (0, 1]", t.loc) from None
+                    raise SyntaxError_(f"permission {num}/{den} is not a fraction in (0, 1]", self.loc(t)) from None
             if num != 1:
-                raise SyntaxError_(f"whole permission must be 1, found {num}", t.loc)
+                raise SyntaxError_(f"whole permission must be 1, found {num}", self.loc(t))
             return Permission(Fraction(1))
-        if t.kind == "ident":
+        if kind == "ident":
             self.next()
-            return PermVar(t.text)
-        raise SyntaxError_(f"expected a permission, found {t.text!r}", t.loc)
+            return PermVar(self.texts[t])
+        raise SyntaxError_(f"expected a permission, found {self.texts[t]!r}", self.loc(t))
 
     def parse_grade(self):
         t = self.peek()
@@ -323,37 +349,38 @@ class Parser:
         try:
             return self.ring.literal(lo, hi)
         except GradeError as e:
-            raise SyntaxError_(str(e), t.loc) from None
+            raise SyntaxError_(str(e), self.loc(t)) from None
 
     def nat(self) -> int:
         """Consume a nat token and return its value."""
         t = self.expect_kind("nat")
+        text = self.texts[t]
         try:
-            return int(t.text)
+            return int(text)
         except ValueError:  # more digits than int() converts from a string
-            raise SyntaxError_(f"numeral too long ({len(t.text)} digits)", t.loc) from None
+            raise SyntaxError_(f"numeral too long ({len(text)} digits)", self.loc(t)) from None
 
     # -- terms --------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        t = self.peek()
-        if t.text == "\\":
-            loc = self.next().loc
-            param = self.ident().text
+        text = self.texts[self.peek()]
+        if text == "\\":
+            loc = self.loc(self.next())
+            param = self.ident()
             ann = None
             if self.at(":"):
                 self.next()
                 ann = self.parse_type()
             self.expect("->")
             return Abs(param, self.parse_term(), ann, loc=loc)
-        if t.text == "let":
+        if text == "let":
             return self._parse_let()
-        if t.text == "unpack":
-            loc = self.next().loc
+        if text == "unpack":
+            loc = self.loc(self.next())
             self.expect("<")
-            ident = self.ident().text
+            ident = self.ident()
             self.expect(",")
-            binder = self.ident().text
+            binder = self.ident()
             self.expect(">")
             self.expect("=")
             rhs = self.parse_term()
@@ -363,9 +390,10 @@ class Parser:
         return self._parse_app()
 
     def _parse_let(self) -> Term:
-        loc = self.expect("let").loc
+        loc = self.loc(self.expect("let"))
         t = self.peek()
-        if t.text == "(":
+        text = self.texts[t]
+        if text == "(":
             self.next()
             if self.at(")"):
                 self.next()
@@ -373,17 +401,17 @@ class Parser:
                 rhs = self.parse_term()
                 self.expect("in")
                 return LetUnit(rhs, self.parse_term(), loc=loc)
-            left = self.ident().text
+            left = self.ident()
             self.expect(",")
-            right = self.ident().text
+            right = self.ident()
             self.expect(")")
             self.expect("=")
             rhs = self.parse_term()
             self.expect("in")
             return LetPair(left, right, rhs, self.parse_term(), loc=loc)
-        if t.text == "[":
+        if text == "[":
             self.next()
-            binder = self.ident().text
+            binder = self.ident()
             self.expect("]")
             ann = None
             if self.at(":"):
@@ -393,22 +421,22 @@ class Parser:
             rhs = self.parse_term()
             self.expect("in")
             return LetBox(binder, rhs, self.parse_term(), ann, loc=loc)
-        if t.text == "*":
+        if text == "*":
             self.next()
-            binder = self.ident().text
+            binder = self.ident()
             self.expect("=")
             self.expect("clone")
             rhs = self._parse_atom()
             self.expect("as")
             self.expect("<")
-            idents = [self.ident().text]
+            idents = [self.ident()]
             while self.at(","):
                 self.next()
-                idents.append(self.ident().text)
+                idents.append(self.ident())
             self.expect(">")
             self.expect("in")
             return Clone(binder, tuple(idents), rhs, self.parse_term(), loc=loc)
-        raise SyntaxError_("malformed let binding", t.loc)
+        raise SyntaxError_("malformed let binding", self.loc(t))
 
     def _parse_app(self) -> Term:
         head = self._parse_operator_or_atom()
@@ -419,24 +447,24 @@ class Parser:
 
     def _at_atom_start(self) -> bool:
         t = self.peek()
-        return t.kind in _ATOM_KINDS or t.text in _ATOM_TEXTS
+        return self.kinds[t] in _ATOM_KINDS or self.texts[t] in _ATOM_TEXTS
 
     def _parse_operator_or_atom(self) -> Term:
-        t = self.peek()
-        ctor = _UNARY_OPERATORS.get(t.text)
+        text = self.texts[self.peek()]
+        ctor = _UNARY_OPERATORS.get(text)
         if ctor is not None:
-            loc = self.next().loc
+            loc = self.loc(self.next())
             body = self._parse_atom()
             return ctor(body, loc=loc)
-        if t.text == "withBorrow":
-            loc = self.next().loc
+        if text == "withBorrow":
+            loc = self.loc(self.next())
             fn = self._parse_atom()
             arg = self._parse_atom()
             return WithBorrow(fn, arg, loc=loc)
-        if t.text == "pack":
-            loc = self.next().loc
+        if text == "pack":
+            loc = self.loc(self.next())
             self.expect("<")
-            ident = self.ident().text
+            ident = self.ident()
             self.expect(",")
             body = self.parse_term()
             self.expect(">")
@@ -445,19 +473,20 @@ class Parser:
 
     def _parse_atom(self) -> Term:
         t = self.peek()
-        if t.kind == "ident":
+        kind, text = self.kinds[t], self.texts[t]
+        if kind == "ident":
             self.next()
-            return Var(t.text, loc=t.loc)
-        if t.kind == "prim":
+            return Var(text, loc=self.loc(t))
+        if kind == "prim":
             self.next()
-            return Prim(t.text, loc=t.loc)
-        if t.kind == "nat":
-            return NatLit(self.nat(), loc=t.loc)
-        if t.kind == "float":
+            return Prim(text, loc=self.loc(t))
+        if kind == "nat":
+            return NatLit(self.nat(), loc=self.loc(t))
+        if kind == "float":
             self.next()
-            return FloatLit(float(t.text), loc=t.loc)
-        if t.text == "(":
-            loc = self.next().loc
+            return FloatLit(float(text), loc=self.loc(t))
+        if text == "(":
+            loc = self.loc(self.next())
             if self.at(")"):
                 self.next()
                 return UnitVal(loc=loc)
@@ -469,65 +498,72 @@ class Parser:
                 return Pair(first, second, loc=loc)
             self.expect(")")
             return first
-        if t.text == "[":
-            loc = self.next().loc
+        if text == "[":
+            loc = self.loc(self.next())
             body = self.parse_term()
             self.expect("]")
             return Promote(body, loc=loc)
-        if t.text in _OPERATORS:
+        if text in _OPERATORS:
             return self._parse_operator_or_atom()
-        raise SyntaxError_(f"expected a term, found {t.text!r}", t.loc)
+        raise SyntaxError_(f"expected a term, found {text!r}", self.loc(t))
 
 
-def _read_pragma(source: str) -> tuple[Semiring, str]:
-    ring = NAT_LEQ
-    lines = source.split("\n")
-    for idx, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("--"):
-            continue
-        if stripped.startswith("#semiring"):
-            name = stripped[len("#semiring"):].strip()
-            if name not in SEMIRINGS:
-                raise SyntaxError_(f"unknown semiring {name!r}", Loc(idx + 1, 1))
-            ring = SEMIRINGS[name]
-            lines[idx] = ""
-        break
-    return ring, "\n".join(lines)
+# Blank and comment lines, then `#semiring` and the rest of its line up to a
+# comment. Whitespace here is what `str.strip` removes.
+_PRAGMA = re.compile(r"((?:[^\S\n]*(?:--[^\n]*)?\n)*)[^\S\n]*#semiring((?:(?!--)[^\n])*)")
+_SKIPPED = re.compile(_SKIP)
+
+
+def _read_pragma(source: str) -> tuple[Semiring, int]:
+    """The semiring that the pragma names (`NAT_LEQ` without one) and the
+    offset from which the source is lexed.
+
+    The pragma is the first line that is neither blank nor a comment, if
+    that line starts with `#semiring`. Lexing starts after its name, past
+    the lines before it, unless one of them holds whitespace that the lexer
+    does not skip (a form feed, say): then lexing starts at 0, so that
+    character is reported as it would be anywhere else."""
+    m = _PRAGMA.match(source)
+    if m is None:
+        return NAT_LEQ, 0
+    name = m[2].strip()
+    if name not in SEMIRINGS:
+        raise SyntaxError_(f"unknown semiring {name!r}", Loc(m[1].count("\n") + 1, 1))
+    return SEMIRINGS[name], m.end(2) if _SKIPPED.fullmatch(m[1]) else 0
 
 
 def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = None) -> SourceProgram:
-    pragma_ring, rest = _read_pragma(text)
+    pragma_ring, start = _read_pragma(text)
     ring = ring or pragma_ring
-    p = Parser(lex(rest), ring)
+    p = Parser(text, ring, start)
     sigs: dict[str, Type] = {}
     order: list[str] = []
     bodies: dict[str, Term] = {}
     locs: dict[str, Loc] = {}
     with p.depth_guard():
         while not p.at_kind("eof"):
-            name_tok = p.ident()
-            name = name_tok.text
+            name_tok = p.expect_kind("ident")
+            name = p.texts[name_tok]
             if p.at(":"):
                 p.next()
                 if name in sigs:
-                    raise SyntaxError_(f"duplicate signature for {name!r}", name_tok.loc)
+                    raise SyntaxError_(f"duplicate signature for {name!r}", p.loc(name_tok))
                 sigs[name] = p.parse_type()
-                locs.setdefault(name, name_tok.loc)
+                locs.setdefault(name, p.loc(name_tok))
                 order.append(name)
             elif p.at("="):
                 p.next()
                 if name not in sigs:
-                    raise SyntaxError_(f"body for {name!r} precedes its signature", name_tok.loc)
+                    raise SyntaxError_(f"body for {name!r} precedes its signature", p.loc(name_tok))
                 if name in bodies:
-                    raise SyntaxError_(f"duplicate body for {name!r}", name_tok.loc)
+                    raise SyntaxError_(f"duplicate body for {name!r}", p.loc(name_tok))
                 bodies[name] = p.parse_term()
             else:
-                raise SyntaxError_(f"expected ':' or '=' after {name!r}", p.peek().loc)
+                raise SyntaxError_(f"expected ':' or '=' after {name!r}", p.loc(p.pos))
             if p.at(";"):
                 p.next()
             elif not p.at_kind("eof"):
-                raise SyntaxError_(f"expected ';', found {p.peek().text!r}", p.peek().loc)
+                raise SyntaxError_(f"expected ';', found {p.texts[p.pos]!r}", p.loc(p.pos))
     defs = []
     for name in order:
         if name not in bodies:
@@ -539,7 +575,7 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
 
 
 def parse_term(text: str, ring: Optional[Semiring] = None) -> Term:
-    p = Parser(lex(text), ring or NAT_LEQ)
+    p = Parser(text, ring or NAT_LEQ)
     with p.depth_guard():
         t = p.parse_term()
     p.expect_kind("eof")
@@ -547,7 +583,7 @@ def parse_term(text: str, ring: Optional[Semiring] = None) -> Term:
 
 
 def parse_type(text: str, ring: Optional[Semiring] = None) -> Type:
-    p = Parser(lex(text), ring or NAT_LEQ)
+    p = Parser(text, ring or NAT_LEQ)
     with p.depth_guard():
         t = p.parse_type()
     p.expect_kind("eof")

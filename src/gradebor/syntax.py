@@ -35,19 +35,52 @@ may mutate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Union, get_type_hints
 
 from .grades import Grade, Permission, STAR
 
 
-@dataclass(frozen=True)
 class Loc:
-    line: int
-    col: int
+    """A 1-based source line and column: immutable, equal and hashed by
+    both fields.
+
+    The parser makes one for every node it builds, so the class is slotted
+    and sets its fields through the slot descriptors: that costs about half
+    what a frozen dataclass's `__init__` does.
+    """
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        _set_line(self, line)
+        _set_col(self, col)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Loc:
+            return NotImplemented
+        return self.line == other.line and self.col == other.col
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.col))
+
+    def __reduce__(self):
+        return Loc, (self.line, self.col)
+
+    def __repr__(self) -> str:
+        return f"Loc(line={self.line!r}, col={self.col!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
+
+
+_set_line, _set_col = Loc.line.__set__, Loc.col.__set__
 
 
 # ---------------------------------------------------------------------------

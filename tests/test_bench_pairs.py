@@ -72,3 +72,41 @@ def test_a_terminated_comparison_stops_its_run_and_removes_the_copies(tmp_path):
     (run_pid,) = map(int, pids.read_text().split())
     with pytest.raises(ProcessLookupError):
         os.kill(run_pid, 0)
+
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]  # median 100, IQR 2.5
+
+
+def test_the_claim_gate_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_spread():
+    gates = _bench_pairs().gates
+    faster = [a + 5 for a in PARENT]
+    assert gates(PARENT, faster, True, 0.25) == (10, True, True)
+    nine = faster[:9] + [PARENT[9]]  # a tie is no win
+    assert gates(PARENT, nine, True, 0.25) == (9, True, True)
+    eight = faster[:8] + PARENT[8:]
+    assert gates(PARENT, eight, True, 0.25) == (8, False, True)
+    close = [a + 1 for a in PARENT]  # wins every pair, but the gap is within the spread
+    assert gates(PARENT, close, True, 0.25) == (10, False, True)
+    # lower is better: the same values claim nothing the other way round
+    assert gates(PARENT, faster, False, 0.25) == (0, False, True)
+    assert gates(faster, PARENT, False, 0.25) == (10, True, True)
+
+
+def test_the_no_regression_gate_compares_medians_with_the_bound():
+    gates = _bench_pairs().gates
+    assert gates(PARENT, [a * 0.80 for a in PARENT], True, 0.25).no_regression
+    assert not gates(PARENT, [a * 0.70 for a in PARENT], True, 0.25).no_regression
+    assert gates(PARENT, [a * 1.10 for a in PARENT], False, 0.15).no_regression
+    assert not gates(PARENT, [a * 1.20 for a in PARENT], False, 0.15).no_regression
+    # the gate reads the medians, not the wins
+    four_lost = [a + 1 for a in PARENT[:6]] + [50.0] * 4  # median 99.5
+    assert gates(PARENT, four_lost, True, 0.25) == (6, False, True)
+    five_lost = [a + 1 for a in PARENT[:5]] + [50.0] * 5  # median 74.5
+    assert gates(PARENT, five_lost, True, 0.25) == (5, False, False)
+
+
+def test_the_gates_of_five_pairs_need_five_wins():
+    gates = _bench_pairs().gates
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    assert gates(parent, [x + 5 for x in parent], True, 0.25).claim
+    assert not gates(parent, [x + 5 for x in parent[:4]] + [parent[4]], True, 0.25).claim

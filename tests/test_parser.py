@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from gradebor.grades import INTERVAL, NAT, NAT_LEQ, STAR, frac_perm
 from gradebor.parser import (
-    KEYWORDS, SYMBOLS, SyntaxError_, lex, parse_program, parse_term,
+    KEYWORDS, SYMBOLS, Parser, SyntaxError_, _read_pragma, parse_program, parse_term,
     parse_type, print_program, print_term, print_type,
 )
 from gradebor import syntax
@@ -50,6 +53,75 @@ def test_pragma_selects_semiring():
     assert parse_program("main : Unit; main = ();").semiring is NAT_LEQ
     with pytest.raises(SyntaxError_):
         parse_program("#semiring lattice\nmain : Unit; main = ();")
+    # after blank, indented and comment lines, itself indented
+    source = "\n   \n-- header\n  -- indented comment\n\t#semiring  interval \nmain : Unit; main = ();"
+    assert parse_program(source).semiring is INTERVAL
+
+
+def test_a_comment_after_the_semiring_name_is_a_comment():
+    prog = parse_program("#semiring nat -- exact counting\nmain : Unit; main = ();")
+    assert prog.semiring is NAT
+    assert parse_program("#semiring interval--bounds\nmain : Unit; main = ();").semiring is INTERVAL
+
+
+def test_pragma_with_crlf_line_ends():
+    source = "-- header\r\n#semiring nat\r\nmain : Unit;\r\nmain = ();\r\n"
+    prog = parse_program(source)
+    assert prog.semiring is NAT
+    assert prog.main.loc == Loc(3, 1) and prog.main.body.loc == Loc(4, 8)
+
+
+def test_unknown_semiring_is_reported_at_its_line():
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program("-- header\n\n  #semiring lattice -- none such\nmain : Unit; main = ();")
+    assert str(exc.value) == "3:1: unknown semiring 'lattice'"
+
+
+def test_a_pragma_after_a_definition_is_a_stray_character():
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program("main : Unit;\nmain = ();\n  #semiring nat\n")
+    assert str(exc.value) == "3:3: unexpected character '#'"
+
+
+def test_a_form_feed_before_the_pragma_line_is_a_stray_character():
+    # the pragma's own line is not lexed, but the lines before it are
+    assert parse_program("\x0c#semiring nat\nmain : Unit; main = ();").semiring is NAT
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program("-- c\n \x0c\n#semiring nat\nmain : Unit; main = ();")
+    assert str(exc.value) == "2:2: unexpected character '\\x0c'"
+
+
+def test_tokens_after_the_pragma_keep_their_lines_and_columns():
+    body = "main : Unit;\n  main = -- c\n (x, 2.5);\n"
+    source = "-- c\n#semiring nat -- c\n" + body
+    ring, start = _read_pragma(source)
+    without = parsed_tokens("-- c\n\n" + body)
+    assert ring is NAT and parsed_tokens(source, start) == without
+    assert without[:3] == [("ident", "main", 3, 1), ("symbol", ":", 3, 6), ("keyword", "Unit", 3, 8)]
+    assert without[-2:] == [("symbol", ";", 5, 10), ("eof", "", 6, 1)]
+    prog = parse_program("-- c\n#semiring nat -- c\n" + body.replace("(x, 2.5)", "()"))
+    assert prog.main.loc == Loc(3, 1) and prog.main.body.loc == Loc(5, 2)
+
+
+def test_a_lexical_error_is_reported_before_a_parse_error():
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program("main : Unit;\nmain = ( ;\n#\n")
+    assert str(exc.value) == "3:1: unexpected character '#'"
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program("main : Unit;\nmain = ( ; -- # is commented out\n")
+    assert str(exc.value) == "2:10: expected a term, found ';'"
+
+
+def test_locations_are_immutable_values():
+    loc = Loc(3, 7)
+    assert loc == Loc(3, 7) and hash(loc) == hash(Loc(3, 7)) and loc != Loc(7, 3)
+    assert loc != (3, 7) and len({loc, Loc(3, 7), Loc(3, 8)}) == 2
+    assert str(loc) == "3:7" and repr(loc) == "Loc(line=3, col=7)"
+    with pytest.raises(FrozenInstanceError):
+        loc.line = 4
+    with pytest.raises(AttributeError):
+        loc.file = "x.grb"
+    assert copy.deepcopy(loc) == loc and pickle.loads(pickle.dumps(loc)) == loc
 
 
 def test_type_syntax():
@@ -252,8 +324,18 @@ main = let () = () in ();
         assert alpha_eq(a.body, b.body)
 
 
+def parsed_tokens(source, start=0):
+    """The tokens the parser reads from `source` from offset `start`, up to
+    its first eof, as (kind, text, line, col) tuples; the parser can step
+    past that eof to a second one at the same place."""
+    p = Parser(source, NAT_LEQ, start)
+    end = p.kinds.index("eof") + 1
+    assert p.kinds[end:] == ["eof"] and p.texts[end:] == [""] and p.loc(end) == p.loc(end - 1)
+    return [(p.kinds[i], p.texts[i], p.loc(i).line, p.loc(i).col) for i in range(end)]
+
+
 def test_eof_after_a_trailing_comment_is_past_it():
-    assert lex("x -- note")[-1] == ("eof", "", 1, 10)
+    assert parsed_tokens("x -- note")[-1] == ("eof", "", 1, 10)
     with pytest.raises(SyntaxError_) as exc:
         parse_term("(x -- note")
     assert str(exc.value) == "1:11: expected ')', found ''"
@@ -418,9 +500,10 @@ FRAGMENTS = (
 def test_lexer_matches_the_former_lexer(source):
     expected = expected_lex(source)
     try:
-        toks = lex(source)
+        toks = parsed_tokens(source)
     except SyntaxError_ as e:
         assert str(e) == expected
         return
-    assert [tuple(t) for t in toks] == expected
-    assert all(t.loc == Loc(t.line, t.col) for t in toks)
+    assert toks == expected
+    p = Parser(source, NAT_LEQ)
+    assert all(p.loc(i) == Loc(line, col) for i, (_, _, line, col) in enumerate(toks))
