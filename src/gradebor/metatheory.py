@@ -169,7 +169,7 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
             usage = _root_usage(checker, judged, config, rt)
         if usage is None:
             try:
-                usage, _ = checker.check(rt, config.term(), main_type)
+                _, usage, _ = checker.synth(rt, config.term(), main_type)
             except CheckError as e:
                 out.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
                 continue
@@ -189,7 +189,7 @@ def _retyped(old: Ctx, new: Ctx) -> bool:
 
 def _cut(frame: Optional[Frame], t: Term) -> tuple[Optional[Frame], Term]:
     """The innermost frame, from `frame` up, whose node's rule reads its hole
-    through one `infer` or `check` call (`transparent_child`), or None, the
+    through one `synth` call (`transparent_child`), or None, the
     root; and the term in its hole: t plugged into the frames below it."""
     while frame is not None and not transparent_child(node := frame.plug(t), frame.hole):
         t, frame = node, frame.parent
@@ -209,7 +209,7 @@ def _root_usage(checker: Checker, judged: dict, config: Config, rt: Ctx) -> Opti
         if expected is None and inferred is not None:
             hole_ty, hole_used, _ = inferred
         else:
-            hole_ty, hole_used, _ = checker._synth(rt, hole, expected)
+            hole_ty, hole_used, _ = checker.synth(rt, hole, expected)
         return ctx_add(used, ctx_scale(r, hole_used)) if hole_ty == ty else None
     except CheckError:
         return None
@@ -254,7 +254,7 @@ class _HoleTypes:
     def __call__(self, i: int) -> Type:
         while (j := len(self.inferred)) <= i:
             try:
-                self.inferred.append(self.type_node(j - 1, None) if j else self.checker.infer(self.rt, self.hole))
+                self.inferred.append(self.type_node(j - 1, None) if j else self.checker.synth(self.rt, self.hole))
             except CheckError:
                 self.inferred.append(None)
         if self.inferred[i] is None:
@@ -268,35 +268,29 @@ class _HoleTypes:
             self(i + 1)  # raises where that inference failed
             return self.inferred[i + 1]
         probe = _HoleProbe(self, i)
-        ty, used, _ = probe._synth(self.rt, self.nodes[i], expected)
+        ty, used, _ = probe.synth(self.rt, self.nodes[i], expected)
         return ty, used, probe.read
 
 
 class _HoleProbe(Checker):
     """A checker for the i-th node of `types`, with their variable z in its
-    hole. It keeps the type that the node's rule checks z against in `read`;
-    where the rule infers z instead, z has the type `types(i)` and `read`
-    stays None. Subterms without z go to the trace's checker, so only the
-    path down to the hole is typed here."""
+    hole. Its `synth` keeps the type that the node's rule checks z against
+    in `read`; where the rule infers z instead, z has the type `types(i)` and
+    `read` stays None. Subterms without z go to the trace's checker, so only
+    the path down to the hole is typed here."""
 
     def __init__(self, types: _HoleTypes, i: int):
         super().__init__(types.checker.ring)
         self.checker, self.z, self.types, self.i, self.read = types.checker, types.z, types, i, None
 
-    def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
-        if t is self.z:
-            return self.types(self.i), Usage(graded={t.name: self.ring.one}), t
-        if self.z.name in S.free_vars(t):
-            return super().infer(ctx, t)
-        return self.checker.infer(ctx, t)
-
-    def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
+    def synth(self, ctx: Ctx, t: Term, expected: Optional[Type] = None) -> tuple[Type, Usage, Term]:
         if t is self.z:
             self.read = expected
-            return Usage(graded={t.name: self.ring.one}), t
+            ty = self.types(self.i) if expected is None else expected
+            return ty, Usage(graded={t.name: self.ring.one}), t
         if self.z.name in S.free_vars(t):
-            return super().check(ctx, t, expected)
-        return self.checker.check(ctx, t, expected)
+            return super().synth(ctx, t, expected)
+        return self.checker.synth(ctx, t, expected)
 
 
 def check_progress(trace: Trace) -> list[Violation]:
@@ -381,17 +375,15 @@ def _conservation(
     for ident in post_heap.resources:
         if ident in pre_heap.resources:
             continue
-        touching = [r for r in post_reach if post_heap.refs.get(r) and post_heap.refs[r].ident == ident]
-        if touching:
-            total = sum(post_heap.refs[r].perm for r in touching)
-            if total != 1:
-                out.append(
-                    Violation(
-                        "borrow-safety",
-                        step,
-                        f"fresh resource {ident}: referenced at total permission {total}, expected 1",
-                    )
+        total = post.get(ident)
+        if total is not None and total != 1:
+            out.append(
+                Violation(
+                    "borrow-safety",
+                    step,
+                    f"fresh resource {ident}: referenced at total permission {total}, expected 1",
                 )
+            )
     return out
 
 

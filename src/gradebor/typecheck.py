@@ -1,17 +1,18 @@
 """Usage-synthesizing typechecker.
 
-Checking is bidirectional: `infer` synthesizes a type, `check` pushes an
-expected type inward. Both return the exact per-variable usage, which binder
-rules compare against declared grades, and an elaborated copy of the term in
-which binder annotations and box grades have been filled in (the machine
-needs those to run). Top-level definitions other than main must be closed
-values and are inlined into use sites during elaboration.
+Checking is bidirectional, through one method, `Checker.synth`: it
+synthesizes a type when given no expected type and pushes the expected type
+inward when given one. It returns the type, the exact per-variable usage,
+which binder rules compare against declared grades, and an elaborated copy of
+the term in which binder annotations and box grades have been filled in (the
+machine needs those to run). Top-level definitions other than main must be
+closed values and are inlined into use sites during elaboration.
 
-Each construct has one rule body, which `infer` calls with no expected type
-and `check` with its own: `Checker._abs` (also for beta-redexes and borrowing
-functions), `_promote`, `_pack`, and the binding forms' methods, found in
-`_BINDING_RULES`. Promotion is decided by the body's type: a box may not hold
-a `*` value outside a function type, wherever the allocation is hidden.
+Each construct has one rule body, called with the expected type or None:
+`Checker._abs` (also for beta-redexes and borrowing functions), `_promote`,
+`_pack`, and the binding forms' methods, found in `_BINDING_RULES`.
+Promotion is decided by the body's type: a box may not hold a `*` value
+outside a function type, wherever the allocation is hidden.
 """
 
 from __future__ import annotations
@@ -237,19 +238,16 @@ def unify(pattern: Type, concrete: Type, bindable: set[str], sol: dict) -> bool:
     return True
 
 
-def apply_solution(ty: Type, binders: tuple[tuple[str, str], ...], sol: dict) -> Type:
-    perm_env = {v: sol[v] for v, k in binders if k == "Permission" and v in sol}
-    name_env = {v: sol[v] for v, k in binders if k == "Name" and v in sol}
-    return type_subst_perms(type_subst_names(ty, name_env), perm_env)
-
-
-def apply_solution_term(t: Term, binders: tuple[tuple[str, str], ...], sol: dict) -> Term:
-    name_env = {v: sol[v] for v, k in binders if k == "Name" and v in sol}
-    out = S.subst_names(t, name_env)
-    perm_env = {v: sol[v] for v, k in binders if k == "Permission" and v in sol}
+def instance(tf: Forall, ef: Term, sol: dict) -> tuple[Type, Term]:
+    """The body of `tf` and its elaborated term `ef`, with each binder that
+    `sol` solves replaced by its solution."""
+    name_env = {v: sol[v] for v, k in tf.binders if k == "Name" and v in sol}
+    perm_env = {v: sol[v] for v, k in tf.binders if k == "Permission" and v in sol}
+    ty = type_subst_perms(type_subst_names(tf.body, name_env), perm_env)
+    out = S.subst_names(ef, name_env)
     if perm_env:
         out = _subst_perms_term(out, perm_env)
-    return out
+    return ty, out
 
 
 def _subst_perms_term(t: Term, env: dict) -> Term:
@@ -264,13 +262,13 @@ class TypingMemo:
     """Typing judgments of subterms that recur unchanged, such as the parts of
     a term that consecutive configurations of a trace share.
 
-    A judgment is keyed on its node (by identity), its expected type (None
-    when inferring) and the part of the context it can read: the entries of
-    the node's free variables and names, the entries of its references, the
-    permission and name variables, and the names in scope unless identifiers
-    are lenient. The entries follow the order of the sets `free_vars` and
-    `refs_of` store on the node, so a node's key always lists them in the
-    same order. Types and entries compare up to alpha-equivalence, as
+    A judgment is keyed on its node (by identity), the expected type given
+    to `Checker.synth` (None when inferring) and the part of the context it
+    can read: the entries of the node's free variables and names, the
+    entries of its references, the permission and name variables, and the
+    names in scope unless identifiers are lenient. The entries follow the
+    order of the sets `free_vars` and `refs_of` store on the node, so a
+    node's key always lists them in the same order. Types and entries compare up to alpha-equivalence, as
     everywhere in the checker. A node with a binder that clashes with the
     context has no key, because checking it renames that binder. Entries hold
     their nodes, so no other node can take a node's id while the memo lives.
@@ -318,7 +316,7 @@ class Checker:
     reasoning with graded modal types", ICFP 2019; Atkey, "Syntax and
     semantics of quantitative type theory", LICS 2018): if Γ, z :[A]_r ⊢
     C[z] : B and Δ ⊢ t : A, then Γ + r·Δ ⊢ C[t] : B, where C reads z as it
-    would read t, through one `infer` or `check` call (`transparent_child`).
+    would read t, through one `synth` call (`transparent_child`).
 
     With a `TypingMemo`, judgments on let, unpack, clone and withBorrow nodes,
     and on terms passed to `infer_shared`, are looked up before they are
@@ -364,65 +362,73 @@ class Checker:
             memo.judgments[key] = (t, out)
         return out
 
-    def _synth(self, ctx: Ctx, t: Term, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        """`check` against `expected` when it is given, else `infer`."""
-        if expected is None:
-            return self.infer(ctx, t)
-        u, e = self.check(ctx, t, expected)
-        return expected, u, e
-
     # -- entry points --------------------------------------------------------
 
     def infer_shared(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
-        """`infer`, looked up in the memo first: for a term that recurs
-        unchanged, such as a value stored in the heap."""
-        return self._recalled(ctx, t, None, Checker._synth)
+        """`synth` in infer mode, looked up in the memo first: for a term that
+        recurs unchanged, such as a value stored in the heap."""
+        return self._recalled(ctx, t, None, Checker.synth)
 
-    def infer(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
-        """The type, usage and elaborated term that `t` synthesizes in `ctx`.
+    def synth(self, ctx: Ctx, t: Term, expected: Optional[Type] = None) -> tuple[Type, Usage, Term]:
+        """The type, usage and elaborated term of `t` in `ctx`. With `expected`
+        given, `t` is checked against it and the type returned is `expected`;
+        otherwise the type is inferred.
 
-        The cases are tested in measured-frequency order (preservation on
-        `props` meets Var, RefVal, Uniq and Pair most, then the literals, App,
-        the binding forms, Join, Pull, Split and Abs). The order changes only
-        speed: the term classes are disjoint, so each term meets the same
-        case in any order.
+        A class whose rule reads `expected` has a case guarded on it before
+        its other case. Every other case infers and falls through to the
+        tail, which compares the inferred type with `expected`. The cases are
+        tested in measured-frequency order (preservation on `props` meets
+        Var, RefVal, Uniq and Pair most, then the literals, App, the binding
+        forms, Join, Pull, Split and Abs). The order changes only speed: the
+        term classes are disjoint, and a class's guarded case precedes its
+        other one, so each term meets the same case in any order.
         """
         match t:
             case Var(n):
                 entry = ctx.vars.get(n)
                 if isinstance(entry, LinearEntry):
-                    return entry.ty, Usage(linear={n}), t
+                    ty, u, e = entry.ty, Usage(linear={n}), t
                 elif entry is not None:
-                    return entry.ty, Usage(graded={n: self.ring.one}), t
+                    ty, u, e = entry.ty, Usage(graded={n: self.ring.one}), t
                 elif n in self.globals:
                     g = self.globals[n]
-                    return g.signature, Usage(), g.body
+                    ty, u, e = g.signature, Usage(), g.body
                 else:
                     raise CheckError(UNBOUND_VARIABLE, f"unbound variable {n!r}", t.loc, rule="var")
             case RefVal(r):
                 if r not in ctx.refs:
                     raise CheckError(UNBOUND_VARIABLE, f"unknown reference {r!r}", t.loc, rule="ref")
-                e = ctx.refs[r]
-                return ResT(e.kind, e.ident, e.payload), Usage(refs={r}), t
+                entry = ctx.refs[r]
+                ty, u, e = ResT(entry.kind, entry.ident, entry.payload), Usage(refs={r}), t
+            case Uniq(body, perm) if isinstance(expected, Amp):
+                if perm != expected.perm:
+                    raise CheckError(MISMATCH, f"wrapper permission {perm} does not match {expected.perm}", t.loc, rule="nec")
+                _, ub, eb = self.synth(ctx, body, expected.body)
+                return expected, ub, S._rebuild(t, body=eb)
             case Uniq(body, perm):
-                tb, ub, eb = self.infer(ctx, body)
-                return Amp(perm, tb), ub, S._rebuild(t, body=eb)
+                tb, ub, eb = self.synth(ctx, body)
+                ty, u, e = Amp(perm, tb), ub, S._rebuild(t, body=eb)
+            case Pair(l, r) if isinstance(expected, Prod):
+                _, ul, el = self.synth(ctx, l, expected.left)
+                _, ur, er = self.synth(ctx, r, expected.right)
+                return expected, ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case Pair(l, r):
-                tl, ul, el = self.infer(ctx, l)
-                tr, ur, er = self.infer(ctx, r)
-                return Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
+                tl, ul, el = self.synth(ctx, l)
+                tr, ur, er = self.synth(ctx, r)
+                ty, u, e = Prod(tl, tr), ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
             case UnitVal():
-                return UnitT(), Usage(), t
+                ty, u, e = UnitT(), Usage(), t
             case FloatLit():
-                return FloatT(), Usage(), t
+                ty, u, e = FloatT(), Usage(), t
             case NatLit():
-                return NatT(), Usage(), t
+                ty, u, e = NatT(), Usage(), t
             case App():
-                return self._infer_app(ctx, t)
+                ty, u, e = self._app(ctx, t, expected)
             case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
-                return self._recalled(ctx, t, None, rule)
+                ty, u, e = self._recalled(ctx, t, expected, rule)
+                return ty if expected is None else expected, u, e
             case Join(body):
-                tb, ub, eb = self.infer(ctx, body)
+                tb, u, eb = self.synth(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
                     raise CheckError(MISMATCH, f"join expects a pair of borrows, got {tb!r}", t.loc, rule="join")
                 if not type_alpha_eq(tb.left.body, tb.right.body):
@@ -437,13 +443,13 @@ class Checker:
                     raise CheckError(MISMATCH, "join is not defined at abstract permissions", t.loc, rule="join")
                 try:
                     total = G.perm_add(p, q)
-                except G.StarNotAddable as e:
-                    raise CheckError(STAR_NOT_ADDABLE, str(e), t.loc, rule="join")
-                except G.PermissionOverflow as e:
-                    raise CheckError(PERMISSION_OVERFLOW, str(e), t.loc, rule="join")
-                return Amp(total, tb.left.body), ub, S._rebuild(t, body=eb)
+                except G.StarNotAddable as err:
+                    raise CheckError(STAR_NOT_ADDABLE, str(err), t.loc, rule="join")
+                except G.PermissionOverflow as err:
+                    raise CheckError(PERMISSION_OVERFLOW, str(err), t.loc, rule="join")
+                ty, e = Amp(total, tb.left.body), S._rebuild(t, body=eb)
             case Pull(body):
-                tb, ub, eb = self.infer(ctx, body)
+                tb, u, eb = self.synth(ctx, body)
                 if not (isinstance(tb, Prod) and isinstance(tb.left, Amp) and isinstance(tb.right, Amp)):
                     raise CheckError(MISMATCH, f"pull expects a pair of borrows, got {tb!r}", t.loc, rule="pull")
                 if tb.left.perm != tb.right.perm:
@@ -453,9 +459,9 @@ class Checker:
                         t.loc,
                         rule="pull",
                     )
-                return Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), ub, S._rebuild(t, body=eb)
+                ty, e = Amp(tb.left.perm, Prod(tb.left.body, tb.right.body)), S._rebuild(t, body=eb)
             case Split(body):
-                tb, ub, eb = self.infer(ctx, body)
+                tb, u, eb = self.synth(ctx, body)
                 if not isinstance(tb, Amp):
                     raise CheckError(MISMATCH, f"split expects a borrowed value, got {tb!r}", t.loc, rule="split")
                 p = tb.perm
@@ -467,96 +473,73 @@ class Checker:
                         rule="split",
                     )
                 half = G.perm_half(p)
-                return Prod(Amp(half, tb.body), Amp(half, tb.body)), ub, S._rebuild(t, body=eb)
+                ty, e = Prod(Amp(half, tb.body), Amp(half, tb.body)), S._rebuild(t, body=eb)
+            case Abs(_, _, ann) if expected is not None:
+                if not isinstance(expected, Fun):
+                    raise CheckError(MISMATCH, f"function given non-function type {expected!r}", t.loc, rule="abs")
+                if ann is not None and not type_alpha_eq(ann, expected.dom):
+                    raise CheckError(MISMATCH, f"annotation {ann!r} conflicts with expected domain {expected.dom!r}", t.loc, rule="abs")
+                _, u, e = self._abs(ctx, t, expected.dom, expected.cod, t.loc)
+                return expected, u, e
             case Abs(_, _, ann):
                 if ann is None:
                     raise CheckError(MISMATCH, "cannot infer the type of an unannotated function", t.loc, rule="abs")
                 self._check_wf(ann, ctx, t.loc)
-                tb, ub, e = self._abs(ctx, t, ann, None, t.loc)
-                return Fun(ann, tb), ub, e
+                tb, u, e = self._abs(ctx, t, ann, None, t.loc)
+                ty = Fun(ann, tb)
+            case Pack(i) if isinstance(expected, ExistsT):
+                _, u, e = self._pack(ctx, t, type_subst_names(expected.body, {expected.binder: i}))
+                return expected, u, e
             case Pack():
-                return self._pack(ctx, t, None)
+                ty, u, e = self._pack(ctx, t, None)
             case Push(body):
-                tb, ub, eb = self.infer(ctx, body)
+                tb, u, eb = self.synth(ctx, body)
                 if not (isinstance(tb, Amp) and isinstance(tb.body, Prod)):
                     raise CheckError(MISMATCH, f"push expects a borrowed product, got {tb!r}", t.loc, rule="push")
-                return Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), ub, S._rebuild(t, body=eb)
+                ty, e = Prod(Amp(tb.perm, tb.body.left), Amp(tb.perm, tb.body.right)), S._rebuild(t, body=eb)
+            case Promote() if expected is not None:
+                if not isinstance(expected, Box):
+                    raise CheckError(MISMATCH, f"promotion given non-box type {expected!r}", t.loc, rule="promotion")
+                _, u, e = self._promote(ctx, t, expected.grade, expected.body)
+                return expected, u, e
             case Promote(_, grade):
                 if grade is None:
                     raise CheckError(MISMATCH, "cannot infer the grade of a promotion; annotate the binding", t.loc, rule="promotion")
                 # elaborated boxes record their grade, so runtime terms re-infer
-                return self._promote(ctx, t, grade, None)
+                ty, u, e = self._promote(ctx, t, grade, None)
+            case Unborrow(body) if expected is not None:
+                if not _owned(expected):
+                    raise CheckError(MISMATCH, f"unborrow produces an owned value, but {expected!r} was expected", t.loc, rule="unborrow")
+                _, u, eb = self.synth(ctx, body, Amp(WHOLE, expected.body))
+                return expected, u, S._rebuild(t, body=eb)
             case Unborrow(body):
-                tb, ub, eb = self.infer(ctx, body)
+                tb, u, eb = self.synth(ctx, body)
                 if not _whole(tb):
                     raise CheckError(MISMATCH, f"unborrow expects a whole borrow, got {tb!r}", t.loc, rule="unborrow")
-                return Amp(STAR, tb.body), ub, S._rebuild(t, body=eb)
+                ty, e = Amp(STAR, tb.body), S._rebuild(t, body=eb)
+            case Share(body) if expected is not None:
+                if not isinstance(expected, Box):
+                    raise CheckError(MISMATCH, f"share produces a box, but {expected!r} was expected", t.loc, rule="share")
+                _, u, eb = self.synth(ctx, body, Amp(STAR, expected.body))
+                return expected, u, S._rebuild(t, body=eb, grade=expected.grade)
             case Share():
                 raise CheckError(MISMATCH, "cannot infer the grade of share; annotate the use site", t.loc, rule="share")
             case Prim(name):
                 if name != "newArray":
                     raise CheckError(MISMATCH, f"primitive {name} must be applied to its resource argument", t.loc, rule="prim")
-                return self._prim_result_type("newArray", [], t.loc), Usage(), t
+                ty, u, e = self._prim_result_type("newArray", [], t.loc), Usage(), t
             case _:
                 raise CheckError(MISMATCH, f"cannot infer a type for {t!r}", t.loc, rule="infer")
-
-    def check(self, ctx: Ctx, t: Term, expected: Type) -> tuple[Usage, Term]:
-        """The usage and elaborated term of `t` checked against `expected`.
-
-        The cases are tested in measured-frequency order (Pair, the binding
-        forms, App and Pack lead); a class's guarded cases keep their order,
-        and every term that no case takes is inferred. The order changes only
-        speed: the term classes are disjoint, so each term meets the same
-        case in any order.
-        """
-        match t:
-            case Pair(l, r) if isinstance(expected, Prod):
-                ul, el = self.check(ctx, l, expected.left)
-                ur, er = self.check(ctx, r, expected.right)
-                return ctx_add(ul, ur, t.loc), S._rebuild(t, left=el, right=er)
-            case _ if (rule := _BINDING_RULES.get(type(t))) is not None:
-                return self._recalled(ctx, t, expected, rule)[1:]
-            case App():
-                ty, u, e = self._infer_app(ctx, t, expected)
-                if not _arg_type_fits(ty, expected):
-                    raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="app")
-                return u, e
-            case Pack(i) if isinstance(expected, ExistsT):
-                return self._pack(ctx, t, type_subst_names(expected.body, {expected.binder: i}))[1:]
-            case Uniq(body, perm) if isinstance(expected, Amp):
-                if perm != expected.perm:
-                    raise CheckError(MISMATCH, f"wrapper permission {perm} does not match {expected.perm}", t.loc, rule="nec")
-                ub, eb = self.check(ctx, body, expected.body)
-                return ub, S._rebuild(t, body=eb)
-            case Promote():
-                if not isinstance(expected, Box):
-                    raise CheckError(MISMATCH, f"promotion given non-box type {expected!r}", t.loc, rule="promotion")
-                return self._promote(ctx, t, expected.grade, expected.body)[1:]
-            case Unborrow(body):
-                if not _owned(expected):
-                    raise CheckError(MISMATCH, f"unborrow produces an owned value, but {expected!r} was expected", t.loc, rule="unborrow")
-                ub, eb = self.check(ctx, body, Amp(WHOLE, expected.body))
-                return ub, S._rebuild(t, body=eb)
-            case Share(body):
-                if not isinstance(expected, Box):
-                    raise CheckError(MISMATCH, f"share produces a box, but {expected!r} was expected", t.loc, rule="share")
-                ub, eb = self.check(ctx, body, Amp(STAR, expected.body))
-                return ub, S._rebuild(t, body=eb, grade=expected.grade)
-            case Abs(_, _, ann):
-                if not isinstance(expected, Fun):
-                    raise CheckError(MISMATCH, f"function given non-function type {expected!r}", t.loc, rule="abs")
-                if ann is not None and not type_alpha_eq(ann, expected.dom):
-                    raise CheckError(MISMATCH, f"annotation {ann!r} conflicts with expected domain {expected.dom!r}", t.loc, rule="abs")
-                return self._abs(ctx, t, expected.dom, expected.cod, t.loc)[1:]
-            case _:
-                ty, u, e = self.infer(ctx, t)
-                if not _arg_type_fits(ty, expected):
-                    raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule="check")
-                return u, e
+        if expected is None:
+            return ty, u, e
+        if not _arg_type_fits(ty, expected):
+            rule = "app" if type(t) is App else "check"
+            raise CheckError(MISMATCH, f"expected {expected!r} but found {ty!r}", t.loc, rule=rule)
+        return expected, u, e
 
     # -- composite rules ------------------------------------------------------
 
-    def _infer_app(self, ctx: Ctx, t: App, expected: Optional[Type] = None) -> tuple[Type, Usage, Term]:
+    def _app(self, ctx: Ctx, t: App, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         spine = S.prim_spine(t)
         if spine is not None:
             return self._prim_app(ctx, t, spine, expected)
@@ -565,12 +548,12 @@ class Checker:
             # beta-redex: learn the argument type first
             if fn.ann is not None:
                 self._check_wf(fn.ann, ctx, t.loc)
-            ta, ua, ea = self._synth(ctx, arg, fn.ann)
+            ta, ua, ea = self.synth(ctx, arg, fn.ann)
             tb, ub, efn = self._abs(ctx, fn, ta, expected, t.loc)
             return tb, ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
-        tf, uf, ef = self.infer(ctx, fn)
+        tf, uf, ef = self.synth(ctx, fn)
         if isinstance(tf, Forall):
-            ta, ua, ea = self.infer(ctx, arg)
+            ta, ua, ea = self.synth(ctx, arg)
             tf2, ef = self._instantiate(tf, ef, ta, expected, t.loc)
             if not isinstance(tf2, Fun):
                 raise CheckError(MISMATCH, f"applied a non-function of type {tf2!r}", t.loc, rule="app")
@@ -579,7 +562,7 @@ class Checker:
             return tf2.cod, ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
         if not isinstance(tf, Fun):
             raise CheckError(MISMATCH, f"applied a non-function of type {tf!r}", t.loc, rule="app")
-        ua, ea = self.check(ctx, arg, tf.dom)
+        _, ua, ea = self.synth(ctx, arg, tf.dom)
         return tf.cod, ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
 
     def _instantiate(self, tf: Forall, ef: Term, arg_ty: Type, expected: Optional[Type], loc) -> tuple[Type, Term]:
@@ -599,8 +582,7 @@ class Checker:
         missing = bindable - set(sol)
         if missing:
             raise CheckError(MISMATCH, f"cannot determine {', '.join(sorted(missing))} at this call site", loc, rule="app")
-        ty = apply_solution(tf.body, tf.binders, sol)
-        return ty, apply_solution_term(ef, tf.binders, sol)
+        return instance(tf, ef, sol)
 
     def _prim_app(self, ctx: Ctx, t: App, spine, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
         name, args = spine
@@ -623,7 +605,7 @@ class Checker:
         elabs: list[Term] = []
         tys: list[Type] = []
         for a in args:
-            ta, ua, ea = self._synth(ctx, a, payload)
+            ta, ua, ea = self.synth(ctx, a, payload)
             usage = ctx_add(usage, ua, t.loc)
             elabs.append(ea)
             tys.append(ta)
@@ -704,26 +686,23 @@ class Checker:
         return res.payload
 
     def _let_pair(self, ctx: Ctx, t: LetPair, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        tr, ur, er = self.infer(ctx, t.rhs)
+        tr, ur, er = self.synth(ctx, t.rhs)
         if not isinstance(tr, Prod):
             raise CheckError(MISMATCH, f"let (x, y) scrutinee has type {tr!r}, not a product", t.loc, rule="pair-elim")
         x, (body,) = self._freshen_var(t.left, ctx, t.body)
         ctx2 = ctx.bind(x, LinearEntry(tr.left))
         y, (body,) = self._freshen_var(t.right, ctx2, body)
         ctx2 = ctx2.bind(y, LinearEntry(tr.right))
-        tb, ub, eb = self._synth(ctx2, body, expected)
+        tb, ub, eb = self.synth(ctx2, body, expected)
         ub = self._pop_linear(ub, x, tr.left, t.loc)
         ub = self._pop_linear(ub, y, tr.right, t.loc)
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, left=x, right=y, rhs=er, body=eb, lann=tr.left, rann=tr.right)
 
     def _let_unit(self, ctx: Ctx, t: LetUnit, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        if expected is None:
-            tr, ur, er = self.infer(ctx, t.rhs)
-            if not isinstance(tr, UnitT):
-                raise CheckError(MISMATCH, f"let () scrutinee has type {tr!r}, not Unit", t.loc, rule="unit-elim")
-        else:
-            ur, er = self.check(ctx, t.rhs, UnitT())
-        tb, ub, eb = self._synth(ctx, t.body, expected)
+        tr, ur, er = self.synth(ctx, t.rhs, None if expected is None else UnitT())
+        if not isinstance(tr, UnitT):
+            raise CheckError(MISMATCH, f"let () scrutinee has type {tr!r}, not Unit", t.loc, rule="unit-elim")
+        tb, ub, eb = self.synth(ctx, t.body, expected)
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, rhs=er, body=eb)
 
     def _let_box(self, ctx: Ctx, t: LetBox, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
@@ -732,24 +711,24 @@ class Checker:
             self._check_wf(ann, ctx, t.loc)
             if not isinstance(ann, Box):
                 raise CheckError(MISMATCH, f"let [x] annotation {ann!r} is not a box type", t.loc, rule="box-elim")
-        tr, ur, er = self._synth(ctx, t.rhs, ann)
+        tr, ur, er = self.synth(ctx, t.rhs, ann)
         if not isinstance(tr, Box):
             raise CheckError(MISMATCH, f"let [x] scrutinee has type {tr!r}, not a box", t.loc, rule="box-elim")
         x, (body,) = self._freshen_var(t.binder, ctx, t.body)
         ctx2 = ctx.bind(x, GradedEntry(tr.body, tr.grade))
-        tb, ub, eb = self._synth(ctx2, body, expected)
+        tb, ub, eb = self.synth(ctx2, body, expected)
         ub = self._pop_graded(ub, x, tr.grade, t.loc)
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, binder=x, rhs=er, body=eb, ann=tr)
 
     def _unpack(self, ctx: Ctx, t: Unpack, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        tr, ur, er = self.infer(ctx, t.rhs)
+        tr, ur, er = self.synth(ctx, t.rhs)
         if not isinstance(tr, ExistsT):
             raise CheckError(MISMATCH, f"unpack scrutinee has type {tr!r}, not an existential", t.loc, rule="unpack")
         ident, (body,) = self._freshen_name(t.ident, ctx, t.body)
         binder, (body,) = self._freshen_var(t.binder, ctx, body)
         payload = type_subst_names(tr.body, {tr.binder: ident})
         ctx2 = ctx.bind_name(ident).bind(binder, LinearEntry(payload))
-        tb, ub, eb = self._synth(ctx2, body, expected)
+        tb, ub, eb = self.synth(ctx2, body, expected)
         if ident in type_free_names(tb):
             raise CheckError(ID_ESCAPES, f"identifier {ident!r} escapes in the result type {tb!r}", t.loc, rule="unpack")
         ub = self._pop_linear(ub, binder, payload, t.loc)
@@ -757,7 +736,7 @@ class Checker:
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, ident=ident, binder=binder, rhs=er, body=eb, bann=payload)
 
     def _with_borrow(self, ctx: Ctx, t: WithBorrow, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        ta, ua, ea = self.infer(ctx, t.arg)
+        ta, ua, ea = self.synth(ctx, t.arg)
         if not _owned(ta):
             raise CheckError(MISMATCH, f"withBorrow needs a uniquely owned value, got {ta!r}", t.loc, rule="withBorrow")
         if expected is not None and not _owned(expected):
@@ -769,15 +748,13 @@ class Checker:
         if isinstance(fn, Abs) and fn.ann is None:
             tb, ub, efn = self._abs(ctx, fn, dom, cod, t.loc, borrowing=True)
             return Amp(STAR, tb.body), ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
-        tf, uf, ef = self.infer(ctx, fn)
+        tf, uf, ef = self.synth(ctx, fn)
         if isinstance(tf, Forall):
             bindable = {v for v, _ in tf.binders}
             sol: dict = {}
             if not unify(tf.body, Fun(dom, dom if cod is None else cod), bindable, sol) or len(sol) < len(bindable):
                 raise CheckError(MISMATCH, f"cannot instantiate {tf!r} as a borrowing function", t.loc, rule="withBorrow")
-            binders = tf.binders
-            tf = apply_solution(tf.body, binders, sol)
-            ef = apply_solution_term(ef, binders, sol)
+            tf, ef = instance(tf, ef, sol)
         if not (isinstance(tf, Fun) and _whole(tf.dom) and _whole(tf.cod)):
             raise CheckError(MISMATCH, f"withBorrow needs a function between whole borrows, got {tf!r}", t.loc, rule="withBorrow")
         if not type_alpha_eq(tf.dom.body, inner):
@@ -787,7 +764,7 @@ class Checker:
         return Amp(STAR, tf.cod.body), ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
 
     def _clone(self, ctx: Ctx, t: Clone, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
-        tr, ur, er = self.infer(ctx, t.rhs)
+        tr, ur, er = self.synth(ctx, t.rhs)
         if not isinstance(tr, Box):
             raise CheckError(MISMATCH, f"clone expects a shared (boxed) value, got {tr!r}", t.loc, rule="clone")
         if not grade_leq(self.ring.one, tr.grade):
@@ -811,7 +788,7 @@ class Checker:
         renaming = dict(zip(old_ids, idents))
         fresh_ty = Amp(STAR, type_subst_names(tr.body, renaming))
         ctx2 = ctx2.bind(binder, LinearEntry(fresh_ty))
-        tb, ub, eb = self._synth(ctx2, body, expected)
+        tb, ub, eb = self.synth(ctx2, body, expected)
         escaped = set(idents) & type_free_names(tb)
         if escaped:
             raise CheckError(ID_ESCAPES, f"cloned identifiers escape in the result type: {', '.join(sorted(escaped))}", t.loc, rule="clone")
@@ -821,7 +798,7 @@ class Checker:
             t, binder=binder, idents=tuple(idents), rhs=er, body=eb, bann=fresh_ty, old_idents=tuple(old_ids)
         )
 
-    # -- rules shared by infer and check ---------------------------------------
+    # -- rules shared by both modes ---------------------------------------------
 
     def _abs(
         self, ctx: Ctx, fn: Abs, dom: Type, cod: Optional[Type], loc, borrowing: bool = False
@@ -831,7 +808,7 @@ class Checker:
         the elaborated abstraction. An unused parameter is reported at `loc`.
         A borrowing function must return a whole borrow."""
         param, (body,) = self._freshen_var(fn.param, ctx, fn.body)
-        tb, ub, eb = self._synth(ctx.bind(param, LinearEntry(dom)), body, cod)
+        tb, ub, eb = self.synth(ctx.bind(param, LinearEntry(dom)), body, cod)
         if borrowing and not _whole(tb):
             raise CheckError(MISMATCH, f"the borrowing function must return a whole borrow, got {tb!r}", loc, rule="withBorrow")
         ub = self._pop_linear(ub, param, dom, loc)
@@ -842,7 +819,7 @@ class Checker:
         `expected` when it is given. The body's type may not hold an owned
         value: every use of the box would get the same unique resource. A
         linear variable in the body is reported first."""
-        tb, ub, eb = self._synth(ctx, t.body, expected)
+        tb, ub, eb = self.synth(ctx, t.body, expected)
         scaled = ctx_scale(grade, ub, t.loc)
         if _holds_owned(tb):
             raise CheckError(PROMOTION_OF_ALLOCATOR, "cannot promote a resource allocator", t.loc, rule="promotion")
@@ -854,7 +831,7 @@ class Checker:
         i = t.ident
         if not ctx.has_name(i):
             raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
-        tb, ub, eb = self._synth(ctx, t.body, expected)
+        tb, ub, eb = self.synth(ctx, t.body, expected)
         ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
         return ExistsT(i, tb), ub, S._rebuild(t, body=eb)
 
@@ -894,8 +871,8 @@ class Checker:
 
 
 def transparent_child(t: Term, name: str) -> bool:
-    """Whether t's rule reads its child `name` only through one `infer` or
-    `check` call on it, made in t's own context.
+    """Whether t's rule reads its child `name` only through one `synth`
+    call on it, made in t's own context.
 
     Every evaluation position is read so, except the function of an
     application or withBorrow that is an abstraction or a primitive, and the
@@ -976,7 +953,7 @@ def check_program(prog) -> CheckedProgram:
         ctx = Ctx(ring, perm_vars=perm_vs, name_vars=name_vs)
         checker._check_wf(inner, ctx, d.loc)
         try:
-            usage, elab = checker.check(ctx, d.body, inner)
+            _, usage, elab = checker.synth(ctx, d.body, inner)
         except G.GradeError as e:
             raise CheckError(type(e).__name__, str(e), d.loc, rule="algebra")
         if d.name == "main":

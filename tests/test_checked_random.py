@@ -6,7 +6,7 @@ pairs, boxes and the three lets, over the variables `x`, `y` and `z`. Each
 draw aims at a type, but the terms are not well-typed by construction: a
 leaf picks any variable of its type in scope, so a variable may be used
 twice or not at all, and a box may stand where its grade cannot be
-inferred. A term is kept when `Checker.infer` accepts it in the empty
+inferred. A term is kept when `Checker.synth` infers a type for it in the empty
 context. Each kept term is then evaluated and its trace replayed through
 `check_trace`; an evaluation that gets stuck counts as a failure, as does
 every violation the trace checkers report. The generator in
@@ -14,12 +14,17 @@ every violation the trace checkers report. The generator in
 it cannot find a rule the checker has and the machine lacks; a grammar like
 this one can (Pałka, Russo, Claessen and Hughes, "Testing an optimising
 compiler by generating random lambda terms", AST 2011).
+
+The accepted draws, and the subterms of generated traces in their runtime
+contexts, also check that `Checker.synth` judges a term alike when it checks
+it against the type it infers.
 """
 
 import random
 
 import pytest
 
+from gradebor.generator import generate_programs
 from gradebor.grades import NAT_LEQ
 from gradebor.machine import EvalError, Heap, Machine
 from gradebor.metatheory import check_trace
@@ -28,7 +33,7 @@ from gradebor.syntax import (
     Abs, App, Box, FloatLit, FloatT, LetBox, LetPair, LetUnit, NatLit, NatT, Pair, Prod, Promote,
     UnitT, UnitVal, Var, children,
 )
-from gradebor.typecheck import CheckError, Checker, Ctx
+from gradebor.typecheck import CheckError, Checker, Ctx, check_program, runtime_ctx
 
 RING = NAT_LEQ
 FLOAT2 = Box(RING.literal(2), FloatT())
@@ -86,7 +91,7 @@ def test_accepted_random_terms_run_and_replay_cleanly(seed):
     for _ in range(DRAWS):
         t = draw(rng, rng.choice(TYPES), 4)
         try:
-            ty, _, elab = Checker(RING).infer(Ctx(RING), t)
+            ty, _, elab = Checker(RING).synth(Ctx(RING), t)
         except CheckError:
             continue
         seen |= forms_of(t)
@@ -98,3 +103,33 @@ def test_accepted_random_terms_run_and_replay_cleanly(seed):
         failures += [f"{print_term(t)}: {v}" for v in check_trace(trace, ty, RING, RING.one)]
     assert not failures, failures[:5]
     assert set(FORMS) <= seen and set(TYPES) <= seen
+
+
+def agrees_with_its_own_check(ring, ctx, t) -> bool:
+    """Whether checking t against the type it infers gives the same usage and
+    the same printed elaborated term; False when t infers no type."""
+    try:
+        ty, usage, elab = Checker(ring).synth(ctx, t)
+    except CheckError:
+        return False
+    checked = Checker(ring).synth(ctx, t, ty)
+    assert (checked[0], checked[1], print_term(checked[2])) == (ty, usage, print_term(elab)), print_term(t)
+    return True
+
+
+def test_checking_against_the_inferred_type_agrees_with_inferring():
+    # each class whose rule reads the expected type has a guarded case in
+    # `Checker.synth` next to its inferring one; both must judge alike
+    rng = random.Random(3)
+    draws = sum(agrees_with_its_own_check(RING, Ctx(RING), draw(rng, rng.choice(TYPES), 4)) for _ in range(DRAWS))
+    subterms = 0
+    for prog in generate_programs(5, count=40):
+        cp = check_program(prog)
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        for term, heap in trace.configurations():
+            rt, todo = runtime_ctx(heap, cp.ring), [term]
+            while todo:
+                t = todo.pop()
+                todo.extend(children(t))
+                subterms += agrees_with_its_own_check(cp.ring, rt, t)
+    assert draws >= 500 and subterms >= 1000, (draws, subterms)

@@ -239,7 +239,7 @@ def test_deep_chains_run_and_trace(tmp_path, writes):
     assert last["step"] == json.loads(run.stdout)["steps"] == writes + 3
 
 
-@pytest.mark.parametrize("depth", [200, 300])
+@pytest.mark.parametrize("depth", [300, 400])
 def test_let_chains_too_deep_to_check_are_one_line_syntax_errors(tmp_path, depth):
     # the parser takes both chains; the checker spends more frames per let
     # than the parser and overflows on the deeper one
@@ -247,7 +247,7 @@ def test_let_chains_too_deep_to_check_are_one_line_syntax_errors(tmp_path, depth
     for command in ("check", "run", "trace"):
         proc = _cli(command, "lets.grb", cwd=tmp_path)
         assert "Traceback" not in proc.stdout + proc.stderr
-        if depth == 200:
+        if depth == 300:
             assert proc.returncode == 0 and proc.stderr == ""
             continue
         assert proc.returncode == 1

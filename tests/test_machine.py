@@ -862,7 +862,7 @@ def test_stored_reference_types_are_the_types_of_the_stored_values():
                 if res.is_array:
                     continue
                 try:
-                    ty = Checker(cp.ring).infer(runtime_ctx(heap, cp.ring), res.value)[0]
+                    ty = Checker(cp.ring).synth(runtime_ctx(heap, cp.ring), res.value)[0]
                 except CheckError:
                     continue
                 assert res.ty == ty, (label, k, ident, res.ty, ty)

@@ -118,7 +118,7 @@ def compat_oracle(heap: Heap, ctx: Ctx, ring) -> bool:
                     return True
                 continue
             try:
-                _, usage, _ = checker.infer(rt, value)
+                _, usage, _ = checker.synth(rt, value)
             except Exception:
                 continue
             new_demands = dict(rest_demands)
@@ -322,15 +322,17 @@ def test_borrow_safety_agrees_with_naive_oracle(mutate):
     assert (flagged > 0) == mutate
 
 
-def _one_step_trace(pre_term, post_term, post_vars, post_refs):
+def _one_step_trace(pre_term, post_term, post_vars, post_refs, post_arrays=()):
     """A hand-built trace of one step: array id1 is held whole through ref1
-    before it, and the step adds the heap bindings and references given."""
+    before it, and the step adds the heap bindings, references and arrays
+    given."""
     from gradebor.machine import Trace
 
     heaps = []
-    for extra_vars, extra_refs in (({}, {}), (post_vars, post_refs)):
+    for extra_vars, extra_refs, extra_arrays in (({}, {}, ()), (post_vars, post_refs, post_arrays)):
         heap = Heap()
         heap.resources["id1"] = ArrRes()
+        heap.resources.update((ident, ArrRes()) for ident in extra_arrays)
         heap.refs["ref1"] = RefCell(Fraction(1), "id1")
         heap.refs.update(extra_refs)
         heap.vars.update(extra_vars)
@@ -364,6 +366,18 @@ def test_borrow_safety_recomputes_the_sets_a_step_changed(case):
         trace = _one_step_trace(pre, post, {"j": VarCell(RING.one, held, None)}, half)
     found = check_borrow_safety(trace)
     assert [str(v) for v in found] == ["borrow-safety at step 0: resource id1: permission total went from 1 to 3/2"]
+    assert found == naive_borrow_safety(trace)
+
+
+@pytest.mark.parametrize("total", [Fraction(1, 2), Fraction(1)])
+def test_borrow_safety_flags_a_fresh_resource_reachable_at_a_total_other_than_one(total):
+    # the step allocates array id2, which the term reaches through ref2 alone
+    pre = Uniq(RefVal("ref1"), STAR)
+    post = Pair(pre, Uniq(RefVal("ref2"), STAR))
+    trace = _one_step_trace(pre, post, {}, {"ref2": RefCell(total, "id2")}, ["id2"])
+    found = check_borrow_safety(trace)
+    flagged = ["borrow-safety at step 0: fresh resource id2: referenced at total permission 1/2, expected 1"]
+    assert [str(v) for v in found] == ([] if total == 1 else flagged)
     assert found == naive_borrow_safety(trace)
 
 
@@ -529,7 +543,7 @@ def oracle_preservation(trace, main_type, ring, s):
     for k, (term, heap) in enumerate(trace.configurations()):
         rt = runtime_ctx(heap, ring)
         try:
-            usage, _ = Checker(ring).check(rt, term, main_type)
+            _, usage, _ = Checker(ring).synth(rt, term, main_type)
         except CheckError as e:
             found.append(Violation("preservation", k, f"re-inference failed: [{e.kind}] {e.msg}"))
             continue
@@ -622,10 +636,10 @@ def test_memo_renames_a_binder_that_clashes_with_a_later_context():
     # stored under a context without y, then looked up under one that binds y
     t = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
     checker = Checker(RING, memo=TypingMemo())
-    _, elab = checker.check(Ctx(RING, lenient_names=True), t, UnitT())
+    _, _, elab = checker.synth(Ctx(RING, lenient_names=True), t, UnitT())
     assert elab.right == "y"
     clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
-    _, elab = checker.check(clash, t, UnitT())
+    _, _, elab = checker.synth(clash, t, UnitT())
     assert elab.right == "y.1"
 
 
@@ -636,10 +650,10 @@ def test_memo_tells_contexts_apart_by_free_variable_entries():
     for grade, ok in ((2, True), (1, False), (2, True)):
         ctx = Ctx(RING, {"x": GradedEntry(Box(RING.literal(grade), UnitT()), RING.one)}, lenient_names=True)
         if ok:
-            checker.infer(ctx, t)
+            checker.synth(ctx, t)
         else:
             with pytest.raises(CheckError, match="GradeExceeded|declared grade"):
-                checker.infer(ctx, t)
+                checker.synth(ctx, t)
 
 
 def test_memo_tells_contexts_apart_by_reference_entries():
@@ -649,10 +663,10 @@ def test_memo_tells_contexts_apart_by_reference_entries():
     for kind, ok in (("Array", True), ("Ref", False)):
         ctx = Ctx(RING, refs={"ref1": RefEntry(kind, "id1", FloatT())}, lenient_names=True)
         if ok:
-            checker.check(ctx, t, UnitT())
+            checker.synth(ctx, t, UnitT())
         else:
             with pytest.raises(CheckError, match="expects an array reference"):
-                checker.check(ctx, t, UnitT())
+                checker.synth(ctx, t, UnitT())
 
 
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
@@ -728,6 +742,27 @@ def test_preservation_reports_exactly_the_corrupted_step(corrupt, failure):
     found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
     assert [v.step for v in found] == [k]
     assert found[0].message.startswith(failure.format(x=x))
+
+
+def test_a_200_let_chain_checks_runs_and_replays_under_a_recursion_limit_of_700():
+    # the checker spends three frames per let (`synth`, `_recalled` and
+    # `_let_unit`), so the chain fits with room to spare; the limit is
+    # restored however the test ends
+    import sys
+
+    from gradebor.metatheory import check_trace
+    from gradebor.typecheck import check_program
+
+    prog = parse_program("main : Unit;\nmain = " + "let () = () in " * 200 + "();\n", "lets.grb")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(700)
+    try:
+        cp = check_program(prog)
+        _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+        found = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == [] and trace.step_count == 200
 
 
 # -- preservation types only the subtree a step replaced ---------------------------
@@ -842,27 +877,23 @@ def test_preservation_reuses_the_judgment_of_a_box_whose_body_steps(case, monkey
     lets = [k for k, step in enumerate(trace.steps) if step.endswith("unitBeta")]
     assert len(lets) == 3
     typed = [0]  # per configuration, counted until its heap check
-    infer, check, compat = Checker.infer, Checker.check, metatheory.heap_compat
+    synth, compat = Checker.synth, metatheory.heap_compat
 
-    def counted_infer(self, ctx, t):
+    def counted_synth(self, ctx, t, expected=None):
         typed[-1] += type(t) is cls
-        return infer(self, ctx, t)
-
-    def counted_check(self, ctx, t, expected):
-        typed[-1] += type(t) is cls
-        return check(self, ctx, t, expected)
+        return synth(self, ctx, t, expected)
 
     def counted_compat(*args):
         judgment = compat(*args)
         typed.append(0)
         return judgment
 
-    monkeypatch.setattr(Checker, "infer", counted_infer)
-    monkeypatch.setattr(Checker, "check", counted_check)
+    monkeypatch.setattr(Checker, "synth", counted_synth)
     monkeypatch.setattr(metatheory, "heap_compat", counted_compat)
     assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
     monkeypatch.undo()
     assert len(typed) == len(trace.configs) + 1
+    assert typed[0] >= 1, typed  # the first configuration is typed in full
     assert [typed[k + 1] for k in lets[1:]] == [0, 0], typed
     memoized, oracle = preservation_against_oracle(trace, cp.main_type, cp.ring, cp.ring.one)
     assert memoized == oracle == []
@@ -928,16 +959,16 @@ def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
     for writes in (50, 100):
         cp, trace = chain_trace(writes)
         calls = {"root": 0, "prim": 0, "transparent": 0}
-        check, prim_app, transparent = Checker.check, Checker._prim_app, metatheory.transparent_child
+        synth, prim_app, transparent = Checker.synth, Checker._prim_app, metatheory.transparent_child
         depth = [0]
 
-        def counted_check(self, ctx, t, expected):
+        def counted_synth(self, ctx, t, expected=None):
             # a check of a whole configuration is the outermost one, against
             # the main type
             calls["root"] += depth[0] == 0 and expected is cp.main_type
             depth[0] += 1
             try:
-                return check(self, ctx, t, expected)
+                return synth(self, ctx, t, expected)
             finally:
                 depth[0] -= 1
 
@@ -950,7 +981,7 @@ def test_preservation_work_on_a_write_chain_grows_linearly(monkeypatch):
             return transparent(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(Checker, "check", counted_check)
+            m.setattr(Checker, "synth", counted_synth)
             m.setattr(Checker, "_prim_app", counted_prim_app)
             m.setattr(metatheory, "transparent_child", counted_transparent)
             assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
@@ -968,27 +999,20 @@ def test_preservation_work_on_a_split_ladder_grows_linearly(monkeypatch):
         cp = checked(GOLDEN.ladder_source(rungs))
         _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
         calls = {"root": 0, "typed": 0}
-        infer, check = Checker.infer, Checker.check
+        synth = Checker.synth
         depth = [0]
 
-        def counted(typing, expected=None):
+        def counted_synth(self, ctx, t, expected=None):
             calls["root"] += depth[0] == 0 and expected is cp.main_type
             calls["typed"] += 1
             depth[0] += 1
             try:
-                return typing()
+                return synth(self, ctx, t, expected)
             finally:
                 depth[0] -= 1
 
-        def counted_infer(self, ctx, t):
-            return counted(lambda: infer(self, ctx, t))
-
-        def counted_check(self, ctx, t, expected):
-            return counted(lambda: check(self, ctx, t, expected), expected)
-
         with monkeypatch.context() as m:
-            m.setattr(Checker, "infer", counted_infer)
-            m.setattr(Checker, "check", counted_check)
+            m.setattr(Checker, "synth", counted_synth)
             assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
         counts[rungs] = calls
     assert 1 <= counts[20]["root"] <= 4 and 1 <= counts[40]["root"] <= 4, counts
@@ -1002,7 +1026,7 @@ def test_preservation_infers_each_judged_hole_once(monkeypatch):
 
     cp = checked(GOLDEN.ladder_source(20))
     _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
-    judge, root_usage, infer = metatheory._judge, metatheory._root_usage, Checker.infer
+    judge, root_usage, synth = metatheory._judge, metatheory._root_usage, Checker.synth
     holes, inferences = [], []  # the hole judged in this configuration; its inferences per judgment
 
     def recorded_judge(checker, judged, frame, hole, rt):
@@ -1018,15 +1042,15 @@ def test_preservation_infers_each_judged_hole_once(monkeypatch):
             if not holes:
                 inferences.pop()
 
-    def counted_infer(self, ctx, t):
-        if holes and t is holes[0]:
+    def counted_synth(self, ctx, t, expected=None):
+        if holes and t is holes[0] and expected is None:
             inferences[-1] += 1
-        return infer(self, ctx, t)
+        return synth(self, ctx, t, expected)
 
     with monkeypatch.context() as m:
         m.setattr(metatheory, "_judge", recorded_judge)
         m.setattr(metatheory, "_root_usage", recorded_root_usage)
-        m.setattr(Checker, "infer", counted_infer)
+        m.setattr(Checker, "synth", counted_synth)
         assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
     assert len(inferences) >= 20 and max(inferences) == 1, inferences
 

@@ -67,7 +67,7 @@ def test_worked_example_usage():
     # y graded 2, used once in the argument pair and once in the body
     ctx = Ctx(ring(), {"y": GradedEntry(UnitT(), g(2))})
     t = parse_term(r"(\x -> (x, y)) ((), y)")
-    ty, usage, _ = Checker(ring()).infer(ctx, t)
+    ty, usage, _ = Checker(ring()).synth(ctx, t)
     assert ty == Prod(Prod(UnitT(), UnitT()), UnitT())
     assert usage.graded["y"] == g(2)
 
@@ -75,7 +75,7 @@ def test_worked_example_usage():
 def test_identity_checks_at_any_annotation():
     for ann in ("Unit", "Nat", "Unit * Unit"):
         ctx = Ctx(ring())
-        usage, _ = Checker(ring()).check(ctx, parse_term(r"\x -> x"), parse_type(f"({ann}) -o ({ann})"))
+        _, usage, _ = Checker(ring()).synth(ctx, parse_term(r"\x -> x"), parse_type(f"({ann}) -o ({ann})"))
         assert not usage.linear and not usage.graded
 
 
@@ -83,14 +83,14 @@ def test_write_through_half_borrow_rejected():
     ctx = Ctx(ring(), {"b": LinearEntry(Amp(frac_perm(1, 2), ResT("Array", "i", parse_type("Float"))))},
               names=frozenset({"i"}))
     with pytest.raises(CheckError) as e:
-        Checker(ring()).infer(ctx, parse_term("writeArray b 0 1.0"))
+        Checker(ring()).synth(ctx, parse_term("writeArray b 0 1.0"))
     assert e.value.kind == "PermissionNotWritable"
 
 
 def test_read_through_half_borrow_accepted():
     ctx = Ctx(ring(), {"b": LinearEntry(Amp(frac_perm(1, 2), ResT("Array", "i", parse_type("Float"))))},
               names=frozenset({"i"}))
-    ty, usage, _ = Checker(ring()).infer(ctx, parse_term("readArray b 0"))
+    ty, usage, _ = Checker(ring()).synth(ctx, parse_term("readArray b 0"))
     assert ty == Prod(parse_type("Float"), Amp(frac_perm(1, 2), ResT("Array", "i", parse_type("Float"))))
 
 
@@ -118,18 +118,18 @@ def test_linear_reuse_named():
 
 def test_unused_linear_variable():
     with pytest.raises(CheckError) as e:
-        Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> ()"), parse_type("(Unit * Unit) -o Unit"))
+        Checker(ring()).synth(Ctx(ring()), parse_term(r"\x -> ()"), parse_type("(Unit * Unit) -o Unit"))
     assert e.value.kind == "LinearUnused"
 
 
 def test_floats_are_discardable_but_not_duplicable():
-    usage, _ = Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> ()"), parse_type("Float -o Unit"))
+    _, usage, _ = Checker(ring()).synth(Ctx(ring()), parse_term(r"\x -> ()"), parse_type("Float -o Unit"))
     assert not usage.linear
     with pytest.raises(CheckError) as e:
-        Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> (x, x)"), parse_type("Float -o (Float * Float)"))
+        Checker(ring()).synth(Ctx(ring()), parse_term(r"\x -> (x, x)"), parse_type("Float -o (Float * Float)"))
     assert e.value.kind == "LinearReuse"
     with pytest.raises(CheckError) as e:
-        Checker(ring()).check(Ctx(ring()), parse_term(r"\x -> [x]"), parse_type("Float -o (Float [2])"))
+        Checker(ring()).synth(Ctx(ring()), parse_term(r"\x -> [x]"), parse_type("Float -o (Float [2])"))
     assert e.value.kind == "LinearUnderPromotion"
 
 
@@ -154,7 +154,7 @@ def test_split_result_permissions_sum_exactly():
     for den in (1, 2, 4, 8, 64):
         ctx = Ctx(ring(), {"b": LinearEntry(Amp(frac_perm(1, den), ResT("Ref", "i", parse_type("Float"))))},
                   names=frozenset({"i"}))
-        ty, _, _ = Checker(ring()).infer(ctx, parse_term("split b"))
+        ty, _, _ = Checker(ring()).synth(ctx, parse_term("split b"))
         assert isinstance(ty, Prod)
         total = ty.left.perm.frac + ty.right.perm.frac
         assert total == frac_perm(1, den).frac
@@ -170,7 +170,7 @@ def test_join_overflow():
         names=frozenset({"i"}),
     )
     with pytest.raises(CheckError) as e:
-        Checker(ring()).infer(ctx, parse_term("join (x, y)"))
+        Checker(ring()).synth(ctx, parse_term("join (x, y)"))
     assert e.value.kind == "PermissionOverflow"
 
 
@@ -184,7 +184,7 @@ def test_join_requires_same_payload():
         names=frozenset({"i", "j"}),
     )
     with pytest.raises(CheckError) as e:
-        Checker(ring()).infer(ctx, parse_term("join (x, y)"))
+        Checker(ring()).synth(ctx, parse_term("join (x, y)"))
     assert e.value.kind == "Mismatch"
 
 
@@ -313,10 +313,10 @@ def test_unborrow_at_a_permission_variable_is_rejected():
     borrowed = Amp(PermVar("p"), ResT("Ref", "i", FloatT()))
     ctx = Ctx(ring(), {"a": LinearEntry(borrowed)}, names=frozenset({"i"}), perm_vars=frozenset({"p"}))
     with pytest.raises(CheckError) as e:
-        Checker(ring()).infer(ctx, Unborrow(Var("a")))
+        Checker(ring()).synth(ctx, Unborrow(Var("a")))
     assert e.value.render("t.grb") == "t.grb: [Mismatch] unborrow expects a whole borrow, got & p Ref i Float"
     with pytest.raises(CheckError) as e:
-        Checker(ring()).check(ctx, Unborrow(Var("a")), borrowed)
+        Checker(ring()).synth(ctx, Unborrow(Var("a")), borrowed)
     assert e.value.render("t.grb") == (
         "t.grb: [Mismatch] unborrow produces an owned value, but & p Ref i Float was expected"
     )
@@ -380,16 +380,16 @@ def test_linear_substitution_admissible(seed):
     rng = random.Random(seed)
     t1, ty1 = _gen_pure(rng, ring(), rng.randrange(0, 3))
     checker = Checker(ring())
-    _, u1, _ = checker.infer(Ctx(ring()), t1)
+    _, u1, _ = checker.synth(Ctx(ring()), t1)
 
     from gradebor.syntax import Pair, UnitVal, subst
 
     t2 = rng.choice([Var("hole"), Pair(Var("hole"), UnitVal()), Pair(UnitVal(), Var("hole"))])
     ctx2 = Ctx(ring(), {"hole": LinearEntry(ty1)})
-    ty2, u2, _ = checker.infer(ctx2, t2)
+    ty2, u2, _ = checker.synth(ctx2, t2)
 
     merged = subst(t2, "hole", t1)
-    ty3, u3, _ = checker.infer(Ctx(ring()), merged)
+    ty3, u3, _ = checker.synth(Ctx(ring()), merged)
     assert ty3 == ty2
     expected = ctx_add(u2.without("hole"), u1)
     assert u3.graded == expected.graded and u3.linear == expected.linear
@@ -404,7 +404,7 @@ def test_graded_substitution_admissible(seed):
     r = rng.randrange(0, 4)
     base = Ctx(ring(), {"z": GradedEntry(UnitT(), g(24))})
     t1 = Var("z")
-    _, u1, _ = checker.infer(base, t1)
+    _, u1, _ = checker.synth(base, t1)
 
     uses = rng.randrange(0, r + 1)
     from gradebor.syntax import Pair, UnitVal, subst
@@ -413,10 +413,10 @@ def test_graded_substitution_admissible(seed):
     for _ in range(uses):
         body = Pair(Var("hole"), body)
     ctx2 = Ctx(ring(), {**base.vars, "hole": GradedEntry(UnitT(), g(r))})
-    ty2, u2, _ = checker.infer(ctx2, body)
+    ty2, u2, _ = checker.synth(ctx2, body)
 
     merged = subst(body, "hole", t1)
-    ty3, u3, _ = checker.infer(base, merged)
+    ty3, u3, _ = checker.synth(base, merged)
     assert ty3 == ty2
     # usage of z equals the hole's usage (dereliction grade 1 per use)
     assert u3.graded.get("z", ring().zero) == ctx_scale(g(uses), u1).graded.get("z", ring().zero)
@@ -465,12 +465,12 @@ def test_share_demands_an_expected_grade():
     ctx = Ctx(ring(), {"c": LinearEntry(Amp(STAR, ResT("Ref", "i", parse_type("Float"))))},
               names=frozenset({"i"}))
     with pytest.raises(CheckError):
-        Checker(ring()).infer(ctx, parse_term("share c"))
+        Checker(ring()).synth(ctx, parse_term("share c"))
 
 
 def test_bare_promotion_cannot_be_inferred():
     with pytest.raises(CheckError):
-        Checker(ring()).infer(Ctx(ring()), parse_term("[()]"))
+        Checker(ring()).synth(Ctx(ring()), parse_term("[()]"))
 
 
 # -- the type-child table, against the match walkers it replaced -----------------
