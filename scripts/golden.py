@@ -14,9 +14,6 @@ again (`read_swap`), all generated here, `corpus --format json`, and `props --se
 `run` meet `alloc_promo_bad` with its `newArray` hidden the same way
 (`promo_beta_array`): promotion reads the body's type, so both exit 1 at
 `check`.
-`check` plus `trace` also meet a polymorphic function argument whose
-binders are named apart from the function it is given (`poly_arg`): it
-passes `check`, and `trace` exits 4 at re-inference.
 `run` and `trace` also meet each way a run can fail: a missing file (exit
 2), a syntax error (1), a type error (1) and `--fuel 2` (3). `check` also
 meets the type error and three lexical edge cases: a non-decimal digit
@@ -109,20 +106,6 @@ PROMO_BETA_ARRAY = (
 )
 
 
-# `observe`, inlined by elaboration, meets the `forall` type of `g` at
-# re-inference, where the abstraction rule expects a function type.
-POLY_ARG = (
-    "#semiring nat-leq\n\n"
-    "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
-    "observe = \\w -> w;\n\n"
-    "main : exists i . * (Ref i Float);\n"
-    "main = unpack <i, c> = newRef 1.5 in\n"
-    "       pack <i, withBorrow (\\b ->\n"
-    "         (\\g : (forall {q : Permission, j : Name} . & q (Ref j Float) -o & q (Ref j Float)) -> g b)\n"
-    "         observe) c>;\n"
-)
-
-
 def record(outdir: Path, name: str, args: list[str], cwd: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("GRADEBOR_FUEL", None)
@@ -160,7 +143,6 @@ def main(argv: list[str]) -> int:
         for name, source, runner in (
             ("promo_beta_ref", PROMO_BETA_REF, "trace"),
             ("promo_beta_array", PROMO_BETA_ARRAY, "run"),
-            ("poly_arg", POLY_ARG, "trace"),
         ):
             (generated / f"{name}.grb").write_text(source, encoding="utf-8")
             for command in ("check", runner):

@@ -73,12 +73,7 @@ def cmd_check(args) -> int:
         except SystemExit2 as e:
             entry["errors"].append({"kind": "IO", "message": str(e)})
             worst = max(worst, EXIT_IO)
-        except SyntaxError_ as e:
-            entry["errors"].append({"kind": "SyntaxError", "message": e.msg,
-                                    "line": e.loc.line if e.loc else None,
-                                    "col": e.loc.col if e.loc else None})
-            worst = max(worst, EXIT_TYPE)
-        except CheckError as e:
+        except (SyntaxError_, CheckError) as e:
             entry["errors"].append(e.to_json())
             worst = max(worst, EXIT_TYPE)
         results.append(entry)
@@ -200,7 +195,7 @@ def cmd_corpus(args) -> int:
             cp = check_program(prog)
             got = "accept"
             got_kind = None
-        except CheckError as e:
+        except (SyntaxError_, CheckError) as e:
             got = "reject"
             got_kind = e.kind
         matched = got == verdict and (verdict == "accept" or got_kind == kind)

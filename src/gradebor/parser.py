@@ -37,6 +37,8 @@ from .syntax import (
 class SyntaxError_(Exception):
     """A parse failure with a source location."""
 
+    kind = "SyntaxError"
+
     def __init__(self, msg: str, loc: Optional[Loc]):
         self.msg = msg
         self.loc = loc
@@ -46,7 +48,15 @@ class SyntaxError_(Exception):
     def render(self, path: str) -> str:
         """The diagnostic as `gradebor check` prints it for the file `path`."""
         where = f"{path}:{self.loc}: " if self.loc else f"{path}: "
-        return f"{where}[SyntaxError] {self.msg}"
+        return f"{where}[{self.kind}] {self.msg}"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "message": self.msg,
+            "line": self.loc.line if self.loc else None,
+            "col": self.loc.col if self.loc else None,
+        }
 
 
 @dataclass
@@ -227,14 +237,12 @@ class Parser:
 
     # -- types --------------------------------------------------------------
 
-    def parse_type(self) -> Type:
-        if self.at("forall"):
-            self.next()
-            return self._parse_forall()
-        return self._parse_arrow()
-
-    def _parse_forall(self) -> Type:
-        # 'forall' has been consumed
+    def parse_signature(self) -> Type:
+        """A definition's signature: a type, which only here may begin with
+        `forall {...} .`, so every quantifier is at the top of one."""
+        if not self.at("forall"):
+            return self.parse_type()
+        self.next()
         self.expect("{")
         binders: list[tuple[str, str]] = []
         while True:
@@ -251,16 +259,13 @@ class Parser:
             break
         self.expect("}")
         self.expect(".")
-        body = self.parse_type()
-        if isinstance(body, Forall):
-            return Forall(tuple(binders) + body.binders, body.body)
-        return Forall(tuple(binders), body)
+        return Forall(tuple(binders), self.parse_type())
 
-    def _parse_arrow(self) -> Type:
+    def parse_type(self) -> Type:
         left = self._parse_prod()
         if self.at("-o"):
             self.next()
-            return Fun(left, self._parse_arrow())
+            return Fun(left, self.parse_type())
         return left
 
     def _parse_prod(self) -> Type:
@@ -315,6 +320,8 @@ class Parser:
         if self.kinds[t] == "ident":
             self.next()
             return NameT(text)
+        if text == "forall":
+            raise SyntaxError_("a quantifier may only begin a definition's signature", self.loc(t))
         raise SyntaxError_(f"expected a type, found {text!r}", self.loc(t))
 
     def parse_perm(self) -> S.PermExpr:
@@ -548,7 +555,7 @@ def parse_program(text: str, path: str = "<input>", ring: Optional[Semiring] = N
                 p.next()
                 if name in sigs:
                     raise SyntaxError_(f"duplicate signature for {name!r}", p.loc(name_tok))
-                sigs[name] = p.parse_type()
+                sigs[name] = p.parse_signature()
                 locs.setdefault(name, p.loc(name_tok))
                 order.append(name)
             elif p.at("="):
@@ -583,9 +590,10 @@ def parse_term(text: str, ring: Optional[Semiring] = None) -> Term:
 
 
 def parse_type(text: str, ring: Optional[Semiring] = None) -> Type:
+    """A type, which may begin with `forall`, as a signature may."""
     p = Parser(text, ring or NAT_LEQ)
     with p.depth_guard():
-        t = p.parse_type()
+        t = p.parse_signature()
     p.expect_kind("eof")
     return t
 

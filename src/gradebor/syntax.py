@@ -1,7 +1,8 @@
 """Abstract syntax for terms and types, with substitution and structural queries.
 
 Bound identifiers are compared up to alpha-equivalence: the `==` on types
-renames binders on the fly, so alpha-equivalent types compare equal. Terms
+renames `exists` binders on the fly, so alpha-equivalent types compare equal.
+A `Forall` only begins a definition's signature; no type nests one. Terms
 compare and hash by identity; `alpha_eq` compares them up to renaming.
 Runtime-only forms (wrapped uniques, unborrow, resource references) live in
 the same tree but are never produced by the parser.
@@ -182,7 +183,8 @@ class NameT(Type):
 
 @_node
 class Forall(Type):
-    """Prenex quantification over permission and name variables."""
+    """Prenex quantification over permission and name variables: the top of a
+    polymorphic definition's signature, and nowhere else."""
 
     binders: tuple[tuple[str, str], ...]  # (var, kind) with kind "Permission" | "Name"
     body: Type
@@ -200,6 +202,9 @@ _TYPE_CHILDREN: dict[type, tuple[str, ...]] = {
 
 
 def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
+    """Whether a and b are equal up to renaming their `exists` binders. The
+    binders of a signature's `Forall`, and permission variables, compare by
+    name."""
     cls = type(a)
     if type(b) is not cls:
         return False
@@ -209,12 +214,7 @@ def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
         if a.grade != b.grade:
             return False
     elif cls is Amp:
-        pa, pb = a.perm, b.perm
-        if type(pa) is PermVar:
-            pa = env_a.get(pa.name, pa)
-        if type(pb) is PermVar:
-            pb = env_b.get(pb.name, pb)
-        if pa != pb:
+        if a.perm != b.perm:
             return False
     elif cls is ResT or cls is NameT:
         if cls is ResT and a.kind != b.kind:
@@ -225,11 +225,8 @@ def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
         mark = object()
         env_a, env_b = {**env_a, a.binder: mark}, {**env_b, b.binder: mark}
     elif cls is Forall:
-        if len(a.binders) != len(b.binders) or any(k1 != k2 for (_, k1), (_, k2) in zip(a.binders, b.binders)):
+        if a.binders != b.binders:
             return False
-        env_a, env_b = dict(env_a), dict(env_b)
-        for (v1, _), (v2, _) in zip(a.binders, b.binders):
-            env_a[v1] = env_b[v2] = object()
     for n in _TYPE_CHILDREN[cls]:
         if not type_alpha_eq(getattr(a, n), getattr(b, n), env_a, env_b):
             return False
@@ -246,8 +243,6 @@ def type_free_names(ty: Type) -> set[str]:
         out.add(ty.ident)
     elif cls is ExistsT:
         out.discard(ty.binder)
-    elif cls is Forall:
-        out -= {v for v, k in ty.binders if k == "Name"}
     return out
 
 
@@ -258,8 +253,6 @@ def type_free_perm_vars(ty: Type) -> set[str]:
         out |= type_free_perm_vars(getattr(ty, n))
     if cls is Amp and isinstance(ty.perm, PermVar):
         out.add(ty.perm.name)
-    elif cls is Forall:
-        out -= {v for v, k in ty.binders if k == "Permission"}
     return out
 
 
@@ -277,12 +270,6 @@ def type_subst_names(ty: Type, env: dict[str, str]) -> Type:
         env, (binder,) = _unclash({k: v for k, v in env.items() if k != ty.binder}, (ty.binder,), ty)
         if binder != ty.binder:
             changes["binder"] = binder
-    elif cls is Forall:
-        bound = tuple(v for v, k in ty.binders if k == "Name")
-        env, renamed = _unclash({k: v for k, v in env.items() if k not in bound}, bound, ty)
-        if renamed != bound:
-            names = dict(zip(bound, renamed))
-            changes["binders"] = tuple((names.get(v, v) if k == "Name" else v, k) for v, k in ty.binders)
     for n in _TYPE_CHILDREN[cls]:
         old = getattr(ty, n)
         new = type_subst_names(old, env)
@@ -300,9 +287,6 @@ def type_subst_perms(ty: Type, env: dict[str, PermExpr]) -> Type:
     if cls is Amp:
         if isinstance(ty.perm, PermVar) and ty.perm.name in env:
             changes["perm"] = env[ty.perm.name]
-    elif cls is Forall:
-        bound = {v for v, k in ty.binders if k == "Permission"}
-        env = {k: v for k, v in env.items() if k not in bound}
     for n in _TYPE_CHILDREN[cls]:
         old = getattr(ty, n)
         new = type_subst_perms(old, env)
@@ -726,8 +710,8 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 def names_in(t: Union[Term, Type]) -> set[str]:
     """Every variable and name identifier the term or type t mentions, free or
-    bound, its annotations' (quantifier binders included) and
-    `Clone.old_idents` too: the names a binder renamed over t must avoid."""
+    bound, its annotations' and `Clone.old_idents` too: the names a binder
+    renamed over t must avoid."""
     out = free_vars(t) | bound_names(t) if isinstance(t, Term) else set()
     stack: list = [t]
     while stack:
@@ -742,8 +726,6 @@ def names_in(t: Union[Term, Type]) -> set[str]:
             out.add(node.ident)
         elif cls is ExistsT:
             out.add(node.binder)
-        elif cls is Forall:
-            out.update(v for v, _ in node.binders)
         stack += [getattr(node, n) for n in _TYPE_CHILDREN[cls]]
     return out
 

@@ -6,7 +6,9 @@ inward when given one. It returns the type, the exact per-variable usage,
 which binder rules compare against declared grades, and an elaborated copy of
 the term in which binder annotations and box grades have been filled in (the
 machine needs those to run). Top-level definitions other than main must be
-closed values and are inlined into use sites during elaboration.
+closed values and are inlined into use sites during elaboration. A
+polymorphic one is instantiated where it is applied or given to withBorrow,
+and may be used nowhere else.
 
 Each construct has one rule body, called with the expected type or None:
 `Checker._abs` (also for beta-redexes and borrowing functions), `_promote`,
@@ -136,7 +138,7 @@ def _holds_owned(ty: Type) -> bool:
     """Whether ty holds a `*` value outside a function type."""
     if _owned(ty):
         return True
-    if type(ty) in (Fun, Forall):
+    if type(ty) is Fun:
         return False
     return any(_holds_owned(getattr(ty, n)) for n in S._TYPE_CHILDREN[type(ty)])
 
@@ -230,8 +232,6 @@ def unify(pattern: Type, concrete: Type, bindable: set[str], sol: dict) -> bool:
             type_subst_names(concrete.body, {concrete.binder: mark}),
             bindable, sol,
         )
-    elif cls is Forall:
-        return False  # a nested quantifier never unifies
     for n in S._TYPE_CHILDREN[cls]:
         if not unify(getattr(pattern, n), getattr(concrete, n), bindable, sol):
             return False
@@ -392,6 +392,8 @@ class Checker:
                     ty, u, e = entry.ty, Usage(graded={n: self.ring.one}), t
                 elif n in self.globals:
                     g = self.globals[n]
+                    if type(g.signature) is Forall:
+                        raise CheckError(MISMATCH, f"polymorphic definition {n!r} must be applied", t.loc, rule="var")
                     ty, u, e = g.signature, Usage(), g.body
                 else:
                     raise CheckError(UNBOUND_VARIABLE, f"unbound variable {n!r}", t.loc, rule="var")
@@ -551,15 +553,15 @@ class Checker:
             ta, ua, ea = self.synth(ctx, arg, fn.ann)
             tb, ub, efn = self._abs(ctx, fn, ta, expected, t.loc)
             return tb, ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
-        tf, uf, ef = self.synth(ctx, fn)
-        if isinstance(tf, Forall):
+        # a polymorphic global, instantiated at the argument's type
+        g = self.globals.get(fn.name) if type(fn) is Var and fn.name not in ctx.vars else None
+        if g is not None and type(g.signature) is Forall:
             ta, ua, ea = self.synth(ctx, arg)
-            tf2, ef = self._instantiate(tf, ef, ta, expected, t.loc)
-            if not isinstance(tf2, Fun):
-                raise CheckError(MISMATCH, f"applied a non-function of type {tf2!r}", t.loc, rule="app")
-            if not _arg_type_fits(ta, tf2.dom):
-                raise CheckError(MISMATCH, f"argument type {ta!r} does not match domain {tf2.dom!r}", t.loc, rule="app")
-            return tf2.cod, ctx_add(uf, ua, t.loc), S._rebuild(t, fn=ef, arg=ea)
+            tf, ef = self._instantiate(g.signature, g.body, ta, expected, t.loc)
+            if not _arg_type_fits(ta, tf.dom):
+                raise CheckError(MISMATCH, f"argument type {ta!r} does not match domain {tf.dom!r}", t.loc, rule="app")
+            return tf.cod, ua, S._rebuild(t, fn=ef, arg=ea)
+        tf, uf, ef = self.synth(ctx, fn)
         if not isinstance(tf, Fun):
             raise CheckError(MISMATCH, f"applied a non-function of type {tf!r}", t.loc, rule="app")
         _, ua, ea = self.synth(ctx, arg, tf.dom)
@@ -748,13 +750,17 @@ class Checker:
         if isinstance(fn, Abs) and fn.ann is None:
             tb, ub, efn = self._abs(ctx, fn, dom, cod, t.loc, borrowing=True)
             return Amp(STAR, tb.body), ctx_add(ub, ua, t.loc), S._rebuild(t, fn=efn, arg=ea)
-        tf, uf, ef = self.synth(ctx, fn)
-        if isinstance(tf, Forall):
+        g = self.globals.get(fn.name) if type(fn) is Var and fn.name not in ctx.vars else None
+        if g is not None and type(g.signature) is Forall:
+            tf = g.signature
             bindable = {v for v, _ in tf.binders}
             sol: dict = {}
             if not unify(tf.body, Fun(dom, dom if cod is None else cod), bindable, sol) or len(sol) < len(bindable):
                 raise CheckError(MISMATCH, f"cannot instantiate {tf!r} as a borrowing function", t.loc, rule="withBorrow")
-            tf, ef = instance(tf, ef, sol)
+            tf, ef = instance(tf, g.body, sol)
+            uf = Usage()
+        else:
+            tf, uf, ef = self.synth(ctx, fn)
         if not (isinstance(tf, Fun) and _whole(tf.dom) and _whole(tf.cod)):
             raise CheckError(MISMATCH, f"withBorrow needs a function between whole borrows, got {tf!r}", t.loc, rule="withBorrow")
         if not type_alpha_eq(tf.dom.body, inner):
@@ -903,13 +909,11 @@ def _check_array_payloads(ty: Type, loc) -> None:
 
 
 def _names_in_order(ty: Type) -> list[str]:
-    """Free name identifiers of a type in first-occurrence order, outside any Forall."""
+    """Free name identifiers of a type in first-occurrence order."""
     out: list[str] = []
 
     def go(ty: Type, bound: frozenset):
         cls = type(ty)
-        if cls is Forall:
-            return
         if (cls is ResT or cls is NameT) and ty.ident not in bound and ty.ident not in out:
             out.append(ty.ident)
         elif cls is ExistsT:

@@ -113,6 +113,23 @@ def test_corpus_command(capsys):
     assert "persimmon" in out and "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("expect, code", [("reject SyntaxError", 0), ("accept", 4)])
+def test_corpus_reports_a_file_that_does_not_parse(tmp_path, monkeypatch, capsys, expect, code):
+    import gradebor.cli as cli
+
+    (tmp_path / "broken.grb").write_text("main : Unit;\nmain = let () = in ();\n", encoding="utf-8")
+    (tmp_path / "broken.expect").write_text(expect + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)
+    assert main(["corpus", "--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    (row,) = json.loads(captured.out)
+    assert (row["status"], row["detail"]) == ("ok" if code == 0 else "MISMATCH", "[SyntaxError]")
+    assert main(["check", "--format", "json", str(tmp_path / "broken.grb")]) == 1
+    (error,) = json.loads(capsys.readouterr().out)[0]["errors"]
+    assert error == {"kind": "SyntaxError", "message": "expected a term, found 'in'", "line": 2, "col": 17}
+
+
 def test_semiring_flag_overrides_pragma(tmp_path):
     f = tmp_path / "d.grb"
     # accepted under the default upper-bound ordering, rejected when forced discrete

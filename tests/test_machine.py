@@ -12,7 +12,7 @@ from gradebor.machine import (
     MissingResource, RefCell, RefRes, StuckTerm, Trace, VarCell,
     arr_read, arr_write, heap_copy,
 )
-from gradebor.parser import parse_program, parse_term, print_term
+from gradebor.parser import SyntaxError_, parse_program, parse_term, print_term
 from gradebor.syntax import (
     Abs, App, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
     Promote, RefVal, Share, Split, Term, Unborrow, Uniq, UnitVal, Unpack, Var,
@@ -304,7 +304,7 @@ def test_trace_matches_a_step_loop_on_the_corpus():
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
             cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
-        except CheckError:
+        except (SyntaxError_, CheckError):
             continue
         _trace_agrees(cp, cp.ring.one)
         checked += 1
@@ -594,7 +594,7 @@ def test_recorded_and_unrecorded_runs_agree_on_the_corpus():
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
             cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
-        except CheckError:
+        except (SyntaxError_, CheckError):
             continue
         _runs_agree(cp)
 
@@ -727,7 +727,7 @@ def test_collection_drops_exactly_the_unreachable_zeros_on_the_corpus(mutate, mo
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
             cp = check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
-        except CheckError:
+        except (SyntaxError_, CheckError):
             continue
         _collection_agrees(cp, cp.ring.one, mutate, monkeypatch)
         checked += 1
@@ -844,7 +844,7 @@ def _checked_programs():
     for path in sorted(glob.glob("src/gradebor/corpus/*.grb")):
         try:
             yield path, check_program(parse_program(Path(path).read_text(encoding="utf-8"), path))
-        except CheckError:
+        except (SyntaxError_, CheckError):
             continue
     yield "read_swap", check_program(parse_program(READ_SWAP))
     for i, prog in enumerate(generate_programs(31, count=300)):

@@ -136,6 +136,21 @@ def test_type_syntax():
     assert got.body == Fun(Amp(PermVar("p"), NatT()), Amp(PermVar("p"), NatT()))
 
 
+@pytest.mark.parametrize("src, col", [
+    ("f : forall {i : Name} . forall {p : Permission} . & p Unit; f = ();", 25),
+    ("f : Unit -o forall {i : Name} . Unit; f = ();", 13),
+    ("f : (forall {i : Name} . Unit) [2]; f = ();", 6),
+    ("f : Unit -o Unit; f = \\x : (forall {i : Name} . Unit) -> x;", 29),
+    ("f : Unit; f = let [x] : forall {i : Name} . Unit [1] = [()] in x;", 25),
+])
+def test_a_quantifier_only_begins_a_signature(src, col):
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program(src + "\nmain : Unit; main = ();")
+    assert (exc.value.msg, exc.value.loc.line, exc.value.loc.col) == (
+        "a quantifier may only begin a definition's signature", 1, col,
+    )
+
+
 def test_interval_grades_parse():
     assert parse_type("Unit [0..1]", INTERVAL) == Box(INTERVAL.literal(0, 1), UnitT())
     with pytest.raises(Exception):

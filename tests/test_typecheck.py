@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradebor.grades import NAT, NAT_LEQ, frac_perm
-from gradebor.parser import parse_program, parse_term, parse_type
+from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type
 from gradebor.syntax import (
     Abs, Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
     Unpack, Var,
@@ -487,7 +487,7 @@ def old_check_array_payloads(ty, loc):
         case Prod(l, r):
             old_check_array_payloads(l, loc)
             old_check_array_payloads(r, loc)
-        case Box(_, t) | Amp(_, t) | ExistsT(_, t) | ResT(_, _, t) | Forall(_, t):
+        case Box(_, t) | Amp(_, t) | ExistsT(_, t) | ResT(_, _, t):
             old_check_array_payloads(t, loc)
         case _:
             pass
@@ -551,16 +551,61 @@ def test_type_walkers_take_one_frame_per_tree_level():
         _check_array_payloads(Fun(ty, ResT("Array", "i", NatT())), None)
 
 
-def test_polymorphic_argument_checks_whatever_its_binders_are_named():
+def test_polymorphic_argument_is_a_syntax_error_whatever_its_binders_are_named():
     for p, i in (("p", "i"), ("q", "j"), ("p", "j"), ("q", "i")):
         ty = f"forall {{{p} : Permission, {i} : Name}} . & {p} (Ref {i} Float) -o & {p} (Ref {i} Float)"
-        cp = check_program(parse_program(
+        src = (
             "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
             "observe = \\w -> w;\n"
             "main : exists i . * (Ref i Float);\n"
             f"main = unpack <i, c> = newRef 1.5 in pack <i, withBorrow (\\b -> (\\g : ({ty}) -> g b) observe) c>;\n"
-        ))
-        assert str(cp.main_type) == "exists i . * Ref i Float"
+        )
+        with pytest.raises(SyntaxError_) as e:
+            parse_program(src)
+        assert e.value.render("t.grb") == "t.grb:4:72: [SyntaxError] a quantifier may only begin a definition's signature"
+
+
+# A polymorphic global is instantiated where it heads an application or is
+# given to withBorrow, and is rejected anywhere else.
+_POLY = (
+    "observe : forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float);\n"
+    "observe = \\w -> w;\n"
+    "alter : forall {i : Name} . & 1 (Ref i Float) -o & 1 (Ref i Float);\n"
+    "alter = \\w -> w;\n"
+)
+_LOCAL = "(& 1 (Ref i Float) -o & 1 (Ref i Float))"
+
+
+@pytest.mark.parametrize("body", [
+    "withBorrow (\\b -> observe b) c",
+    "withBorrow alter c",
+    # a local binder named like the global is typed as the local
+    f"withBorrow (\\b -> (\\observe : {_LOCAL} -> observe b) (\\w -> w)) c",
+    f"(\\alter : {_LOCAL} -> withBorrow alter c) (\\w -> w)",
+])
+def test_polymorphic_global_is_instantiated_where_it_is_applied(body):
+    from gradebor.machine import Heap, Machine
+    from gradebor.metatheory import check_trace
+
+    src = _POLY + f"main : exists i . * (Ref i Float);\nmain = unpack <i, c> = newRef 1.5 in pack <i, {body}>;"
+    cp = check_program(parse_program(src))
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    assert check_trace(trace, cp.main_type, cp.ring, cp.ring.one) == []
+
+
+@pytest.mark.parametrize("main", [
+    # inside a pair
+    "main : Unit * Unit;\nmain = (observe, ());",
+    # inside a box
+    "main : (Unit -o Unit) [1];\nmain = [observe];",
+    # as a beta-redex's argument
+    "main : exists i . * (Ref i Float);\n"
+    "main = unpack <i, c> = newRef 1.5 in pack <i, withBorrow (\\b -> (\\g -> g b) observe) c>;",
+])
+def test_unapplied_polymorphic_global_is_rejected(main):
+    with pytest.raises(CheckError) as e:
+        check_program(parse_program(_POLY + main))
+    assert (e.value.kind, e.value.msg) == ("Mismatch", "polymorphic definition 'observe' must be applied")
 
 
 def test_a_renamed_name_binder_avoids_every_name_of_its_bodies():
