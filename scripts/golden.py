@@ -18,7 +18,9 @@ again (`read_swap`), all generated here, `corpus --format json`, and `props --se
 2), a syntax error (1), a type error (1) and `--fuel 2` (3). `check` also
 meets the type error and three lexical edge cases: a non-decimal digit
 (`²`), 1000 nested parentheses, and a syntax error at the end of a file
-that ends in a comment. `check` and `run` also
+that ends in a comment. One `check` run meets two annotations with several
+unknown identifiers or permission variables (`unknown_variables`), whose
+first as written it must name, whatever the hash seed. `check` and `run` also
 meet a file that is not UTF-8 (exit 2). Each run is a fresh interpreter,
 because what is recorded is the CLI process: its output and exit status.
 
@@ -106,6 +108,19 @@ PROMO_BETA_ARRAY = (
 )
 
 
+# Annotations with several unknown identifiers, and with several unknown
+# permission variables: `check` names the first one as written.
+UNKNOWN_VARIABLES = (
+    ("unknown_names",
+     "main : Ref gamma Float * & q (Ref alpha Float) -o & p (Ref delta Float) * Ref beta Float;\n"
+     "main = \\x -> x;\n"),
+    ("unknown_perms",
+     "f : forall {i : Name} . & s (Ref i Float) * & q (Ref i Float) -o & p (Ref i Float) * & r (Ref i Float);\n"
+     "f = \\x -> x;\n\n"
+     "main : Unit;\nmain = ();\n"),
+)
+
+
 def record(outdir: Path, name: str, args: list[str], cwd: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("GRADEBOR_FUEL", None)
@@ -162,6 +177,9 @@ def main(argv: list[str]) -> int:
         (generated / "comment_eof.grb").write_text("main : Unit;\nmain = (() -- never closed", encoding="utf-8")
         for name in ("digit", "deep", "comment_eof", "type_error"):
             record(outdir, f"check-{name}", ["check", f"{name}.grb"], generated)
+        for name, source in UNKNOWN_VARIABLES:
+            (generated / f"{name}.grb").write_text(source, encoding="utf-8")
+        record(outdir, "check-unknown_variables", ["check", *(f"{name}.grb" for name, _ in UNKNOWN_VARIABLES)], generated)
         (generated / "not_utf8.grb").write_bytes(b"main : Unit;\nmain = (); -- \xff\n")
         for command in ("check", "run"):
             record(outdir, f"{command}-not_utf8", [command, "not_utf8.grb"], generated)

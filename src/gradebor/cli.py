@@ -191,8 +191,8 @@ def cmd_corpus(args) -> int:
         name = Path(path).stem
         failure = EXIT_META
         try:
-            prog = _load(path, None)
-            cp = check_program(prog)
+            with _depth_guard():
+                cp = check_program(_load(path, None))
             got = "accept"
             got_kind = None
         except (SyntaxError_, CheckError) as e:
@@ -202,9 +202,9 @@ def cmd_corpus(args) -> int:
         detail = ""
         if matched and got == "accept":
             try:
-                machine = Machine(cp.ring)
-                value, trace = machine.eval(Heap(), cp.main_term, cp.ring.one, args.fuel)
-                found = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
+                with _depth_guard():
+                    value, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one, args.fuel)
+                    found = check_trace(trace, cp.main_type, cp.ring, cp.ring.one)
                 if found:
                     matched = False
                     detail = f"metatheory: {found[0]}"
@@ -215,6 +215,9 @@ def cmd_corpus(args) -> int:
                 detail = f"evaluation failed: {e}"
                 if isinstance(e, FuelExhausted):
                     failure = EXIT_FUEL
+            except SyntaxError_ as e:
+                matched = False
+                detail = f"[{e.kind}]"
         elif got == "reject":
             detail = f"[{got_kind}]"
         if not matched:

@@ -650,9 +650,9 @@ def print_type(ty: Type, prec: int = 0) -> str:
         s = f"exists {ty.binder} . {print_type(ty.body, 0)}"
         return f"({s})" if prec > 2 else s
     if cls is Forall:
+        # only the top of a signature holds one, so it is never parenthesized
         binders = ", ".join(f"{v} : {k}" for v, k in ty.binders)
-        s = f"forall {{{binders}}} . {print_type(ty.body, 0)}"
-        return f"({s})" if prec > 0 else s
+        return f"forall {{{binders}}} . {print_type(ty.body, 0)}"
     raise ValueError(f"unprintable type {type(ty).__name__}")
 
 

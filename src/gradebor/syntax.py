@@ -21,8 +21,17 @@ class's child term fields, type annotation fields and binder fields;
   one Python frame per tree level, fewer than the parser spends, so a term
   that parses can be walked under the same recursion limit.
 
+Each question on types has one walker. `type_alpha_eq` matches: it is `==`
+with nothing bindable, and `typecheck.unify` with a signature's binders
+bindable. `type_free_names` and `type_free_perm_vars` list the free
+identifiers and permission variables in the order they are written.
+`type_subst_names` renames identifiers and replaces permission variables in
+one pass, as `subst_names` does on a term and its annotations.
+
 `children` lists a node's subterms and `map_children` rebuilds a node from
-mapped subterms; they serve the shallower walkers that take a function.
+mapped subterms; they serve the shallower walkers that take a function:
+`rename_refs`, `strip_meta`, `metatheory`'s `close_value`, and the reference
+walks of the machine and the generator, which read `children` only.
 
 Nodes are immutable by convention: the node classes are plain dataclasses,
 since a frozen one costs nearly three times as much to build, and no code
@@ -109,9 +118,6 @@ _node = dataclass(eq=False, repr=False)
 class Type:
     def __eq__(self, other):
         return isinstance(other, Type) and type_alpha_eq(self, other)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.__class__.__name__)
@@ -201,10 +207,21 @@ _TYPE_CHILDREN: dict[type, tuple[str, ...]] = {
 }
 
 
-def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
-    """Whether a and b are equal up to renaming their `exists` binders. The
-    binders of a signature's `Forall`, and permission variables, compare by
-    name."""
+_NOTHING: frozenset = frozenset()
+
+
+def type_alpha_eq(a: Type, b: Type, bindable=_NOTHING, sol=None, env_a=None, env_b=None) -> bool:
+    """Whether b matches a: whether they are equal up to renaming their
+    `exists` binders, once each free variable of a in `bindable` stands for
+    its solution in `sol`. With nothing bindable this is alpha-equivalence.
+
+    A bindable variable without a solution takes the permission or the free
+    identifier of b in its place, and `sol` records it, also when the match
+    fails later. It never takes an identifier that an `exists` of b binds:
+    `env_a` and `env_b` map each pair of binders in scope to one fresh mark,
+    and a mark is not an identifier. The binders of a signature's `Forall`
+    are compared by name, as are permission variables that are not bindable.
+    """
     cls = type(a)
     if type(b) is not cls:
         return False
@@ -214,12 +231,20 @@ def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
         if a.grade != b.grade:
             return False
     elif cls is Amp:
-        if a.perm != b.perm:
+        p = a.perm
+        if type(p) is PermVar and p.name in bindable:
+            if sol.setdefault(p.name, b.perm) != b.perm:
+                return False
+        elif p != b.perm:
             return False
     elif cls is ResT or cls is NameT:
         if cls is ResT and a.kind != b.kind:
             return False
-        if env_a.get(a.ident, a.ident) != env_b.get(b.ident, b.ident):
+        i, j = env_a.get(a.ident, a.ident), env_b.get(b.ident, b.ident)
+        if i in bindable:
+            if type(j) is not str or sol.setdefault(i, j) != j:
+                return False
+        elif i != j:
             return False
     elif cls is ExistsT:
         mark = object()
@@ -228,68 +253,61 @@ def type_alpha_eq(a: Type, b: Type, env_a=None, env_b=None) -> bool:
         if a.binders != b.binders:
             return False
     for n in _TYPE_CHILDREN[cls]:
-        if not type_alpha_eq(getattr(a, n), getattr(b, n), env_a, env_b):
+        if not type_alpha_eq(getattr(a, n), getattr(b, n), bindable, sol, env_a, env_b):
             return False
     return True
 
 
-def type_free_names(ty: Type) -> set[str]:
-    """Free Name-kinded identifiers of a type."""
+def type_free_names(ty: Type, bound=_NOTHING, out=None) -> list[str]:
+    """Free Name-kinded identifiers of a type, in first-occurrence order,
+    which is the order they are written in. `bound` and `out` are the
+    recursion's: the `exists` binders in scope and the list found so far."""
+    if out is None:
+        out = []
     cls = type(ty)
-    out: set[str] = set()
-    for n in _TYPE_CHILDREN[cls]:
-        out |= type_free_names(getattr(ty, n))
     if cls is ResT or cls is NameT:
-        out.add(ty.ident)
+        if ty.ident not in bound and ty.ident not in out:
+            out.append(ty.ident)
     elif cls is ExistsT:
-        out.discard(ty.binder)
-    return out
-
-
-def type_free_perm_vars(ty: Type) -> set[str]:
-    cls = type(ty)
-    out: set[str] = set()
+        bound = bound | {ty.binder}
     for n in _TYPE_CHILDREN[cls]:
-        out |= type_free_perm_vars(getattr(ty, n))
-    if cls is Amp and isinstance(ty.perm, PermVar):
-        out.add(ty.perm.name)
+        type_free_names(getattr(ty, n), bound, out)
     return out
 
 
-def type_subst_names(ty: Type, env: dict[str, str]) -> Type:
+def type_free_perm_vars(ty: Type, out=None) -> list[str]:
+    """Permission variables of a type, in first-occurrence order."""
+    if out is None:
+        out = []
+    cls = type(ty)
+    if cls is Amp and type(ty.perm) is PermVar and ty.perm.name not in out:
+        out.append(ty.perm.name)
+    for n in _TYPE_CHILDREN[cls]:
+        type_free_perm_vars(getattr(ty, n), out)
+    return out
+
+
+def type_subst_names(ty: Type, env: dict[str, str], perms=_NOTHING) -> Type:
     """Rename free Name identifiers of a type, renaming each binder that
-    would capture one of env's new names (see `_unclash`)."""
-    if not env:
+    would capture one of env's new names (see `_unclash`), and replace each
+    permission variable in `perms` by its permission, in the same pass."""
+    if not env and not perms:
         return ty
     cls = type(ty)
     changes = {}
     if cls is ResT or cls is NameT:
         if ty.ident in env:
             changes["ident"] = env[ty.ident]
+    elif cls is Amp:
+        if type(ty.perm) is PermVar and ty.perm.name in perms:
+            changes["perm"] = perms[ty.perm.name]
     elif cls is ExistsT:
         env, (binder,) = _unclash({k: v for k, v in env.items() if k != ty.binder}, (ty.binder,), ty)
         if binder != ty.binder:
             changes["binder"] = binder
     for n in _TYPE_CHILDREN[cls]:
         old = getattr(ty, n)
-        new = type_subst_names(old, env)
-        if new is not old:
-            changes[n] = new
-    return _rebuild(ty, **changes) if changes else ty
-
-
-def type_subst_perms(ty: Type, env: dict[str, PermExpr]) -> Type:
-    """Instantiate permission variables in a type."""
-    if not env:
-        return ty
-    cls = type(ty)
-    changes = {}
-    if cls is Amp:
-        if isinstance(ty.perm, PermVar) and ty.perm.name in env:
-            changes["perm"] = env[ty.perm.name]
-    for n in _TYPE_CHILDREN[cls]:
-        old = getattr(ty, n)
-        new = type_subst_perms(old, env)
+        new = type_subst_names(old, env, perms)
         if new is not old:
             changes[n] = new
     return _rebuild(ty, **changes) if changes else ty
@@ -799,11 +817,12 @@ def _avoid(binder: str, env: dict[str, Term], avoid: set[str], t: Term):
     return binder, env
 
 
-def subst_names(t: Term, env: dict[str, str]) -> Term:
+def subst_names(t: Term, env: dict[str, str], perms=_NOTHING) -> Term:
     """Rename free name identifiers in a term (and in its type annotations),
     renaming each name binder that would capture one of env's new names (see
-    `_unclash`), as `subst` renames a binder."""
-    if not env:
+    `_unclash`), as `subst` renames a binder. The permission variables in
+    `perms` are replaced in the annotations in the same pass."""
+    if not env and not perms:
         return t
     cls = type(t)
     changes = {}
@@ -823,14 +842,14 @@ def subst_names(t: Term, env: dict[str, str]) -> Term:
     shape = _SHAPES[cls]
     for n in shape.terms:
         old = getattr(t, n)
-        new = subst_names(old, inner if n == "body" else env)
+        new = subst_names(old, inner if n == "body" else env, perms)
         if new is not old:
             changes[n] = new
     # every annotation lies under the node's name binders
     for n in shape.types:
         old = getattr(t, n)
         if old is not None:
-            new = type_subst_names(old, inner)
+            new = type_subst_names(old, inner, perms)
             if new is not old:
                 changes[n] = new
     return _rebuild(t, **changes) if changes else t

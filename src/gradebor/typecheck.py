@@ -27,11 +27,11 @@ from .grades import Grade, Permission, Semiring, STAR, WHOLE, grade_add, grade_l
 from . import syntax as S
 from .syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
-    LetBox, LetPair, LetUnit, Loc, NameT, NatLit, NatT, Pack, Pair,
-    PermVar, Prim, Prod, Promote, Pull, Push, RefVal, ResT, Share, Split,
-    Term, Type, Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
+    LetBox, LetPair, LetUnit, Loc, NatLit, NatT, Pack, Pair, Prim, Prod,
+    Promote, Pull, Push, RefVal, ResT, Share, Split, Term, Type, Unborrow,
+    Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
     free_vars, type_alpha_eq, type_free_names, type_free_perm_vars,
-    type_subst_names, type_subst_perms,
+    type_subst_names,
 )
 
 # TypeError kinds; every rejection names the violated rule via CheckError.rule.
@@ -150,18 +150,16 @@ def _whole(ty: Type) -> bool:
 
 @dataclass
 class Usage:
-    """Per-variable synthesized usage plus referenced names and references."""
+    """Per-variable synthesized usage plus the runtime references used."""
 
     linear: set[str] = field(default_factory=set)
     graded: dict[str, Grade] = field(default_factory=dict)
-    names: set[str] = field(default_factory=set)
     refs: set[str] = field(default_factory=set)
 
     def without(self, *names: str) -> "Usage":
         return Usage(
             self.linear - set(names),
             {k: v for k, v in self.graded.items() if k not in names},
-            set(self.names) - set(names),
             set(self.refs),
         )
 
@@ -172,7 +170,7 @@ def ctx_add(u1: Usage, u2: Usage, loc: Optional[Loc] = None) -> Usage:
     graded = dict(u1.graded)
     for x, g in u2.graded.items():
         graded[x] = grade_add(graded[x], g) if x in graded else g
-    return Usage(u1.linear | u2.linear, graded, u1.names | u2.names, u1.refs | u2.refs)
+    return Usage(u1.linear | u2.linear, graded, u1.refs | u2.refs)
 
 
 def ctx_scale(r: Grade, u: Usage, loc: Optional[Loc] = None) -> Usage:
@@ -184,7 +182,7 @@ def ctx_scale(r: Grade, u: Usage, loc: Optional[Loc] = None) -> Usage:
             rule="promotion",
         )
     graded = {x: grade_mul(r, g) for x, g in u.graded.items()}
-    return Usage(set(), graded, set(u.names), set(u.refs))
+    return Usage(set(), graded, set(u.refs))
 
 
 # ---------------------------------------------------------------------------
@@ -201,57 +199,23 @@ def _arg_type_fits(actual: Type, expected: Type) -> bool:
     return type_alpha_eq(actual, expected)
 
 
-def _solve(sol: dict, v: str, value) -> bool:
-    """Bind v to value in sol, or check the value it is already bound to."""
-    return sol.setdefault(v, value) == value
-
-
 def unify(pattern: Type, concrete: Type, bindable: set[str], sol: dict) -> bool:
-    """One-way unification binding quantified permission/name variables."""
-    cls = type(pattern)
-    if type(concrete) is not cls:
-        return False
-    if cls is Box:
-        if pattern.grade != concrete.grade:
-            return False
-    elif cls is Amp:
-        p, q = pattern.perm, concrete.perm
-        if not (_solve(sol, p.name, q) if type(p) is PermVar and p.name in bindable else p == q):
-            return False
-    elif cls is ResT or cls is NameT:
-        if cls is ResT and pattern.kind != concrete.kind:
-            return False
-        i, j = pattern.ident, concrete.ident
-        if not (_solve(sol, i, j) if i in bindable else i == j):
-            return False
-    elif cls is ExistsT:
-        # rename to a common fresh marker so binders do not interfere
-        mark = f"!u{len(sol)}"
-        return unify(
-            type_subst_names(pattern.body, {pattern.binder: mark}),
-            type_subst_names(concrete.body, {concrete.binder: mark}),
-            bindable, sol,
-        )
-    for n in S._TYPE_CHILDREN[cls]:
-        if not unify(getattr(pattern, n), getattr(concrete, n), bindable, sol):
-            return False
-    return True
+    """One-way matching: whether `concrete` is an instance of `pattern` once
+    the quantified variables `bindable` are solved, each solution recorded in
+    `sol`. This is the matcher behind `==` on types (`type_alpha_eq`) with
+    the signature's binders bindable, so the two agree on every pair of
+    types, and a solution is never an identifier that an `exists` binds."""
+    return type_alpha_eq(pattern, concrete, bindable, sol)
 
 
 def instance(tf: Forall, ef: Term, sol: dict) -> tuple[Type, Term]:
     """The body of `tf` and its elaborated term `ef`, with each binder that
-    `sol` solves replaced by its solution."""
-    name_env = {v: sol[v] for v, k in tf.binders if k == "Name" and v in sol}
-    perm_env = {v: sol[v] for v, k in tf.binders if k == "Permission" and v in sol}
-    ty = type_subst_perms(type_subst_names(tf.body, name_env), perm_env)
-    out = S.subst_names(ef, name_env)
-    if perm_env:
-        out = _subst_perms_term(out, perm_env)
-    return ty, out
-
-
-def _subst_perms_term(t: Term, env: dict) -> Term:
-    return S.map_children(t, lambda c: _subst_perms_term(c, env), lambda ty: type_subst_perms(ty, env))
+    `sol` solves replaced by its solution: one substitution pass over the
+    type and one over the term, renaming Name binders and replacing
+    permission variables together."""
+    names = {v: sol[v] for v, k in tf.binders if k == "Name" and v in sol}
+    perms = {v: sol[v] for v, k in tf.binders if k == "Permission" and v in sol}
+    return type_subst_names(tf.body, names, perms), S.subst_names(ef, names, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +698,6 @@ class Checker:
         if ident in type_free_names(tb):
             raise CheckError(ID_ESCAPES, f"identifier {ident!r} escapes in the result type {tb!r}", t.loc, rule="unpack")
         ub = self._pop_linear(ub, binder, payload, t.loc)
-        ub = ub.without(ident)
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(t, ident=ident, binder=binder, rhs=er, body=eb, bann=payload)
 
     def _with_borrow(self, ctx: Ctx, t: WithBorrow, expected: Optional[Type]) -> tuple[Type, Usage, Term]:
@@ -775,7 +738,7 @@ class Checker:
             raise CheckError(MISMATCH, f"clone expects a shared (boxed) value, got {tr!r}", t.loc, rule="clone")
         if not grade_leq(self.ring.one, tr.grade):
             raise CheckError(GRADE_EXCEEDED, f"clone needs one use of the box, but its grade is {tr.grade}", t.loc, rule="clone")
-        old_ids = _names_in_order(tr.body)
+        old_ids = type_free_names(tr.body)
         if len(old_ids) != len(t.idents):
             raise CheckError(
                 MISMATCH,
@@ -795,11 +758,10 @@ class Checker:
         fresh_ty = Amp(STAR, type_subst_names(tr.body, renaming))
         ctx2 = ctx2.bind(binder, LinearEntry(fresh_ty))
         tb, ub, eb = self.synth(ctx2, body, expected)
-        escaped = set(idents) & type_free_names(tb)
+        escaped = set(idents).intersection(type_free_names(tb))
         if escaped:
             raise CheckError(ID_ESCAPES, f"cloned identifiers escape in the result type: {', '.join(sorted(escaped))}", t.loc, rule="clone")
         ub = self._pop_linear(ub, binder, fresh_ty, t.loc)
-        ub = ub.without(*idents)
         return tb, ctx_add(ur, ub, t.loc), S._rebuild(
             t, binder=binder, idents=tuple(idents), rhs=er, body=eb, bann=fresh_ty, old_idents=tuple(old_ids)
         )
@@ -838,7 +800,6 @@ class Checker:
         if not ctx.has_name(i):
             raise CheckError(UNBOUND_VARIABLE, f"unknown identifier {i!r} in pack", t.loc, rule="pack")
         tb, ub, eb = self.synth(ctx, t.body, expected)
-        ub = Usage(ub.linear, ub.graded, ub.names | {i}, ub.refs)
         return ExistsT(i, tb), ub, S._rebuild(t, body=eb)
 
     # -- binder bookkeeping ---------------------------------------------------
@@ -906,23 +867,6 @@ def _check_array_payloads(ty: Type, loc) -> None:
         raise CheckError(MISMATCH, "arrays hold floats only", loc, rule="type")
     for n in S._TYPE_CHILDREN[type(ty)]:
         _check_array_payloads(getattr(ty, n), loc)
-
-
-def _names_in_order(ty: Type) -> list[str]:
-    """Free name identifiers of a type in first-occurrence order."""
-    out: list[str] = []
-
-    def go(ty: Type, bound: frozenset):
-        cls = type(ty)
-        if (cls is ResT or cls is NameT) and ty.ident not in bound and ty.ident not in out:
-            out.append(ty.ident)
-        elif cls is ExistsT:
-            bound = bound | {ty.binder}
-        for n in S._TYPE_CHILDREN[cls]:
-            go(getattr(ty, n), bound)
-
-    go(ty, frozenset())
-    return out
 
 
 # ---------------------------------------------------------------------------

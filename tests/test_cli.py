@@ -21,11 +21,12 @@ def _golden():
     return module
 
 
-def _cli(*args, cwd):
-    """Run gradebor in a fresh interpreter, under the default recursion limit."""
+def _cli(*args, cwd, **env):
+    """Run gradebor in a fresh interpreter, under the default recursion limit,
+    with the environment variables `env` set."""
     return subprocess.run(
         [sys.executable, "-m", "gradebor.cli", *args], cwd=cwd, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
     )
 
 
@@ -113,11 +114,18 @@ def test_corpus_command(capsys):
     assert "persimmon" in out and "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("source, error", [
+    ("main : Unit;\nmain = let () = in ();\n",
+     {"kind": "SyntaxError", "message": "expected a term, found 'in'", "line": 2, "col": 17}),
+    # parses, but is nested too deeply to check
+    ("main : Unit;\nmain = " + "let () = () in " * 400 + "();\n",
+     {"kind": "SyntaxError", "message": "expression nested too deeply", "line": None, "col": None}),
+], ids=["parse", "deep"])
 @pytest.mark.parametrize("expect, code", [("reject SyntaxError", 0), ("accept", 4)])
-def test_corpus_reports_a_file_that_does_not_parse(tmp_path, monkeypatch, capsys, expect, code):
+def test_corpus_reports_a_file_that_does_not_parse(tmp_path, monkeypatch, capsys, expect, code, source, error):
     import gradebor.cli as cli
 
-    (tmp_path / "broken.grb").write_text("main : Unit;\nmain = let () = in ();\n", encoding="utf-8")
+    (tmp_path / "broken.grb").write_text(source, encoding="utf-8")
     (tmp_path / "broken.expect").write_text(expect + "\n", encoding="utf-8")
     monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)
     assert main(["corpus", "--format", "json"]) == code
@@ -126,8 +134,22 @@ def test_corpus_reports_a_file_that_does_not_parse(tmp_path, monkeypatch, capsys
     (row,) = json.loads(captured.out)
     assert (row["status"], row["detail"]) == ("ok" if code == 0 else "MISMATCH", "[SyntaxError]")
     assert main(["check", "--format", "json", str(tmp_path / "broken.grb")]) == 1
-    (error,) = json.loads(capsys.readouterr().out)[0]["errors"]
-    assert error == {"kind": "SyntaxError", "message": "expected a term, found 'in'", "line": 2, "col": 17}
+    (got,) = json.loads(capsys.readouterr().out)[0]["errors"]
+    assert got == error
+
+
+def test_corpus_replay_too_deep_is_a_mismatch(monkeypatch, capsys):
+    import gradebor.cli as cli
+
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check_trace", overflow)
+    assert main(["corpus", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    rows = {row["program"]: row for row in json.loads(captured.out)}
+    assert (rows["persimmon"]["status"], rows["persimmon"]["detail"]) == ("MISMATCH", "[SyntaxError]")
 
 
 def test_semiring_flag_overrides_pragma(tmp_path):
@@ -285,3 +307,19 @@ def test_trace_replay_too_deep_is_a_syntax_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith('{"step": 0')
     assert captured.err == f"{path}: [SyntaxError] expression nested too deeply\n"
+
+
+def test_check_names_the_first_unknown_variable_whatever_the_hash_seed(tmp_path):
+    golden = _golden()
+    for name, source in golden.UNKNOWN_VARIABLES:
+        (tmp_path / f"{name}.grb").write_text(source, encoding="utf-8")
+    files = [f"{name}.grb" for name, _ in golden.UNKNOWN_VARIABLES]
+    runs = {(p.returncode, p.stdout, p.stderr) for p in (
+        _cli("check", *files, cwd=tmp_path, PYTHONHASHSEED=str(seed)) for seed in range(6)
+    )}
+    (run,) = runs
+    code, out, err = run
+    names, perms = out.splitlines()
+    assert (code, err) == (1, "")
+    assert names.startswith("unknown_names.grb:1:1: [UnboundVariable] unknown identifier 'gamma' in type ")
+    assert perms.startswith("unknown_perms.grb:1:1: [UnboundVariable] unknown permission variable 's' in type ")

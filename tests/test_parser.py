@@ -195,7 +195,7 @@ TYPE_CASES = [
     (NameT("i"), 3, "i"),
     (Forall((("p", "Permission"), ("i", "Name")), Fun(Amp(PermVar("p"), REF), NatT())), 0,
      "forall {p : Permission, i : Name} . & p Ref i Float -o Nat"),
-    (Forall((("i", "Name"),), NatT()), 1, "(forall {i : Name} . Nat)"),
+    (Forall((("i", "Name"),), Fun(NatT(), NatT())), 0, "forall {i : Name} . Nat -o Nat"),
 ]
 
 TERM_CASES = [

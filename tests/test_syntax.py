@@ -22,9 +22,9 @@ from gradebor.syntax import (
     Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow, alpha_eq,
     bound_names, children, free_vars, is_value, map_children, refs_of,
     rename_refs, strip_meta, subst, subst_names, type_alpha_eq, type_free_names,
-    type_free_perm_vars, type_subst_names, type_subst_perms,
+    type_free_perm_vars, type_subst_names,
 )
-from gradebor.typecheck import CheckError, check_program
+from gradebor.typecheck import CheckError, check_program, instance, unify
 
 
 def test_free_vars_examples():
@@ -793,16 +793,40 @@ def _type_binders(ty: Type) -> tuple[set[str], set[str]]:
     return names, perms
 
 
+def old_subst_perms_term(t, env):
+    return map_children(t, lambda c: old_subst_perms_term(c, env), lambda ty: old_type_subst_perms(ty, env))
+
+
 def test_type_walkers_match_the_match_walkers_on_every_sample_type():
     assert {type(x) for x in SAMPLE_TYPES} == set(syntax._TYPE_CHILDREN) - {Forall}
     for ty in SAMPLE_TYPES:
-        assert type_free_names(ty) == old_type_free_names(ty)
-        assert type_free_perm_vars(ty) == old_type_free_perm_vars(ty)
+        free = type_free_names(ty)
+        assert set(free) == old_type_free_names(ty) and len(free) == len(set(free))
+        perm_vars = type_free_perm_vars(ty)
+        assert set(perm_vars) == old_type_free_perm_vars(ty) and len(perm_vars) == len(set(perm_vars))
         names, perms = _type_binders(ty)
         env = {n: n + "'" for n in names}
         assert _same(type_subst_names(ty, env), old_type_subst_names(ty, env))
         penv = {p: PermVar(p + "'") for p in perms} | {"q": STAR}
-        assert _same(type_subst_perms(ty, penv), old_type_subst_perms(ty, penv))
+        assert _same(type_subst_names(ty, {}, penv), old_type_subst_perms(ty, penv))
+        assert _same(type_subst_names(ty, env, penv), old_type_subst_perms(old_type_subst_names(ty, env), penv))
+
+
+def test_instance_substitutes_names_and_permissions_as_the_match_walkers_do():
+    # each sample node as the body of a polymorphic definition, with a sample type as its signature
+    for t, ty in zip(SAMPLE_NODES, itertools.cycle(SAMPLE_TYPES)):
+        names, perms = _type_binders(ty)
+        for n in _nodes(t):
+            for ann in filter(None, (getattr(n, f) for f in syntax._SHAPES[type(n)].types)):
+                more_names, more_perms = _type_binders(ann)
+                names, perms = names | more_names, perms | more_perms
+        perms -= names
+        binders = tuple((v, "Name") for v in sorted(names)) + tuple((p, "Permission") for p in sorted(perms))
+        nenv = {n: n + "'" for n in names}
+        penv = {p: STAR if k % 2 else PermVar(p + "'") for k, p in enumerate(sorted(perms))}
+        got_ty, got_t = instance(Forall(binders, ty), t, nenv | penv)
+        assert _same(got_ty, old_type_subst_perms(old_type_subst_names(ty, nenv), penv))
+        assert _same(got_t, old_subst_perms_term(subst_names(t, nenv), penv))
 
 
 def test_type_alpha_eq_matches_the_match_walker_on_pairs_of_sample_types():
@@ -814,6 +838,51 @@ def test_type_alpha_eq_matches_the_match_walker_on_pairs_of_sample_types():
         pairs += zip(types, types[1:] + types[:1])
     for a, b in pairs:
         assert type_alpha_eq(a, b) == old_type_alpha_eq(a, b), (a, b)
+        assert unify(a, b, set(), {}) == old_type_alpha_eq(a, b), (a, b)
+
+
+def test_unify_keeps_nested_exists_binders_apart():
+    # each `exists` has its own binder: swapping the two is a different type
+    a = parse_type("exists a . exists b . Ref a Float * Ref b Float")
+    b = parse_type("exists a . exists b . Ref b Float * Ref a Float")
+    assert a != b and not unify(a, b, set(), {})
+    # a bindable variable never takes an identifier that an `exists` binds
+    sol: dict = {}
+    assert not unify(parse_type("exists a . Ref a Float * Ref i Float"),
+                     parse_type("exists a . Ref a Float * Ref a Float"), {"i"}, sol)
+    assert sol == {}
+    sol = {}
+    assert unify(parse_type("exists a . Ref a Float * & p (Ref i Float)"),
+                 parse_type("exists b . Ref b Float * & 1/2 (Ref a Float)"), {"i", "p"}, sol)
+    assert sol == {"i": "a", "p": frac_perm(1, 2)}
+
+
+def _match_pairs():
+    """Each sample type against itself with every name and permission
+    variable renamed, and against its neighbours."""
+    pairs = list(zip(SAMPLE_TYPES, SAMPLE_TYPES[1:])) + list(zip(SAMPLE_TYPES[1:], SAMPLE_TYPES))
+    for ty in SAMPLE_TYPES:
+        names, perms = _type_binders(ty)
+        penv = {p: STAR if len(p) % 2 else PermVar(p + "'") for p in perms}
+        pairs.append((ty, type_subst_names(ty, {n: n + "'" for n in names}, penv)))
+    return pairs
+
+
+def test_a_solution_never_holds_a_bound_identifier():
+    matched = 0
+    for a, b in _match_pairs():
+        names, perms = type_free_names(a), type_free_perm_vars(a)
+        if set(names) & set(perms):
+            continue
+        sol: dict = {}
+        if not unify(a, b, set(names) | set(perms), sol):
+            continue
+        matched += 1
+        nenv = {v: sol[v] for v in names}
+        assert set(nenv.values()) <= set(type_free_names(b)), (a, b, sol)
+        # the solution instantiates a to b
+        assert type_subst_names(a, nenv, {v: sol[v] for v in perms}) == b, (a, b, sol)
+    assert matched > len(SAMPLE_TYPES)
 
 
 def _spine(arg: str) -> Term:
@@ -845,10 +914,12 @@ def test_type_walkers_take_one_frame_per_tree_level():
     assert sys.getrecursionlimit() == 1000
     ty = fun_chain("i")
     assert type_alpha_eq(ty, fun_chain("i")) and not type_alpha_eq(ty, fun_chain("j"))
-    assert type_free_names(ty) == {"i"}
-    assert type_free_perm_vars(ty) == {"p"}
+    sol: dict = {}
+    assert unify(ty, fun_chain("j"), {"i", "p"}, sol) and sol == {"i": "j", "p": PermVar("p")}
+    assert type_free_names(ty) == ["i"]
+    assert type_free_perm_vars(ty) == ["p"]
     assert type_alpha_eq(type_subst_names(ty, {"i": "j"}), fun_chain("j"))
-    assert type_free_perm_vars(type_subst_perms(ty, {"p": STAR})) == set()
+    assert type_free_perm_vars(type_subst_names(ty, {}, {"p": STAR})) == []
 
 
 # -- the sets free_vars, refs_of and bound_names store on nodes -----------------

@@ -9,11 +9,11 @@ from gradebor.grades import NAT, NAT_LEQ, frac_perm
 from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type
 from gradebor.syntax import (
     Abs, Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
-    Unpack, Var,
+    Unpack, Var, type_free_names,
 )
 from gradebor.typecheck import (
     CheckError, Checker, Ctx, GradedEntry, LinearEntry, Usage, _check_array_payloads,
-    _names_in_order, check_program, ctx_add, ctx_scale,
+    check_program, ctx_add, ctx_scale,
 )
 from test_syntax import SAMPLE_TYPES, fun_chain
 
@@ -533,7 +533,7 @@ def _array_payload_error(check, ty):
 def test_type_walkers_match_the_match_walkers_on_every_sample_type():
     rejected = 0
     for ty in SAMPLE_TYPES:
-        assert _names_in_order(ty) == old_names_in_order(ty)
+        assert type_free_names(ty) == old_names_in_order(ty)
         # the same type also as the payload of an array, which only Float may be
         for candidate in (ty, Fun(ty, ResT("Array", "i", ty))):
             error = _array_payload_error(_check_array_payloads, candidate)
@@ -545,7 +545,6 @@ def test_type_walkers_match_the_match_walkers_on_every_sample_type():
 def test_type_walkers_take_one_frame_per_tree_level():
     assert sys.getrecursionlimit() == 1000
     ty = fun_chain("i")
-    assert _names_in_order(ty) == ["i"]
     _check_array_payloads(ty, None)
     with pytest.raises(CheckError):
         _check_array_payloads(Fun(ty, ResT("Array", "i", NatT())), None)
@@ -618,3 +617,39 @@ def test_a_renamed_name_binder_avoids_every_name_of_its_bodies():
     annotated = Abs("u", Pack("i", Var("u")), ResT("Ref", "i.1", FloatT()))
     i2, (a,) = Checker(NAT_LEQ)._freshen_name("i", ctx, annotated)
     assert i2 not in ("i", "i.1") and a.body.ident == i2 and a.ann.ident == "i.1"
+
+
+@pytest.mark.parametrize("binder, dom, arg", [
+    # the two `exists` binders swapped
+    ("p : Permission", "& p (exists a . exists b . Ref a Float * Ref b Float)",
+     "& 1 (exists a . exists b . Ref b Float * Ref a Float)"),
+    # i would have to stand for the identifier the argument's `exists` binds
+    ("i : Name", "exists a . Ref a Float * Ref i Float", "exists a . Ref a Float * Ref a Float"),
+])
+def test_a_signature_does_not_instantiate_at_a_differently_bound_argument(binder, dom, arg):
+    src = (
+        f"f : forall {{{binder}}} . ({dom}) -o ({dom});\nf = \\x -> x;\n"
+        f"main : ({arg}) -o ({arg});\nmain = \\y -> f y;\n"
+    )
+    with pytest.raises(CheckError) as e:
+        check_program(parse_program(src))
+    assert (e.value.kind, e.value.rule, str(e.value.loc)) == ("Mismatch", "app", "4:14")
+    assert e.value.msg.startswith(f"cannot instantiate forall {{{binder}}} . ")
+
+
+_A = "(exists i . * (Ref i Float))"
+
+
+@pytest.mark.parametrize("main", [
+    # the term variable i is used under `unpack <i, c>` and again outside it
+    f"main : ({_A} * {_A}) * {_A};\n"
+    "main = (\\i -> (\\r -> (unpack <i, c> = r in (i, pack <i, c>), i)) (newRef 2.0)) (newRef 1.0);\n",
+    # the term variable j is used under `clone bx as <j>` and again outside it
+    "main : (Float * Float) * Float;\n"
+    "main = (\\j -> (unpack <i, r> = newRef 7.25 in\n"
+    "  (\\bx : ((Ref i Float) [1]) -> let *c = clone bx as <j> in (deleteRef c, j)) (share r), j)) 1.5;\n",
+])
+def test_a_name_binder_does_not_hide_the_uses_of_a_term_variable_of_the_same_name(main):
+    with pytest.raises(CheckError) as e:
+        check_program(parse_program(main))
+    assert e.value.kind == "LinearReuse" and e.value.msg.endswith("used more than once")
