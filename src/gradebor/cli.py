@@ -195,6 +195,8 @@ def cmd_corpus(args) -> int:
                 cp = check_program(_load(path, None))
             got = "accept"
             got_kind = None
+        except SystemExit2:
+            got, got_kind, failure = "unread", "IO", EXIT_IO
         except (SyntaxError_, CheckError) as e:
             got = "reject"
             got_kind = e.kind
@@ -218,7 +220,7 @@ def cmd_corpus(args) -> int:
             except SyntaxError_ as e:
                 matched = False
                 detail = f"[{e.kind}]"
-        elif got == "reject":
+        elif got != "accept":
             detail = f"[{got_kind}]"
         if not matched:
             worst = max(worst, failure)

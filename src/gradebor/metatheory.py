@@ -4,6 +4,11 @@ Each theorem of the calculus is realized as a checker that inspects concrete
 configurations: heap compatibility, type preservation, progress, per-step
 borrow safety, end-of-run uniqueness, and soundness of the equational laws.
 All permission arithmetic is exact; there are no tolerances anywhere.
+
+Preservation replays the typing judgment of `typecheck` on runtime
+configurations: `runtime_ctx` reads a heap as a typing context, and one
+`_MemoChecker` per trace keeps the judgments of binding forms that
+consecutive configurations share.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from .grades import (
 )
 from . import syntax as S
 from .syntax import (
-    Abs, Amp, App, ExistsT, FloatLit, Join, LetPair, NatLit, Pack, Pair, Permission, Prim, RefVal, Split, Term,
-    Type, Uniq, Var, WithBorrow,
+    Abs, Amp, App, ExistsT, FloatLit, FloatT, Join, LetPair, NatLit, Pack, Pair, Permission, Prim, RefVal, Split,
+    Term, Type, Uniq, Var, WithBorrow,
 )
 from .machine import ArrRes, Config, Frame, Heap, Machine, EvalError, RefCell, Trace, plug, shared_frame
 from .typecheck import (
-    MISMATCH, Checker, CheckError, Ctx, GradedEntry, TypingMemo, Usage, check_program, ctx_add, ctx_scale,
-    runtime_ctx, transparent_child,
+    MISMATCH, Checker, CheckError, Ctx, GradedEntry, RefEntry, Usage, check_program, ctx_add, ctx_scale,
+    transparent_child,
 )
 
 
@@ -51,6 +56,19 @@ class CompatJudgment:
 # Heap compatibility
 
 
+def runtime_ctx(heap: Heap, ring: Semiring) -> Ctx:
+    """The typing context of a heap: a graded entry for each variable that
+    records its type, and a reference entry for each reference to a live
+    resource. Every identifier counts as in scope."""
+    refs = {}
+    for ref, cell in heap.refs.items():
+        res = heap.resources.get(cell.ident)
+        if res is not None:
+            refs[ref] = RefEntry("Array", cell.ident, FloatT()) if res.is_array else RefEntry("Ref", cell.ident, res.ty)
+    vars_ = {x: GradedEntry(cell.ty, cell.grade) for x, cell in heap.vars.items() if cell.ty is not None}
+    return Ctx(ring, vars_, frozenset(heap.resources), refs, lenient_names=True)
+
+
 def heap_compat(
     heap: Heap, ctx: Ctx, ring: Semiring, rt: Optional[Ctx] = None, checker: Optional[Checker] = None
 ) -> CompatJudgment:
@@ -62,8 +80,8 @@ def heap_compat(
     Variables the context never mentions are discharged without a typing
     premise, and leftover references are collectable only at permission 0.
 
-    Stored values are typed by `checker` (through its memo, if it has one)
-    in `rt`, the heap's runtime context; both are built here when not given.
+    Stored values are typed by `checker` in `rt`, the heap's runtime
+    context; both are built here when not given.
     """
     if checker is None:
         checker = Checker(ring)
@@ -88,7 +106,7 @@ def heap_compat(
         entry = ctx.vars.get(x)
         want_ty = entry.ty if entry is not None else cell.ty
         try:
-            ty, usage, _ = checker.infer_shared(rt, cell.value)
+            ty, usage, _ = checker.synth(rt, cell.value)
         except CheckError as e:
             return CompatJudgment(False, f"stored value of {x!r} fails to type: {e.msg}")
         if want_ty is not None and ty != want_ty:
@@ -157,7 +175,7 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     variable or reference that the heap no longer holds.
     """
     out: list[Violation] = []
-    checker = Checker(ring, memo=TypingMemo())
+    checker = _MemoChecker(ring)
     root = (main_type, main_type, Usage(), ring.one)
     judged: dict[Optional[Frame], tuple] = {None: root}
     rts = [runtime_ctx(c.heap, ring) for c in trace.configs]
@@ -291,6 +309,52 @@ class _HoleProbe(Checker):
         if self.z.name in S.free_vars(t):
             return super().synth(ctx, t, expected)
         return self.checker.synth(ctx, t, expected)
+
+
+class _MemoChecker(Checker):
+    """A checker for one trace that keeps the judgments of the binding forms
+    (let, unpack, clone and withBorrow nodes), which consecutive
+    configurations share until a step rebuilds them.
+
+    A judgment is keyed on its node (by identity), the expected type (None
+    when inferring) and the part of the context the node can read: the
+    entries of its free variables and references, in the order of the sets
+    `free_vars` and `refs_of` store on it, the permission variables, and the
+    names in scope unless identifiers are lenient. Entries compare up to
+    alpha-equivalence. A node with a binder that clashes with the context has
+    no key, since checking it renames that binder, and failures are never
+    stored. Stored judgments hold their nodes, so no node's id is reused
+    while the checker lives. A hit returns the stored result itself, which
+    callers must not mutate; its elaborated term fits the context it was
+    computed in, so callers discard it.
+
+    A node that a step has just rebuilt has a new id and no hit:
+    `check_preservation` types each of those once per frame, with a fresh
+    variable in its hole (`_judge`).
+    """
+
+    def __init__(self, ring: Semiring):
+        super().__init__(ring)
+        self.judgments: dict[tuple, tuple[Term, tuple]] = {}
+
+    def _recalled(self, ctx: Ctx, t: Term, expected: Optional[Type], rule) -> tuple[Type, Usage, Term]:
+        bound = S.bound_names(t)
+        if not (bound.isdisjoint(ctx.vars) and bound.isdisjoint(ctx.names)):
+            return rule(self, ctx, t, expected)
+        vars_, refs = ctx.vars, ctx.refs
+        key = (
+            id(t),
+            expected,
+            tuple([vars_.get(x) for x in S.free_vars(t)]),
+            tuple([refs.get(r) for r in S.refs_of(t)]),
+            ctx.perm_vars,
+            True if ctx.lenient_names else ctx.names,
+        )
+        if (hit := self.judgments.get(key)) is not None:
+            return hit[1]
+        out = rule(self, ctx, t, expected)
+        self.judgments[key] = (t, out)
+        return out
 
 
 def check_progress(trace: Trace) -> list[Violation]:

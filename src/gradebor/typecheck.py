@@ -15,6 +15,9 @@ Each construct has one rule body, called with the expected type or None:
 `_pack`, and the binding forms' methods, found in `_BINDING_RULES`.
 Promotion is decided by the body's type: a box may not hold a `*` value
 outside a function type, wherever the allocation is hidden.
+
+The judgment reads no heap. Typing contexts built from a heap, and the memo
+that replays the judgment along a trace, belong to `metatheory`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from .syntax import (
     LetBox, LetPair, LetUnit, Loc, NatLit, NatT, Pack, Pair, Prim, Prod,
     Promote, Pull, Push, RefVal, ResT, Share, Split, Term, Type, Unborrow,
     Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow,
-    free_vars, type_alpha_eq, type_free_names, type_free_perm_vars,
-    type_subst_names,
+    type_alpha_eq, type_free_names, type_free_perm_vars, type_subst_names,
 )
 
 # TypeError kinds; every rejection names the violated rule via CheckError.rule.
@@ -96,32 +98,26 @@ class RefEntry:
 
 @dataclass
 class Ctx:
-    """A typing context: term variables, name identifiers, runtime references."""
+    """A typing context: term variables, the name identifiers in scope (a
+    signature's Name binders among them), runtime references."""
 
     ring: Semiring
     vars: dict[str, Union[LinearEntry, GradedEntry]] = field(default_factory=dict)
     names: frozenset = frozenset()
     refs: dict[str, RefEntry] = field(default_factory=dict)
     perm_vars: frozenset = frozenset()
-    name_vars: frozenset = frozenset()
     lenient_names: bool = False  # runtime contexts treat identifiers as global
 
     def bind(self, name: str, entry) -> "Ctx":
         if name in self.vars:
             raise CheckError(MISMATCH, f"variable {name!r} bound twice", rule="context")
-        return Ctx(
-            self.ring, {**self.vars, name: entry}, self.names, self.refs,
-            self.perm_vars, self.name_vars, self.lenient_names,
-        )
+        return Ctx(self.ring, {**self.vars, name: entry}, self.names, self.refs, self.perm_vars, self.lenient_names)
 
     def bind_name(self, ident: str) -> "Ctx":
-        return Ctx(
-            self.ring, self.vars, self.names | {ident}, self.refs,
-            self.perm_vars, self.name_vars, self.lenient_names,
-        )
+        return Ctx(self.ring, self.vars, self.names | {ident}, self.refs, self.perm_vars, self.lenient_names)
 
     def has_name(self, ident: str) -> bool:
-        return self.lenient_names or ident in self.names or ident in self.name_vars
+        return self.lenient_names or ident in self.names
 
 
 def _discardable(ty: Type) -> bool:
@@ -219,50 +215,6 @@ def instance(tf: Forall, ef: Term, sol: dict) -> tuple[Type, Term]:
 
 
 # ---------------------------------------------------------------------------
-# Typing memo
-
-
-class TypingMemo:
-    """Typing judgments of subterms that recur unchanged, such as the parts of
-    a term that consecutive configurations of a trace share.
-
-    A judgment is keyed on its node (by identity), the expected type given
-    to `Checker.synth` (None when inferring) and the part of the context it
-    can read: the entries of the node's free variables and names, the
-    entries of its references, the permission and name variables, and the
-    names in scope unless identifiers are lenient. The entries follow the
-    order of the sets `free_vars` and `refs_of` store on the node, so a
-    node's key always lists them in the same order. Types and entries compare up to alpha-equivalence, as
-    everywhere in the checker. A node with a binder that clashes with the
-    context has no key, because checking it renames that binder. Entries hold
-    their nodes, so no other node can take a node's id while the memo lives.
-    Every hit returns the same stored result, so callers must not mutate it.
-
-    A memo hit is keyed on one node, so it cannot help a node that a step
-    has just rebuilt: `metatheory.check_preservation` types each of those
-    once per frame, with a fresh variable in its hole (see `Checker`).
-    """
-
-    def __init__(self) -> None:
-        self.judgments: dict[tuple, tuple[Term, tuple]] = {}
-
-    def key(self, ctx: Ctx, t: Term, expected: Optional[Type]) -> Optional[tuple]:
-        bound = S.bound_names(t)
-        if not (bound.isdisjoint(ctx.vars) and bound.isdisjoint(ctx.names) and bound.isdisjoint(ctx.name_vars)):
-            return None
-        vars_, refs = ctx.vars, ctx.refs
-        return (
-            id(t),
-            expected,
-            tuple([vars_.get(x) for x in free_vars(t)]),
-            tuple([refs.get(r) for r in S.refs_of(t)]),
-            ctx.perm_vars,
-            ctx.name_vars,
-            True if ctx.lenient_names else ctx.names,
-        )
-
-
-# ---------------------------------------------------------------------------
 # The checker
 
 
@@ -281,21 +233,11 @@ class Checker:
     semantics of quantitative type theory", LICS 2018): if Γ, z :[A]_r ⊢
     C[z] : B and Δ ⊢ t : A, then Γ + r·Δ ⊢ C[t] : B, where C reads z as it
     would read t, through one `synth` call (`transparent_child`).
-
-    With a `TypingMemo`, judgments on let, unpack, clone and withBorrow nodes,
-    and on terms passed to `infer_shared`, are looked up before they are
-    computed. Failures are never stored. A stored judgment may come from a
-    computation that renamed an inner binder, so its elaborated term fits the
-    context it was computed in; every user of a memo discards the elaborated
-    term.
     """
 
-    def __init__(
-        self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None, memo: Optional[TypingMemo] = None
-    ):
+    def __init__(self, ring: Semiring, globals_: Optional[dict[str, GlobalDef]] = None):
         self.ring = ring
         self.globals = globals_ or {}
-        self.memo = memo
 
     # Binders that shadow an in-scope variable (or identifier) are renamed on
     # the fly, so contexts never bind a name twice; the elaborated term keeps
@@ -308,30 +250,18 @@ class Checker:
         return x2, tuple(S.subst(b, x, Var(x2)) for b in bodies)
 
     def _freshen_name(self, i: str, ctx: Ctx, *bodies: Term) -> tuple[str, tuple[Term, ...]]:
-        if i not in ctx.names and i not in ctx.name_vars:
+        if i not in ctx.names:
             return i, bodies
-        i2 = S.fresh_name(i, set(ctx.names).union(ctx.name_vars, *map(S.names_in, bodies)))
+        i2 = S.fresh_name(i, set(ctx.names).union(*map(S.names_in, bodies)))
         return i2, tuple(S.subst_names(b, {i: i2}) for b in bodies)
 
     def _recalled(self, ctx: Ctx, t: Term, expected: Optional[Type], rule) -> tuple[Type, Usage, Term]:
-        """`rule(self, ctx, t, expected)`, looked up in the memo when there is one."""
-        memo = self.memo
-        if memo is None:
-            return rule(self, ctx, t, expected)
-        key = memo.key(ctx, t, expected)
-        if key is not None and (hit := memo.judgments.get(key)) is not None:
-            return hit[1]
-        out = rule(self, ctx, t, expected)
-        if key is not None:
-            memo.judgments[key] = (t, out)
-        return out
+        """`rule(self, ctx, t, expected)`: the one call of a binding form's
+        rule, which `metatheory`'s preservation checker overrides to look the
+        judgment up first."""
+        return rule(self, ctx, t, expected)
 
-    # -- entry points --------------------------------------------------------
-
-    def infer_shared(self, ctx: Ctx, t: Term) -> tuple[Type, Usage, Term]:
-        """`synth` in infer mode, looked up in the memo first: for a term that
-        recurs unchanged, such as a value stored in the heap."""
-        return self._recalled(ctx, t, None, Checker.synth)
+    # -- entry point ---------------------------------------------------------
 
     def synth(self, ctx: Ctx, t: Term, expected: Optional[Type] = None) -> tuple[Type, Usage, Term]:
         """The type, usage and elaborated term of `t` in `ctx`. With `expected`
@@ -893,12 +823,12 @@ def check_program(prog) -> CheckedProgram:
     for d in prog.definitions:
         sig = d.signature
         if isinstance(sig, Forall):
+            names = frozenset(v for v, k in sig.binders if k == "Name")
             perm_vs = frozenset(v for v, k in sig.binders if k == "Permission")
-            name_vs = frozenset(v for v, k in sig.binders if k == "Name")
             inner = sig.body
         else:
-            perm_vs, name_vs, inner = frozenset(), frozenset(), sig
-        ctx = Ctx(ring, perm_vars=perm_vs, name_vars=name_vs)
+            names, perm_vs, inner = frozenset(), frozenset(), sig
+        ctx = Ctx(ring, names=names, perm_vars=perm_vs)
         checker._check_wf(inner, ctx, d.loc)
         try:
             _, usage, elab = checker.synth(ctx, d.body, inner)
@@ -918,30 +848,3 @@ def check_program(prog) -> CheckedProgram:
     main_type, main_term = main_entry
     return CheckedProgram(ring, main_type, main_term, def_types)
 
-
-# ---------------------------------------------------------------------------
-# Runtime contexts (used by the metatheory checkers)
-
-
-def runtime_ctx(heap, ring: Semiring) -> Ctx:
-    """Build a typing context from a heap: graded entries for variables and
-    reference entries for every live resource reference."""
-    ctx = Ctx(ring)
-    refs = {}
-    for ref, cell in heap.refs.items():
-        res = heap.resources.get(cell.ident)
-        if res is None:
-            continue
-        if res.is_array:
-            refs[ref] = RefEntry("Array", cell.ident, FloatT())
-        else:
-            refs[ref] = RefEntry("Ref", cell.ident, res.ty)
-    vars_: dict[str, Union[LinearEntry, GradedEntry]] = {}
-    for x, cell in heap.vars.items():
-        if cell.ty is not None:
-            vars_[x] = GradedEntry(cell.ty, cell.grade)
-    ctx.vars = vars_
-    ctx.refs = refs
-    ctx.names = frozenset(heap.resources.keys())
-    ctx.lenient_names = True
-    return ctx

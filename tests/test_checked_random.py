@@ -27,13 +27,13 @@ import pytest
 from gradebor.generator import generate_programs
 from gradebor.grades import NAT_LEQ
 from gradebor.machine import EvalError, Heap, Machine
-from gradebor.metatheory import check_trace
+from gradebor.metatheory import check_trace, runtime_ctx
 from gradebor.parser import print_term
 from gradebor.syntax import (
     Abs, App, Box, FloatLit, FloatT, LetBox, LetPair, LetUnit, NatLit, NatT, Pair, Prod, Promote,
     UnitT, UnitVal, Var, children,
 )
-from gradebor.typecheck import CheckError, Checker, Ctx, check_program, runtime_ctx
+from gradebor.typecheck import CheckError, Checker, Ctx, check_program
 
 RING = NAT_LEQ
 FLOAT2 = Box(RING.literal(2), FloatT())

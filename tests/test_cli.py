@@ -138,6 +138,21 @@ def test_corpus_reports_a_file_that_does_not_parse(tmp_path, monkeypatch, capsys
     assert got == error
 
 
+@pytest.mark.parametrize("expect", ["accept", "reject SyntaxError"])
+def test_corpus_reports_a_file_that_is_not_utf8_as_an_io_error(tmp_path, monkeypatch, capsys, expect):
+    import gradebor.cli as cli
+
+    (tmp_path / "not_utf8.grb").write_bytes(b"main : Unit;\nmain = (); -- \xff\n")
+    (tmp_path / "not_utf8.expect").write_text(expect + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "corpus_dir", lambda: tmp_path)
+    assert main(["corpus", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    (row,) = json.loads(captured.out)
+    assert (row["status"], row["detail"]) == ("MISMATCH", "[IO]")
+    assert main(["check", str(tmp_path / "not_utf8.grb")]) == 2
+
+
 def test_corpus_replay_too_deep_is_a_mismatch(monkeypatch, capsys):
     import gradebor.cli as cli
 

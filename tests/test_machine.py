@@ -852,7 +852,8 @@ def _checked_programs():
 
 
 def test_stored_reference_types_are_the_types_of_the_stored_values():
-    from gradebor.typecheck import CheckError, Checker, runtime_ctx
+    from gradebor.metatheory import runtime_ctx
+    from gradebor.typecheck import CheckError, Checker
 
     compared = set()
     for label, cp in _checked_programs():

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from gradebor.grades import NAT, NAT_LEQ, STAR, frac_perm, grade_add, grade_mul, grade_residual
 from gradebor.machine import ArrRes, EvalError, Heap, Machine, RefCell, VarCell
 from gradebor.metatheory import (
-    check_borrow_safety, check_borrow_safety_step, check_equational,
+    _MemoChecker, check_borrow_safety, check_borrow_safety_step, check_equational,
     check_preservation, check_progress, check_uniqueness, close_value,
     heap_compat, reachable_refs, readback, run_algebra_suite,
-    run_equational_suite, uniqueness_applicable,
+    run_equational_suite, runtime_ctx, uniqueness_applicable,
 )
 from gradebor.parser import parse_program, parse_term, parse_type
 from gradebor.syntax import (
     Abs, App, Box, Clone, FloatT, Join, LetBox, LetPair, LetUnit, NatLit, NatT, Pack, Pair,
     Prim, Prod, Promote, RefVal, Share, Split, Uniq, UnitT, UnitVal, Var, FloatLit, WithBorrow, alpha_eq,
 )
-from gradebor.typecheck import CheckError, Checker, Ctx, GradedEntry, RefEntry, TypingMemo, runtime_ctx
+from gradebor.typecheck import CheckError, Checker, Ctx, GradedEntry, RefEntry
 
 RING = NAT_LEQ
 
@@ -635,7 +635,7 @@ def test_preservation_checked_twice_on_one_trace_finds_the_same_violations():
 def test_memo_renames_a_binder_that_clashes_with_a_later_context():
     # stored under a context without y, then looked up under one that binds y
     t = LetPair("a", "y", Pair(UnitVal(), UnitVal()), LetUnit(Var("a"), Var("y")), UnitT(), UnitT())
-    checker = Checker(RING, memo=TypingMemo())
+    checker = _MemoChecker(RING)
     _, _, elab = checker.synth(Ctx(RING, lenient_names=True), t, UnitT())
     assert elab.right == "y"
     clash = Ctx(RING, {"y": GradedEntry(UnitT(), RING.one)}, lenient_names=True)
@@ -646,7 +646,7 @@ def test_memo_renames_a_binder_that_clashes_with_a_later_context():
 def test_memo_tells_contexts_apart_by_free_variable_entries():
     # the same node, with x's box grade 2 and then 1: z is used twice
     t = LetBox("z", Var("x"), Pair(Var("z"), Var("z")))
-    checker = Checker(RING, memo=TypingMemo())
+    checker = _MemoChecker(RING)
     for grade, ok in ((2, True), (1, False), (2, True)):
         ctx = Ctx(RING, {"x": GradedEntry(Box(RING.literal(grade), UnitT()), RING.one)}, lenient_names=True)
         if ok:
@@ -659,7 +659,7 @@ def test_memo_tells_contexts_apart_by_free_variable_entries():
 def test_memo_tells_contexts_apart_by_reference_entries():
     # the same node, with ref1 an array and then a ref cell
     t = LetUnit(UnitVal(), App(Prim("deleteArray"), Uniq(RefVal("ref1"), STAR)))
-    checker = Checker(RING, memo=TypingMemo())
+    checker = _MemoChecker(RING)
     for kind, ok in (("Array", True), ("Ref", False)):
         ctx = Ctx(RING, refs={"ref1": RefEntry(kind, "id1", FloatT())}, lenient_names=True)
         if ok:

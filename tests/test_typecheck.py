@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradebor.grades import NAT, NAT_LEQ, frac_perm
-from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type
+from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type, print_term
 from gradebor.syntax import (
     Abs, Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
     Unpack, Var, type_free_names,
@@ -617,6 +617,24 @@ def test_a_renamed_name_binder_avoids_every_name_of_its_bodies():
     annotated = Abs("u", Pack("i", Var("u")), ResT("Ref", "i.1", FloatT()))
     i2, (a,) = Checker(NAT_LEQ)._freshen_name("i", ctx, annotated)
     assert i2 not in ("i", "i.1") and a.body.ident == i2 and a.ann.ident == "i.1"
+
+
+def test_an_unpack_renames_an_identifier_that_a_signature_binds(tmp_path):
+    # `check_program` puts f's Name binder i in scope, so the unpack's i is
+    # renamed; main applies f, so its elaborated body shows f's
+    from gradebor.cli import main as cli_main
+
+    src = (
+        "f : forall {i : Name} . * (Ref i Float) -o * (Ref i Float);\n"
+        "f = \\c -> unpack <i, d> = newRef 2.0 in (\\v : Float -> c) (deleteRef d);\n"
+        "main : exists i . * (Ref i Float);\n"
+        "main = unpack <i, c> = newRef 1.0 in pack <i, f c>;\n"
+    )
+    cp = check_program(parse_program(src))
+    assert "unpack <i.1, d> = newRef 2.0 in" in print_term(cp.main_term)
+    path = tmp_path / "rename.grb"
+    path.write_text(src, encoding="utf-8")
+    assert cli_main(["trace", str(path)]) == 0
 
 
 @pytest.mark.parametrize("binder, dom, arg", [
