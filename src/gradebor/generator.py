@@ -16,7 +16,7 @@ from .grades import Semiring, NAT, NAT_LEQ, INTERVAL
 from .parser import Definition, SourceProgram
 from . import syntax as S
 from .syntax import (
-    Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Fun, Join, LetBox,
+    Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Join, LetBox,
     LetPair, LetUnit, NatLit, NatT, Pack, Pair, Prim, Prod, Promote, Pull,
     Push, ResT, Share, Split, Term, Type, UnitT, UnitVal, Unpack, Var,
     WithBorrow,

@@ -105,7 +105,7 @@ class RefCell:
 @dataclass
 class ArrRes:
     items: dict[int, float] = field(default_factory=dict)
-    is_array: bool = True
+    is_array = True
 
     def show(self) -> str:
         body = "".join(f"[{n}]={v}" for n, v in sorted(self.items.items()))
@@ -116,7 +116,7 @@ class ArrRes:
 class RefRes:
     value: Term
     ty: Optional[Type]
-    is_array: bool = False
+    is_array = False
 
     def show(self) -> str:
         ty = f" : {print_type(self.ty)}" if self.ty is not None else ""
@@ -182,50 +182,6 @@ def _entry_json(name: str, cell) -> dict:
     if type(cell) is RefCell:
         return {"sort": "ref", "name": name, "perm": str(cell.perm), "id": cell.ident}
     return {"sort": "res", "name": name, "value": cell.show()}
-
-
-def heap_copy(sub: Heap) -> tuple[Heap, dict[str, str], list[str]]:
-    """Deep-copy a reference-closed heap fragment with fresh names.
-
-    Returns the copied fragment, the reference renaming, and the fresh
-    identifiers in the order their originals appear in `sub.resources`.
-    New references carry the whole permission.
-    """
-    fragment = Heap(counter=sub.counter)
-    ident_map = {ident: fragment.fresh_ident() for ident in sub.resources}
-    theta: dict[str, str] = {}
-    for ref, cell in sub.refs.items():
-        if cell.ident not in ident_map:
-            raise MissingResource(f"reference {ref} points outside the copied fragment")
-        theta[ref] = fragment.fresh_ref()
-    for ident, res in sub.resources.items():
-        if res.is_array:
-            fragment.resources[ident_map[ident]] = ArrRes(dict(res.items))
-        else:
-            missing = refs_of(res.value) - theta.keys()
-            if missing:
-                raise MissingResource(f"copied value mentions uncopied references: {sorted(missing)}")
-            fragment.resources[ident_map[ident]] = RefRes(
-                rename_refs(theta, res.value),
-                S.type_subst_names(res.ty, ident_map) if res.ty is not None else None,
-            )
-    for ref, cell in sub.refs.items():
-        fragment.refs[theta[ref]] = RefCell(Fraction(1), ident_map[cell.ident])
-    return fragment, theta, list(ident_map.values())
-
-
-# ---------------------------------------------------------------------------
-# Array resource term operations
-
-
-def arr_read(a: ArrRes, n: int) -> float:
-    # unwritten indices read as zero; sizes are not tracked
-    return a.items.get(n, 0.0)
-
-
-def arr_write(a: ArrRes, n: int, v: float) -> ArrRes:
-    a.items[n] = v
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +682,11 @@ class Machine:
 
         if name == "readArray":
             idx = _nat_arg(args[1], name)
-            return Pair(FloatLit(arr_read(res, idx)), u), "readArray"
+            # unwritten indices read as zero; sizes are not tracked
+            return Pair(FloatLit(res.items.get(idx, 0.0)), u), "readArray"
         if name == "writeArray":
             idx = _nat_arg(args[1], name)
-            val = _float_arg(args[2], name)
-            arr_write(res, idx, val)
+            res.items[idx] = _float_arg(args[2], name)
             return u, "writeArray"
         if name == "deleteArray" or name == "deleteRef":
             del heap.refs[ref]
@@ -822,16 +778,22 @@ class Machine:
                         discover(res.value)
 
         discover(w)
-        sub = Heap(counter=heap.counter)
+        # Copy the fragment into the heap under fresh names, identifiers in
+        # discovery order and then references. Discovery put every reached
+        # reference's resource and every stored value's references in the
+        # fragment, so it is closed under both renamings. Each copied
+        # reference carries the whole permission.
+        ident_map = {ident: heap.fresh_ident() for ident in idents}
+        theta = {ref: heap.fresh_ref() for ref in seen_refs}
         for ident in idents:
-            sub.resources[ident] = heap.resources[ident]
+            res = heap.resources[ident]
+            if res.is_array:
+                heap.resources[ident_map[ident]] = ArrRes(dict(res.items))
+            else:
+                ty = S.type_subst_names(res.ty, ident_map) if res.ty is not None else None
+                heap.resources[ident_map[ident]] = RefRes(rename_refs(theta, res.value), ty)
         for ref in seen_refs:
-            sub.refs[ref] = heap.refs[ref]
-        fragment, theta, new_ids = heap_copy(sub)
-        heap.counter = fragment.counter
-        heap.resources.update(fragment.resources)
-        heap.refs.update(fragment.refs)
-        ident_map = dict(zip(idents, new_ids))
+            heap.refs[theta[ref]] = RefCell(Fraction(1), ident_map[heap.refs[ref].ident])
         # surface identifiers map onto the fresh copies of the payload type's
         # identifiers; unelaborated terms fall back to discovery order
         olds = t.old_idents if t.old_idents is not None else tuple(idents)
@@ -891,11 +853,16 @@ def _collect(heap: Heap, frame: Optional[Frame], c: Term, zeros: set[str]) -> No
     zeros &= reached
 
 
-def _ref_order(t: Term) -> list[str]:
-    """The references of t, each once, in depth-first order."""
+def _ref_order(t: Term, out: Optional[dict[str, None]] = None) -> dict[str, None]:
+    """The references of t, each once, in depth-first order, as the keys of a
+    dict; `out` is the recursion's, the references found so far."""
+    if out is None:
+        out = {}
     if type(t) is RefVal:
-        return [t.ref]
-    return list(dict.fromkeys(r for c in S.children(t) for r in _ref_order(c)))
+        out[t.ref] = None
+    for n in S._SHAPES[type(t)].terms:
+        _ref_order(getattr(t, n), out)
+    return out
 
 
 def _nat_arg(t: Term, name: str) -> int:

@@ -578,14 +578,17 @@ def close_value(heap: Heap, t: Term, depth: int = 0) -> Term:
     `depth` counts heap dereferences, the only step that can loop, not tree levels."""
     if depth > 64:
         raise EvalError("value closure recursion exceeded")
-    match t:
-        case S.Var(x):
-            cell = heap.vars.get(x)
-            if cell is None:
-                return t
-            return close_value(heap, cell.value, depth + 1)
-        case _:
-            return S.map_children(t, lambda c: close_value(heap, c, depth))
+    cls = type(t)
+    if cls is S.Var:
+        cell = heap.vars.get(t.name)
+        return t if cell is None else close_value(heap, cell.value, depth + 1)
+    changes = {}
+    for n in S._SHAPES[cls].terms:
+        old = getattr(t, n)
+        new = close_value(heap, old, depth)
+        if new is not old:
+            changes[n] = new
+    return S._rebuild(t, **changes) if changes else t
 
 
 def readback(heap: Heap, t: Term, depth: int = 0):

@@ -15,11 +15,12 @@ class's child term fields, type annotation fields and binder fields;
   `LetPair.left`/`right`, `LetBox.binder`, `Unpack.ident`/`binder`,
   `Clone.idents`/`binder`), in binding order.
 - Every binder scopes over the node's `body` and never over its `rhs`.
-- The deep walkers (substitution, free and bound names, alpha-equivalence,
-  on terms and on types) write out only their special cases and then loop
-  over the table's field names, calling themselves directly on each child:
-  one Python frame per tree level, fewer than the parser spends, so a term
-  that parses can be walked under the same recursion limit.
+- Every walker, on terms and on types, writes out only its special cases
+  and then loops over the table's field names, calling itself directly on
+  each child: one Python frame per tree level, fewer than the parser
+  spends, so a term that parses can be walked under the same recursion
+  limit. A walker that rebuilds a node passes its changed fields to
+  `_rebuild`, which returns the node itself when nothing changed.
 
 Each question on types has one walker. `type_alpha_eq` matches: it is `==`
 with nothing bindable, and `typecheck.unify` with a signature's binders
@@ -28,10 +29,8 @@ identifiers and permission variables in the order they are written.
 `type_subst_names` renames identifiers and replaces permission variables in
 one pass, as `subst_names` does on a term and its annotations.
 
-`children` lists a node's subterms and `map_children` rebuilds a node from
-mapped subterms; they serve the shallower walkers that take a function:
-`rename_refs`, `strip_meta`, `metatheory`'s `close_value`, and the reference
-walks of the machine and the generator, which read `children` only.
+`children` lists a node's subterms, for the walks that only read them, such
+as the generator's `constructors_used`.
 
 Nodes are immutable by convention: the node classes are plain dataclasses,
 since a frozen one costs nearly three times as much to build, and no code
@@ -46,7 +45,7 @@ may mutate it.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Callable, NamedTuple, Optional, Union, get_type_hints
+from typing import NamedTuple, Optional, Union, get_type_hints
 
 from .grades import Grade, Permission, STAR
 
@@ -562,30 +561,6 @@ def children(t: Term) -> list[Term]:
     return [getattr(t, n) for n in _SHAPES[type(t)].terms]
 
 
-def map_children(
-    t: Term, f: Callable[[Term], Term], on_type: Optional[Callable[[Type], Type]] = None
-) -> Term:
-    """Apply f to each child term (and on_type to each present annotation).
-
-    Returns t itself when every result is the object it replaces.
-    """
-    shape = _SHAPES[type(t)]
-    changes = {}
-    for n in shape.terms:
-        old = getattr(t, n)
-        new = f(old)
-        if new is not old:
-            changes[n] = new
-    if on_type is not None:
-        for n in shape.types:
-            old = getattr(t, n)
-            if old is not None:
-                new = on_type(old)
-                if new is not old:
-                    changes[n] = new
-    return _rebuild(t, **changes) if changes else t
-
-
 def _bound_by(t: Term, binds: tuple[str, ...]) -> list[str]:
     """The names that t's binder fields `binds` bind over its body, in binding order."""
     out: list[str] = []
@@ -875,13 +850,17 @@ def _unclash(env: dict[str, str], binders: tuple[str, ...], node) -> tuple[dict[
 
 def rename_refs(theta: dict[str, str], t: Term) -> Term:
     """Replace every reference in dom(theta) by its image."""
-    if not theta:
+    if theta.keys().isdisjoint(refs_of(t)):
         return t
-    match t:
-        case RefVal(r):
-            return _rebuild(t, ref=theta[r]) if r in theta else t
-        case _:
-            return map_children(t, lambda c: rename_refs(theta, c))
+    if type(t) is RefVal:
+        return _rebuild(t, ref=theta[t.ref])
+    changes = {}
+    for n in _SHAPES[type(t)].terms:
+        old = getattr(t, n)
+        new = rename_refs(theta, old)
+        if new is not old:
+            changes[n] = new
+    return _rebuild(t, **changes) if changes else t
 
 
 def prim_spine(t: Term) -> Optional[tuple[str, list[Term]]]:
@@ -929,6 +908,14 @@ def is_value(t: Term) -> bool:
 
 def strip_meta(t: Term) -> Term:
     """Drop elaboration metadata (annotations and box grades) for comparisons."""
-    t = map_children(t, strip_meta, lambda _: None)
-    meta = {n: None for n in ("grade", "old_idents") if getattr(t, n, None) is not None}
-    return _rebuild(t, **meta) if meta else t
+    shape = _SHAPES[type(t)]
+    changes = {}
+    for n in shape.terms:
+        old = getattr(t, n)
+        new = strip_meta(old)
+        if new is not old:
+            changes[n] = new
+    for n in (*shape.types, "grade", "old_idents"):
+        if getattr(t, n, None) is not None:
+            changes[n] = None
+    return _rebuild(t, **changes) if changes else t

@@ -136,7 +136,10 @@ def _holds_owned(ty: Type) -> bool:
         return True
     if type(ty) is Fun:
         return False
-    return any(_holds_owned(getattr(ty, n)) for n in S._TYPE_CHILDREN[type(ty)])
+    for n in S._TYPE_CHILDREN[type(ty)]:
+        if _holds_owned(getattr(ty, n)):
+            return True
+    return False
 
 
 def _whole(ty: Type) -> bool:

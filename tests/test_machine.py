@@ -9,14 +9,13 @@ import pytest
 from gradebor.grades import INTERVAL, NAT_LEQ, STAR, frac_perm
 from gradebor.machine import (
     ArrRes, EvalError, FuelExhausted, GradeUnderflow, Heap, Machine,
-    MissingResource, RefCell, RefRes, StuckTerm, Trace, VarCell,
-    arr_read, arr_write, heap_copy,
+    MissingResource, RefCell, RefRes, Trace, VarCell,
 )
 from gradebor.parser import SyntaxError_, parse_program, parse_term, print_term
 from gradebor.syntax import (
     Abs, App, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
     Promote, RefVal, Share, Split, Term, Unborrow, Uniq, UnitVal, Unpack, Var,
-    Prod, UnitT, FloatT, NatT, alpha_eq,
+    Amp, Prod, ResT, UnitT, FloatT, NatT, alpha_eq,
 )
 from gradebor.typecheck import check_program
 
@@ -184,47 +183,74 @@ def test_configuration_invariant_refs_in_heap():
 # -- heap operations ----------------------------------------------------------------
 
 
-def test_heap_copy_is_deep():
-    sub = Heap()
-    sub.resources["id1"] = ArrRes({0: 1.0})
-    sub.refs["ref1"] = RefCell(Fraction(0), "id1")
-    sub.counter = 1
-    fragment, theta, new_ids = heap_copy(sub)
-    assert set(theta) == {"ref1"}
-    new_ref = theta["ref1"]
-    assert fragment.refs[new_ref].perm == 1
-    assert len(new_ids) == 1
-    # mutating the original leaves the copy unchanged
-    sub.resources["id1"].items[0] = 99.0
-    assert fragment.resources[new_ids[0]].items[0] == 1.0
+def prim(name, *args):
+    t = Prim(name)
+    for a in args:
+        t = App(t, a)
+    return t
 
 
-def test_heap_copy_nested_refs():
-    sub = Heap()
-    sub.resources["id1"] = ArrRes({1: 2.0})
-    sub.refs["ref1"] = RefCell(Fraction(1), "id1")
-    sub.resources["id2"] = RefRes(Uniq(RefVal("ref1"), STAR), None)
-    sub.refs["ref2"] = RefCell(Fraction(0), "id2")
-    sub.counter = 2
-    fragment, theta, new_ids = heap_copy(sub)
-    assert set(theta) == {"ref1", "ref2"}
-    inner = fragment.resources[theta and fragment.refs[theta["ref2"]].ident]
-    assert alpha_eq(inner.value, Uniq(RefVal(theta["ref1"]), STAR))
+def test_clone_copies_an_array_deeply():
+    heap = seeded_heap(Fraction(0))
+    out, rule = machine().step(heap, Clone("c", ("j",), Promote(RefVal("ref1")), Pack("j", Var("c"))), one())
+    assert rule == "copyBeta"
+    # the copy is named after the heap's counter, its identifier first, and
+    # its reference carries the whole permission
+    assert heap.refs == {"ref1": RefCell(Fraction(0), "id1"), "ref3": RefCell(Fraction(1), "id2")}
+    assert alpha_eq(out, Pack("id2", Var("c.1")))
+    assert alpha_eq(heap.vars["c.1"].value, Uniq(RefVal("ref3"), STAR))
+    # writing the copy leaves the original as it was
+    machine().step(heap, prim("writeArray", Uniq(RefVal("ref3"), STAR), NatLit(0), FloatLit(99.0)), one())
+    assert heap.resources["id1"].items == {0: 1.0}
+    assert heap.resources["id2"].items == {0: 99.0}
 
 
-def test_heap_copy_empty():
-    fragment, theta, new_ids = heap_copy(Heap())
-    assert not fragment.refs and not theta and not new_ids
+def test_clone_renames_nested_references():
+    heap = Heap()
+    heap.resources["id1"] = ArrRes({1: 2.0})
+    heap.refs["ref1"] = RefCell(Fraction(1), "id1")
+    stored_ty = Amp(STAR, ResT("Array", "id1", FloatT()))
+    heap.resources["id2"] = RefRes(Uniq(RefVal("ref1"), STAR), stored_ty)
+    heap.refs["ref2"] = RefCell(Fraction(0), "id2")
+    heap.counter = 2
+    t = Clone("c", ("a", "b"), Promote(RefVal("ref2")), Pack("a", Pack("b", Var("c"))))
+    out, _ = machine().step(heap, t, one())
+    # discovery meets id2 through ref2 and then id1 through the stored value
+    assert alpha_eq(out, Pack("id3", Pack("id4", Var("c.1"))))
+    assert alpha_eq(heap.vars["c.1"].value, Uniq(RefVal("ref5"), STAR))
+    assert heap.refs["ref5"] == RefCell(Fraction(1), "id3")
+    assert heap.refs["ref6"] == RefCell(Fraction(1), "id4")
+    copy = heap.resources["id3"]
+    assert alpha_eq(copy.value, Uniq(RefVal("ref6"), STAR))
+    assert copy.ty == Amp(STAR, ResT("Array", "id4", FloatT()))
+    assert heap.resources["id4"].items == {1: 2.0}
+    assert heap.resources["id4"] is not heap.resources["id1"]
+    # the originals keep their permissions and their stored value
+    assert heap.refs["ref1"].perm == 1 and heap.refs["ref2"].perm == 0
+    assert alpha_eq(heap.resources["id2"].value, Uniq(RefVal("ref1"), STAR))
 
 
-def test_array_ops():
-    a = ArrRes()
-    assert arr_read(a, 3) == 0.0
-    arr_write(a, 0, 1.0)
-    assert arr_read(a, 0) == 1.0
-    arr_write(a, 0, 2.0)
-    assert arr_read(a, 0) == 2.0
-    assert list(a.items) == [0]
+def test_clone_of_a_value_without_references_copies_nothing():
+    heap = Heap()
+    out, rule = machine().step(heap, Clone("c", (), Promote(UnitVal()), Var("c")), one())
+    assert rule == "copyBeta"
+    assert not heap.refs and not heap.resources and heap.counter == 0
+    assert alpha_eq(heap.vars[out.name].value, Uniq(UnitVal(), STAR))
+
+
+def test_read_and_write_array_steps():
+    heap = seeded_heap()
+    u = Uniq(RefVal("ref1"), STAR)
+    # unwritten indices read as zero
+    out, rule = machine().step(heap, prim("readArray", u, NatLit(3)), one())
+    assert rule == "readArray" and alpha_eq(out, Pair(FloatLit(0.0), u))
+    for v in (1.0, 2.0):
+        out, rule = machine().step(heap, prim("writeArray", u, NatLit(0), FloatLit(v)), one())
+        assert rule == "writeArray" and out is u
+    out, _ = machine().step(heap, prim("readArray", u, NatLit(0)), one())
+    assert alpha_eq(out, Pair(FloatLit(2.0), u))
+    assert heap.resources["id1"].items == {0: 2.0}
+    assert list(heap.resources["id1"].items) == [0]
 
 
 def test_read_write_delete_array_steps():

@@ -11,20 +11,20 @@ from hypothesis import strategies as st
 
 from gradebor import syntax
 from gradebor.generator import generate_programs
-from gradebor.grades import STAR, frac_perm
-from gradebor.machine import EvalError, Heap, Machine
-from gradebor.metatheory import check_trace
+from gradebor.grades import NAT, STAR, frac_perm
+from gradebor.machine import EvalError, Heap, Machine, VarCell, _ref_order
+from gradebor.metatheory import check_trace, close_value
 from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type
 from gradebor.syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
     LetBox, LetPair, LetUnit, NameT, NatLit, NatT, Pack, Pair, PermVar, Prim,
     Prod, Promote, Pull, Push, RefVal, ResT, Share, Split, Term, Type,
     Unborrow, Uniq, UnitT, UnitVal, Unpack, Var, WithBorrow, alpha_eq,
-    bound_names, children, free_vars, is_value, map_children, refs_of,
+    bound_names, children, free_vars, is_value, refs_of,
     rename_refs, strip_meta, subst, subst_names, type_alpha_eq, type_free_names,
     type_free_perm_vars, type_subst_names,
 )
-from gradebor.typecheck import CheckError, check_program, instance, unify
+from gradebor.typecheck import CheckError, _holds_owned, check_program, instance, unify
 
 
 def test_free_vars_examples():
@@ -259,20 +259,26 @@ def test_children_matches_reflection():
             assert children(node) == _reflected_children(node), type(node).__name__
 
 
-def test_map_children_identity_returns_the_same_node():
+def test_rebuilding_walkers_return_the_node_itself_when_nothing_changes():
+    heap = Heap()
     for t in SAMPLE_TERMS:
         for node in _nodes(t):
-            assert map_children(node, lambda c: c) is node
-            assert map_children(node, lambda c: c, lambda ty: ty) is node
+            # the machine numbers references from ref1
+            assert rename_refs({"ref0": "ref9"}, node) is node
+            assert close_value(heap, node) is node
+            stripped = strip_meta(node)
+            assert strip_meta(stripped) is stripped
 
 
-def test_map_children_rebuilds_changed_nodes():
-    t = Pair(Var("x"), UnitVal())
-    out = map_children(t, lambda c: Var("y") if alpha_eq(c, Var("x")) else c)
-    assert alpha_eq(out, Pair(Var("y"), UnitVal()))
+def test_rebuilding_walkers_keep_the_children_they_do_not_change():
+    t = Pair(RefVal("ref1"), UnitVal())
+    out = rename_refs({"ref1": "ref2"}, t)
+    assert alpha_eq(out, Pair(RefVal("ref2"), UnitVal()))
     assert out.right is t.right
-    annotated = Abs("x", Var("x"), syntax.UnitT())
-    assert alpha_eq(map_children(annotated, lambda c: c, lambda ty: None), Abs("x", Var("x")))
+    annotated = Pair(Abs("x", Var("x"), syntax.UnitT()), UnitVal())
+    out = strip_meta(annotated)
+    assert alpha_eq(out, Pair(Abs("x", Var("x")), UnitVal()))
+    assert out.left.body is annotated.left.body and out.right is annotated.right
 
 
 def test_subst_keeps_the_subtrees_it_does_not_change():
@@ -609,7 +615,7 @@ def old_subst(t, x, s, cut=True):
                 ids2 = ids if list(ids) == ids2 else tuple(ids2)
                 return rebuild(t, binder=b2, idents=ids2, rhs=go(rhs, env), body=go(body, env3), bann=bann)
             case _:
-                return map_children(t, lambda c: go(c, env))
+                return rebuild(t, **{n: go(getattr(t, n), env) for n in syntax._SHAPES[type(t)].terms})
 
     def renamed_names(body, bann, names):
         """A renamed name binder's occurrences in the body's packs and annotations and in bann, renamed."""
@@ -655,7 +661,12 @@ def old_subst_names(t, env):
                     old_idents=tuple(env.get(i, i) for i in old_idents) if old_idents else None,
                 )
             case _:
-                return map_children(t, lambda c: go(c, env), lambda ty: old_type_subst_names(ty, env))
+                shape = syntax._SHAPES[type(t)]
+                return rebuild(
+                    t,
+                    **{n: go(getattr(t, n), env) for n in shape.terms},
+                    **{n: old_type_subst_names(a, env) for n in shape.types if (a := getattr(t, n)) is not None},
+                )
 
     return go(t, env)
 
@@ -794,7 +805,12 @@ def _type_binders(ty: Type) -> tuple[set[str], set[str]]:
 
 
 def old_subst_perms_term(t, env):
-    return map_children(t, lambda c: old_subst_perms_term(c, env), lambda ty: old_type_subst_perms(ty, env))
+    shape = syntax._SHAPES[type(t)]
+    return syntax._rebuild(
+        t,
+        **{n: old_subst_perms_term(getattr(t, n), env) for n in shape.terms},
+        **{n: old_type_subst_perms(a, env) for n in shape.types if (a := getattr(t, n)) is not None},
+    )
 
 
 def test_type_walkers_match_the_match_walkers_on_every_sample_type():
@@ -920,6 +936,70 @@ def test_type_walkers_take_one_frame_per_tree_level():
     assert type_free_perm_vars(ty) == ["p"]
     assert type_alpha_eq(type_subst_names(ty, {"i": "j"}), fun_chain("j"))
     assert type_free_perm_vars(type_subst_names(ty, {}, {"p": STAR})) == []
+
+
+def _deep(wrap, leaf, depth=400):
+    """leaf wrapped `depth` times by wrap."""
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _deep_rename_refs():
+    t = _deep(lambda b: Pair(UnitVal(), b), RefVal("ref1"))
+    expected = _deep(lambda b: Pair(UnitVal(), b), RefVal("ref2"))
+    return lambda: rename_refs({"ref1": "ref2"}, t), lambda out: alpha_eq(out, expected)
+
+
+def _deep_strip_meta():
+    t = _deep(lambda b: Abs("x", b, UnitT()), Promote(UnitVal(), NAT.one))
+    expected = _deep(lambda b: Abs("x", b), Promote(UnitVal()))
+    return lambda: strip_meta(t), lambda out: alpha_eq(out, expected)
+
+
+def _deep_close_value():
+    heap = Heap()
+    heap.vars["x"] = VarCell(NAT.one, UnitVal(), None)
+    t = _deep(lambda b: Pair(b, Var("y")), Var("x"))
+    expected = _deep(lambda b: Pair(b, Var("y")), UnitVal())
+    return lambda: close_value(heap, t), lambda out: alpha_eq(out, expected)
+
+
+def _deep_ref_order():
+    # each reference twice: ref0 ... ref199 on the way down, again below
+    t = RefVal("ref0")
+    for k in reversed(range(400)):
+        t = Pair(RefVal(f"ref{k % 200}"), t)
+    return lambda: list(_ref_order(t)), lambda out: out == [f"ref{k}" for k in range(200)]
+
+
+def _deep_holds_owned():
+    owned = _deep(lambda b: Prod(UnitT(), b), Amp(STAR, NatT()))
+    unowned = _deep(lambda b: Prod(UnitT(), b), Amp(frac_perm(1, 2), NatT()))
+    return lambda: (_holds_owned(owned), _holds_owned(unowned)), lambda out: out == (True, False)
+
+
+@pytest.mark.parametrize(
+    "build", [_deep_rename_refs, _deep_strip_meta, _deep_close_value, _deep_ref_order, _deep_holds_owned],
+    ids=lambda build: build.__name__.removeprefix("_deep_"),
+)
+def test_every_walker_takes_one_frame_per_tree_level(build):
+    # 400 levels need 400 frames, and a few more for the walker's helpers
+    walk, correct = build()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 400 + 10)
+    try:
+        out = walk()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert correct(out)
 
 
 # -- the sets free_vars, refs_of and bound_names store on nodes -----------------

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradebor.grades import NAT, NAT_LEQ, frac_perm
+from gradebor.grades import NAT_LEQ, frac_perm
 from gradebor.parser import SyntaxError_, parse_program, parse_term, parse_type, print_term
 from gradebor.syntax import (
-    Abs, Amp, Box, ExistsT, FloatT, Forall, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
+    Abs, Amp, Box, ExistsT, FloatT, Fun, NameT, NatT, Pack, PermVar, Prod, ResT, Unborrow, UnitT,
     Unpack, Var, type_free_names,
 )
 from gradebor.typecheck import (
