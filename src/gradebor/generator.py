@@ -13,7 +13,7 @@ import random
 from typing import Iterator, Optional
 
 from .grades import Semiring, NAT, NAT_LEQ, INTERVAL
-from .parser import Definition, SourceProgram
+from .parser import Definition, SourceProgram, parse_type
 from . import syntax as S
 from .syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Join, LetBox,
@@ -113,8 +113,6 @@ def _maybe_observe(rng: random.Random, v: Term, observed: bool) -> Term:
 
 
 def _observe_def(ring: Semiring) -> Definition:
-    from .parser import parse_type
-
     sig = parse_type("forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float)", ring)
     return Definition("observe", sig, Abs("w", Var("w")))
 
@@ -129,7 +127,6 @@ def _gen_ref_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
         body = LetPair("old", "b2", App(App(Prim("swapRef"), Var("b")), _float(rng)), S.subst(body, "b", Var("b2")))
     fn = Abs("b", body)
     main_body = Unpack("i", "c", App(Prim("newRef"), _float(rng)), Pack("i", WithBorrow(fn, Var("c"))))
-    from .parser import parse_type
 
     sig = parse_type("exists i . * (Ref i Float)", ring)
     defs = [_observe_def(ring)] if observed else []
@@ -138,8 +135,6 @@ def _gen_ref_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
 
 
 def _gen_array(rng: random.Random, ring: Semiring) -> list[Definition]:
-    from .parser import parse_type
-
     n = rng.randrange(1, 4)
     idx = rng.randrange(0, n)
     write_first = rng.random() < 0.7
@@ -164,8 +159,6 @@ def _gen_array(rng: random.Random, ring: Semiring) -> list[Definition]:
 
 
 def _gen_colour(rng: random.Random, ring: Semiring) -> list[Definition]:
-    from .parser import parse_type
-
     mutate_left = rng.random() < 0.5
     alter_sig = parse_type("forall {i : Name} . & 1 (Ref i Float) -o & 1 (Ref i Float)", ring)
     alter = Definition(
@@ -193,8 +186,6 @@ def _gen_colour(rng: random.Random, ring: Semiring) -> list[Definition]:
 
 
 def _gen_share_clone(rng: random.Random, ring: Semiring) -> list[Definition]:
-    from .parser import parse_type
-
     if ring is INTERVAL:
         grade = ring.literal(1, rng.randrange(1, 3))
     elif ring is NAT:
@@ -212,8 +203,6 @@ def _gen_share_clone(rng: random.Random, ring: Semiring) -> list[Definition]:
 
 
 def _gen_pair_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
-    from .parser import parse_type
-
     # borrow a whole product and work at pair granularity: either distribute
     # with push/pull or split and rejoin the pair itself
     if rng.random() < 0.5:
@@ -236,8 +225,6 @@ def _gen_pair_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
 
 
 def _gen_readref(rng: random.Random, ring: Semiring) -> list[Definition]:
-    from .parser import parse_type
-
     reads = rng.randrange(1, 3)
     grade = ring.literal(reads) if ring is not INTERVAL else ring.literal(reads, reads)
     ref_ty = ExistsT("i", Amp(S.STAR, ResT("Ref", "i", Box(grade, FloatT()))))

@@ -50,10 +50,13 @@ class Semiring:
     """A pre-ordered semiring: (elements, *, 1, +, 0, leq).
 
     Addition and multiplication must be monotone with respect to leq; the
-    shipped instances are property-tested for this.
+    shipped instances are property-tested for this. `zero` and `one` are
+    built once per ring and shared, as grades are never changed.
     """
 
     name: str
+    zero: "Grade"
+    one: "Grade"
 
     def add(self, a: Payload, b: Payload) -> Payload:
         raise NotImplementedError
@@ -62,20 +65,6 @@ class Semiring:
         raise NotImplementedError
 
     def leq(self, a: Payload, b: Payload) -> bool:
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> "Grade":
-        return Grade(self, self.zero_payload())
-
-    @property
-    def one(self) -> "Grade":
-        return Grade(self, self.one_payload())
-
-    def zero_payload(self) -> Payload:
-        raise NotImplementedError
-
-    def one_payload(self) -> Payload:
         raise NotImplementedError
 
     def literal(self, lo: int, hi: Optional[int] = None) -> "Grade":
@@ -94,17 +83,14 @@ class Semiring:
 
 
 class _NatBase(Semiring):
+    def __init__(self):
+        self.zero, self.one = Grade(self, 0), Grade(self, 1)
+
     def add(self, a, b):
         return a + b
 
     def mul(self, a, b):
         return a * b
-
-    def zero_payload(self):
-        return 0
-
-    def one_payload(self):
-        return 1
 
     def literal(self, lo, hi=None):
         if hi is not None:
@@ -143,6 +129,9 @@ class NatInterval(Semiring):
 
     name = "interval"
 
+    def __init__(self):
+        self.zero, self.one = Grade(self, (0, 0)), Grade(self, (1, 1))
+
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
 
@@ -152,12 +141,6 @@ class NatInterval(Semiring):
     def leq(self, a, b):
         # a included in b
         return b[0] <= a[0] and a[1] <= b[1]
-
-    def zero_payload(self):
-        return (0, 0)
-
-    def one_payload(self):
-        return (1, 1)
 
     def literal(self, lo, hi=None):
         if hi is None:
@@ -180,13 +163,6 @@ class NatInterval(Semiring):
         return f"{a[0]}..{a[1]}"
 
 
-NAT = NatDiscrete()
-NAT_LEQ = NatOrdered()
-INTERVAL = NatInterval()
-
-SEMIRINGS: dict[str, Semiring] = {r.name: r for r in (NAT, NAT_LEQ, INTERVAL)}
-
-
 @dataclass(frozen=True)
 class Grade:
     """An element of a specific semiring instance."""
@@ -199,6 +175,13 @@ class Grade:
 
     def __repr__(self) -> str:
         return f"Grade({self.ring.name}, {self})"
+
+
+NAT = NatDiscrete()
+NAT_LEQ = NatOrdered()
+INTERVAL = NatInterval()
+
+SEMIRINGS: dict[str, Semiring] = {r.name: r for r in (NAT, NAT_LEQ, INTERVAL)}
 
 
 def _same_ring(a: Grade, b: Grade) -> Semiring:

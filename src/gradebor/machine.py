@@ -14,6 +14,13 @@ have. A recording `eval` returns a `Trace` that holds each configuration
 once, plus the leaf rule of each step; a run that does not record keeps
 only its step count and final configuration.
 
+Heap cells are immutable values: a step never changes a cell, it puts a new
+one under the entry's name. A variable read stores the variable at its lower
+grade, `share` stores references at permission 0, and `writeArray`,
+`readRef` and `swapRef` store a new resource cell. A heap snapshot copies
+the three dicts and shares their cells, so consecutive snapshots share every
+cell that the step between them did not replace.
+
 Evaluation refocuses (Danvy & Nielsen, "Refocusing in reduction semantics",
 BRICS RS-04-26) instead of searching for each redex from the root: the
 machine keeps the evaluation context as a chain of frames, contracts the
@@ -51,10 +58,11 @@ per-run counter on the heap, so a dropped name is never bound again.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
+from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .grades import Grade, STAR, WHOLE, Semiring, grade_mul, grade_residual, perm_add, perm_half
@@ -89,22 +97,20 @@ class FuelExhausted(EvalError):
     pass
 
 
-@dataclass
-class VarCell:
+class VarCell(NamedTuple):
     grade: Grade
     value: Term
     ty: Optional[Type]
 
 
-@dataclass
-class RefCell:
+class RefCell(NamedTuple):
     perm: Fraction  # heap annotations admit zero, unlike Permission
     ident: str
 
 
-@dataclass
-class ArrRes:
-    items: dict[int, float] = field(default_factory=dict)
+class ArrRes(NamedTuple):
+    # read-only, so every empty array may share it
+    items: Mapping[int, float] = MappingProxyType({})
     is_array = True
 
     def show(self) -> str:
@@ -112,8 +118,7 @@ class ArrRes:
         return "init" + body
 
 
-@dataclass
-class RefRes:
+class RefRes(NamedTuple):
     value: Term
     ty: Optional[Type]
     is_array = False
@@ -125,6 +130,10 @@ class RefRes:
 
 @dataclass
 class Heap:
+    """The three sorts of heap entries, each a dict from name to cell, and
+    the counters that name fresh entries. A cell is never changed, only
+    replaced: a step that writes an entry puts a new cell under its name."""
+
     vars: dict[str, VarCell] = field(default_factory=dict)
     refs: dict[str, RefCell] = field(default_factory=dict)
     resources: dict[str, object] = field(default_factory=dict)
@@ -147,13 +156,14 @@ class Heap:
                 return cand
 
     def snapshot(self) -> "Heap":
+        """A copy of the three dicts that shares every cell, since no cell is
+        ever changed. Each copy is built by a comprehension, which sizes its
+        table to the entries: `dict(d)` and `d.copy()` would keep the table
+        that deletions from `d` left larger than its entries need."""
         return Heap(
-            {x: VarCell(c.grade, c.value, c.ty) for x, c in self.vars.items()},
-            {r: RefCell(c.perm, c.ident) for r, c in self.refs.items()},
-            {
-                i: (ArrRes(dict(c.items)) if c.is_array else RefRes(c.value, c.ty))
-                for i, c in self.resources.items()
-            },
+            {x: c for x, c in self.vars.items()},
+            {r: c for r, c in self.refs.items()},
+            {i: c for i, c in self.resources.items()},
             self.counter,
             self.var_counter,
         )
@@ -223,7 +233,6 @@ class Trace:
     leaves: list[str]
     configs: list[Config]
     step_count: int
-    _whole: Optional[list[tuple[Term, Heap]]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.configs = [c if type(c) is Config else Config(None, *c) for c in self.configs]
@@ -235,10 +244,8 @@ class Trace:
 
     def configurations(self) -> list[tuple[Term, Heap]]:
         """Every configuration as its whole term and heap; the terms are
-        built on the first call and kept."""
-        if self._whole is None:
-            self._whole = [(c.term(), c.heap) for c in self.configs]
-        return self._whole
+        built anew on every call."""
+        return [(c.term(), c.heap) for c in self.configs]
 
     @property
     def final_term(self) -> Term:
@@ -480,8 +487,8 @@ class Machine:
             fuel -= 1
             n = len(heap.vars)
             c, leaf = self._contract(heap, redex, g)
-            # a contraction only appends variables, or lowers the grade of
-            # the variable it reads
+            # a contraction only appends variables, or replaces the cell of
+            # the variable it reads with one of lower grade
             changed = list(islice(reversed(heap.vars), len(heap.vars) - n))
             if type(redex) is Var:
                 changed.append(redex.name)
@@ -551,7 +558,7 @@ class Machine:
                 residual = grade_residual(cell.grade, s)
                 if residual is None:
                     raise GradeUnderflow(f"variable {x!r} has grade {cell.grade}, cannot consume {s}")
-                cell.grade = residual
+                heap.vars[x] = VarCell(residual, cell.value, cell.ty)
                 return cell.value, "var"
 
             case App():
@@ -611,7 +618,7 @@ class Machine:
                     cell = heap.refs.get(ref)
                     if cell is None:
                         raise MissingResource(f"shared value references missing {ref}")
-                    cell.perm = Fraction(0)
+                    heap.refs[ref] = RefCell(Fraction(0), cell.ident)
                 return Promote(body.body, grade if grade is not None else self.ring.one), "share"
 
             case Clone(x, idents, rhs, body):
@@ -686,7 +693,7 @@ class Machine:
             return Pair(FloatLit(res.items.get(idx, 0.0)), u), "readArray"
         if name == "writeArray":
             idx = _nat_arg(args[1], name)
-            res.items[idx] = _float_arg(args[2], name)
+            heap.resources[cell.ident] = ArrRes({**res.items, idx: _float_arg(args[2], name)})
             return u, "writeArray"
         if name == "deleteArray" or name == "deleteRef":
             del heap.refs[ref]
@@ -698,20 +705,17 @@ class Machine:
                 raise StuckTerm("readRef on a cell whose payload is not boxed")
             # mirror the static accounting: each read lowers the payload
             # grade by one, in the stored type and in the stored box alike
-            if isinstance(res.ty, S.Box):
-                lowered = G.grade_minus_one(res.ty.grade)
-                if lowered is not None:
-                    res.ty = S.Box(lowered, res.ty.body)
-            if box.grade is not None:
-                lowered = G.grade_minus_one(box.grade)
-                if lowered is not None:
-                    res.value = Promote(box.body, lowered, box.loc)
+            ty, value = res.ty, box
+            if isinstance(ty, S.Box) and (lowered := G.grade_minus_one(ty.grade)) is not None:
+                ty = S.Box(lowered, ty.body)
+            if box.grade is not None and (lowered := G.grade_minus_one(box.grade)) is not None:
+                value = Promote(box.body, lowered, box.loc)
+            heap.resources[cell.ident] = RefRes(value, ty)
             return Pair(box.body, u), "readRef"
         if name == "swapRef":
             # the new value has the stored payload type, so res.ty stays
-            old = res.value
-            res.value = args[1]
-            return Pair(old, u), "swapRef"
+            heap.resources[cell.ident] = RefRes(args[1], res.ty)
+            return Pair(res.value, u), "swapRef"
         raise StuckTerm(f"unknown primitive {name}")
 
     # -- split/join on nested values ---------------------------------------------
@@ -782,13 +786,14 @@ class Machine:
         # discovery order and then references. Discovery put every reached
         # reference's resource and every stored value's references in the
         # fragment, so it is closed under both renamings. Each copied
-        # reference carries the whole permission.
+        # reference carries the whole permission; an array copy is the
+        # original's cell, which no write changes.
         ident_map = {ident: heap.fresh_ident() for ident in idents}
         theta = {ref: heap.fresh_ref() for ref in seen_refs}
         for ident in idents:
             res = heap.resources[ident]
             if res.is_array:
-                heap.resources[ident_map[ident]] = ArrRes(dict(res.items))
+                heap.resources[ident_map[ident]] = res
             else:
                 ty = S.type_subst_names(res.ty, ident_map) if res.ty is not None else None
                 heap.resources[ident_map[ident]] = RefRes(rename_refs(theta, res.value), ty)

@@ -178,9 +178,10 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     checker = _MemoChecker(ring)
     root = (main_type, main_type, Usage(), ring.one)
     judged: dict[Optional[Frame], tuple] = {None: root}
-    rts = [runtime_ctx(c.heap, ring) for c in trace.configs]
-    for k, (config, rt) in enumerate(zip(trace.configs, rts)):
-        if k and _retyped(rts[k - 1], rt):
+    rt = None
+    for k, config in enumerate(trace.configs):
+        previous, rt = rt, runtime_ctx(config.heap, ring)
+        if previous is not None and _retyped(previous, rt):
             judged = {None: root}
             usage = None
         else:

@@ -13,7 +13,7 @@ from gradebor.machine import (
 )
 from gradebor.parser import SyntaxError_, parse_program, parse_term, print_term
 from gradebor.syntax import (
-    Abs, App, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
+    Abs, App, Box, Clone, FloatLit, LetBox, LetPair, NatLit, Pack, Pair, Prim,
     Promote, RefVal, Share, Split, Term, Unborrow, Uniq, UnitVal, Unpack, Var,
     Amp, Prod, ResT, UnitT, FloatT, NatT, alpha_eq,
 )
@@ -224,10 +224,13 @@ def test_clone_renames_nested_references():
     assert alpha_eq(copy.value, Uniq(RefVal("ref6"), STAR))
     assert copy.ty == Amp(STAR, ResT("Array", "id4", FloatT()))
     assert heap.resources["id4"].items == {1: 2.0}
-    assert heap.resources["id4"] is not heap.resources["id1"]
     # the originals keep their permissions and their stored value
     assert heap.refs["ref1"].perm == 1 and heap.refs["ref2"].perm == 0
     assert alpha_eq(heap.resources["id2"].value, Uniq(RefVal("ref1"), STAR))
+    # writing the array copy leaves the original's items as they were
+    machine().step(heap, prim("writeArray", Uniq(RefVal("ref6"), STAR), NatLit(1), FloatLit(7.0)), one())
+    assert heap.resources["id4"].items == {1: 7.0}
+    assert heap.resources["id1"].items == {1: 2.0}
 
 
 def test_clone_of_a_value_without_references_copies_nothing():
@@ -251,6 +254,59 @@ def test_read_and_write_array_steps():
     assert alpha_eq(out, Pair(FloatLit(2.0), u))
     assert heap.resources["id1"].items == {0: 2.0}
     assert list(heap.resources["id1"].items) == [0]
+
+
+@pytest.mark.parametrize(
+    "cell, name",
+    [
+        (VarCell(RING.one, UnitVal(), None), "grade"),
+        (RefCell(Fraction(1), "id1"), "perm"),
+        (ArrRes(), "items"),
+        (RefRes(UnitVal(), None), "value"),
+    ],
+    ids=["VarCell", "RefCell", "ArrRes", "RefRes"],
+)
+def test_a_cell_field_cannot_be_assigned(cell, name):
+    with pytest.raises(AttributeError):
+        setattr(cell, name, getattr(cell, name))
+
+
+def test_every_empty_array_shares_one_read_only_items_mapping():
+    with pytest.raises(TypeError):
+        ArrRes().items[0] = 1.0
+    assert ArrRes().items == {}
+
+
+def test_a_snapshot_shares_every_cell_a_step_did_not_replace():
+    heap = seeded_heap()
+    graded = Box(RING.literal(2), FloatT())
+    heap.resources["id2"] = RefRes(Promote(FloatLit(1.5), RING.literal(2)), graded)
+    heap.refs["ref2"] = RefCell(Fraction(1), "id2")
+    heap.vars["x"] = VarCell(RING.literal(2), UnitVal(), UnitT())
+    heap.vars["y"] = VarCell(RING.one, UnitVal(), UnitT())
+    arr, ref = Uniq(RefVal("ref1"), STAR), Uniq(RefVal("ref2"), STAR)
+    steps = [
+        (Var("x"), {"x"}),
+        (prim("writeArray", arr, NatLit(2), FloatLit(3.0)), {"id1"}),
+        (prim("readArray", arr, NatLit(2)), set()),
+        (prim("readRef", ref), {"id2"}),
+        (prim("swapRef", ref, Promote(FloatLit(2.5), RING.one)), {"id2"}),
+        (Share(arr, RING.one), {"ref1"}),
+    ]
+    first = heap.snapshot()
+    for t, replaced in steps:
+        before = heap.snapshot()
+        machine().step(heap, t, one())
+        for sort in ("vars", "refs", "resources"):
+            old, new = getattr(before, sort), getattr(heap, sort)
+            assert list(old) == list(new), t
+            assert {n for n in new if new[n] is not old[n]} == replaced & new.keys(), t
+    # the live heap holds the writes, and the first snapshot the cells before them
+    assert heap.vars["x"].grade == one() and first.vars["x"].grade == RING.literal(2)
+    assert heap.refs["ref1"].perm == 0 and first.refs["ref1"].perm == 1
+    assert heap.resources["id1"].items == {0: 1.0, 2: 3.0} and first.resources["id1"].items == {0: 1.0}
+    assert alpha_eq(heap.resources["id2"].value, Promote(FloatLit(2.5), RING.one))
+    assert heap.resources["id2"].ty == Box(RING.one, FloatT()) and first.resources["id2"].ty == graded
 
 
 def test_read_write_delete_array_steps():

@@ -706,15 +706,15 @@ def test_preservation_retypes_a_hole_whose_usage_changed():
 
 
 def _corrupt_stored_grade(cell):
-    cell.grade = RING.zero
+    return cell._replace(grade=RING.zero)
 
 
 def _corrupt_stored_value(cell):
-    cell.value = NatLit(3)
+    return cell._replace(value=NatLit(3))
 
 
 def _corrupt_stored_type(cell):
-    cell.ty = NatT()
+    return cell._replace(ty=NatT())
 
 
 @pytest.mark.parametrize(
@@ -738,7 +738,7 @@ def test_preservation_reports_exactly_the_corrupted_step(corrupt, failure):
     assert isinstance(term.body, LetBox) and term.body is prev.body
     x = min(free_vars(term) & set(heap.vars))
     assert isinstance(heap.vars[x].ty, FloatT)
-    corrupt(heap.vars[x])
+    heap.vars[x] = corrupt(heap.vars[x])
     found = check_preservation(trace, cp.main_type, cp.ring, cp.ring.one)
     assert [v.step for v in found] == [k]
     assert found[0].message.startswith(failure.format(x=x))
