@@ -8,8 +8,9 @@ exit status). The runs are `trace`, `run`, `check`, `run --format json` and
 `check --format json` on every corpus file, `trace` and `run --format json`
 on a 100-write and a 240-write `writeArray` chain, a 20-rung split/join
 ladder and a program that reads a graded reference, swaps it and reads it
-again (`read_swap`), all generated here, `corpus --format json`, and `props --seed 42 --cases
-500` with and without `--mutate-split`. `check` plus `trace` meet a promoted
+again (`read_swap`), all generated here, `corpus --format json`, `props --seed 42 --cases
+500` with and without `--mutate-split`, and `props --seed 42 --cases 50
+--format text` (`props-text`). `check` plus `trace` meet a promoted
 `newRef` hidden behind a beta-redex (`promo_beta_ref`), and `check` plus
 `run` meet `alloc_promo_bad` with its `newArray` hidden the same way
 (`promo_beta_array`): promotion reads the body's type, so both exit 1 at
@@ -186,6 +187,7 @@ def main(argv: list[str]) -> int:
     record(outdir, "corpus-json", ["corpus", "--format", "json"], ROOT)
     record(outdir, "props", ["props", "--seed", "42", "--cases", "500"], ROOT)
     record(outdir, "props-mutate-split", ["props", "--seed", "42", "--cases", "500", "--mutate-split"], ROOT)
+    record(outdir, "props-text", ["props", "--seed", "42", "--cases", "50", "--format", "text"], ROOT)
     return 0
 
 

@@ -5,6 +5,12 @@ type it inhabits, so the output is well-typed by construction (and the test
 suite re-checks every emitted program). Small sizes yield pure lambda terms;
 larger sizes mix in resource skeletons exercising borrowing, splitting,
 distribution over products, sharing, and cloning.
+
+The templates' signatures hold no grade, so they parse to the same type
+under every semiring: each is parsed once, at import, and the one object is
+shared by every program that uses it (types are compared structurally and
+never mutated), so generating a program parses nothing. A signature with
+a grade would need one constant per ring.
 """
 
 from __future__ import annotations
@@ -21,6 +27,15 @@ from .syntax import (
     Push, ResT, Share, Split, Term, Type, UnitT, UnitVal, Unpack, Var,
     WithBorrow,
 )
+
+
+_OBSERVE_SIG = parse_type("forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float)")
+_ALTER_SIG = parse_type("forall {i : Name} . & 1 (Ref i Float) -o & 1 (Ref i Float)")
+_REF_SIG = parse_type("exists i . * (Ref i Float)")
+_ARRAY_SIG = parse_type("exists i . * (Array i Float)")
+_TWO_REFS_SIG = parse_type("exists i . exists j . * ((Ref i Float) * (Ref j Float))")
+_UNIT_SIG = parse_type("Unit")
+_FLOAT_SIG = parse_type("Float")
 
 
 def _float(rng: random.Random) -> FloatLit:
@@ -112,11 +127,6 @@ def _maybe_observe(rng: random.Random, v: Term, observed: bool) -> Term:
     return v
 
 
-def _observe_def(ring: Semiring) -> Definition:
-    sig = parse_type("forall {p : Permission, i : Name} . & p (Ref i Float) -o & p (Ref i Float)", ring)
-    return Definition("observe", sig, Abs("w", Var("w")))
-
-
 def _gen_ref_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
     depth = rng.randrange(0, 3)
     observed = rng.random() < 0.6
@@ -128,9 +138,8 @@ def _gen_ref_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
     fn = Abs("b", body)
     main_body = Unpack("i", "c", App(Prim("newRef"), _float(rng)), Pack("i", WithBorrow(fn, Var("c"))))
 
-    sig = parse_type("exists i . * (Ref i Float)", ring)
-    defs = [_observe_def(ring)] if observed else []
-    defs.append(Definition("main", sig, main_body))
+    defs = [Definition("observe", _OBSERVE_SIG, Abs("w", Var("w")))] if observed else []
+    defs.append(Definition("main", _REF_SIG, main_body))
     return defs
 
 
@@ -150,20 +159,19 @@ def _gen_array(rng: random.Random, ring: Semiring) -> list[Definition]:
     )
     borrowed = WithBorrow(Abs("b", borrow_body), inner)
     if delete_at_end:
-        sig = parse_type("Unit", ring)
+        sig = _UNIT_SIG
         body = Unpack("i", "a", App(Prim("newArray"), NatLit(n)), App(Prim("deleteArray"), borrowed))
     else:
-        sig = parse_type("exists i . * (Array i Float)", ring)
+        sig = _ARRAY_SIG
         body = Unpack("i", "a", App(Prim("newArray"), NatLit(n)), Pack("i", borrowed))
     return [Definition("main", sig, body)]
 
 
 def _gen_colour(rng: random.Random, ring: Semiring) -> list[Definition]:
     mutate_left = rng.random() < 0.5
-    alter_sig = parse_type("forall {i : Name} . & 1 (Ref i Float) -o & 1 (Ref i Float)", ring)
     alter = Definition(
         "alter",
-        alter_sig,
+        _ALTER_SIG,
         Abs("w", LetPair("old", "w2", App(App(Prim("swapRef"), Var("w")), _float(rng)), Var("w2"))),
     )
     if mutate_left:
@@ -181,8 +189,7 @@ def _gen_colour(rng: random.Random, ring: Semiring) -> list[Definition]:
             Pack("i", Pack("j", App(Abs("c", pp), Pull(Pair(Var("r"), Var("g")))))),
         ),
     )
-    sig = parse_type("exists i . exists j . * ((Ref i Float) * (Ref j Float))", ring)
-    return [alter, Definition("main", sig, main_body)]
+    return [alter, Definition("main", _TWO_REFS_SIG, main_body)]
 
 
 def _gen_share_clone(rng: random.Random, ring: Semiring) -> list[Definition]:
@@ -198,8 +205,7 @@ def _gen_share_clone(rng: random.Random, ring: Semiring) -> list[Definition]:
         Share(Var("r")),
     )
     main_body = Unpack("i", "r", App(Prim("newRef"), _float(rng)), body)
-    sig = parse_type("Float", ring)
-    return [Definition("main", sig, main_body)]
+    return [Definition("main", _FLOAT_SIG, main_body)]
 
 
 def _gen_pair_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
@@ -220,8 +226,7 @@ def _gen_pair_borrow(rng: random.Random, ring: Semiring) -> list[Definition]:
             Pack("i", Pack("j", WithBorrow(fn, Pull(Pair(Var("r"), Var("g")))))),
         ),
     )
-    sig = parse_type("exists i . exists j . * ((Ref i Float) * (Ref j Float))", ring)
-    return [Definition("main", sig, main_body)]
+    return [Definition("main", _TWO_REFS_SIG, main_body)]
 
 
 def _gen_readref(rng: random.Random, ring: Semiring) -> list[Definition]:
@@ -233,8 +238,7 @@ def _gen_readref(rng: random.Random, ring: Semiring) -> list[Definition]:
     for k in reversed(range(reads)):
         body = LetPair(f"v{k}", f"r{k + 1}", App(Prim("readRef"), Var(f"r{k}")), body)
     main_body = App(Abs("rp", Unpack("i", "r0", Var("rp"), body), ref_ty), App(Prim("newRef"), Promote(_float(rng))))
-    sig = parse_type("Unit", ring)
-    return [Definition("main", sig, main_body)]
+    return [Definition("main", _UNIT_SIG, main_body)]
 
 
 TEMPLATES = [_gen_ref_borrow, _gen_array, _gen_colour, _gen_share_clone, _gen_readref, _gen_pair_borrow]

@@ -108,6 +108,27 @@ def test_props_mutation_fails_borrow_safety(capsys):
     assert borrow["failures"]
 
 
+def test_props_text_format_prints_one_line_per_suite(capsys):
+    assert main(["props", "--cases", "8", "--seed", "3", "--format", "json"]) == 0
+    suites = json.loads(capsys.readouterr().out)
+    assert main(["props", "--cases", "8", "--seed", "3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "".join(f"{s['property']}: {s['cases']} cases, ok\n" for s in suites)
+
+
+def test_props_text_format_lists_failures_and_exits_4(capsys):
+    args = ["props", "--cases", "12", "--seed", "3", "--mutate-split"]
+    assert main([*args, "--format", "json"]) == 4
+    suites = json.loads(capsys.readouterr().out)
+    assert main([*args, "--format", "text"]) == 4
+    expected = ""
+    for s in suites:
+        status = f"{len(s['failures'])} failures" if s["failures"] else "ok"
+        expected += f"{s['property']}: {s['cases']} cases, {status}\n"
+        expected += "".join(f"  {f}\n" for f in s["failures"])
+    assert capsys.readouterr().out == expected
+    assert "borrow-safety: 17 cases, 3 failures\n" in expected
+
+
 def test_corpus_command(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,13 @@
+import hashlib
 import random
 
+import pytest
+
+from gradebor import generator
 from gradebor.generator import constructors_used, generate_program, generate_programs
+from gradebor.grades import SEMIRINGS
 from gradebor.machine import Heap, Machine
-from gradebor.parser import print_program
+from gradebor.parser import Parser, parse_type, print_program, print_type
 from gradebor.typecheck import check_program
 
 EXPECTED_TAGS = {
@@ -57,3 +62,31 @@ def test_stream_is_deterministic_per_seed():
         assert [d.name for d in pa.definitions] == [d.name for d in pb.definitions]
         assert print_program(pa) == print_program(pb)
         assert pa.semiring is pb.semiring
+
+
+def test_generation_parses_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator parsed a source text")
+
+    monkeypatch.setattr(Parser, "__init__", refuse)
+    rng = random.Random(11)
+    for size in (6, 3):
+        for _ in range(300):
+            generate_program(rng, size)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in vars(generator) if n.endswith("_SIG")))
+def test_each_shared_signature_parses_alike_in_every_ring(name):
+    sig = getattr(generator, name)
+    for ring in SEMIRINGS.values():
+        assert parse_type(print_type(sig), ring) == sig
+
+
+def test_generated_stream_is_pinned():
+    """Any change to the random draws, or to what a template builds from
+    them, changes this digest."""
+    rng = random.Random(42)
+    digest = hashlib.sha256()
+    for i in range(500):
+        digest.update(print_program(generate_program(rng, 6 if i % 4 else 3)).encode())
+    assert digest.hexdigest() == "31f3ef32edf4ee766b26f93dc6045db7d9e9afed04999725ab39b1881596668d"

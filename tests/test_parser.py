@@ -14,6 +14,7 @@ from gradebor.parser import (
     parse_type, print_program, print_term, print_type,
 )
 from gradebor import syntax
+from gradebor.cli import main
 from gradebor.syntax import (
     Abs, Amp, App, Box, Clone, ExistsT, FloatLit, FloatT, Forall, Fun, Join,
     LetBox, LetPair, LetUnit, NameT, NatLit, NatT, Loc, Pack, Pair, PermVar,
@@ -337,6 +338,24 @@ main = let () = () in ();
     for a, b in zip(again.definitions, prog.definitions):
         assert a.signature == b.signature
         assert alpha_eq(a.body, b.body)
+
+
+@pytest.mark.parametrize("source, loc, message", [
+    ("main : Unit;\nmain : Unit;\nmain = ();\n", "2:1", "duplicate signature for 'main'"),
+    ("main = ();\nmain : Unit;\n", "1:1", "body for 'main' precedes its signature"),
+    ("main : Unit;\nmain = ();\nmain = ();\n", "3:1", "duplicate body for 'main'"),
+    ("main : Unit;\nmain ();\n", "2:6", "expected ':' or '=' after 'main'"),
+    ("main : Unit\nmain = ();\n", "2:1", "expected ';', found 'main'"),
+    ("f : Unit;\nmain : Unit;\nmain = ();\n", "1:1", "definition 'f' has no body"),
+])
+def test_program_structure_errors(tmp_path, capsys, source, loc, message):
+    with pytest.raises(SyntaxError_) as exc:
+        parse_program(source)
+    assert (str(exc.value.loc), exc.value.msg) == (loc, message)
+    f = tmp_path / "bad.grb"
+    f.write_text(source)
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out == f"{f}:{loc}: [SyntaxError] {message}\n"
 
 
 def parsed_tokens(source, start=0):
