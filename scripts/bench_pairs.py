@@ -4,6 +4,11 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload write_chain --seeds 201-210
 
+`--workload` also takes a comma-separated list, such as
+`split_ladder,props,write_chain,check_source`: the workloads run one after
+another, each on every seed, and the script prints one block per workload,
+headed `workload W`, with its pair lines and then its metric lines.
+
 At start each checkout is copied once into a temporary directory, without
 `.git`, `perfbench/out` or caches, and every pair runs from those copies:
 gate records that an earlier run left in `perfbench/out` cannot fail a run,
@@ -126,29 +131,21 @@ def _terminated(signum, frame):
     raise SystemExit(128 + signum)
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="a range such as 201-210, or a comma-separated list")
-    args = p.parse_args(argv)
-
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: m for m in spec["end_to_end"]}
+def compare(sides: dict[str, Path], workload: str, seed_list: list[int], seconds: float,
+            metrics: dict[str, dict]) -> None:
+    """Run the pairs of one workload from the copies `sides` and print its
+    block: a header, one line per pair, then one line per metric."""
     higher = {name: m["better"] == "higher" for name, m in metrics.items()}
-    values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in ("parent", "change")}
-    signal.signal(signal.SIGTERM, _terminated)
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        sides = {side: copy_checkout(getattr(args, side), Path(tmp) / side) for side in values}
-        for i, seed in enumerate(seeds(args.seeds)):
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            got = {side: run(sides[side], args.workload, seed, spec["run_seconds"]) for side in order}
-            for side in sides:
-                for m in higher:
-                    values[side][m].append(got[side][m])
-            cells = "  ".join(f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}" for m in higher)
-            print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
+    values: dict[str, dict[str, list[float]]] = {side: {m: [] for m in higher} for side in sides}
+    print(f"workload {workload}", flush=True)
+    for i, seed in enumerate(seed_list):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        got = {side: run(sides[side], workload, seed, seconds) for side in order}
+        for side in sides:
+            for m in higher:
+                values[side][m].append(got[side][m])
+        cells = "  ".join(f"{m} {got['parent'][m]:.6g} -> {got['change'][m]:.6g}" for m in higher)
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
 
     for m, up in higher.items():
         parent, change = values["parent"][m], values["change"][m]
@@ -161,7 +158,24 @@ def main(argv=None) -> int:
               f"change/parent {cmed / pmed:.3f}, change wins {g.wins} of {len(parent)}, "
               f"median gap {abs(cmed - pmed):.6g} vs parent spread {pq3 - pq1:.6g}; "
               f"claim gate {'pass' if g.claim else 'fail'}, "
-              f"no-regression gate (bound {bound:g}) {'pass' if g.no_regression else 'fail'}")
+              f"no-regression gate (bound {bound:g}) {'pass' if g.no_regression else 'fail'}", flush=True)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--workload", required=True, help="a workload, or a comma-separated list of them")
+    p.add_argument("--seeds", required=True, help="a range such as 201-210, or a comma-separated list")
+    args = p.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    signal.signal(signal.SIGTERM, _terminated)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        sides = {side: copy_checkout(getattr(args, side), Path(tmp) / side) for side in ("parent", "change")}
+        for workload in args.workload.split(","):
+            compare(sides, workload, seeds(args.seeds), spec["run_seconds"], metrics)
     return 0
 
 

@@ -329,6 +329,16 @@ class _MemoChecker(Checker):
     callers must not mutate; its elaborated term fits the context it was
     computed in, so callers discard it.
 
+    A check against a type A that has no judgment of its own is answered by
+    the stored inference under the same key with None for A, when that
+    inference gave A. In bidirectional typing, checking a term against the
+    type it infers is subsumption (Dunfield & Krishnaswami, "Bidirectional
+    typing", ACM CSUR 2021), and
+    `tests/test_checked_random.py::test_checking_against_the_inferred_type_agrees_with_inferring`
+    tests that the two give the same type, usage and elaborated term.
+    Otherwise the rule runs. A stored check never answers an inference,
+    since checking accepts terms that inference rejects.
+
     A node that a step has just rebuilt has a new id and no hit:
     `check_preservation` types each of those once per frame, with a fresh
     variable in its hole (`_judge`).
@@ -343,16 +353,19 @@ class _MemoChecker(Checker):
         if not (bound.isdisjoint(ctx.vars) and bound.isdisjoint(ctx.names)):
             return rule(self, ctx, t, expected)
         vars_, refs = ctx.vars, ctx.refs
-        key = (
-            id(t),
-            expected,
+        reads = (
             tuple([vars_.get(x) for x in S.free_vars(t)]),
             tuple([refs.get(r) for r in S.refs_of(t)]),
             ctx.perm_vars,
             True if ctx.lenient_names else ctx.names,
         )
+        key = (id(t), expected, reads)
         if (hit := self.judgments.get(key)) is not None:
             return hit[1]
+        if expected is not None:
+            inferred = self.judgments.get((id(t), None, reads))
+            if inferred is not None and inferred[1][0] == expected:
+                return inferred[1]
         out = rule(self, ctx, t, expected)
         self.judgments[key] = (t, out)
         return out

@@ -1,15 +1,18 @@
 """Abstract syntax for terms and types, with substitution and structural queries.
 
 Bound identifiers are compared up to alpha-equivalence: the `==` on types
-renames `exists` binders on the fly, so alpha-equivalent types compare equal.
+renames `exists` binders on the fly, so alpha-equivalent types compare equal,
+and it answers at once when both sides are one object.
 A `Forall` only begins a definition's signature; no type nests one. Terms
 compare and hash by identity; `alpha_eq` compares them up to renaming.
 Runtime-only forms (wrapped uniques, unborrow, resource references) live in
 the same tree but are never produced by the parser.
 
-Traversals go through tables built at import. `_SHAPES` holds each term
-class's child term fields, type annotation fields and binder fields;
-`_TYPE_CHILDREN` holds each type class's child type fields. Three rules hold:
+Traversals go through tables built at import, from each class's field
+annotations as written. `_SHAPES` holds each term class's child term fields,
+type annotation fields and binder fields; `_TYPE_CHILDREN` holds each type
+class's child type fields; `_FIELDS` holds each class's constructor fields.
+Three rules hold:
 
 - `_BINDS` lists the binder fields of each binding form (`Abs.param`,
   `LetPair.left`/`right`, `LetBox.binder`, `Unpack.ident`/`binder`,
@@ -32,20 +35,22 @@ one pass, as `subst_names` does on a term and its annotations.
 `children` lists a node's subterms, for the walks that only read them, such
 as the generator's `constructors_used`.
 
-Nodes are immutable by convention: the node classes are plain dataclasses,
-since a frozen one costs nearly three times as much to build, and no code
-assigns a field of a node once it is built. So `free_vars`, `refs_of` and
-`bound_names` compute their answer for a node with child terms once and
-store it on the node; a leaf stores nothing and gets a fresh set on every
-call. A stored set is shared by every caller that asks about that node, and
-by the node's ancestors whose free variables all come from it, so no caller
-may mutate it.
+Every node class is built once, by `_node`, with its fields in slots, so a
+node has no `__dict__`. Nodes are immutable by convention: the classes are
+not frozen, since a frozen class costs nearly three times as much to build,
+and no code assigns a field of a node once it is built. So `free_vars`,
+`refs_of` and `bound_names` compute their answer for a node with child
+terms once and store it in one of the node's three `_STORED` slots; a leaf
+has no such slot, stores nothing and gets a fresh set on every call. A
+stored set is shared by every caller that asks about that node, and by the
+node's ancestors whose free variables all come from it, so no caller may
+mutate it.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import NamedTuple, Optional, Union, get_type_hints
+from dataclasses import FrozenInstanceError, dataclass, fields
+from typing import NamedTuple, Optional, Union
 
 from .grades import Grade, Permission, STAR
 
@@ -108,15 +113,56 @@ class PermVar:
 
 PermExpr = Union[Permission, PermVar]
 
-# Every Type and Term node class: equality and hashing come from the base
-# class (alpha-equivalence for types, identity for terms), and so does repr
-# (the surface syntax), which a generated dataclass repr would otherwise shadow.
-_node = dataclass(eq=False, repr=False)
+# The slots in which a term with a child term keeps the answers of
+# `free_vars`, `refs_of` and `bound_names` (see the module docstring).
+_STORED = ("_free", "_refs", "_bound")
+
+
+def _node(name: str, bases: tuple, ns: dict) -> type:
+    """The metaclass of every Term and Type class, which builds each node
+    class once, slotted: the class's annotated fields, in order, are its
+    `__slots__` and its constructor's parameters, so a node has no
+    `__dict__`. A term class with a field annotated `Term` also gets the
+    three `_STORED` slots, which its constructor sets to None; a leaf reads
+    Term's None and stores nothing. The module postpones the evaluation of
+    annotations, so they are read as written.
+
+    The class is then made a dataclass, for `__match_args__` and the field
+    records that `dataclasses.fields` reads; those records carry no
+    defaults, which live in the constructor. Equality and hashing come from
+    the base class (alpha-equivalence for types, identity for terms), and so
+    does repr (the surface syntax).
+
+    It is a function, so each class it builds is a plain `type`: an instance
+    check or class pattern against a class whose type is a subclass of
+    `type` goes through `__instancecheck__`, which costs about twice as much
+    and a recursion level.
+    """
+    ann = ns.get("__annotations__", {})
+    own, stored = tuple(ann), _STORED if "Term" in ann.values() else ()
+    defaults = {n: ns.pop(n) for n in own if n in ns}
+    ns["__init__"] = _constructor(own, defaults, stored)
+    ns["__slots__"] = (*own, *stored)
+    return dataclass(init=False, eq=False, repr=False)(type(name, bases, ns))
+
+
+def _constructor(names: tuple[str, ...], defaults: dict, stored: tuple[str, ...]):
+    """A node class's `__init__`: it sets each field in `names` from its
+    argument or its default, then each `stored` slot to None. It is compiled
+    from the names, as `dataclasses` compiles one."""
+    params = ["self", *(f"{n}=_{n}" if n in defaults else n for n in names)]
+    lines = [f"self.{n} = {n}" for n in names] + [f"self.{n} = None" for n in stored]
+    src = f"def __init__({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines or ["pass"])
+    scope: dict = {}
+    exec(src, {f"_{n}": v for n, v in defaults.items()}, scope)
+    return scope["__init__"]
 
 
 class Type:
+    __slots__ = ()
+
     def __eq__(self, other):
-        return isinstance(other, Type) and type_alpha_eq(self, other)
+        return self is other or isinstance(other, Type) and type_alpha_eq(self, other)
 
     def __hash__(self):
         return hash(self.__class__.__name__)
@@ -127,67 +173,56 @@ class Type:
         return print_type(self)
 
 
-@_node
-class Fun(Type):
+class Fun(Type, metaclass=_node):
     dom: Type
     cod: Type
 
 
-@_node
-class Prod(Type):
+class Prod(Type, metaclass=_node):
     left: Type
     right: Type
 
 
-@_node
-class UnitT(Type):
+class UnitT(Type, metaclass=_node):
     pass
 
 
-@_node
-class NatT(Type):
+class NatT(Type, metaclass=_node):
     pass
 
 
-@_node
-class FloatT(Type):
+class FloatT(Type, metaclass=_node):
     pass
 
 
-@_node
-class Box(Type):
+class Box(Type, metaclass=_node):
     grade: Grade
     body: Type
 
 
-@_node
-class Amp(Type):
+class Amp(Type, metaclass=_node):
     perm: PermExpr
     body: Type
 
 
-@_node
-class ExistsT(Type):
+class ExistsT(Type, metaclass=_node):
     binder: str
     body: Type
 
 
-@_node
-class ResT(Type):
+class ResT(Type, metaclass=_node):
     kind: str  # "Array" or "Ref"
     ident: str
     payload: Type
 
 
-@_node
-class NameT(Type):
+class NameT(Type, metaclass=_node):
     """A bare Name-kinded identifier used in type position."""
 
     ident: str
 
 
-@_node
-class Forall(Type):
+class Forall(Type, metaclass=_node):
     """Prenex quantification over permission and name variables: the top of a
     polymorphic definition's signature, and nowhere else."""
 
@@ -195,15 +230,13 @@ class Forall(Type):
     body: Type
 
 
-def _child_fields(cls: type, hints: dict, sort) -> tuple[str, ...]:
-    """The fields of a node class annotated `sort`, in order; `hints` are the
-    class's evaluated annotations, from one `get_type_hints(cls)`."""
-    return tuple(f.name for f in fields(cls) if hints[f.name] == sort)
+def _child_fields(cls: type, sort: str) -> tuple[str, ...]:
+    """The fields of a node class annotated `sort`, in order, read as written
+    (the module postpones the evaluation of annotations)."""
+    return tuple(f.name for f in fields(cls) if f.type == sort)
 
 
-_TYPE_CHILDREN: dict[type, tuple[str, ...]] = {
-    cls: _child_fields(cls, get_type_hints(cls), Type) for cls in Type.__subclasses__()
-}
+_TYPE_CHILDREN: dict[type, tuple[str, ...]] = {cls: _child_fields(cls, "Type") for cls in Type.__subclasses__()}
 
 
 _NOTHING: frozenset = frozenset()
@@ -328,9 +361,8 @@ PRIMITIVES = {
 
 
 class Term:
-    loc: Optional[Loc]
-    # The stored results of free_vars, refs_of and bound_names (see the module
-    # docstring). Unannotated: get_type_hints would evaluate them per class.
+    __slots__ = ()
+    # What a leaf reads for `_STORED`: a leaf stores no set (see `_node`).
     _free = _refs = _bound = None
 
     def __repr__(self):
@@ -339,134 +371,112 @@ class Term:
         return print_term(self)
 
 
-def _loc_field():
-    return field(default=None, compare=False)
-
-
-@_node
-class Var(Term):
+class Var(Term, metaclass=_node):
     name: str
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Abs(Term):
+class Abs(Term, metaclass=_node):
     param: str
     body: Term
     ann: Optional[Type] = None  # domain annotation; filled in by elaboration
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class App(Term):
+class App(Term, metaclass=_node):
     fn: Term
     arg: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Pair(Term):
+class Pair(Term, metaclass=_node):
     left: Term
     right: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class LetPair(Term):
+class LetPair(Term, metaclass=_node):
     left: str
     right: str
     rhs: Term
     body: Term
     lann: Optional[Type] = None
     rann: Optional[Type] = None
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class UnitVal(Term):
-    loc: Optional[Loc] = _loc_field()
+class UnitVal(Term, metaclass=_node):
+    loc: Optional[Loc] = None
 
 
-@_node
-class LetUnit(Term):
+class LetUnit(Term, metaclass=_node):
     rhs: Term
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Promote(Term):
+class Promote(Term, metaclass=_node):
     body: Term
     grade: Optional[Grade] = None  # filled in by elaboration
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class LetBox(Term):
+class LetBox(Term, metaclass=_node):
     binder: str
     rhs: Term
     body: Term
     ann: Optional[Type] = None  # declared box type, when written
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Pack(Term):
+class Pack(Term, metaclass=_node):
     ident: str
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Unpack(Term):
+class Unpack(Term, metaclass=_node):
     ident: str
     binder: str
     rhs: Term
     body: Term
     bann: Optional[Type] = None
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class WithBorrow(Term):
+class WithBorrow(Term, metaclass=_node):
     fn: Term
     arg: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Split(Term):
+class Split(Term, metaclass=_node):
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Join(Term):
+class Join(Term, metaclass=_node):
     body: Term  # a pair of borrows
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Push(Term):
+class Push(Term, metaclass=_node):
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Pull(Term):
+class Pull(Term, metaclass=_node):
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Share(Term):
+class Share(Term, metaclass=_node):
     body: Term
     grade: Optional[Grade] = None  # result box grade, filled in by elaboration
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Clone(Term):
+class Clone(Term, metaclass=_node):
     binder: str
     idents: tuple[str, ...]
     rhs: Term
@@ -475,33 +485,29 @@ class Clone(Term):
     # identifiers of the cloned payload type in binder order, filled in by
     # elaboration; the machine maps the fresh copies through this list
     old_idents: Optional[tuple[str, ...]] = None
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class NatLit(Term):
+class NatLit(Term, metaclass=_node):
     value: int
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class FloatLit(Term):
+class FloatLit(Term, metaclass=_node):
     value: float
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Prim(Term):
+class Prim(Term, metaclass=_node):
     name: str
     ann: Optional[Type] = None  # newRef's payload type; filled in by elaboration
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
 # Runtime-only forms.
 
 
-@_node
-class Uniq(Term):
+class Uniq(Term, metaclass=_node):
     """The runtime wrapper *t covering both owned and borrowed values.
 
     The permission marker records at which grade of the & modality the
@@ -511,19 +517,17 @@ class Uniq(Term):
 
     body: Term
     perm: Permission = STAR
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class Unborrow(Term):
+class Unborrow(Term, metaclass=_node):
     body: Term
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
-@_node
-class RefVal(Term):
+class RefVal(Term, metaclass=_node):
     ref: str
-    loc: Optional[Loc] = _loc_field()
+    loc: Optional[Loc] = None
 
 
 class _Shape(NamedTuple):
@@ -543,16 +547,14 @@ _BINDS: dict[type, tuple[str, ...]] = {
 }
 
 
-def _shape(cls: type) -> _Shape:
-    hints = get_type_hints(cls)
-    return _Shape(_child_fields(cls, hints, Term), _child_fields(cls, hints, Optional[Type]), _BINDS.get(cls, ()))
-
-
-_SHAPES: dict[type, _Shape] = {cls: _shape(cls) for cls in Term.__subclasses__()}
+_SHAPES: dict[type, _Shape] = {
+    cls: _Shape(_child_fields(cls, "Term"), _child_fields(cls, "Optional[Type]"), _BINDS.get(cls, ()))
+    for cls in Term.__subclasses__()
+}
 
 # Every constructor field of every Term and Type class, in order.
 _FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls)) for cls in (*Term.__subclasses__(), *Type.__subclasses__())
+    cls: tuple(f.name for f in fields(cls) if f.init) for cls in (*Term.__subclasses__(), *Type.__subclasses__())
 }
 
 

@@ -110,3 +110,37 @@ def test_the_gates_of_five_pairs_need_five_wins():
     parent = [10.0, 11.0, 12.0, 13.0, 14.0]
     assert gates(parent, [x + 5 for x in parent], True, 0.25).claim
     assert not gates(parent, [x + 5 for x in parent[:4]] + [parent[4]], True, 0.25).claim
+
+
+def test_a_list_of_workloads_prints_one_block_per_workload(tmp_path, capsys):
+    # `run` is replaced, so no benchmark starts: a run's value is its seed,
+    # plus one on the change's side
+    bench_pairs = _bench_pairs()
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "verdicts_per_s", "better": "higher", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout.name, workload, seed))
+        return {"verdicts_per_s": seed + (checkout.name == "change")}
+
+    bench_pairs.run = fake_run
+    handler = signal.getsignal(signal.SIGTERM)
+    try:
+        code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                                 "--workload", "props,split_ladder", "--seeds", "1-2"])
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    assert code == 0
+    pairs = [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert runs == [(side, w, seed) for w in ("props", "split_ladder") for side, seed in pairs]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    for block, workload in zip((lines[:4], lines[4:]), ("props", "split_ladder")):
+        assert block[0] == f"workload {workload}"
+        assert block[1] == "pair 1 seed 1 (parent first): verdicts_per_s 1 -> 2"
+        assert block[2] == "pair 2 seed 2 (change first): verdicts_per_s 2 -> 3"
+        assert block[3].startswith("verdicts_per_s (higher is better): parent median 1.5")
+        assert "change wins 2 of 2" in block[3]

@@ -669,6 +669,41 @@ def test_memo_tells_contexts_apart_by_reference_entries():
                 checker.synth(ctx, t, UnitT())
 
 
+def test_memo_answers_a_check_from_the_stored_inference(monkeypatch):
+    # checking a term against the type it infers agrees with inferring it
+    # (tests/test_checked_random.py), so a stored inference at A answers a
+    # check against A; against B != A the rule runs and fails as a fresh
+    # checker does
+    from gradebor import typecheck
+
+    rule, runs = typecheck._BINDING_RULES[LetPair], []
+
+    def counted_rule(self, ctx, t, expected):
+        runs.append(expected)
+        return rule(self, ctx, t, expected)
+
+    monkeypatch.setitem(typecheck._BINDING_RULES, LetPair, counted_rule)
+    t = LetPair("a", "b", Pair(UnitVal(), NatLit(1)), Pair(Var("b"), Var("a")))
+    ctx = Ctx(RING, lenient_names=True)
+    checker = _MemoChecker(RING)
+    a, used, _ = checker.synth(ctx, t)
+    assert a == Prod(NatT(), UnitT()) and runs == [None]
+    assert checker.synth(ctx, t, Prod(NatT(), UnitT()))[:2] == (a, used)
+    assert runs == [None]
+    b = Prod(UnitT(), NatT())
+    with pytest.raises(CheckError) as memoized:
+        checker.synth(ctx, t, b)
+    assert runs == [None, b]
+    with pytest.raises(CheckError) as fresh:
+        Checker(RING).synth(ctx, t, b)
+    assert (memoized.value.kind, memoized.value.msg) == (fresh.value.kind, fresh.value.msg)
+    # a stored check never answers an inference
+    t2 = LetPair("a", "b", Pair(UnitVal(), NatLit(1)), Pair(Var("b"), Var("a")))
+    checker.synth(ctx, t2, a)
+    assert checker.synth(ctx, t2)[0] == a
+    assert runs[-2:] == [a, None]
+
+
 def test_preservation_tells_heaps_apart_by_a_variable_grade():
     # two configurations share one term; the second heap holds x at grade 0
     from gradebor.machine import Trace
@@ -1017,6 +1052,33 @@ def test_preservation_work_on_a_split_ladder_grows_linearly(monkeypatch):
         counts[rungs] = calls
     assert 1 <= counts[20]["root"] <= 4 and 1 <= counts[40]["root"] <= 4, counts
     assert counts[40]["typed"] <= 2.2 * counts[20]["typed"], counts
+
+
+def test_preservation_checks_the_ladder_body_from_its_inference(monkeypatch):
+    # the ladder infers its body at existentialBeta and checks it against
+    # that type after withBorrowBeta: the stored inference answers the
+    # check, so that configuration types only a few nodes, not the body
+    from gradebor import metatheory
+
+    cp = checked(GOLDEN.ladder_source(20))
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    k = trace.leaves.index("withBorrowBeta") + 1
+    calls = []  # synth calls per configuration, each of which gets one runtime context
+    runtime_ctx, synth = metatheory.runtime_ctx, Checker.synth
+
+    def counted_runtime_ctx(heap, ring):
+        calls.append(0)
+        return runtime_ctx(heap, ring)
+
+    def counted_synth(self, ctx, t, expected=None):
+        calls[-1] += 1
+        return synth(self, ctx, t, expected)
+
+    monkeypatch.setattr(metatheory, "runtime_ctx", counted_runtime_ctx)
+    monkeypatch.setattr(Checker, "synth", counted_synth)
+    assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    assert len(calls) == len(trace.configs)
+    assert calls[k] <= 20, calls[:k + 1]
 
 
 def test_preservation_infers_each_judged_hole_once(monkeypatch):

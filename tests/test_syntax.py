@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import random
 import sys
@@ -813,6 +814,29 @@ def old_subst_perms_term(t, env):
     )
 
 
+def test_nodes_are_slotted_and_each_table_holds_each_class_once():
+    # a node keeps its fields in slots, and its constructor takes exactly the
+    # fields `_FIELDS` lists, in that order
+    assert not any(hasattr(n, "__dict__") for n in SAMPLE_NODES)
+    assert not any(hasattr(x, "__dict__") for x in SAMPLE_TYPES)
+    assert not hasattr(Forall((("p", "Permission"),), UnitT()), "__dict__")
+    live = {
+        base: [c for c in vars(syntax).values() if isinstance(c, type) and issubclass(c, base) and c is not base]
+        for base in (Term, Type)
+    }
+    for cls in live[Term] + live[Type]:
+        assert syntax._FIELDS[cls] == tuple(inspect.signature(cls).parameters), cls.__name__
+        assert type(cls) is type, cls.__name__
+    # a class built twice would leave a stale copy among the subclasses,
+    # which the tables are built from
+    assert len(live[Term]) == 24 and len(live[Type]) == 11
+    for base in (Term, Type):
+        assert len(base.__subclasses__()) == len(live[base]) and set(base.__subclasses__()) == set(live[base])
+    for table, classes in ((syntax._SHAPES, live[Term]), (syntax._TYPE_CHILDREN, live[Type]),
+                           (syntax._FIELDS, live[Term] + live[Type])):
+        assert len(table) == len(classes) and set(table) == set(classes)
+
+
 def test_type_walkers_match_the_match_walkers_on_every_sample_type():
     assert {type(x) for x in SAMPLE_TYPES} == set(syntax._TYPE_CHILDREN) - {Forall}
     for ty in SAMPLE_TYPES:
@@ -1037,13 +1061,14 @@ def test_stored_sets_equal_the_uncached_walkers_after_a_checked_run(mutate):
                 assert bound_names(t) == old_bound_names(t)
 
 
-# The node classes are plain dataclasses: what stands in for `frozen` is that
-# no code assigns a field of a node once it is built.
+# The node classes are slotted and not frozen: what stands in for `frozen` is
+# that no code assigns a field of a node once it is built. A slot has a value
+# once it is assigned.
 _STORED_SETS = ("_free", "_refs", "_bound")
 
 
 def _set_once(self, name, value):
-    if name in self.__dict__ and name not in _STORED_SETS:
+    if name not in _STORED_SETS and hasattr(self, name):
         raise AttributeError(f"{type(self).__name__}.{name} assigned after it was built")
     object.__setattr__(self, name, value)
 
