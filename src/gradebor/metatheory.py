@@ -167,7 +167,11 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     is judged once (`_judge`), as `(expected, A, U, r)`: its hole's type A,
     checked against when `expected` is A and inferred when it is None, and
     the usage U and grade r of the context around the hole; the root, the
-    frame None, as `(B, B, ∅, 1)`. A configuration's usage is U + r·U(hole).
+    frame None, as `(B, B, ∅, 1)`. A configuration's usage is U + r·U(hole),
+    where the hole is the redex of its step when the next configuration's
+    frames reach down into its own hole (`_at_next_redex`): the frames that
+    the search for that redex pushed are judged here, so the next
+    configuration, which holds them, types only its contractum.
     A judgment reads the types of variables and references, which a heap
     variable keeps from its binding on. A step that changes one drops every
     judgment, and that configuration is checked in full, as is one whose
@@ -179,13 +183,14 @@ def check_preservation(trace: Trace, main_type: Type, ring: Semiring, s: Grade) 
     root = (main_type, main_type, Usage(), ring.one)
     judged: dict[Optional[Frame], tuple] = {None: root}
     rt = None
-    for k, config in enumerate(trace.configs):
+    configs = trace.configs
+    for k, (config, following) in enumerate(zip(configs, [*configs[1:], None])):
         previous, rt = rt, runtime_ctx(config.heap, ring)
         if previous is not None and _retyped(previous, rt):
             judged = {None: root}
             usage = None
         else:
-            usage = _root_usage(checker, judged, config, rt)
+            usage = _root_usage(checker, judged, _at_next_redex(config, following), rt)
         if usage is None:
             try:
                 _, usage, _ = checker.synth(rt, config.term(), main_type)
@@ -204,6 +209,31 @@ def _retyped(old: Ctx, new: Ctx) -> bool:
     return any(x in new.vars and new.vars[x].ty != e.ty for x, e in old.vars.items()) or any(
         r in new.refs and new.refs[r] != e for r, e in old.refs.items()
     )
+
+
+def _at_next_redex(config: Config, following: Optional[Config]) -> Config:
+    """`config` split at the redex of its step: at `following`'s frame, and
+    the subterm of `config`'s hole that the search for that redex went down
+    to. That holds when `following`'s frame lies strictly below `config`'s
+    and each frame between them has, as its node, the very object met by
+    walking down `config`'s hole along their holes; otherwise, `config`
+    itself. So the frames that the search pushed are judged in `config`, on
+    its own term, and `following` finds them judged."""
+    if following is None:
+        return config
+    top, frame, below = config.frame, following.frame, []
+    depth = top.depth if top is not None else 0
+    while frame is not None and frame.depth > depth:
+        below.append(frame)
+        frame = frame.parent
+    if not below or frame is not top:
+        return config
+    t = config.hole
+    for frame in reversed(below):
+        if frame.node is not t:
+            return config
+        t = getattr(t, frame.hole)
+    return Config(following.frame, t, config.heap)
 
 
 def _cut(frame: Optional[Frame], t: Term) -> tuple[Optional[Frame], Term]:

@@ -188,6 +188,24 @@ def test_corpus_replay_too_deep_is_a_mismatch(monkeypatch, capsys):
     assert (rows["persimmon"]["status"], rows["persimmon"]["detail"]) == ("MISMATCH", "[SyntaxError]")
 
 
+def test_corpus_reports_a_checker_violation_as_a_metatheory_mismatch(monkeypatch, capsys):
+    import gradebor.cli as cli
+    from gradebor.metatheory import Violation
+
+    monkeypatch.setattr(cli, "check_trace", lambda *args: [Violation("preservation", 3, "heap compatibility failed")])
+    assert main(["corpus", "--format", "json"]) == 4
+    rows = json.loads(capsys.readouterr().out)
+    verdicts = {Path(path).stem: verdict for path, verdict, _ in cli.load_expectations()}
+    assert sorted(r["program"] for r in rows) == sorted(verdicts) and "accept" in verdicts.values()
+    for row in rows:
+        if verdicts[row["program"]] == "accept":
+            assert (row["status"], row["detail"]) == (
+                "MISMATCH", "metatheory: preservation at step 3: heap compatibility failed"
+            ), row
+        else:
+            assert row["status"] == "ok", row
+
+
 def test_semiring_flag_overrides_pragma(tmp_path):
     f = tmp_path / "d.grb"
     # accepted under the default upper-bound ordering, rejected when forced discrete

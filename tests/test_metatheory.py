@@ -245,6 +245,34 @@ def test_uniqueness_not_applicable_for_boxed_results():
     assert uniqueness_applicable(parse_type("exists i . * (Ref i Float)"))
 
 
+@pytest.mark.parametrize("final_refs, message", [
+    ({"ref1": (1, "id1")}, None),
+    ({"ref1": (Fraction(1, 2), "id1"), "ref2": (Fraction(1, 2), "id1")}, "found 0"),
+    ({"ref1": (1, "id1"), "ref2": (1, "id1")}, "found 2"),
+    ({}, None),  # the run deleted the resource, which then owes no reference
+], ids=["kept", "halved", "doubled", "deleted"])
+def test_uniqueness_keeps_a_whole_reference_of_the_start_heap_whole(final_refs, message):
+    # the run starts with a whole reference to id1, which its term reaches;
+    # at the end, id1 must be held by exactly one whole reference
+    from gradebor.machine import Trace
+
+    start = Heap()
+    start.resources["id1"] = ArrRes()
+    start.refs["ref1"] = RefCell(Fraction(1), "id1")
+    final = Heap()
+    if final_refs:
+        final.resources["id1"] = ArrRes()
+    final.refs.update({r: RefCell(Fraction(p), ident) for r, (p, ident) in final_refs.items()})
+    trace = Trace(RING.one, ["none"], [(RefVal("ref1"), start), (RefVal("ref1"), final)], 1)
+    found = check_uniqueness(trace, parse_type("exists i . * (Array i Float)"))
+    if message is None:
+        assert found == []
+    else:
+        assert [(v.prop, v.step, v.message) for v in found] == [
+            ("uniqueness", None, f"resource id1: expected exactly one whole reference at the end, {message}")
+        ]
+
+
 def test_mutated_split_is_detected():
     cp, _, trace = run("persimmon.grb", mutate=True)
     assert check_borrow_safety(trace) != []
@@ -1052,6 +1080,57 @@ def test_preservation_work_on_a_split_ladder_grows_linearly(monkeypatch):
         counts[rungs] = calls
     assert 1 <= counts[20]["root"] <= 4 and 1 <= counts[40]["root"] <= 4, counts
     assert counts[40]["typed"] <= 2.2 * counts[20]["typed"], counts
+
+
+def test_preservation_judges_the_frames_a_search_pushed_where_it_pushed_them(monkeypatch):
+    # configuration k judges the frames that the search for step k's redex
+    # pushed into its hole, so configuration k + 1, which holds them, types
+    # only its contractum. Split where the last contractum was put instead,
+    # an N-write chain makes 3N + 1 primitive typings and the 20-rung ladder
+    # 1360 `synth` calls
+    prims = {}
+    for writes in (50, 100):
+        cp, trace = chain_trace(writes)
+        calls = [0]
+        prim_app = Checker._prim_app
+
+        def counted_prim_app(self, *args):
+            calls[0] += 1
+            return prim_app(self, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(Checker, "_prim_app", counted_prim_app)
+            assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+        prims[writes] = calls[0]
+    assert all(prims[n] <= 2 * n + 1 for n in prims), prims
+    cp = checked(GOLDEN.ladder_source(20))
+    _, trace = Machine(cp.ring).eval(Heap(), cp.main_term, cp.ring.one)
+    typed = [0]
+    synth = Checker.synth
+
+    def counted_synth(self, ctx, t, expected=None):
+        typed[0] += 1
+        return synth(self, ctx, t, expected)
+
+    monkeypatch.setattr(Checker, "synth", counted_synth)
+    assert check_preservation(trace, cp.main_type, cp.ring, cp.ring.one) == []
+    assert typed[0] <= 1200, typed
+
+
+def test_preservation_splits_a_configuration_only_on_its_own_term():
+    # configuration 1's frame describes a well-typed pair, but its node is
+    # not the object in configuration 0's hole, whose pair holds a Nat: the
+    # frame must not stand in for configuration 0's own term
+    from gradebor.machine import Config, Frame, Trace
+
+    ill = Pair(LetUnit(UnitVal(), UnitVal()), NatLit(3))
+    top = Frame(Pair(ill, UnitVal()), 0, RING.one, None)
+    pushed = Frame(Pair(LetUnit(UnitVal(), UnitVal()), UnitVal()), 0, RING.one, top)
+    assert pushed.node is not ill
+    trace = Trace(RING.one, ["unitBeta"], [Config(top, ill, Heap()), Config(pushed, UnitVal(), Heap())], 1)
+    memoized, oracle = preservation_against_oracle(trace, Prod(Prod(UnitT(), UnitT()), UnitT()), RING, RING.one)
+    assert memoized == oracle
+    assert [v.step for v in oracle] == [0] and oracle[0].message.startswith("re-inference failed: [Mismatch]")
 
 
 def test_preservation_checks_the_ladder_body_from_its_inference(monkeypatch):
